@@ -29,19 +29,10 @@ from .connection import (
     TransportConfig,
     TransportError,
 )
-from .crypto import KeySet
 from .handshake import ServerConfig, ServerIdentity
 from .mqtt import Broker, MqttError, MqttMessage
 from .netsim import Address, SimNetwork
-from .wire import (
-    EPOCH_CLEAR,
-    EPOCH_IK,
-    EPOCH_K,
-    WireError,
-    decode_header,
-    open_packet_body,
-)
-from .connection import pak as _pak
+from .wire import EPOCH_CLEAR, WireError, decode_header
 
 STATE_DIR_ENV = "QUICMQ_STATE_DIR"
 PRIMARY_STREAM = 3  # first application stream; stream 1 carries the handshake
@@ -57,50 +48,6 @@ class AgentError(Exception):
     def __init__(self, stage: str, detail: str = ""):
         super().__init__(f"{stage}{': ' + detail if detail else ''}")
         self.stage = stage
-
-
-@dataclass(frozen=True)
-class AgentEvent:
-    kind: str  # process_packet | client_disconnect | socket_timeout
-    direction: str = "receive"  # the action flag: send | receive
-    payload: object = None
-
-
-# ---------------------------------------------------------------------------
-# Message-level crypt API (initial vs established key selected by the
-# handshake-completed flag; the framed stream path is the production path)
-# ---------------------------------------------------------------------------
-
-def encrypt_message(conn: Connection, m: bytes) -> bytes | None:
-    """Seal one message under the connection's current epoch. Returns None
-    when no key is available or the sequence number was already spent."""
-    epoch = EPOCH_K if conn.handshake_completed else EPOCH_IK
-    keys: KeySet | None = conn.k if conn.handshake_completed else conn.ik
-    if keys is None:
-        return None
-    sqn = conn.next_sqn
-    try:
-        packet = _pak(keys, sqn, m, conn.role, conn.cid, epoch, used=conn.sent_sqns)
-    except TransportError:
-        return None
-    conn.next_sqn = sqn + 1
-    return packet
-
-
-def decrypt_message(conn: Connection, packet: bytes) -> bytes | None:
-    """Open one message with the epoch implied by handshake state; a packet
-    from the other epoch fails authentication and yields None."""
-    keys: KeySet | None = conn.k if conn.handshake_completed else conn.ik
-    if keys is None:
-        return None
-    try:
-        header, hlen = decode_header(packet)
-    except WireError:
-        return None
-    plain = open_packet_body(header, hlen, packet, keys, conn.role)
-    if plain is None or not plain or plain[0] != 0x01:
-        return None
-    return plain[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +148,6 @@ class ClientAgent:
         self.failure: str | None = None
         self.tx_msg_queue: deque[tuple[int, bytes]] = deque()
         self.rx_msg_queue: deque[MqttMessage] = deque()
-        self.crypt_tx_queue: deque[bytes] = deque()
         self._rx_buffers: dict[int, bytearray] = {}
         self._next_msgid = 1
         self._pending_qos1: dict[int, dict] = {}
@@ -250,46 +196,6 @@ class ClientAgent:
         if self.keepalive:
             self._arm_ping()
         return self.handshake_path
-
-    def protocol_connect(self) -> str:
-        """Choose between the 1-RTT and 0-RTT paths based on the session
-        file; connect_mqtt is the full initializer around this."""
-        return self.connect_mqtt()
-
-    def do_handshake(self) -> bool:
-        """Start the handshake if it has not run yet; once completed,
-        further calls skip protocol_connect entirely. Returns the
-        handshake-completed flag."""
-        if self.conn is None:
-            self.protocol_connect()
-        return self.conn.handshake_completed
-
-    def do_handshake_once(self, direction: str, payload: bytes) -> bytes | None:
-        """Flag routing: a send-direction event encrypts, a receive-direction
-        event decrypts, through the message-level crypt path."""
-        flag = "encrypt" if direction == "send" else "decrypt"
-        return self.crypt_quic_message(flag, payload)
-
-    def crypt_quic_message(self, flag: str, payload: bytes) -> bytes | None:
-        """Message-level crypt path: sealed payloads are appended to the
-        transmit queue of sealed messages; opened payloads go through the
-        dispatcher."""
-        if self.conn is None:
-            return None
-        if flag == "encrypt":
-            sealed = encrypt_message(self.conn, payload)
-            if sealed is not None:
-                self.crypt_tx_queue.append(sealed)
-            return sealed
-        plain = decrypt_message(self.conn, payload)
-        if plain is None:
-            return None
-        try:
-            msg, _ = mqtt.decode(plain)
-        except mqtt.MqttError:
-            return None
-        self.quic_dispatcher(msg, PRIMARY_STREAM)
-        return plain
 
     @staticmethod
     def _sanity(raw: bytes) -> None:
@@ -514,21 +420,6 @@ class ServerAgent:
 
     # -- event entry points ---------------------------------------------------------
 
-    def handle_event(self, event: AgentEvent) -> None:
-        """Server loop event dispatch: packets route into the connection
-        machinery; disconnect and timeout events close one connection."""
-        if event.kind == "process_packet":
-            data, src = event.payload
-            self.on_datagram(data, src)
-        elif event.kind in ("client_disconnect", "socket_timeout"):
-            cid = event.payload
-            state = self.conns.get(cid)
-            if state is not None:
-                state.conn.close()
-                self._pump(state.conn)
-        else:
-            raise AgentError("event", f"unknown event kind {event.kind!r}")
-
     def shutdown(self) -> None:
         """Broker shutdown (reboot): a disconnect for every client at once."""
         for state in list(self.conns.values()):
@@ -547,12 +438,8 @@ class ServerAgent:
                 self.rx_errors += 1  # unknown cid: drop, no state change
                 return
             state = self._new_conn(header.cid, src)
-        self.quic_input_message(state, data, src)
-
-    def quic_input_message(self, state: _ConnState, data: bytes, src: Address) -> None:
-        """Feed one received datagram to its connection; the connection
-        advances the handshake or decrypts and dispatches, and our event
-        hook handles the rest."""
+        # The connection advances the handshake or decrypts and dispatches;
+        # our event hook handles the rest.
         conn = state.conn
         conn.handle_datagram(data, src)
         if conn.phase == "idle" and conn.auth_failures:

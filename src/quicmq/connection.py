@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import wire
 from .crypto import KeySet, NULL_KEYS
@@ -66,11 +66,6 @@ ESTABLISHED = "established"
 DRAINING = "draining"
 CLOSED = "closed"
 
-# Per-client handshake state labels.
-CLIENT_INITIAL = "client_initial"
-CLIENT_HANDSHAKE_FAILED = "client_handshake_failed"
-CLIENT_POST_HANDSHAKE = "client_post_handshake"
-
 MAX_STREAM_CHUNK = 1200
 
 
@@ -98,24 +93,6 @@ class CachedSession:
     """Client-side resumption state loaded from a session file."""
     scfg: ServerConfig
     stk: bytes
-
-
-class FixedWindow:
-    """Default congestion controller: a fixed packet window. The interface
-    (can_send / on_ack / on_loss) is the seam where a real controller would
-    plug in; none ships here."""
-
-    def __init__(self, window_packets: int):
-        self.window_packets = window_packets
-
-    def can_send(self, in_flight: int) -> bool:
-        return in_flight < self.window_packets
-
-    def on_ack(self, rtt_s: float) -> None:
-        pass
-
-    def on_loss(self) -> None:
-        pass
 
 
 # -- events delivered to the agent ------------------------------------------
@@ -164,7 +141,6 @@ class SentPacket:
     sqn: int
     sent_at: float
     frames: tuple  # retransmittable frames only
-    retired: bool = False
     nack_count: int = 0
 
     def has_close(self) -> bool:
@@ -267,48 +243,6 @@ class Stream:
         return out
 
 
-def pak(keys: KeySet, sqn: int, message: bytes, role: str, cid: int,
-        epoch: int = EPOCH_IK, used: set[int] | None = None,
-        div_nonce: bytes | None = None) -> bytes:
-    """Seal an application message into a packet: body = 0x01 || message,
-    nonce bound to the destination-role IV prefix and the sequence number.
-
-    ``used`` tracks spent sequence numbers; reusing one is refused locally
-    rather than producing a nonce collision on the wire.
-    """
-    if used is not None:
-        if sqn in used:
-            raise TransportError("sqn_reuse", str(sqn))
-        used.add(sqn)
-    header = PacketHeader(cid=cid, sqn=sqn, epoch=epoch, div_nonce=div_nonce)
-    return seal_packet(header, bytes([MARKER_DATA]) + message, keys, role)
-
-
-def process_packets(keys: KeySet, packets: list[bytes], role: str
-                    ) -> tuple[list[tuple[int, bytes]], list[int]]:
-    """Open a batch of packets with the source-role key, returning messages
-    ordered by sequence number plus the indexes of rejected packets.
-
-    A packet whose seal fails or whose first byte is not the application
-    marker is dropped and reported; it never aborts the batch.
-    """
-    messages: list[tuple[int, bytes]] = []
-    failed: list[int] = []
-    for i, packet in enumerate(packets):
-        try:
-            header, hlen = decode_header(packet)
-        except WireError:
-            failed.append(i)
-            continue
-        plain = open_packet_body(header, hlen, packet, keys, role)
-        if plain is None or not plain or plain[0] != MARKER_DATA:
-            failed.append(i)
-            continue
-        messages.append((header.sqn, plain[1:]))
-    messages.sort(key=lambda pair: pair[0])
-    return messages, failed
-
-
 class Connection:
     """One end of a connection. ``role`` is "client" or "server"."""
 
@@ -319,8 +253,7 @@ class Connection:
                  rng: Random | None = None,
                  server_pk: bytes | None = None,
                  identity: ServerIdentity | None = None,
-                 session: CachedSession | None = None,
-                 congestion: FixedWindow | None = None):
+                 session: CachedSession | None = None):
         self.role = role
         self.cid = cid
         self.local_addr = local_addr
@@ -333,17 +266,15 @@ class Connection:
         self.server_pk = server_pk
         self.identity = identity
         self.session = session
-        self.congestion = congestion or FixedWindow(config.congestion_window_packets)
 
         self.phase = IDLE
-        self.client_state = ""
         self.handshake_completed = False
         self.ik: KeySet | None = None
         self.k: KeySet | None = None
 
         # One send counter per direction; receipts deduplicated by sqn.
         self.next_sqn = 1
-        self.sent_sqns: set[int] = set()
+        self._last_sqn = 0  # high-water mark of allocated sqns
         self.received_sqns: set[int] = set()
         self.largest_received = 0
         self.ack_needed = False
@@ -396,9 +327,14 @@ class Connection:
         return self.clock()
 
     def _alloc_sqn(self) -> int:
+        """Hand out the next sequence number. A number at or below one
+        already spent would reuse a nonce under the same key (RFC 9000
+        §12.3), so it is refused rather than sealed."""
         sqn = self.next_sqn
-        self.next_sqn += 1
-        self.sent_sqns.add(sqn)
+        if sqn <= self._last_sqn:
+            raise TransportError("sqn_reuse", str(sqn))
+        self._last_sqn = sqn
+        self.next_sqn = sqn + 1
         return sqn
 
     def _keys_for_epoch(self, epoch: int) -> KeySet | None:
@@ -509,7 +445,6 @@ class Connection:
         self._arm_handshake_timer()
 
     def _fail_handshake(self, reason: str) -> None:
-        self.client_state = CLIENT_HANDSHAKE_FAILED
         self.phase = CLOSED
         self._cancel_timers()
         self._emit(HandshakeFailed(reason))
@@ -568,8 +503,6 @@ class Connection:
         if marker == MARKER_HANDSHAKE:
             self._handle_handshake_payload(header, payload, src)
         elif marker == MARKER_DATA:
-            if self.phase == ESTABLISHED and self.handshake_completed:
-                self.client_state = CLIENT_POST_HANDSHAKE
             self._handle_data_payload(header, payload)
         else:
             self.auth_failures += 1
@@ -645,7 +578,6 @@ class Connection:
             return
         self.phase = ESTABLISHED
         self.handshake_completed = True
-        self.client_state = CLIENT_INITIAL
         if self._hs_timer is not None:
             self._hs_timer.cancel()
             self._hs_timer = None
@@ -680,7 +612,6 @@ class Connection:
         try:
             ik, nonc = identity.validate_full_chlo(msg, chlo_wire, src[0], self.cid, now)
         except HandshakeError as e:
-            self.client_state = CLIENT_HANDSHAKE_FAILED
             self._reject_chlo(src, now, e.reason)
             return
         self.ik = ik
@@ -688,7 +619,6 @@ class Connection:
         self._hs_chlo_wire = chlo_wire
         self._hs_client_pub = msg.fields[wire.TAG_PUBC][1:]
         self.phase = KEY_EXCHANGED
-        self.client_state = CLIENT_INITIAL
         # Continue after any initial data that arrived in the same flight.
         self.scheduler(0, self._server_continue)
 
@@ -823,8 +753,6 @@ class Connection:
             nacked.update(range(start, end + 1))
         now = self._now()
         for sqn, record in list(self.sent_packets.items()):
-            if record.retired:
-                continue
             if sqn in nacked:
                 record.nack_count += 1
                 if record.nack_count >= self.config.nack_threshold:
@@ -832,16 +760,13 @@ class Connection:
             elif sqn <= frame.largest_observed:
                 rtt = now - record.sent_at
                 self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
-                self.congestion.on_ack(rtt)
                 del self.sent_packets[sqn]
         self._maybe_flush_blocked()
 
     def _retransmit(self, record: SentPacket) -> None:
         """Move a lost packet's frames into a fresh packet under a fresh
         sequence number; the original sqn is never reused."""
-        record.retired = True
         self.sent_packets.pop(record.sqn, None)
-        self.congestion.on_loss()
         frames = list(record.frames)
         if not frames:
             return
@@ -872,7 +797,7 @@ class Connection:
         now = self._now()
         rto = self._rto()
         for record in list(self.sent_packets.values()):
-            if record.retired or now - record.sent_at < rto:
+            if now - record.sent_at < rto:
                 continue
             if self.phase == DRAINING and not record.has_close():
                 continue
@@ -882,11 +807,8 @@ class Connection:
         if self.phase != DRAINING:
             self.flush()
 
-    def in_flight(self) -> int:
-        return sum(1 for r in self.sent_packets.values() if not r.retired)
-
     def _can_send_packet(self) -> bool:
-        return self.congestion.can_send(self.in_flight())
+        return len(self.sent_packets) < self.config.congestion_window_packets
 
     # -- idle / teardown ---------------------------------------------------------
 
@@ -1055,10 +977,11 @@ class Connection:
         if any(s.has_pending() for s in self.streams.values()):
             self.flush()
 
-    def _pending_chunks(self) -> list[StreamFrame]:
-        """Drain sendable stream data into frames, one stream frame per
-        eventual packet."""
-        frames = []
+    def _stream_chunks(self) -> Iterator[StreamFrame]:
+        """The stream scheduler: dequeue sendable data round-robin over the
+        streams in id order, one chunk per stream per pass, while the
+        flow-control limits allow. Each chunk is dequeued only when the
+        caller asks for it."""
         progressed = True
         while progressed:
             progressed = False
@@ -1075,33 +998,18 @@ class Connection:
                 if not data and not fin:
                     continue
                 self.conn_bytes_sent += len(data)
-                frames.append(StreamFrame(stream_id, offset, data, fin))
+                yield StreamFrame(stream_id, offset, data, fin)
                 progressed = True
-        return frames
 
     def _flush_data(self) -> None:
-        """Send stream chunks round-robin while the congestion window and
-        flow-control limits allow; anything left stays queued on its stream."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for stream_id in sorted(self.streams):
-                if not self._can_send_packet():
-                    return
-                stream = self.streams[stream_id]
-                if not stream.has_pending():
-                    continue
-                conn_room = self.peer_conn_limit - self.conn_bytes_sent
-                limit = stream.sendable(conn_room)
-                if limit <= 0 and not (stream.fin_queued and not stream.fin_sent
-                                       and stream.queued_bytes == 0):
-                    continue
-                data, fin, offset = stream.take_chunk(limit)
-                if not data and not fin:
-                    continue
-                self.conn_bytes_sent += len(data)
-                self._send_data_packet([StreamFrame(stream_id, offset, data, fin)])
-                progressed = True
+        """Send one stream chunk per packet while the congestion window
+        allows; anything left stays queued on its stream."""
+        chunks = self._stream_chunks()
+        while self._can_send_packet():
+            frame = next(chunks, None)
+            if frame is None:
+                return
+            self._send_data_packet([frame])
 
     def flush(self) -> None:
         """Packetize everything currently sendable."""
@@ -1131,7 +1039,7 @@ class Connection:
             return
         frames: list = self._drain_control_frames()
         if self._data_allowed():
-            frames += self._pending_chunks()
+            frames += self._stream_chunks()
         self._send_data_packet(frames, close=close)
         self._close_sent = True
         self._close_pending = None

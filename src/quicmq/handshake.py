@@ -165,7 +165,10 @@ class StrikeRegister:
         self.window_s = window_s
         self.seen: set[bytes] = set()
 
-    def check_and_add(self, nonc: bytes, now: float) -> None:
+    def check(self, nonc: bytes, now: float) -> None:
+        """Raise unless ``nonc`` is well formed, unseen and inside the
+        timestamp window, in that order. Recording an accepted nonce in
+        ``seen`` is the caller's last step, after its own guards."""
         if len(nonc) != NONC_LEN:
             raise HandshakeError("nonc_malformed")
         if nonc in self.seen:
@@ -173,7 +176,6 @@ class StrikeRegister:
         ts = int.from_bytes(nonc[:4], "big")
         if abs(now - ts) > self.window_s:
             raise HandshakeError("nonc_out_of_window")
-        self.seen.add(nonc)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +320,8 @@ class ServerIdentity:
         if not (-self.strike.window_s <= now - stk_ts <= self.stk_validity_s):
             raise HandshakeError("stk_stale")
 
-        # Strike register: replay first, then the timestamp window. The nonce
-        # is only recorded once every guard has passed.
-        if len(nonc) != NONC_LEN:
-            raise HandshakeError("nonc_malformed")
-        if nonc in self.strike.seen:
-            raise HandshakeError("nonc_replayed")
-        if abs(now - int.from_bytes(nonc[:4], "big")) > self.strike.window_s:
-            raise HandshakeError("nonc_out_of_window")
+        # The nonce is only recorded once every guard has passed.
+        self.strike.check(nonc, now)
 
         if scid != self.scfg.scid:
             if scid in self.retired:

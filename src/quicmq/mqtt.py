@@ -298,13 +298,6 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
     raise MqttError(f"unknown message kind {kind}")
 
 
-def mqtt_parse_args(data: bytes) -> MqttMessage:
-    """Full parse of a single message whose header already validated."""
-    assert valid_mqtt_header(data), "mqtt_parse_args called on invalid header"
-    msg, _ = decode(data)
-    return msg
-
-
 def topic_matches(filter_: str, topic: str) -> bool:
     """MQTT topic filter matching with ``+`` (one level) and ``#`` (rest)."""
     f_parts = filter_.split("/")

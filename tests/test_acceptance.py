@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from quicmq import crypto
-from quicmq.agents import ClientAgent, ServerAgent, encrypt_message
+from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.bench import (
     bench_conn_overhead,
     bench_half_open,
@@ -179,18 +179,23 @@ def test_crypto_property_suite(tmp_path):
         # Strike-register replay rejection.
         identity = ServerIdentity.create(now=1000.0, rng=Random(3))
         nonc = (1000).to_bytes(4, "big") + rng.randbytes(20)
-        identity.strike.check_and_add(nonc, 1000.0)
+        identity.strike.check(nonc, 1000.0)
+        identity.strike.seen.add(nonc)
         with pytest.raises(HandshakeError):
-            identity.strike.check_and_add(nonc, 1000.0)
+            identity.strike.check(nonc, 1000.0)
         # IV reuse is refused locally.
-        from quicmq.connection import Connection, TransportConfig
+        from quicmq.connection import Connection, TransportConfig, TransportError
         conn = Connection("client", 5, ("1.1.1.1", 1), ("2.2.2.2", 2),
                           TransportConfig(), lambda: 0.0, lambda d, f: None,
                           lambda e: None, rng=Random(4))
         conn.ik = crypto.split_keys(rng.randbytes(40))
-        assert encrypt_message(conn, b"x") is not None
+        conn.send_stream(3, b"x")
+        conn.flush()
+        assert conn.take_outputs()
         conn.next_sqn -= 1
-        assert encrypt_message(conn, b"x") is None
+        conn.send_stream(3, b"x")
+        with pytest.raises(TransportError):
+            conn.flush()
 
 
 def _assert_key_agreement_over_handshakes(state_dir: str):

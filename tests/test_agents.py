@@ -6,15 +6,11 @@ import pytest
 from quicmq import mqtt
 from quicmq.agents import (
     AgentError,
-    AgentEvent,
     ClientAgent,
     ServerAgent,
     SessionStore,
-    decrypt_message,
-    encrypt_message,
 )
-from quicmq.connection import Connection, TransportConfig
-from quicmq.crypto import split_keys
+from quicmq.connection import TransportConfig
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
@@ -91,92 +87,6 @@ def test_oversized_connect_fails_sanity_before_any_datagram():
         client.connect_mqtt()
     assert e.value.stage == "sanity"
     assert not net.trace  # nothing left the host
-
-
-def test_do_handshake_skips_after_completion():
-    net, identity, server = make_world()
-    client = make_client(net, identity, 50001, "dev1")
-    assert client.do_handshake() is False  # starts the exchange
-    net.run(until_s=2.0)
-    sends_before = len(net.trace)
-    assert client.do_handshake() is True  # completed: protocol_connect skipped
-    assert len(net.trace) == sends_before  # no second hello on the wire
-
-
-def test_do_handshake_once_flag_routing():
-    net, identity, server = make_world()
-    client = make_client(net, identity, 50001, "dev1")
-    client.connect_mqtt()
-    net.run(until_s=2.0)
-    raw = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic="t", payload=b"m"))
-    sealed = client.do_handshake_once("send", raw)
-    assert sealed is not None and sealed in client.crypt_tx_queue
-    # Simulate the peer sealing a message back to the client.
-    server_conn = next(iter(server.conns.values())).conn
-    inbound = encrypt_message(server_conn, raw)
-    before = len(client.rx_msg_queue)
-    plain = client.do_handshake_once("receive", inbound)
-    assert plain == raw
-    assert len(client.rx_msg_queue) == before + 1  # dispatched to the app
-
-
-# ---------------------------------------------------------------------------
-# Message-level crypt API
-# ---------------------------------------------------------------------------
-
-
-def connected_pair():
-    net, identity, server = make_world()
-    client = make_client(net, identity, 50001, "dev1")
-    client.connect_mqtt()
-    net.run(until_s=2.0)
-    assert client.connected
-    server_conn = next(iter(server.conns.values())).conn
-    return net, client.conn, server_conn
-
-
-def test_encrypt_message_pre_settlement_uses_ik():
-    conn = Connection("client", 7, ("10.0.0.9", 1), BROKER, TransportConfig(),
-                      lambda: 0.0, lambda d, f: None, lambda e: None,
-                      rng=Random(1))
-    conn.ik = split_keys(Random(2).randbytes(40))
-    sealed = encrypt_message(conn, b"early")
-    header, _ = decode_header(sealed)
-    assert header.epoch == EPOCH_IK
-    # The server-directed seal opens with the server-role receive path.
-    server = Connection("server", 7, BROKER, ("10.0.0.9", 1), TransportConfig(),
-                        lambda: 0.0, lambda d, f: None, lambda e: None,
-                        rng=Random(3))
-    server.ik = conn.ik
-    assert decrypt_message(server, sealed) == b"early"
-
-
-def test_post_settlement_cannot_decrypt_pre_settlement_packet():
-    net, client_conn, server_conn = connected_pair()
-    # Build a stale ik-epoch packet now that both sides completed settlement:
-    # the decrypt path selects k, so the old seal fails.
-    from quicmq.connection import pak
-    stale = pak(client_conn.ik, 900, b"stale", "client", cid=client_conn.cid,
-                epoch=EPOCH_IK)
-    assert decrypt_message(server_conn, stale) is None
-
-
-def test_encrypt_message_epoch_follows_handshake_completed():
-    net, client_conn, server_conn = connected_pair()
-    sealed = encrypt_message(client_conn, b"late")
-    header, _ = decode_header(sealed)
-    assert header.epoch == EPOCH_K
-    assert decrypt_message(server_conn, sealed) == b"late"
-
-
-def test_forced_iv_reuse_is_refused():
-    conn = Connection("client", 7, ("10.0.0.9", 1), BROKER, TransportConfig(),
-                      lambda: 0.0, lambda d, f: None, lambda e: None,
-                      rng=Random(1))
-    conn.ik = split_keys(Random(2).randbytes(40))
-    assert encrypt_message(conn, b"one") is not None
-    conn.next_sqn -= 1  # force the same sequence number / IV
-    assert encrypt_message(conn, b"two") is None
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +261,12 @@ def test_disconnect_event_frees_one_connection():
     b.connect_mqtt()
     net.run(until_s=2.0)
     assert server.connection_count() == 2
-    server.handle_event(AgentEvent("client_disconnect", payload=a.conn.cid))
+    state = server.conns[a.conn.cid]
+    state.conn.close()
+    server._pump(state.conn)
     net.run(until_s=4.0)
     assert server.connection_count() == 1
     assert b.conn.cid in server.conns
-
-
-def test_socket_timeout_event_closes_connection():
-    net, identity, server = make_world()
-    a = make_client(net, identity, 50001, "a", seed=21)
-    a.connect_mqtt()
-    net.run(until_s=2.0)
-    server.handle_event(AgentEvent("socket_timeout", payload=a.conn.cid))
-    net.run(until_s=4.0)
-    assert server.connection_count() == 0
 
 
 def test_broker_shutdown_closes_every_connection():
@@ -380,12 +282,6 @@ def test_broker_shutdown_closes_every_connection():
     net.run(until_s=4.0)
     assert server.connection_count() == 0
     assert all(not c.connected for c in clients)
-
-
-def test_unknown_event_kind_rejected():
-    net, identity, server = make_world()
-    with pytest.raises(AgentError):
-        server.handle_event(AgentEvent("martian"))
 
 
 def test_crashed_clients_reclaimed_within_budget():

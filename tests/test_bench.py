@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -48,6 +49,45 @@ def test_bench_json_is_deterministic(tmp_path):
     b = bench_conn_overhead("wireless", mode=None, iterations=3, seed=4,
                             state_dir=str(tmp_path / "b"))
     assert a.to_json() == b.to_json()
+
+
+# sha256 of to_json() followed by repr(series_rows()). The JSON holds packet
+# counts and simulated times only, so these move only when the wire format,
+# the packet ladder or the simulated timing changes; a change that moves one
+# must update it and say why.
+PINNED_DIGESTS = {
+    "conn_overhead_wired": "8584854b34f06f91667b2fafc14b0d6782b109ddede4bd543594dd84806736c2",
+    "hol_wired": "32fd871e8cc18378d3fa53479f2f0530ea3ccc5401787dab536aa5efbb9ff3c1",
+    "half_open_wired": "dbf30749867aba004e3e2f66c63bb7358cfcb06fc1c73b8aee229a7ac280cd36",
+    "migrate_wired": "db38a298fa56ccfe3bf223af52b88a7e1f535a52104b2d8d59717aea8fb598ec",
+    "conn_overhead_wireless": "bd938b48f92ee05adf5da52a644d273bfb7bce810dc27e59fbd66fc7c66f06b0",
+    "hol_wireless": "4829ba98f9f46f476753c409599248cb6d8fc190f56c6470c90f169c5d91e999",
+}
+
+
+def test_bench_output_matches_pinned_digests(tmp_path):
+    # The first four are the test_benchmark_determinism configurations.
+    runs = {
+        "conn_overhead_wired": lambda: bench_conn_overhead(
+            "wired", mode=None, iterations=3, seed=9, state_dir=str(tmp_path / "a")),
+        "hol_wired": lambda: bench_hol("wired", drop_rate=20, streams=2,
+                                       messages=80, seed=9),
+        "half_open_wired": lambda: bench_half_open(
+            "wired", publishers=2, conns=10, restart_at=5.0, horizon=60.0, seed=9),
+        "migrate_wired": lambda: bench_migrate("wired", changes=2, interval=20.0,
+                                               duration=60.0, seed=9),
+        "conn_overhead_wireless": lambda: bench_conn_overhead(
+            "wireless", mode=None, iterations=5, seed=4, state_dir=str(tmp_path / "b")),
+        "hol_wireless": lambda: bench_hol("wireless", drop_rate=10, streams=4,
+                                          messages=400, seed=3),
+    }
+    digests = {}
+    for name, run in runs.items():
+        res = run()
+        h = hashlib.sha256(res.to_json().encode())
+        h.update(repr(res.series_rows()).encode())
+        digests[name] = h.hexdigest()
+    assert digests == PINNED_DIGESTS
 
 
 def test_hol_improvement_positive_and_files(tmp_path):

@@ -15,8 +15,6 @@ from quicmq.connection import (
     StreamData,
     TransportConfig,
     TransportError,
-    pak,
-    process_packets,
 )
 from quicmq.crypto import split_keys
 from quicmq.wire import (
@@ -25,10 +23,19 @@ from quicmq.wire import (
     HANDSHAKE_DATAGRAM_LEN,
     HANDSHAKE_PACKET_LEN,
     LINK_OVERHEAD,
+    PacketHeader,
     StreamFrame,
     decode_header,
+    seal_packet,
 )
 from conftest import CLIENT_ADDR, SERVER_ADDR
+
+
+def seal_client_data(keys, sqn, payload, cid, epoch):
+    """Forge a client data packet: ``payload`` behind the application marker,
+    sealed under ``keys``."""
+    header = PacketHeader(cid=cid, sqn=sqn, epoch=epoch)
+    return seal_packet(header, bytes([wire.MARKER_DATA]) + payload, keys, "client")
 
 
 def run_handshake(world, session=None, **kw):
@@ -79,17 +86,6 @@ def test_div_nonce_on_server_ik_packets_only(world):
             assert header.div_nonce == identity.scfg.div_nonce, annotation
         elif header.epoch == wire.EPOCH_K:
             assert header.div_nonce is None, annotation
-
-
-def test_client_state_labels(world):
-    net, client_ep, server_ep, conn = run_handshake(world)
-    server_conn = server_ep.only_conn()
-    assert conn.client_state == "client_initial"
-    # Post-handshake traffic flips the label on the receiving side.
-    conn.send_stream(3, b"\x30\x04\x00\x01tx")  # minimal PUBLISH
-    client_ep.pump(conn.cid)
-    net.run(until_s=4.0)
-    assert server_conn.client_state == "client_post_handshake"
 
 
 def test_handshake_packets_have_fixed_length(world):
@@ -234,7 +230,6 @@ def test_tampered_config_signature_aborts_handshake(world):
     client_ep.pump(conn.cid)
     net.run(until_s=3.0)
     assert conn.phase == "closed"
-    assert conn.client_state == "client_handshake_failed"
     failures = [ev for _, ev in client_ep.events if isinstance(ev, HandshakeFailed)]
     assert failures and failures[0].reason == "scfg_bad_signature"
 
@@ -271,69 +266,20 @@ def test_persistently_rejecting_server_fails_connect(world):
     assert conn.phase == "closed"
     failures = [ev for _, ev in client_ep.events if isinstance(ev, HandshakeFailed)]
     assert failures and failures[0].reason == "too_many_rejects"
-    assert server_ep.only_conn().client_state == "client_handshake_failed"
+    assert server_ep.only_conn().last_reject_reason == "stk_stale"
 
 
-# ---------------------------------------------------------------------------
-# pak / process_packets
-# ---------------------------------------------------------------------------
-
-
-def test_pak_roundtrip_and_marker():
-    keys = split_keys(Random(1).randbytes(40))
-    packet = pak(keys, 5, b"hello", "client", cid=9, epoch=EPOCH_IK)
-    messages, failed = process_packets(keys, [packet], "server")
-    assert messages == [(5, b"hello")]
-    assert failed == []
-    # The sealed plaintext leads with the application marker byte.
-    header, hlen = decode_header(packet)
-    from quicmq.wire import open_packet_body
-    plain = open_packet_body(header, hlen, packet, keys, "server")
-    assert plain[0] == 0x01
-
-
-def test_pak_key_epoch_separation():
-    ik = split_keys(Random(2).randbytes(40))
-    k = split_keys(Random(3).randbytes(40))
-    packet = pak(ik, 1, b"m", "client", cid=9)
-    messages, failed = process_packets(k, [packet], "server")
-    assert messages == [] and failed == [0]
-
-
-def test_process_packets_orders_by_sqn():
-    keys = split_keys(Random(4).randbytes(40))
-    packets = [pak(keys, sqn, f"m{sqn}".encode(), "client", cid=9)
-               for sqn in (4, 3, 5)]
-    messages, failed = process_packets(keys, packets, "server")
-    assert [sqn for sqn, _ in messages] == [3, 4, 5]
-    assert [m for _, m in messages] == [b"m3", b"m4", b"m5"]
-
-
-def test_process_packets_skips_corrupt_packet():
-    keys = split_keys(Random(5).randbytes(40))
-    good = pak(keys, 1, b"ok", "client", cid=9)
-    bad = bytearray(pak(keys, 2, b"bad", "client", cid=9))
-    bad[-1] ^= 1
-    messages, failed = process_packets(keys, [good, bytes(bad)], "server")
-    assert messages == [(1, b"ok")]
-    assert failed == [1]
-
-
-def test_process_packets_rejects_handshake_marker():
-    from quicmq.wire import PacketHeader, seal_packet
-    keys = split_keys(Random(6).randbytes(40))
-    header = PacketHeader(cid=9, sqn=1, epoch=EPOCH_IK)
-    packet = seal_packet(header, b"\x00secret", keys, "client")
-    messages, failed = process_packets(keys, [packet], "server")
-    assert messages == [] and failed == [0]
-
-
-def test_pak_refuses_sqn_reuse():
-    keys = split_keys(Random(7).randbytes(40))
-    used: set[int] = set()
-    pak(keys, 3, b"a", "client", cid=1, used=used)
+def test_connection_refuses_sqn_reuse():
+    conn = Connection("client", 1, CLIENT_ADDR, SERVER_ADDR, TransportConfig(),
+                      lambda: 0.0, lambda d, f: None, lambda e: None,
+                      rng=Random(7))
+    conn.ik = split_keys(Random(7).randbytes(40))
+    conn.send_stream(3, b"a")
+    conn.flush()
+    conn.next_sqn -= 1  # force the same sequence number / IV
+    conn.send_stream(3, b"b")
     with pytest.raises(TransportError) as e:
-        pak(keys, 3, b"b", "client", cid=1, used=used)
+        conn.flush()
     assert e.value.reason == "sqn_reuse"
 
 
@@ -626,7 +572,7 @@ def test_reflected_rej_dropped_silently(world):
 def test_unknown_cid_dropped_without_state_change(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     keys = split_keys(Random(9).randbytes(40))
-    bogus = pak(keys, 1, b"m", "client", cid=0xDEAD, epoch=EPOCH_IK)
+    bogus = seal_client_data(keys, 1, b"m", cid=0xDEAD, epoch=EPOCH_IK)
     count_before = len(server_ep.conns)
     net.send(bogus, CLIENT_ADDR, SERVER_ADDR, "bogus")
     net.run(until_s=net.clock.now_s + 0.1)
@@ -638,8 +584,8 @@ def test_forged_packet_does_not_migrate(world):
     server_conn = server_ep.only_conn()
     attacker = ("6.6.6.6", 666)
     net.register(attacker, lambda p, s: None)
-    forged = pak(split_keys(Random(10).randbytes(40)), 99, b"x", "client",
-                 cid=conn.cid, epoch=EPOCH_K)
+    forged = seal_client_data(split_keys(Random(10).randbytes(40)), 99, b"x",
+                              cid=conn.cid, epoch=EPOCH_K)
     net.send(forged, attacker, SERVER_ADDR, "forged")
     net.run(until_s=net.clock.now_s + 0.1)
     assert server_conn.peer_addr == CLIENT_ADDR
@@ -727,7 +673,7 @@ def test_clean_close_handshake(world):
 def test_packets_sealed_under_ik_do_not_open_under_k(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
-    packet = pak(conn.ik, 500, b"stale", "client", cid=conn.cid, epoch=EPOCH_K)
+    packet = seal_client_data(conn.ik, 500, b"stale", cid=conn.cid, epoch=EPOCH_K)
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
     assert server_conn.auth_failures == failures + 1

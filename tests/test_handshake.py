@@ -136,9 +136,10 @@ def test_encode_ipv4_rejects_bad_input():
 def test_strike_accepts_once_then_rejects():
     strike = StrikeRegister(window_s=300)
     nonc = make_nonc(NOW, Random(1))
-    strike.check_and_add(nonc, NOW)
+    strike.check(nonc, NOW)
+    strike.seen.add(nonc)
     with pytest.raises(HandshakeError) as e:
-        strike.check_and_add(nonc, NOW)
+        strike.check(nonc, NOW)
     assert e.value.reason == "nonc_replayed"
 
 
@@ -146,7 +147,7 @@ def test_strike_rejects_out_of_window():
     strike = StrikeRegister(window_s=300)
     nonc = make_nonc(NOW - 301, Random(1))
     with pytest.raises(HandshakeError) as e:
-        strike.check_and_add(nonc, NOW)
+        strike.check(nonc, NOW)
     assert e.value.reason == "nonc_out_of_window"
 
 
