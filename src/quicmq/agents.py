@@ -14,7 +14,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import mqtt
 from .connection import (
@@ -40,6 +40,24 @@ MAX_MESSAGE_SIZE = 16 * 1024
 
 QOS1_RETRY_S = 2.0
 QOS1_MAX_RETRIES = 5
+
+
+def _read_messages(buf: bytearray) -> Iterator[MqttMessage | None]:
+    """Decode and consume each complete MQTT message at the head of a
+    stream's receive buffer; a partial message stays buffered. Malformed
+    bytes are dropped with the rest of the buffer and yield None, and the
+    connection stays up."""
+    while buf:
+        try:
+            msg, consumed = mqtt.decode(bytes(buf))
+        except mqtt.IncompleteMessage:
+            return
+        except MqttError:
+            buf.clear()
+            yield None
+            return
+        del buf[:consumed]
+        yield msg
 
 
 class AgentError(Exception):
@@ -344,16 +362,9 @@ class ClientAgent:
     def _on_stream_data(self, event: StreamData) -> None:
         buf = self._rx_buffers.setdefault(event.stream_id, bytearray())
         buf += event.data
-        while buf:
-            try:
-                msg, consumed = mqtt.decode(bytes(buf))
-            except mqtt.IncompleteMessage:
-                return
-            except MqttError:
-                buf.clear()
-                return
-            del buf[:consumed]
-            self.quic_dispatcher(msg, event.stream_id)
+        for msg in _read_messages(buf):
+            if msg is not None:
+                self.quic_dispatcher(msg, event.stream_id)
 
     def quic_dispatcher(self, msg: MqttMessage, stream_id: int) -> None:
         """Client branch of the dispatcher: surface the message to the
@@ -492,24 +503,11 @@ class ServerAgent:
     def _on_stream_data(self, state: _ConnState, event: StreamData) -> None:
         buf = state.rx_buffers.setdefault(event.stream_id, bytearray())
         buf += event.data
-        while buf:
-            head = bytes(buf)
-            if not mqtt.valid_mqtt_header(head):
-                # Not even a plausible header: drop the payload, keep the
-                # connection.
+        for msg in _read_messages(buf):
+            if msg is None:
                 self.mqtt_errors += 1
-                buf.clear()
-                return
-            try:
-                msg, consumed = mqtt.decode(head)
-            except mqtt.IncompleteMessage:
-                return
-            except MqttError:
-                self.mqtt_errors += 1
-                buf.clear()
-                return
-            del buf[:consumed]
-            self.quic_dispatcher(state, msg, event.stream_id)
+            else:
+                self.quic_dispatcher(state, msg, event.stream_id)
 
     def quic_dispatcher(self, state: _ConnState, msg: MqttMessage,
                         stream_id: int) -> None:

@@ -89,6 +89,9 @@ def baseline_packet_count(scenario: str, role: str) -> int:
         raise BaselineError(f"unknown scenario/role {scenario!r}/{role!r}") from None
 
 
+TCP_RTO_S = 0.2  # retransmission timeout of the ladder replay
+
+
 @dataclass
 class TcpLadderRunner:
     """Replay one client's ladder through the simulator so its packet counts
@@ -98,7 +101,6 @@ class TcpLadderRunner:
     client_addr: Address
     broker_addr: Address
     ladder: list
-    rto_s: float = 0.2
     done: bool = False
     _step: int = 0
 
@@ -125,7 +127,7 @@ class TcpLadderRunner:
             delay = self.net.config.delay_ms / 1000.0
             self.net.schedule(delay, self._advance)
         else:
-            self.net.schedule(self.rto_s, lambda: self._recover(direction, label, size))
+            self.net.schedule(TCP_RTO_S, lambda: self._recover(direction, label, size))
 
     def _recover(self, direction: str, label: str, size: int) -> None:
         """Timeout recovery for one lost datagram. Both ends of the stalled
@@ -140,7 +142,7 @@ class TcpLadderRunner:
             self._send(psize, psrc, pdst, f"tcp {plabel} spurious_retx")
         delivered = self._send(size, src, dst, f"tcp {label} retx")
         if not delivered:
-            self.net.schedule(self.rto_s, lambda: self._recover(direction, label, size))
+            self.net.schedule(TCP_RTO_S, lambda: self._recover(direction, label, size))
             return
         delay = self.net.config.delay_ms / 1000.0
         self._send(66, dst, src, f"tcp ack_of_retx {label}")
@@ -152,21 +154,13 @@ class TcpLadderRunner:
 
 
 def run_tcp_ladders(net: SimNetwork, broker_addr: Address,
-                    endpoints: list[tuple[Address, str]],
-                    scenario: str = "1rtt_equiv", rto_s: float = 0.2) -> None:
+                    endpoints: list[tuple[Address, str]]) -> None:
     """Replay the ladders for several client endpoints; the broker address
     is registered as a sink. Runs the network to completion."""
-    registered = set()
-    if broker_addr not in registered:
-        net.register(broker_addr, lambda payload, src: None)
-        registered.add(broker_addr)
-    runners = []
+    net.register(broker_addr, lambda payload, src: None)
     for addr, role in endpoints:
         net.register(addr, lambda payload, src: None)
-        runner = TcpLadderRunner(net, addr, broker_addr,
-                                 LADDERS[(scenario, role)], rto_s=rto_s)
-        runners.append(runner)
-        runner.start()
+        TcpLadderRunner(net, addr, broker_addr, LADDERS[("1rtt_equiv", role)]).start()
     net.run()
 
 
@@ -176,8 +170,7 @@ def run_tcp_ladders(net: SimNetwork, broker_addr: Address,
 
 def hol_latency_trace(message_count: int, send_interval_s: float,
                       one_way_delay_s: float, drop_every_n: int,
-                      rto_s: float, second_hop_delay_s: float | None = None
-                      ) -> list[float]:
+                      rto_s: float) -> list[float]:
     """Per-message delivery latency under ordered (in-sequence) delivery.
 
     Message ``i`` leaves at ``i * T``; every ``drop_every_n``-th original is
@@ -189,7 +182,6 @@ def hol_latency_trace(message_count: int, send_interval_s: float,
     """
     if drop_every_n and drop_every_n < 2:
         raise BaselineError("drop_every_n must be >= 2 or 0")
-    second_hop = one_way_delay_s if second_hop_delay_s is None else second_hop_delay_s
     latencies = []
     release_floor = 0.0
     for i in range(1, message_count + 1):
@@ -199,7 +191,7 @@ def hol_latency_trace(message_count: int, send_interval_s: float,
             arrival = sent + rto_s + one_way_delay_s
         release = max(arrival, release_floor)
         release_floor = release
-        latencies.append(release + second_hop - sent)
+        latencies.append(release + one_way_delay_s - sent)
     return latencies
 
 
@@ -208,9 +200,9 @@ def hol_latency_trace(message_count: int, send_interval_s: float,
 # ---------------------------------------------------------------------------
 
 def half_open_series(conns: int, restart_at_s: float, horizon_s: float,
-                     keepalive_s: float | None = None,
-                     sample_interval_s: float = 1.0) -> list[tuple[float, int]]:
-    """Broker-side connection-state count over time for the TCP baseline.
+                     keepalive_s: float | None = None) -> list[tuple[float, int]]:
+    """Broker-side connection-state count over time for the TCP baseline,
+    sampled once a second.
 
     Without keep-alive the broker has no way to notice dead publishers, so
     the half-open entries survive the whole horizon. With keep-alive the
@@ -223,7 +215,7 @@ def half_open_series(conns: int, restart_at_s: float, horizon_s: float,
         if keepalive_s is not None and t >= restart_at_s + 1.5 * keepalive_s:
             count = 0
         series.append((t, count))
-        t += sample_interval_s
+        t += 1.0
     return series
 
 

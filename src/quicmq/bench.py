@@ -368,7 +368,6 @@ def bench_stream_isolation(profile: str | SimConfig = "wired", drop_rate: int = 
 def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
                     conns: int = 100, restart_at: float = 30.0,
                     horizon: float = 120.0, seed: int = 0,
-                    transport: TransportConfig | None = None,
                     trace_path: str | None = None) -> BenchResult:
     """Broker connection-state count over time when every publisher dies
     without teardown, versus the TCP half-open baseline."""
@@ -378,9 +377,8 @@ def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
     per_pub = conns // publishers
     net = SimNetwork(SimConfig(name=config.name, delay_ms=config.delay_ms), seed)
     identity = _identity_for(seed)
-    tcfg = transport or TransportConfig()
-    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xC0DE),
-                         config=tcfg)
+    tcfg = TransportConfig()
+    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xC0DE))
 
     clients: list[ClientAgent] = []
     for p in range(publishers):
@@ -388,8 +386,7 @@ def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
             addr = (f"10.0.1.{p + 1}", 50000 + c)
             agent = ClientAgent(net, addr, BROKER_ADDR, f"pub-{p}-{c}",
                                 server_pk=identity.sign_pair.pk,
-                                rng=Random(seed * 10000 + p * 100 + c),
-                                config=tcfg)
+                                rng=Random(seed * 10000 + p * 100 + c))
             clients.append(agent)
 
     def publish_loop(agent: ClientAgent, topic: str):

@@ -181,8 +181,6 @@ def cmd_pub(args) -> int:
         print(f"bind failed: {e}", file=sys.stderr)
         return 1
     agent.local_addr = net.local_address()
-    if agent.conn is not None:
-        agent.conn.local_addr = agent.local_addr
     path = agent.connect_mqtt()
     print(f"handshake path: {path}")
     net.run(until_s=30.0 + args.count * args.interval,
@@ -214,8 +212,6 @@ def cmd_sub(args) -> int:
                         on_message=on_message,
                         on_closed=lambda a, r: state.__setitem__("closed", True))
     agent.local_addr = net.local_address()
-    if agent.conn is not None:
-        agent.conn.local_addr = agent.local_addr
     agent.connect_mqtt()
     net.run(until_s=args.run_for, stop=lambda: state["closed"])
     if args.trace:

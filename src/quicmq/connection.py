@@ -67,6 +67,11 @@ DRAINING = "draining"
 CLOSED = "closed"
 
 MAX_STREAM_CHUNK = 1200
+CONGESTION_WINDOW_PACKETS = 32  # unacked packets in flight
+RTO_FLOOR_S = 0.2
+NACK_THRESHOLD = 3  # NACKs before a packet counts as lost
+HANDSHAKE_RETRY_S = 0.3
+MAX_HANDSHAKE_RETRIES = 8
 
 
 class TransportError(Exception):
@@ -81,11 +86,6 @@ class TransportConfig:
     drain_period_s: float = 10.0
     stream_window: int = 64 * 1024
     connection_window: int = 256 * 1024
-    congestion_window_packets: int = 32
-    rto_floor_s: float = 0.2
-    nack_threshold: int = 3
-    handshake_retry_s: float = 0.3
-    max_handshake_retries: int = 8
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class Stream:
     def __init__(self, stream_id: int, window: int):
         self.stream_id = stream_id
         # send side
-        self.send_queue: list[tuple[bytes, bool]] = []
+        self.send_queue: list[bytes] = []
         self.send_offset = 0  # next offset to packetize
         self.queued_bytes = 0
         self.fin_queued = False
@@ -173,11 +173,11 @@ class Stream:
     def write(self, data: bytes, fin: bool = False) -> None:
         if self.state == "closed" or self.fin_queued:
             raise TransportError("stream_closed", f"stream {self.stream_id}")
-        if data or fin:
-            self.send_queue.append((data, fin))
+        if data:
+            self.send_queue.append(data)
             self.queued_bytes += len(data)
-            if fin:
-                self.fin_queued = True
+        if fin:
+            self.fin_queued = True
 
     def sendable(self, conn_room: int) -> int:
         room = min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK)
@@ -190,20 +190,18 @@ class Stream:
         return self.queued_bytes > 0 and self.sendable(conn_room) == 0
 
     def take_chunk(self, limit: int) -> tuple[bytes, bool, int]:
-        """Dequeue up to ``limit`` bytes; returns (data, fin, offset)."""
+        """Dequeue up to ``limit`` bytes; returns (data, fin, offset). The
+        FIN goes out with the chunk that drains the queue, or alone after."""
         out = bytearray()
-        fin = False
         while self.send_queue and len(out) < limit:
-            data, f = self.send_queue[0]
+            data = self.send_queue[0]
             take = min(len(data), limit - len(out))
             out += data[:take]
             if take < len(data):
-                self.send_queue[0] = (data[take:], f)
+                self.send_queue[0] = data[take:]
             else:
                 self.send_queue.pop(0)
-                fin = f
-        if not out and self.fin_queued and not self.fin_sent and not self.send_queue:
-            fin = True
+        fin = self.fin_queued and not self.fin_sent and not self.send_queue
         self.queued_bytes -= len(out)
         offset = self.send_offset
         self.send_offset += len(out)
@@ -282,6 +280,7 @@ class Connection:
         self._acked_count = 0
         self.auth_failures = 0
         self.last_reject_reason = ""
+        self._peer_on_k = False  # a packet under k has opened from the peer
 
         self.streams: dict[int, Stream] = {}
         self.closed_streams: set[int] = set()
@@ -306,14 +305,15 @@ class Connection:
         # handshake driver state
         self._hs_secrets: ClientHelloSecrets | None = None
         self._hs_scfg: ServerConfig | None = None
-        self._hs_chlo_msg: HandshakeMessage | None = None
+        # the last hello sent: (frame, version flag, annotation)
+        self._hs_hello: tuple[StreamFrame, bool, str] | None = None
         self._hs_retries = 0
         self._rej_count = 0
         self._hs_timer = None
         self._hs_nonc: bytes | None = None
         self._hs_chlo_wire: bytes | None = None
         self._hs_client_pub: bytes | None = None
-        self._hs_shlo_inner: bytes | None = None
+        self._hs_shlo: StreamFrame | None = None
         self._resumed = False
 
         self._arm_idle_timer()
@@ -349,8 +349,21 @@ class Connection:
     def _send_epoch(self) -> int:
         return EPOCH_K if self.handshake_completed else EPOCH_IK
 
-    def _transmit(self, packet: bytes, annotation: str) -> None:
+    def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str,
+                     version: bool = False) -> int:
+        """The one place a packet is built and sealed; returns its sqn.
+        Server packets under the initial keys carry the diversification
+        nonce; ``version`` is set for a client's first hello only."""
+        header = PacketHeader(
+            cid=self.cid, sqn=self._alloc_sqn(), epoch=epoch,
+            version=wire.VERSION if version else None,
+            div_nonce=self.identity.scfg.div_nonce
+            if self.role == "server" and epoch == EPOCH_IK else None,
+        )
+        packet = seal_packet(header, bytes([marker]) + encode_frames(frames),
+                             self._keys_for_epoch(epoch), self.role)
         self.outputs.append((packet, annotation))
+        return header.sqn
 
     def take_outputs(self) -> list[tuple[bytes, str]]:
         out = self.outputs
@@ -374,7 +387,7 @@ class Connection:
         return "1rtt"
 
     def _start_1rtt(self) -> None:
-        self._send_handshake_msg(build_inchoate_chlo(), "chlo_inchoate", first=True)
+        self._send_hello(build_inchoate_chlo(), "chlo_inchoate", first=True)
         self.phase = INITIAL_SENT
         self._arm_handshake_timer()
 
@@ -388,60 +401,43 @@ class Connection:
 
     def _send_full_chlo(self, msg: HandshakeMessage, secrets: ClientHelloSecrets,
                         first: bool = False) -> None:
-        packet, padded_bytes = self._build_handshake_packet(msg, first=first)
-        secrets.chlo_wire = padded_bytes
+        secrets.chlo_wire = self._send_hello(msg, "chlo_full", first)
         self._hs_secrets = secrets
-        self._hs_chlo_msg = msg
         self.ik = derive_ik_client(secrets, self._hs_scfg, self.cid)
         self.phase = KEY_EXCHANGED
-        self._transmit(packet, "chlo_full")
         # Initial data already queued by the application follows under ik in
         # the same flush, right behind the hello.
 
-    def _build_handshake_packet(self, msg: HandshakeMessage,
-                                first: bool = False) -> tuple[bytes, bytes]:
+    def _send_hello(self, msg: HandshakeMessage, annotation: str,
+                    first: bool = False) -> bytes:
         """Pad a CHLO/REJ to the fixed handshake size, inside a cleartext
-        packet carried on the handshake stream."""
-        header_extra = 4 if first else 0
-        # header(17+extra) + marker(1) + stream frame header(18) + tag(16)
-        overhead = 17 + header_extra + 1 + 18 + 16
-        padded = msg.padded(HANDSHAKE_PACKET_LEN - overhead)
-        padded_bytes = padded.encode()
+        packet carried on the handshake stream; returns the padded message.
+        The hello is kept so that a retransmission repeats it byte for byte:
+        the padded CHLO is part of the key transcript."""
+        # header(17, +4 with the version) + marker(1) + stream frame header(18) + tag(16)
+        overhead = 17 + (4 if first else 0) + 1 + 18 + 16
+        padded_bytes = msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded_bytes, False)
-        header = PacketHeader(
-            cid=self.cid, sqn=self._alloc_sqn(), epoch=EPOCH_CLEAR,
-            version=wire.VERSION if first else None,
-        )
-        plain = bytes([MARKER_HANDSHAKE]) + encode_frames([frame])
-        packet = seal_packet(header, plain, NULL_KEYS, self.role)
-        assert len(packet) == HANDSHAKE_PACKET_LEN, len(packet)
-        return packet, padded_bytes
-
-    def _send_handshake_msg(self, msg: HandshakeMessage, annotation: str,
-                            first: bool = False) -> None:
-        packet, _ = self._build_handshake_packet(msg, first=first)
-        self._transmit(packet, annotation)
+        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
+        assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
+        self._hs_hello = (frame, first, annotation)
+        return padded_bytes
 
     def _arm_handshake_timer(self) -> None:
         if self._hs_timer is not None:
             self._hs_timer.cancel()
-        self._hs_timer = self.scheduler(self.config.handshake_retry_s,
-                                        self._handshake_retry)
+        self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
 
     def _handshake_retry(self) -> None:
         if self.phase in (ESTABLISHED, DRAINING, CLOSED):
             return
         self._hs_retries += 1
-        if self._hs_retries > self.config.max_handshake_retries:
+        if self._hs_retries > MAX_HANDSHAKE_RETRIES:
             self._fail_handshake("handshake_timeout")
             return
-        if self.role == "client":
-            if self.phase == INITIAL_SENT:
-                self._send_handshake_msg(build_inchoate_chlo(), "chlo_inchoate retx",
-                                         first=True)
-            elif self.phase == KEY_EXCHANGED and self._hs_chlo_msg is not None:
-                packet, _ = self._build_handshake_packet(self._hs_chlo_msg)
-                self._transmit(packet, "chlo_full retx")
+        frame, version, annotation = self._hs_hello
+        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation + " retx",
+                          version)
         self._arm_handshake_timer()
 
     def _fail_handshake(self, reason: str) -> None:
@@ -468,6 +464,15 @@ class Connection:
             return
         plain = open_packet_body(header, hlen, data, keys, self.role)
         if plain is None:
+            self.auth_failures += 1
+            return
+        if header.epoch == EPOCH_K:
+            self._peer_on_k = True
+        elif (header.epoch == EPOCH_IK and self._peer_on_k
+              and plain[:1] == bytes([MARKER_DATA])):
+            # Once the peer has moved to the forward-secure key, data under
+            # the initial key is refused (RFC 9001 §4.9). A repeated SHLO
+            # still opens, so a lost server flight can be recovered.
             self.auth_failures += 1
             return
         if header.sqn in self.received_sqns:
@@ -597,7 +602,7 @@ class Connection:
             # Inchoate hello: answer (or repeat) the server config.
             if self.phase in (IDLE, REJECTED):
                 rej = build_rej(identity.scfg, identity.k_stk, src[0], now, self.rng)
-                self._send_handshake_msg(rej, "rej")
+                self._send_hello(rej, "rej")
                 self.phase = REJECTED
             return
         if self._hs_nonc is not None and msg.fields.get(wire.TAG_NONC) == self._hs_nonc:
@@ -625,7 +630,7 @@ class Connection:
     def _reject_chlo(self, src: Address, now: float, reason: str) -> None:
         self.last_reject_reason = reason
         rej = build_rej(self.identity.scfg, self.identity.k_stk, src[0], now, self.rng)
-        self._send_handshake_msg(rej, "rej")
+        self._send_hello(rej, "rej")
 
     def _server_continue(self) -> None:
         """Phase boundary after the initial-data exchange: ack what arrived
@@ -636,8 +641,8 @@ class Connection:
         shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self._now(),
                                                    self.rng)
         inner = shlo.encode()
-        self._transmit(self._seal_shlo(inner), "shlo")
-        self._hs_shlo_inner = inner
+        self._hs_shlo = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner, False)
+        self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo")
         self.k = self.identity.derive_k_server(
             ephemeral, self._hs_client_pub, self._hs_nonc, self.cid,
             self._hs_chlo_wire, inner)
@@ -646,17 +651,10 @@ class Connection:
         self._emit(HandshakeDone(resumed=False))
         self.flush()
 
-    def _seal_shlo(self, inner: bytes) -> bytes:
-        frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner, False)
-        header = PacketHeader(cid=self.cid, sqn=self._alloc_sqn(), epoch=EPOCH_IK,
-                              div_nonce=self.identity.scfg.div_nonce)
-        return seal_packet(header, bytes([MARKER_HANDSHAKE]) + encode_frames([frame]),
-                           self.ik, self.role)
-
     def _server_repeat_flight(self) -> None:
-        if self._hs_shlo_inner is None or self.ik is None:
+        if self._hs_shlo is None or self.ik is None:
             return
-        self._transmit(self._seal_shlo(self._hs_shlo_inner), "shlo retx")
+        self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo retx")
 
     # -- data payloads --------------------------------------------------------
 
@@ -755,7 +753,7 @@ class Connection:
         for sqn, record in list(self.sent_packets.items()):
             if sqn in nacked:
                 record.nack_count += 1
-                if record.nack_count >= self.config.nack_threshold:
+                if record.nack_count >= NACK_THRESHOLD:
                     self._retransmit(record)
             elif sqn <= frame.largest_observed:
                 rtt = now - record.sent_at
@@ -776,8 +774,8 @@ class Connection:
 
     def _rto(self) -> float:
         if self.srtt is None:
-            return self.config.rto_floor_s
-        return max(self.config.rto_floor_s, 2.0 * self.srtt)
+            return RTO_FLOOR_S
+        return max(RTO_FLOOR_S, 2.0 * self.srtt)
 
     def _arm_rto_timer(self) -> None:
         if self._rto_timer is not None:
@@ -808,7 +806,7 @@ class Connection:
             self.flush()
 
     def _can_send_packet(self) -> bool:
-        return len(self.sent_packets) < self.config.congestion_window_packets
+        return len(self.sent_packets) < CONGESTION_WINDOW_PACKETS
 
     # -- idle / teardown ---------------------------------------------------------
 
@@ -915,18 +913,10 @@ class Connection:
 
     def _send_ack_packet(self, epoch: int | None = None) -> None:
         epoch = epoch if epoch is not None else self._send_epoch()
-        keys = self._keys_for_epoch(epoch)
-        if keys is None:
+        if self._keys_for_epoch(epoch) is None:
             return
         frames = [self._ack_frame()] + self._drain_control_frames()
-        header = PacketHeader(
-            cid=self.cid, sqn=self._alloc_sqn(), epoch=epoch,
-            div_nonce=self.identity.scfg.div_nonce
-            if self.role == "server" and epoch == EPOCH_IK else None,
-        )
-        packet = seal_packet(header, bytes([MARKER_DATA]) + encode_frames(frames),
-                             keys, self.role)
-        self._transmit(packet, "ack")
+        self._send_packet(epoch, MARKER_DATA, frames, "ack")
 
     def _drain_control_frames(self) -> list:
         frames, self._control_frames = self._control_frames, []
@@ -934,26 +924,12 @@ class Connection:
 
     def _send_data_packet(self, frames: list, retx: bool = False,
                           close: CloseFrame | None = None) -> None:
-        epoch = self._send_epoch()
-        keys = self._keys_for_epoch(epoch)
-        assert keys is not None
-        sqn = self._alloc_sqn()
         # Every data packet carries current ack information.
         out_frames: list = [self._ack_frame()]
         out_frames += self._drain_control_frames()
         out_frames += frames
         if close is not None:
             out_frames.append(close)
-        header = PacketHeader(cid=self.cid, sqn=sqn, epoch=epoch)
-        packet = seal_packet(header, bytes([MARKER_DATA]) + encode_frames(out_frames),
-                             keys, self.role)
-        retransmittable = tuple(
-            f for f in out_frames
-            if isinstance(f, (StreamFrame, WindowUpdateFrame, RstStreamFrame, CloseFrame))
-        )
-        if retransmittable:
-            self.sent_packets[sqn] = SentPacket(sqn, self._now(), retransmittable)
-            self._arm_rto_timer()
         stream_ids = sorted({f.stream_id for f in out_frames if isinstance(f, StreamFrame)})
         if close is not None:
             annotation = "close"
@@ -963,7 +939,14 @@ class Connection:
             annotation = "control"
         if retx:
             annotation += " retx"
-        self._transmit(packet, annotation)
+        sqn = self._send_packet(self._send_epoch(), MARKER_DATA, out_frames, annotation)
+        retransmittable = tuple(
+            f for f in out_frames
+            if isinstance(f, (StreamFrame, WindowUpdateFrame, RstStreamFrame, CloseFrame))
+        )
+        if retransmittable:
+            self.sent_packets[sqn] = SentPacket(sqn, self._now(), retransmittable)
+            self._arm_rto_timer()
 
     def _data_allowed(self) -> bool:
         if self.phase in (DRAINING, CLOSED):
@@ -990,11 +973,7 @@ class Connection:
                 if not stream.has_pending():
                     continue
                 conn_room = self.peer_conn_limit - self.conn_bytes_sent
-                limit = stream.sendable(conn_room)
-                if limit <= 0 and not (stream.fin_queued and not stream.fin_sent
-                                       and stream.queued_bytes == 0):
-                    continue
-                data, fin, offset = stream.take_chunk(limit)
+                data, fin, offset = stream.take_chunk(stream.sendable(conn_room))
                 if not data and not fin:
                     continue
                 self.conn_bytes_sent += len(data)
@@ -1063,7 +1042,7 @@ class Connection:
         for stream_id, frames in per_stream.items():
             frames.sort(key=lambda f: f.offset)
             stream = self.stream_open(stream_id)
-            stream.send_queue[:0] = [(f.data, f.fin) for f in frames]
+            stream.send_queue[:0] = [f.data for f in frames if f.data]
             stream.queued_bytes += sum(len(f.data) for f in frames)
             stream.send_offset = frames[0].offset
             if any(f.fin for f in frames):

@@ -277,20 +277,15 @@ class ServerIdentity:
     retired: dict[bytes, ServerConfig] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, now: float, rng: Random | None = None, group_id: int = 1,
-               rotation_s: float = 86400.0, strike_window_s: float = 300.0,
-               stk_validity_s: float = 86400.0) -> "ServerIdentity":
+    def create(cls, now: float, rng: Random | None = None) -> "ServerIdentity":
         pair = crypto.kg(128, rng)
         k_stk = rng.randbytes(16) if rng is not None else _secrets.token_bytes(16)
-        scfg = get_scfg(pair.sk, now, 128, rng, group_id, rotation_s)
-        return cls(pair, k_stk, scfg, StrikeRegister(strike_window_s),
-                   stk_validity_s=stk_validity_s)
+        scfg = get_scfg(pair.sk, now, 128, rng)
+        return cls(pair, k_stk, scfg, StrikeRegister())
 
-    def rotate_scfg(self, now: float, rng: Random | None = None,
-                    rotation_s: float = 86400.0) -> None:
+    def rotate_scfg(self, now: float, rng: Random | None = None) -> None:
         self.retired[self.scfg.scid] = self.scfg
-        self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng,
-                             self.scfg.group_id, rotation_s)
+        self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng, self.scfg.group_id)
 
     # -- full CHLO validation -------------------------------------------------
 

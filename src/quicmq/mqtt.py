@@ -206,6 +206,10 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError("bad fixed-header flags")
     elif kind != PUBLISH and flags != 0:
         raise MqttError("bad fixed-header flags")
+    qos = (flags >> 1) & 0x03
+    if kind == PUBLISH and qos > 1:
+        # Refused before the body arrives, like the other header checks.
+        raise MqttError(f"unsupported qos {qos}")
     remaining, pos = _decode_remaining_length(data, 1)
     if len(data) - pos < remaining:
         raise IncompleteMessage(f"need {remaining} body bytes, have {len(data) - pos}")
@@ -235,9 +239,6 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError("bad CONNACK length")
         return MqttMessage(CONNACK, session_present=bool(body[0] & 1), return_code=body[1]), end
     if kind == PUBLISH:
-        qos = (flags >> 1) & 0x03
-        if qos > 1:
-            raise MqttError(f"unsupported qos {qos}")
         topic, p = _decode_string(body, 0)
         if not topic or "#" in topic or "+" in topic:
             raise MqttError(f"invalid publish topic {topic!r}")

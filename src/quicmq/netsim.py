@@ -37,7 +37,6 @@ class SimConfig:
     delay_ms: float = 0.2
     drop_every_n: int = 0  # 0 disables the rule
     loss_rate: float = 0.0
-    loss_seed: int = 0
 
 
 # Synthetic link presets; the acceptance checks use ratios and orderings,
@@ -105,7 +104,7 @@ class SimNetwork:
             config = PROFILES[config]
         self.config = config
         self.clock = SimClock()
-        self.rng = Random(seed ^ config.loss_seed)
+        self.rng = Random(seed)
         self.trace: list[TraceEvent] = []
         self._handlers: dict[Address, Callable[[bytes, Address], None]] = {}
         self._queue: list = []

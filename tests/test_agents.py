@@ -66,6 +66,28 @@ def test_warm_client_connects_via_0rtt(tmp_path):
     assert client2.connected
 
 
+def test_lost_0rtt_hello_is_resent_unchanged(tmp_path):
+    # The padded CHLO is part of the key transcript, so the retransmission
+    # must repeat it byte for byte for both ends to derive the same keys.
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+
+    net2, _, server2 = make_world(seed=5)
+    server2.identity = identity
+    net2.add_periodic_drop(lambda src, dst, size, ann: ann == "chlo_full", 1)
+    client2 = make_client(net2, identity, 50002, "dev1", seed=11,
+                          state_dir=str(tmp_path))
+    assert client2.connect_mqtt() == "0rtt"
+    net2.run(until_s=5.0)
+    assert client2.failure is None
+    assert client2.connected
+    sent = [ev.annotation for ev in net2.trace if ev.event == "send"]
+    assert "chlo_full retx" in sent
+    assert "rej" not in sent
+
+
 def test_empty_client_id_fails_instance_stage():
     net, identity, server = make_world()
     with pytest.raises(AgentError) as e:
@@ -201,6 +223,26 @@ def test_invalid_mqtt_payload_keeps_connection():
     client.publish("still/alive", b"yes")
     net.run(until_s=4.0)
     assert client.connected
+
+
+def test_publish_split_after_its_first_byte_is_delivered():
+    # An incomplete fixed header waits for the rest instead of being dropped.
+    net, identity, server = make_world()
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("t/x"),
+                      on_message=lambda a, m: got.append(m.payload))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    raw = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic="t/x", payload=b"split"))
+    for part in (raw[:1], raw[1:]):
+        pub.conn.send_stream(3, part)
+        pub._pump()
+        net.run(until_s=net.clock.now_s + 1.0)
+    assert server.mqtt_errors == 0
+    assert got == [b"split"]
 
 
 def test_qos1_delivery_and_puback():

@@ -60,7 +60,7 @@ PINNED_DIGESTS = {
     "hol_wired": "32fd871e8cc18378d3fa53479f2f0530ea3ccc5401787dab536aa5efbb9ff3c1",
     "half_open_wired": "dbf30749867aba004e3e2f66c63bb7358cfcb06fc1c73b8aee229a7ac280cd36",
     "migrate_wired": "db38a298fa56ccfe3bf223af52b88a7e1f535a52104b2d8d59717aea8fb598ec",
-    "conn_overhead_wireless": "bd938b48f92ee05adf5da52a644d273bfb7bce810dc27e59fbd66fc7c66f06b0",
+    "conn_overhead_wireless": "6bdf312e4924ee770ec902d201786d267968589484647bdcadc33350498779c0",
     "hol_wireless": "4829ba98f9f46f476753c409599248cb6d8fc190f56c6470c90f169c5d91e999",
 }
 

@@ -16,8 +16,9 @@ from quicmq.connection import (
     TransportConfig,
     TransportError,
 )
-from quicmq.crypto import split_keys
+from quicmq.crypto import NULL_KEYS, split_keys
 from quicmq.wire import (
+    EPOCH_CLEAR,
     EPOCH_IK,
     EPOCH_K,
     HANDSHAKE_DATAGRAM_LEN,
@@ -25,7 +26,10 @@ from quicmq.wire import (
     LINK_OVERHEAD,
     PacketHeader,
     StreamFrame,
+    decode_frames,
     decode_header,
+    encode_frames,
+    open_packet_body,
     seal_packet,
 )
 from conftest import CLIENT_ADDR, SERVER_ADDR
@@ -86,6 +90,45 @@ def test_div_nonce_on_server_ik_packets_only(world):
             assert header.div_nonce == identity.scfg.div_nonce, annotation
         elif header.epoch == wire.EPOCH_K:
             assert header.div_nonce is None, annotation
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_packet_header_rule_under_hello_and_shlo_loss(world, resume):
+    session, identity = warm_session(world) if resume else (None, None)
+    net, client_ep, server_ep, identity = world(session=session, identity=identity,
+                                                client_seed=99)
+    for lost in ("chlo_full", "shlo"):  # the first copy of each; retx pass
+        net.add_periodic_drop(lambda src, dst, size, ann, lost=lost: ann == lost, 1)
+    conn = client_ep.make_client()
+    assert conn.start_connect() == ("0rtt" if resume else "1rtt")
+    client_ep.pump(conn.cid)
+    net.run(until_s=3.0)
+    server_conn = server_ep.only_conn()
+    assert conn.phase == server_conn.phase == "established"
+
+    originals = {}
+    retx = set()
+    for role, sent in (("client", client_ep.sent), ("server", server_ep.sent)):
+        for packet, annotation in sent:
+            header, hlen = decode_header(packet)
+            if header.version is not None:
+                assert (role == "client" and header.epoch == EPOCH_CLEAR
+                        and annotation.startswith("chlo")), annotation
+            assert (header.div_nonce is not None) == (
+                role == "server" and header.epoch == EPOCH_IK), annotation
+            kind = annotation.removesuffix(" retx")
+            if kind not in ("chlo_inchoate", "chlo_full", "shlo"):
+                continue
+            keys = NULL_KEYS if header.epoch == EPOCH_CLEAR else server_conn.ik
+            receiver = "server" if role == "client" else "client"
+            body = open_packet_body(header, hlen, packet, keys, receiver)
+            frames = decode_frames(body[1:])
+            if kind == annotation:
+                originals[kind] = frames
+            else:
+                assert frames == originals[kind], annotation
+                retx.add(annotation)
+    assert {"chlo_full retx", "shlo retx"} <= retx
 
 
 def test_handshake_packets_have_fixed_length(world):
@@ -335,6 +378,15 @@ def test_handshake_stream_reserved(world):
     conn = client_ep.make_client()
     with pytest.raises(TransportError):
         conn.send_stream(1, b"nope")
+
+
+def test_fin_written_alone_after_data_is_sent():
+    stream = Stream(3, 1 << 16)
+    stream.write(b"abc")
+    assert stream.take_chunk(stream.sendable(1 << 16)) == (b"abc", False, 0)
+    stream.write(b"", fin=True)
+    assert stream.take_chunk(stream.sendable(1 << 16)) == (b"", True, 3)
+    assert not stream.has_pending()
 
 
 def test_stream_reassembly_no_double_delivery():
@@ -677,3 +729,19 @@ def test_packets_sealed_under_ik_do_not_open_under_k(world):
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
     assert server_conn.auth_failures == failures + 1
+
+
+def test_data_under_ik_refused_once_peer_is_on_k(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    conn.send_stream(3, b"real")  # one genuine packet under k
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 0.1)
+    assert server_ep.events_of(StreamData) == [StreamData(3, b"real", False)]
+    forged = encode_frames([StreamFrame(5, 0, b"forged", False)])
+    packet = seal_client_data(conn.ik, 500, forged, cid=conn.cid, epoch=EPOCH_IK)
+    failures = server_conn.auth_failures
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures + 1
+    assert server_ep.events_of(StreamData) == [StreamData(3, b"real", False)]
+    assert 500 not in server_conn.received_sqns

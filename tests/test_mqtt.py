@@ -106,6 +106,12 @@ def test_bad_utf8_topic():
         decode(raw)
 
 
+def test_bad_publish_qos_refused_before_the_body():
+    with pytest.raises(MqttError) as e:
+        decode(bytes([(mqtt.PUBLISH << 4) | 0x06]))  # qos 3, nothing more yet
+    assert not isinstance(e.value, IncompleteMessage)
+
+
 def test_valid_mqtt_header_predicate():
     good = encode(MqttMessage(mqtt.PUBLISH, topic="t", payload=b"x"))
     assert valid_mqtt_header(good)
