@@ -3,8 +3,9 @@ transport and routes decrypted transport payloads back to MQTT.
 
 Both agents are event-driven around a network (simulated or real-UDP): every
 entry point handles one datagram, timer, or application call, then pumps the
-connection's output packets onto the network. Message queues between the
-MQTT layer and the transport are FIFO per connection.
+connection's output packets onto the network. Each connection, at either
+end, is one ``_ConnState``: the transport connection, its timer hook, its
+per-stream receive buffers and its QoS 1 retries.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import base64
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator
 
@@ -40,24 +40,6 @@ MAX_MESSAGE_SIZE = 16 * 1024
 
 QOS1_RETRY_S = 2.0
 QOS1_MAX_RETRIES = 5
-
-
-def _read_messages(buf: bytearray) -> Iterator[MqttMessage | None]:
-    """Decode and consume each complete MQTT message at the head of a
-    stream's receive buffer; a partial message stays buffered. Malformed
-    bytes are dropped with the rest of the buffer and yield None, and the
-    connection stays up."""
-    while buf:
-        try:
-            msg, consumed = mqtt.decode(bytes(buf))
-        except mqtt.IncompleteMessage:
-            return
-        except MqttError:
-            buf.clear()
-            yield None
-            return
-        del buf[:consumed]
-        yield msg
 
 
 class AgentError(Exception):
@@ -123,6 +105,94 @@ class SessionStore:
 
 
 # ---------------------------------------------------------------------------
+# The per-connection record both agents keep
+# ---------------------------------------------------------------------------
+
+def _pump(network: SimNetwork, conn: Connection) -> None:
+    """Packetize what the connection has queued and put it on the network."""
+    conn.flush()
+    for packet, annotation in conn.take_outputs():
+        network.send(packet, conn.local_addr, conn.peer_addr, annotation)
+
+
+class _ConnState:
+    """One connection's MQTT side, the same at both ends. It owns the
+    ``Connection`` and is its scheduler: a timer runs, then the connection is
+    pumped. It buffers each stream's bytes until a whole MQTT message is in,
+    and re-sends an unacknowledged QoS 1 PUBLISH with the dup flag."""
+
+    def __init__(self, network: SimNetwork, on_event: Callable[[object], None],
+                 **conn_args):
+        self.network = network
+        self.conn = Connection(clock=lambda: network.clock.now_s,
+                               scheduler=self.schedule, on_event=on_event, **conn_args)
+        self.rx_buffers: dict[int, bytearray] = {}
+        self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
+        self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
+        self.pending_qos1: dict[int, dict] = {}
+
+    def schedule(self, delay_s: float, fn: Callable[[], None]):
+        def wrapped():
+            fn()
+            _pump(self.network, self.conn)
+        return self.network.schedule(delay_s, wrapped)
+
+    def read(self, event: StreamData) -> Iterator[MqttMessage | None]:
+        """Decode and consume each complete MQTT message at the head of the
+        event's stream buffer; a partial message stays buffered. Malformed
+        bytes are dropped with the rest of the buffer and yield None, and the
+        connection stays up."""
+        buf = self.rx_buffers.setdefault(event.stream_id, bytearray())
+        buf += event.data
+        while buf:
+            try:
+                msg, consumed = mqtt.decode(bytes(buf))
+            except mqtt.IncompleteMessage:
+                return
+            except MqttError:
+                buf.clear()
+                yield None
+                return
+            del buf[:consumed]
+            yield msg
+
+    def send(self, stream_id: int, raw: bytes) -> None:
+        """Queue one encoded MQTT message; a write to a closed connection is
+        dropped."""
+        if self.conn.phase not in ("draining", "closed"):
+            self.conn.send_stream(stream_id, raw)
+
+    def track_qos1(self, msg: MqttMessage, stream_id: int) -> None:
+        self.pending_qos1[msg.msgid] = {
+            "msg": msg, "stream": stream_id, "tries": 0,
+            "timer": self.schedule(QOS1_RETRY_S, lambda: self._retry_qos1(msg.msgid)),
+        }
+
+    def on_puback(self, msgid: int) -> None:
+        pending = self.pending_qos1.pop(msgid, None)
+        if pending is not None:
+            pending["timer"].cancel()
+
+    def _retry_qos1(self, msgid: int) -> None:
+        pending = self.pending_qos1.get(msgid)
+        if pending is None or self.conn.phase in ("draining", "closed"):
+            return
+        pending["tries"] += 1
+        if pending["tries"] > QOS1_MAX_RETRIES:
+            del self.pending_qos1[msgid]
+            return
+        msg = pending["msg"]
+        dup = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic=msg.topic, payload=msg.payload,
+                                      qos=1, msgid=msgid, dup=True))
+        try:
+            self.send(pending["stream"], dup)
+        except TransportError:  # the stream was reset: nobody left to ack
+            del self.pending_qos1[msgid]
+            return
+        pending["timer"] = self.schedule(QOS1_RETRY_S, lambda: self._retry_qos1(msgid))
+
+
+# ---------------------------------------------------------------------------
 # Client agent
 # ---------------------------------------------------------------------------
 
@@ -159,19 +229,20 @@ class ClientAgent:
         self.on_suback = on_suback
         self.on_closed = on_closed
 
-        self.conn: Connection | None = None
+        self.state: _ConnState | None = None
         self.connected = False
         self.dead = False
         self.handshake_path = ""
         self.failure: str | None = None
-        self.tx_msg_queue: deque[tuple[int, bytes]] = deque()
         self.rx_msg_queue: deque[MqttMessage] = deque()
-        self._rx_buffers: dict[int, bytearray] = {}
         self._next_msgid = 1
-        self._pending_qos1: dict[int, dict] = {}
         self._ping_timer = None
 
         network.register(local_addr, self._on_datagram)
+
+    @property
+    def conn(self) -> Connection | None:
+        return self.state.conn if self.state is not None else None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -179,19 +250,6 @@ class ClientAgent:
         msgid = self._next_msgid
         self._next_msgid = self._next_msgid % 0xFFFF + 1
         return msgid
-
-    def _make_connection(self) -> Connection:
-        cid = self.rng.getrandbits(64)
-        session = None
-        if self.sessions is not None:
-            session = self.sessions.load(*self.broker_addr)
-        return Connection(
-            role="client", cid=cid, local_addr=self.local_addr,
-            peer_addr=self.broker_addr, config=self.config,
-            clock=lambda: self.network.clock.now_s,
-            scheduler=self._scheduler, on_event=self._on_conn_event,
-            rng=self.rng, server_pk=self.server_pk, session=session,
-        )
 
     def connect_mqtt(self) -> str:
         """Build the CONNECT message, sanity-check it, set up the connection,
@@ -203,14 +261,22 @@ class ClientAgent:
         except MqttError as e:
             raise AgentError("instance", str(e)) from None
         self._sanity(raw)
-        if self.conn is None:
-            self.conn = self._make_connection()
-        self.tx_msg_queue.append((PRIMARY_STREAM, raw))
+        if self.state is None:
+            cid = self.rng.getrandbits(64)
+            session = None
+            if self.sessions is not None:
+                session = self.sessions.load(*self.broker_addr)
+            self.state = _ConnState(
+                self.network, self._on_conn_event, role="client", cid=cid,
+                local_addr=self.local_addr, peer_addr=self.broker_addr,
+                config=self.config, rng=self.rng, server_pk=self.server_pk,
+                session=session)
         try:
             self.handshake_path = self.conn.start_connect()
         except Exception as e:
             raise AgentError("transport", str(e)) from None
-        self._pump()
+        self.state.send(PRIMARY_STREAM, raw)
+        _pump(self.network, self.conn)
         if self.keepalive:
             self._arm_ping()
         return self.handshake_path
@@ -225,32 +291,29 @@ class ClientAgent:
     # -- application API ------------------------------------------------------
 
     def subscribe(self, topic: str, qos: int = 0, stream_id: int = PRIMARY_STREAM) -> int:
-        if self.conn is None:
+        if self.state is None:
             raise AgentError("transport", "not connected")
         msgid = self._fresh_msgid()
         raw = mqtt.encode(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid,
                                       topics=((topic, qos),)))
         self._sanity(raw)
-        self.tx_msg_queue.append((stream_id, raw))
-        self._pump()
+        self.state.send(stream_id, raw)
+        _pump(self.network, self.conn)
         return msgid
 
     def publish(self, topic: str, payload: bytes, qos: int = 0,
                 retain: bool = False, stream_id: int = PRIMARY_STREAM) -> int:
-        if self.conn is None:
+        if self.state is None:
             raise AgentError("transport", "not connected")
         msgid = self._fresh_msgid() if qos else 0
         msg = MqttMessage(mqtt.PUBLISH, topic=topic, payload=payload, qos=qos,
                           retained=retain, msgid=msgid)
         raw = mqtt.encode(msg)
         self._sanity(raw)
-        self.tx_msg_queue.append((stream_id, raw))
+        self.state.send(stream_id, raw)
         if qos == 1:
-            self._pending_qos1[msgid] = {
-                "msg": msg, "stream": stream_id, "tries": 0,
-                "timer": self._scheduler(QOS1_RETRY_S, lambda: self._retry_qos1(msgid)),
-            }
-        self._pump()
+            self.state.track_qos1(msg, stream_id)
+        _pump(self.network, self.conn)
         return msgid
 
     def disconnect(self) -> None:
@@ -258,59 +321,27 @@ class ClientAgent:
         datagram."""
         if self.conn is None or self.conn.phase in ("draining", "closed"):
             return
-        self.tx_msg_queue.append((PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.DISCONNECT))))
-        self._drain_tx()
+        self.state.send(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.DISCONNECT)))
         self.conn.close()
-        self._pump()
-
-    def _retry_qos1(self, msgid: int) -> None:
-        pending = self._pending_qos1.get(msgid)
-        if pending is None or self.conn is None or self.conn.phase in ("draining", "closed"):
-            return
-        pending["tries"] += 1
-        if pending["tries"] > QOS1_MAX_RETRIES:
-            del self._pending_qos1[msgid]
-            return
-        dup = mqtt.encode(
-            MqttMessage(mqtt.PUBLISH, topic=pending["msg"].topic,
-                        payload=pending["msg"].payload, qos=1, msgid=msgid, dup=True))
-        self.tx_msg_queue.append((pending["stream"], dup))
-        pending["timer"] = self._scheduler(QOS1_RETRY_S, lambda: self._retry_qos1(msgid))
+        _pump(self.network, self.conn)
 
     def _arm_ping(self) -> None:
         if self._ping_timer is not None:
             self._ping_timer.cancel()
-        self._ping_timer = self._scheduler(max(1, self.keepalive), self._send_ping)
+        self._ping_timer = self.state.schedule(max(1, self.keepalive), self._send_ping)
 
     def _send_ping(self) -> None:
-        if self.conn is not None and self.conn.phase == "established":
-            self.tx_msg_queue.append((PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.PINGREQ))))
+        if self.conn.phase == "established":
+            self.state.send(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.PINGREQ)))
             self._arm_ping()
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _scheduler(self, delay_s: float, fn: Callable[[], None]):
-        def wrapped():
-            fn()
-            self._pump()
-        return self.network.schedule(delay_s, wrapped)
-
     def _on_datagram(self, data: bytes, src: Address) -> None:
-        if self.conn is None:
+        if self.state is None:
             return
         self.conn.handle_datagram(data, src)
-        self._pump()
-
-    def _pump(self) -> None:
-        if self.conn is None:
-            return
-        if self.dead:
-            self.conn.take_outputs()
-            return
-        self._drain_tx()
-        self.conn.flush()
-        for packet, annotation in self.conn.take_outputs():
-            self.network.send(packet, self.local_addr, self.conn.peer_addr, annotation)
+        _pump(self.network, self.conn)
 
     def kill(self) -> None:
         """Abrupt process death: no teardown traffic, the address vanishes,
@@ -324,15 +355,7 @@ class ClientAgent:
         if self.conn is not None:
             self.conn._cancel_timers()
             self.conn.take_outputs()
-            self.conn.phase = "closed"
-
-    def _drain_tx(self) -> None:
-        if self.conn is None or self.conn.phase in ("draining", "closed"):
-            self.tx_msg_queue.clear()
-            return
-        while self.tx_msg_queue:
-            stream_id, raw = self.tx_msg_queue.popleft()
-            self.conn.send_stream(stream_id, raw)
+            self.conn.phase = "closed"  # a closed connection sends nothing more
 
     def set_address(self, new_addr: Address) -> None:
         """Follow a local address change (roaming); the connection survives."""
@@ -353,18 +376,13 @@ class ClientAgent:
         elif isinstance(event, HandshakeFailed):
             self.failure = event.reason
         elif isinstance(event, StreamData):
-            self._on_stream_data(event)
+            for msg in self.state.read(event):
+                if msg is not None:
+                    self.quic_dispatcher(msg, event.stream_id)
         elif isinstance(event, Closed):
             self.connected = False
             if self.on_closed is not None:
                 self.on_closed(self, event.reason)
-
-    def _on_stream_data(self, event: StreamData) -> None:
-        buf = self._rx_buffers.setdefault(event.stream_id, bytearray())
-        buf += event.data
-        for msg in _read_messages(buf):
-            if msg is not None:
-                self.quic_dispatcher(msg, event.stream_id)
 
     def quic_dispatcher(self, msg: MqttMessage, stream_id: int) -> None:
         """Client branch of the dispatcher: surface the message to the
@@ -379,28 +397,17 @@ class ClientAgent:
                 self.on_suback(self, msg.msgid)
         elif msg.kind == mqtt.PUBLISH:
             if msg.qos == 1:
-                self.tx_msg_queue.append(
-                    (stream_id, mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid))))
+                self.state.send(stream_id,
+                                mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
             if self.on_message is not None:
                 self.on_message(self, msg)
         elif msg.kind == mqtt.PUBACK:
-            pending = self._pending_qos1.pop(msg.msgid, None)
-            if pending is not None and pending["timer"] is not None:
-                pending["timer"].cancel()
+            self.state.on_puback(msg.msgid)
 
 
 # ---------------------------------------------------------------------------
 # Server agent
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _ConnState:
-    conn: Connection
-    rx_buffers: dict[int, bytearray] = field(default_factory=dict)
-    sub_streams: dict[str, int] = field(default_factory=dict)
-    primary_stream: int = PRIMARY_STREAM
-    pending_qos1: dict[int, dict] = field(default_factory=dict)
-
 
 class ServerAgent:
     """The broker-side agent: accepts connections, advances handshakes, and
@@ -417,11 +424,10 @@ class ServerAgent:
         self.config = config or TransportConfig()
         self.rng = rng if rng is not None else Random()
         self.conns: dict[int, _ConnState] = {}
-        self.cids_seen: set[int] = set()
+        self.conns_opened = 0
         self.rx_errors = 0
         self.mqtt_errors = 0
         self.migrations = 0
-        self.closed_reasons: list[str] = []
         network.register(addr, self.on_datagram)
 
     # -- state accounting ------------------------------------------------
@@ -435,7 +441,7 @@ class ServerAgent:
         """Broker shutdown (reboot): a disconnect for every client at once."""
         for state in list(self.conns.values()):
             state.conn.close(error_code=0, reason=b"shutdown")
-            self._pump(state.conn)
+            _pump(self.network, state.conn)
 
     def on_datagram(self, data: bytes, src: Address) -> None:
         try:
@@ -457,57 +463,31 @@ class ServerAgent:
             # Garbage that never started a handshake: drop the slot.
             self.conns.pop(conn.cid, None)
             return
-        self._pump(conn)
+        _pump(self.network, conn)
 
     def _new_conn(self, cid: int, src: Address) -> _ConnState:
-        cell: dict = {}
-
-        def schedule(delay_s: float, fn: Callable[[], None]):
-            def wrapped():
-                fn()
-                if "conn" in cell:
-                    self._pump(cell["conn"])
-            return self.network.schedule(delay_s, wrapped)
-
-        conn = Connection(
+        state = _ConnState(
+            self.network, lambda event: self._on_conn_event(state, event),
             role="server", cid=cid, local_addr=self.addr, peer_addr=src,
-            config=self.config, clock=lambda: self.network.clock.now_s,
-            scheduler=schedule,
-            on_event=lambda event: self._on_conn_event(cell["state"], event),
-            rng=self.rng, identity=self.identity,
-        )
-        state = _ConnState(conn=conn)
-        cell["conn"] = conn
-        cell["state"] = state
+            config=self.config, rng=self.rng, identity=self.identity)
         self.conns[cid] = state
-        self.cids_seen.add(cid)
+        self.conns_opened += 1
         return state
-
-    def _pump(self, conn: Connection) -> None:
-        conn.flush()
-        for packet, annotation in conn.take_outputs():
-            self.network.send(packet, self.addr, conn.peer_addr, annotation)
 
     # -- connection events -------------------------------------------------------------
 
     def _on_conn_event(self, state: _ConnState, event) -> None:
         if isinstance(event, StreamData):
-            self._on_stream_data(state, event)
+            for msg in state.read(event):
+                if msg is None:
+                    self.mqtt_errors += 1
+                else:
+                    self.quic_dispatcher(state, msg, event.stream_id)
         elif isinstance(event, Migrated):
             self.migrations += 1
         elif isinstance(event, Closed):
-            self.closed_reasons.append(event.reason)
             self.broker.drop_connection(state.conn)
             self.conns.pop(state.conn.cid, None)
-
-    def _on_stream_data(self, state: _ConnState, event: StreamData) -> None:
-        buf = state.rx_buffers.setdefault(event.stream_id, bytearray())
-        buf += event.data
-        for msg in _read_messages(buf):
-            if msg is None:
-                self.mqtt_errors += 1
-            else:
-                self.quic_dispatcher(state, msg, event.stream_id)
 
     def quic_dispatcher(self, state: _ConnState, msg: MqttMessage,
                         stream_id: int) -> None:
@@ -518,10 +498,11 @@ class ServerAgent:
         elif msg.kind == mqtt.SUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams[topic] = stream_id
+        elif msg.kind == mqtt.UNSUBSCRIBE:
+            for topic, _ in msg.topics:
+                state.sub_streams.pop(topic, None)
         elif msg.kind == mqtt.PUBACK:
-            pending = state.pending_qos1.pop(msg.msgid, None)
-            if pending is not None and pending["timer"] is not None:
-                pending["timer"].cancel()
+            state.on_puback(msg.msgid)
         try:
             deliveries = self.broker.handle(msg, state.conn)
         except MqttError:
@@ -529,23 +510,22 @@ class ServerAgent:
             return
         touched = set()
         for delivery in deliveries:
-            target: Connection = delivery.conn
-            target_state = self.conns.get(target.cid)
-            if target_state is None or target.phase in ("draining", "closed"):
+            target = self.conns.get(delivery.conn.cid)
+            if target is None or target.conn.phase in ("draining", "closed"):
                 continue
-            out_stream = self._stream_for(target_state, delivery.message, stream_id,
+            out_stream = self._stream_for(target, delivery.message, stream_id,
                                           source=state)
             try:
-                target.send_stream(out_stream, mqtt.encode(delivery.message))
+                target.send(out_stream, mqtt.encode(delivery.message))
             except TransportError:
                 continue
             if delivery.message.kind == mqtt.PUBLISH and delivery.message.qos == 1:
-                self._track_qos1(target_state, delivery.message, out_stream)
-            touched.add(target.cid)
+                target.track_qos1(delivery.message, out_stream)
+            touched.add(target.conn.cid)
         for cid in touched:
             conn_state = self.conns.get(cid)
-            if conn_state is not None and conn_state.conn is not state.conn:
-                self._pump(conn_state.conn)
+            if conn_state is not None and conn_state is not state:
+                _pump(self.network, conn_state.conn)
 
     def _stream_for(self, target: _ConnState, msg: MqttMessage,
                     arrival_stream: int, source: _ConnState) -> int:
@@ -557,28 +537,3 @@ class ServerAgent:
         if target is source:
             return arrival_stream
         return target.primary_stream
-
-    def _track_qos1(self, state: _ConnState, msg: MqttMessage, stream_id: int) -> None:
-        entry = {"msg": msg, "stream": stream_id, "tries": 0, "timer": None}
-        state.pending_qos1[msg.msgid] = entry
-        entry["timer"] = state.conn.scheduler(
-            QOS1_RETRY_S, lambda: self._retry_qos1(state, msg.msgid))
-
-    def _retry_qos1(self, state: _ConnState, msgid: int) -> None:
-        entry = state.pending_qos1.get(msgid)
-        if entry is None or state.conn.phase in ("draining", "closed"):
-            return
-        entry["tries"] += 1
-        if entry["tries"] > QOS1_MAX_RETRIES:
-            del state.pending_qos1[msgid]
-            return
-        dup = mqtt.encode(
-            MqttMessage(mqtt.PUBLISH, topic=entry["msg"].topic,
-                        payload=entry["msg"].payload, qos=1,
-                        msgid=msgid, dup=True))
-        try:
-            state.conn.send_stream(entry["stream"], dup)
-        except TransportError:
-            return
-        entry["timer"] = state.conn.scheduler(
-            QOS1_RETRY_S, lambda: self._retry_qos1(state, msgid))

@@ -516,7 +516,7 @@ def bench_migrate(profile: str | SimConfig = "wired", changes: int = 3,
             "delivered": len(deliveries),
             "handshake_packets_after_setup": handshake_after,
             "migrations_observed": server.migrations,
-            "cids_at_server": len(server.cids_seen),
+            "cids_at_server": server.conns_opened,
             "max_delivery_gap_s": round(max_gap, 6),
             "rtt_s": rtt_s,
             "quic_throughput": series,

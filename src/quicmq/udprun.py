@@ -3,7 +3,9 @@
 Exposes the same duck-typed surface the agents use on the simulator
 (register/send/schedule/clock), backed by one UDP socket and a monotonic
 clock. Good enough to run a broker, publisher, and subscriber by hand on
-loopback; the benchmarks always use the simulator.
+loopback; the benchmarks always use the simulator. The trace is the
+simulator's: a ``TraceEvent`` per datagram sent and per datagram delivered
+(with this endpoint's socket address as ``dst``), written in the same lines.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import socket
 import time
 from typing import Callable
 
-from .netsim import Address, Timer
+from .netsim import Address, Timer, TraceEvent
 
 
 class _WallClock:
@@ -39,7 +41,7 @@ class UdpNetwork:
         self._handler: Callable[[bytes, Address], None] | None = None
         self._timers: list = []
         self._seq = 0
-        self.trace: list[str] = []
+        self.trace: list[TraceEvent] = []
         self.running = False
 
     def register(self, address: Address, handler: Callable[[bytes, Address], None]) -> None:
@@ -64,7 +66,8 @@ class UdpNetwork:
         self.register(new, handler)
 
     def send(self, payload: bytes, src: Address, dst: Address, annotation: str = "") -> None:
-        self.trace.append(f"{self.clock.now_us}\tsend\t{dst[0]}:{dst[1]}\t{len(payload)}\t{annotation}")
+        self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),
+                                     annotation))
         if self._sock is not None:
             self._sock.sendto(payload, dst)
 
@@ -76,7 +79,8 @@ class UdpNetwork:
 
     def write_trace(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.trace) + ("\n" if self.trace else ""))
+            for ev in self.trace:
+                f.write(ev.line() + "\n")
 
     # -- loop -------------------------------------------------------------
 
@@ -113,6 +117,7 @@ class UdpNetwork:
                     continue
                 ready, _, _ = select.select([self._sock], [], [], min(wait, 0.2))
                 if ready:
+                    local = self.local_address()
                     for _ in range(64):
                         try:
                             payload, src = self._sock.recvfrom(65535)
@@ -120,8 +125,8 @@ class UdpNetwork:
                             break
                         except OSError:
                             return
-                        self.trace.append(
-                            f"{self.clock.now_us}\trecv\t{src[0]}:{src[1]}\t{len(payload)}\t")
+                        self.trace.append(TraceEvent(self.clock.now_us, "deliver", src,
+                                                     local, len(payload)))
                         if self._handler is not None:
                             self._handler(payload, src)
         finally:

@@ -5,10 +5,13 @@ import pytest
 
 from quicmq import mqtt
 from quicmq.agents import (
+    QOS1_MAX_RETRIES,
+    QOS1_RETRY_S,
     AgentError,
     ClientAgent,
     ServerAgent,
     SessionStore,
+    _pump,
 )
 from quicmq.connection import TransportConfig
 from quicmq.handshake import ServerIdentity
@@ -216,7 +219,7 @@ def test_invalid_mqtt_payload_keeps_connection():
     client.connect_mqtt()
     net.run(until_s=2.0)
     client.conn.send_stream(5, b"\x00\xff\xff")  # not a valid MQTT header
-    client._pump()
+    _pump(net, client.conn)
     net.run(until_s=3.0)
     assert server.mqtt_errors == 1
     assert server.connection_count() == 1  # connection survives
@@ -239,7 +242,7 @@ def test_publish_split_after_its_first_byte_is_delivered():
     raw = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic="t/x", payload=b"split"))
     for part in (raw[:1], raw[1:]):
         pub.conn.send_stream(3, part)
-        pub._pump()
+        _pump(net, pub.conn)
         net.run(until_s=net.clock.now_s + 1.0)
     assert server.mqtt_errors == 0
     assert got == [b"split"]
@@ -259,7 +262,7 @@ def test_qos1_delivery_and_puback():
     net.run(until_s=4.0)
     assert [m.payload for m in got] == [b"important"]
     assert got[0].qos == 1 and not got[0].dup
-    assert msgid not in pub._pending_qos1  # PUBACK retired the retry state
+    assert msgid not in pub.state.pending_qos1  # PUBACK retired the retry state
 
 
 class RecordingBroker(Broker):
@@ -290,6 +293,65 @@ def test_qos1_retry_carries_dup_flag():
     assert dups and dups[0].topic == "q1"
 
 
+@pytest.mark.parametrize("end", ["publisher", "broker"])
+def test_qos1_retry_resends_with_dup_then_gives_up(end):
+    # Every PUBACK to the sender is lost: both ends share one retry, which
+    # re-sends the PUBLISH with the dup flag QOS1_MAX_RETRIES times and then
+    # forgets it.
+    net = SimNetwork(SimConfig(delay_ms=0.5), seed=8)
+    identity = ServerIdentity.create(now=0.0, rng=Random(42))
+    broker = RecordingBroker()
+    server = ServerAgent(net, BROKER, identity, broker=broker, rng=Random(8))
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("q1", qos=1),
+                      on_message=lambda a, m: got.append(m))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    sender = pub.state if end == "publisher" else server.conns[sub.conn.cid]
+    acker, me = sender.conn.peer_addr, sender.conn.local_addr
+    net.add_periodic_drop(lambda src, dst, size, ann: (src == acker and dst == me
+                                                       and ann.startswith("data")), 1)
+    pub.publish("q1", b"retry-me", qos=1)
+    net.run(until_s=net.clock.now_s + QOS1_RETRY_S / 2)
+    assert sender.pending_qos1
+    net.run(until_s=net.clock.now_s + QOS1_RETRY_S * (QOS1_MAX_RETRIES + 1))
+    received = broker.seen if end == "publisher" else got
+    dups = [m for m in received if m.kind == mqtt.PUBLISH and m.dup]
+    assert len(dups) == QOS1_MAX_RETRIES
+    assert {(m.topic, m.payload) for m in dups} == {("q1", b"retry-me")}
+    assert not sender.pending_qos1
+
+
+def test_unsubscribed_filter_no_longer_picks_the_stream():
+    # A PUBLISH goes out on the stream its matching filter was subscribed
+    # from; once that filter is unsubscribed it must not steer routing.
+    net, identity, server = make_world()
+    arrivals = []
+    sub = make_client(net, identity, 50001, "sub", seed=21)
+    dispatch = sub.quic_dispatcher
+    sub.quic_dispatcher = lambda m, stream_id: (arrivals.append((m.kind, stream_id)),
+                                                dispatch(m, stream_id))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    sub.subscribe("a/#", stream_id=5)
+    net.run(until_s=3.0)
+    sub.conn.send_stream(5, mqtt.encode(MqttMessage(mqtt.UNSUBSCRIBE, msgid=99,
+                                                    topics=(("a/#", 0),))))
+    _pump(net, sub.conn)
+    net.run(until_s=4.0)
+    sub.subscribe("a/b", stream_id=7)
+    net.run(until_s=5.0)
+    pub.publish("a/b", b"m")
+    net.run(until_s=6.0)
+    assert (mqtt.UNSUBACK, 5) in arrivals
+    assert [s for kind, s in arrivals if kind == mqtt.PUBLISH] == [7]
+
+
 # ---------------------------------------------------------------------------
 # Server loop events and resource reclamation
 # ---------------------------------------------------------------------------
@@ -305,7 +367,7 @@ def test_disconnect_event_frees_one_connection():
     assert server.connection_count() == 2
     state = server.conns[a.conn.cid]
     state.conn.close()
-    server._pump(state.conn)
+    _pump(net, state.conn)
     net.run(until_s=4.0)
     assert server.connection_count() == 1
     assert b.conn.cid in server.conns

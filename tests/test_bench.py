@@ -16,6 +16,8 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
+from quicmq.netsim import TraceEvent
+from quicmq.udprun import UdpNetwork
 
 
 def test_conn_overhead_wired_counts_are_exact(tmp_path):
@@ -62,6 +64,10 @@ PINNED_DIGESTS = {
     "migrate_wired": "db38a298fa56ccfe3bf223af52b88a7e1f535a52104b2d8d59717aea8fb598ec",
     "conn_overhead_wireless": "6bdf312e4924ee770ec902d201786d267968589484647bdcadc33350498779c0",
     "hol_wireless": "4829ba98f9f46f476753c409599248cb6d8fc190f56c6470c90f169c5d91e999",
+    "stream_isolation_wired": "5b23a58b8ac2cf6fb8436bf0e159b0481a2c87e2bbcb51de8ea75b7893b68ab9",
+    "migrate_wireless": "0aa26d9525005b9c48d65268715b88b61ccca1d146cba05a4cb4384d300eb536",
+    "conn_overhead_long_distance":
+        "5c241b5e1796f8e626b6ac19e4678eb67f18ea9e1a2d85ccb5a1e1be1109859e",
 }
 
 
@@ -80,6 +86,12 @@ def test_bench_output_matches_pinned_digests(tmp_path):
             "wireless", mode=None, iterations=5, seed=4, state_dir=str(tmp_path / "b")),
         "hol_wireless": lambda: bench_hol("wireless", drop_rate=10, streams=4,
                                           messages=400, seed=3),
+        "stream_isolation_wired": lambda: bench_stream_isolation(
+            "wired", drop_rate=10, messages=100, seed=9),
+        "migrate_wireless": lambda: bench_migrate("wireless", changes=2, interval=20.0,
+                                                  duration=60.0, seed=9),
+        "conn_overhead_long_distance": lambda: bench_conn_overhead(
+            "long_distance", mode=None, iterations=3, seed=9, state_dir=str(tmp_path / "c")),
     }
     digests = {}
     for name, run in runs.items():
@@ -228,3 +240,27 @@ def test_cli_real_udp_end_to_end(tmp_path):
     finally:
         broker.kill()
         broker.wait()
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
+    net = UdpNetwork()
+    got = []
+
+    def handler(payload, src):
+        got.append(payload)
+        net.stop()
+    net.register(("127.0.0.1", 0), handler)
+    addr = net.local_address()
+    try:
+        net.send(b"hello", addr, addr, "probe")
+        net.run(until_s=5.0)
+    finally:
+        net.unregister(addr)
+    assert got == [b"hello"]
+    assert [(ev.event, ev.src, ev.dst, ev.size, ev.annotation) for ev in net.trace] == [
+        ("send", addr, addr, 5, "probe"), ("deliver", addr, addr, 5, "")]
+    assert all(isinstance(ev, TraceEvent) for ev in net.trace)
+    net.write_trace(str(tmp_path / "udp.trace"))
+    assert (tmp_path / "udp.trace").read_text().splitlines() == [
+        ev.line() for ev in net.trace]
