@@ -297,6 +297,10 @@ class ClientAgent:
         raw = mqtt.encode(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid,
                                       topics=((topic, qos),)))
         self._sanity(raw)
+        try:
+            mqtt.decode(raw)  # a filter or qos the broker would refuse
+        except MqttError as e:
+            raise AgentError("sanity", str(e)) from None
         self.state.send(stream_id, raw)
         _pump(self.network, self.conn)
         return msgid

@@ -270,8 +270,11 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         p = 2
         while p < len(body):
             topic, p = _decode_string(body, p)
+            _check_filter(topic)
             if p > len(body) - 1:
                 raise MqttError("missing requested qos")
+            if body[p] > 2:
+                raise MqttError(f"bad requested qos {body[p]}")
             topics.append((topic, body[p]))
             p += 1
         if not topics:
@@ -290,13 +293,28 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         p = 2
         while p < len(body):
             topic, p = _decode_string(body, p)
+            _check_filter(topic)
             topics.append((topic, 0))
+        if not topics:
+            raise MqttError("UNSUBSCRIBE without topics")
         return MqttMessage(UNSUBSCRIBE, msgid=msgid, topics=tuple(topics)), end
     if kind in (PINGREQ, PINGRESP, DISCONNECT):
         if body:
             raise MqttError("unexpected payload")
         return MqttMessage(kind), end
     raise MqttError(f"unknown message kind {kind}")
+
+
+def _check_filter(filter_: str) -> None:
+    """Refuse a filter no topic can match (MQTT 3.1.1 §4.7): an empty one,
+    ``#`` anywhere but alone in the last level, ``+`` not alone in its level."""
+    if not filter_:
+        raise MqttError("empty topic filter")
+    levels = filter_.split("/")
+    for i, level in enumerate(levels):
+        if (("#" in level and (level != "#" or i != len(levels) - 1))
+                or ("+" in level and level != "+")):
+            raise MqttError(f"invalid topic filter {filter_!r}")
 
 
 def topic_matches(filter_: str, topic: str) -> bool:
@@ -325,6 +343,17 @@ class Session:
     conn: object | None = None  # opaque connection handle, None while offline
 
 
+class _FilterNode:
+    """One level of the subscription tree: the filter that ends here is
+    the path of level names from the root."""
+
+    __slots__ = ("children", "subscribers")
+
+    def __init__(self):
+        self.children: dict[str, _FilterNode] = {}
+        self.subscribers: dict[str, int] = {}  # client id -> qos
+
+
 @dataclass(frozen=True)
 class Delivery:
     """A message the broker wants sent to a connected client."""
@@ -338,10 +367,15 @@ class Broker:
     The broker is transport-agnostic: ``handle`` consumes a decoded message
     from a connection handle and returns the deliveries to perform. All
     mutation happens on the caller's event loop.
+
+    A PUBLISH is routed through a tree of the subscribed filters, one level
+    per node, so its cost grows with topic depth and matches, not with the
+    session count. The tree holds exactly the subscriptions of ``sessions``.
     """
 
     def __init__(self, state_dir: str | None = None):
         self.sessions: dict[str, Session] = {}
+        self._tree = _FilterNode()
         self.retained: dict[str, MqttMessage] = {}
         self._by_conn: dict[object, str] = {}
         self._next_msgid = 1
@@ -372,6 +406,58 @@ class Broker:
             doc = json.load(f)
         return Session(client_id, True, dict(doc.get("subscriptions", {})))
 
+    # -- subscription tree ------------------------------------------------
+
+    def _index(self, client_id: str, filter_: str, qos: int) -> None:
+        node = self._tree
+        for level in filter_.split("/"):
+            node = node.children.setdefault(level, _FilterNode())
+        node.subscribers[client_id] = qos
+
+    def _unindex(self, client_id: str, filter_: str) -> None:
+        """Drop one subscription and the nodes it leaves empty."""
+        levels = filter_.split("/")
+        path = [self._tree]
+        for level in levels:
+            path.append(path[-1].children[level])
+        del path[-1].subscribers[client_id]
+        for i in range(len(levels) - 1, -1, -1):
+            if path[i + 1].subscribers or path[i + 1].children:
+                break
+            del path[i].children[levels[i]]
+
+    def _unindex_session(self, session: Session) -> None:
+        for filter_ in session.subscriptions:
+            self._unindex(session.client_id, filter_)
+
+    def _subscribers(self, topic: str) -> dict[str, int]:
+        """Client id -> highest qos among its filters matching ``topic``,
+        with ``topic_matches``'s meaning: ``+`` is one level, ``#`` as the
+        last level is zero or more, a ``#`` elsewhere matches nothing."""
+        best: dict[str, int] = {}
+
+        def collect(node: _FilterNode | None) -> None:
+            if node is not None:
+                for client_id, qos in node.subscribers.items():
+                    if qos > best.get(client_id, -1):
+                        best[client_id] = qos
+
+        nodes = [self._tree]
+        for level in topic.split("/"):
+            reached = []
+            for node in nodes:
+                children = node.children
+                if level != "+" and level != "#" and level in children:
+                    reached.append(children[level])
+                if "+" in children:
+                    reached.append(children["+"])
+                collect(children.get("#"))
+            nodes = reached
+        for node in nodes:
+            collect(node)
+            collect(node.children.get("#"))
+        return best
+
     # -- accounting -------------------------------------------------------
 
     def connection_count(self) -> int:
@@ -395,6 +481,7 @@ class Broker:
         session.conn = None
         if not session.persistent:
             del self.sessions[client_id]
+            self._unindex_session(session)
 
     # -- message handling ---------------------------------------------------
 
@@ -412,7 +499,8 @@ class Broker:
             return self._handle_subscribe(msg, session, conn)
         if kind == UNSUBSCRIBE:
             for topic, _ in msg.topics:
-                session.subscriptions.pop(topic, None)
+                if session.subscriptions.pop(topic, None) is not None:
+                    self._unindex(client_id, topic)
             self._store_session(session)
             return [Delivery(conn, MqttMessage(UNSUBACK, msgid=msg.msgid))]
         if kind == PUBLISH:
@@ -430,7 +518,7 @@ class Broker:
         if not msg.client_id:
             raise MqttError("empty client id")
         session_present = False
-        session = self.sessions.get(msg.client_id)
+        old = session = self.sessions.get(msg.client_id)
         if session is None and msg.persistent:
             session = self._load_session(msg.client_id)
         if session is not None and msg.persistent:
@@ -438,6 +526,11 @@ class Broker:
             session.persistent = True
         else:
             session = Session(msg.client_id, msg.persistent)
+        if session is not old:
+            if old is not None:
+                self._unindex_session(old)
+            for filter_, qos in session.subscriptions.items():
+                self._index(msg.client_id, filter_, qos)
         session.conn = conn
         self.sessions[msg.client_id] = session
         self._by_conn[conn] = msg.client_id
@@ -451,6 +544,7 @@ class Broker:
         for topic, qos in msg.topics:
             qos = min(qos, 1)
             session.subscriptions[topic] = qos
+            self._index(session.client_id, topic, qos)
             granted.append(qos)
             for rtopic, retained_msg in sorted(self.retained.items()):
                 if topic_matches(topic, rtopic):
@@ -472,14 +566,13 @@ class Broker:
                 self.retained[msg.topic] = replace(msg, dup=False)
             else:
                 self.retained.pop(msg.topic, None)
-        for client_id in sorted(self.sessions):
+        # Client-id order fixes which delivery gets which msgid.
+        matched = self._subscribers(msg.topic)
+        for client_id in sorted(matched):
             session = self.sessions[client_id]
             if session.conn is None:
                 continue
-            qos = self._match_qos(session, msg.topic)
-            if qos is None:
-                continue
-            eff_qos = min(msg.qos, qos)
+            eff_qos = min(msg.qos, matched[client_id])
             out.append(Delivery(session.conn, replace(
                 msg,
                 retained=False,
@@ -488,11 +581,3 @@ class Broker:
                 msgid=self.fresh_msgid() if eff_qos else 0,
             )))
         return out
-
-    @staticmethod
-    def _match_qos(session: Session, topic: str) -> int | None:
-        best = None
-        for filter_, qos in session.subscriptions.items():
-            if topic_matches(filter_, topic):
-                best = qos if best is None else max(best, qos)
-        return best

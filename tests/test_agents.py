@@ -541,6 +541,23 @@ def test_publish_before_connect_rejected():
     assert e.value.stage == "transport"
 
 
+@pytest.mark.parametrize("topic,qos", [("", 0), ("a/#/b", 0), ("a+", 0), ("a", 3)])
+def test_subscribe_refuses_what_the_broker_would(topic, qos):
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    sent = len(net.trace)
+    with pytest.raises(AgentError) as e:
+        client.subscribe(topic, qos=qos)
+    assert e.value.stage == "sanity"
+    assert len(net.trace) == sent  # nothing left the host
+    client.subscribe("a/+/#", qos=2)
+    net.run(until_s=3.0)
+    assert server.mqtt_errors == 0
+    assert [m.granted for m in client.rx_msg_queue if m.kind == mqtt.SUBACK] == [(1,)]
+
+
 def test_server_survives_datagram_fuzzing():
     # The loop must survive arbitrary garbage: header fragments, valid
     # headers with bogus bodies, random epochs, and truncated seals.

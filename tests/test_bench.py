@@ -4,9 +4,11 @@ import os
 import socket
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
+from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.bench import (
     BenchError,
     bench_conn_overhead,
@@ -16,7 +18,8 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
-from quicmq.netsim import TraceEvent
+from quicmq.handshake import ServerIdentity
+from quicmq.netsim import SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
 
 
@@ -53,10 +56,65 @@ def test_bench_json_is_deterministic(tmp_path):
     assert a.to_json() == b.to_json()
 
 
-# sha256 of to_json() followed by repr(series_rows()). The JSON holds packet
-# counts and simulated times only, so these move only when the wire format,
-# the packet ladder or the simulated timing changes; a change that moves one
-# must update it and say why.
+def fanout_run() -> bytes:
+    """30 subscribers with exact, ``+`` and ``#`` filters at QoS 0 and 1, and
+    a persistent client that disconnects and comes back on a new address,
+    over a seeded simulator; 300 publishes at QoS 0 and 1 from random
+    clients. Returns the wire trace and what each client received, in order:
+    broker routing order decides every msgid in both."""
+    broker = ("10.0.0.1", 4433)
+    net = SimNetwork(SimConfig(delay_ms=0.5), seed=9)
+    identity = ServerIdentity.create(now=0.0, rng=Random(42))
+    ServerAgent(net, broker, identity, rng=Random(9))
+    rng = Random(9)
+    received = []
+
+    def on_message(agent, msg):
+        received.append((agent.client_id, msg.topic, msg.msgid, msg.qos))
+
+    def client(ip, client_id, persistent=False):
+        agent = ClientAgent(net, (ip, 40000), broker, client_id, identity.sign_pair.pk,
+                            rng=Random(rng.getrandbits(32)), persistent=persistent,
+                            on_message=on_message)
+        agent.connect_mqtt()
+        return agent
+
+    devices = [client(f"10.0.1.{i + 1}", f"dev{i:02d}") for i in range(30)]
+    keeper = client("10.0.2.1", "keeper", persistent=True)
+    net.run(until_s=1.0)
+    for i, dev in enumerate(devices):
+        dev.subscribe(f"dev/{i}/in", qos=i % 2)
+        if i % 3 == 0:
+            dev.subscribe(f"grp/{i % 4}/+", qos=(i // 3) % 2)
+        if i % 5 == 0:
+            dev.subscribe(f"grp/{i % 4}/#", qos=1 - i % 2)
+        if i % 7 == 3:
+            dev.subscribe(f"+/{i}/#")
+    devices[7].subscribe("#")
+    keeper.subscribe("grp/+/x", qos=1)
+    keeper.subscribe("dev/keeper/in", qos=1)
+    net.run(until_s=2.0)
+
+    topics = ([f"dev/{i}/in" for i in range(30)] + ["dev/keeper/in", "dev/3/out"]
+              + [f"grp/{g}/{leaf}" for g in range(4) for leaf in ("x", "y/z")]
+              + [f"grp/{g}" for g in range(4)])
+    for k in range(300):
+        sender = devices[rng.randrange(30)]
+        topic = rng.choice(topics)
+        qos = rng.randrange(2)
+        net.schedule(0.01 * k, lambda s=sender, t=topic, q=qos, k=k:
+                     s.publish(t, k.to_bytes(2, "big"), qos=q))
+    net.schedule(1.0, keeper.disconnect)
+    net.schedule(1.5, lambda: client("10.0.2.2", "keeper", persistent=True))
+    net.run(until_s=8.0)
+    return "\n".join(net.trace_lines()).encode() + repr(received).encode()
+
+
+# sha256 of to_json() followed by repr(series_rows()), and of fanout_run().
+# The JSON holds packet counts and simulated times only, so these move only
+# when the wire format, the packet ladder, the simulated timing or the
+# broker's delivery order changes; a change that moves one must update it
+# and say why.
 PINNED_DIGESTS = {
     "conn_overhead_wired": "8584854b34f06f91667b2fafc14b0d6782b109ddede4bd543594dd84806736c2",
     "hol_wired": "32fd871e8cc18378d3fa53479f2f0530ea3ccc5401787dab536aa5efbb9ff3c1",
@@ -68,6 +126,8 @@ PINNED_DIGESTS = {
     "migrate_wireless": "0aa26d9525005b9c48d65268715b88b61ccca1d146cba05a4cb4384d300eb536",
     "conn_overhead_long_distance":
         "5c241b5e1796f8e626b6ac19e4678eb67f18ea9e1a2d85ccb5a1e1be1109859e",
+    "fanout_many_subscribers":
+        "b3fac775f23bdfb916ffec429a8b882bbc2211fce6dc030761881a457f54f098",
 }
 
 
@@ -99,6 +159,7 @@ def test_bench_output_matches_pinned_digests(tmp_path):
         h = hashlib.sha256(res.to_json().encode())
         h.update(repr(res.series_rows()).encode())
         digests[name] = h.hexdigest()
+    digests["fanout_many_subscribers"] = hashlib.sha256(fanout_run()).hexdigest()
     assert digests == PINNED_DIGESTS
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,39 @@ def test_subscribe_suback_roundtrip(msgid, topics):
     assert roundtrip(sub) == sub
     ack = MqttMessage(mqtt.SUBACK, msgid=msgid, granted=tuple(q for _, q in topics))
     assert roundtrip(ack) == ack
+
+
+@pytest.mark.parametrize("filter_", [
+    "#", "+", "a/#", "a/+/b", "+/+", "/", "a//b", "/#", "+/#", "sport/tennis/+",
+])
+def test_valid_filters_roundtrip(filter_):
+    sub = MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=((filter_, 1),))
+    assert roundtrip(sub) == sub
+    unsub = MqttMessage(mqtt.UNSUBSCRIBE, msgid=2, topics=((filter_, 0),))
+    assert roundtrip(unsub) == unsub
+
+
+@pytest.mark.parametrize("kind,topics", [
+    (mqtt.SUBSCRIBE, (("", 0),)),  # empty filter, §4.7.3
+    (mqtt.SUBSCRIBE, (("a/#/b", 0),)),  # '#' not last, §4.7.1.2
+    (mqtt.SUBSCRIBE, (("#/a", 0),)),
+    (mqtt.SUBSCRIBE, (("a#", 0),)),  # '#' sharing a level
+    (mqtt.SUBSCRIBE, (("a/b#", 0),)),
+    (mqtt.SUBSCRIBE, (("a+", 0),)),  # '+' sharing a level, §4.7.1.3
+    (mqtt.SUBSCRIBE, (("a/+b/c", 0),)),
+    (mqtt.SUBSCRIBE, (("++", 0),)),
+    (mqtt.SUBSCRIBE, (("a", 3),)),  # requested qos above 2, §3.8.3.1
+    (mqtt.SUBSCRIBE, (("a", 0), ("b", 0x80))),
+    (mqtt.SUBSCRIBE, (("ok", 0), ("a/#/b", 1))),  # one bad filter spoils the packet
+    (mqtt.UNSUBSCRIBE, (("a/#/b", 0),)),
+    (mqtt.UNSUBSCRIBE, (("", 0),)),
+    (mqtt.UNSUBSCRIBE, ()),  # no filter, §3.10.3
+])
+def test_malformed_subscribe_and_unsubscribe_refused(kind, topics):
+    raw = encode(MqttMessage(kind, msgid=1, topics=topics))
+    with pytest.raises(MqttError) as e:
+        decode(raw)
+    assert not isinstance(e.value, IncompleteMessage)
 
 
 def test_simple_kinds_roundtrip():
@@ -165,10 +200,23 @@ def test_random_bytes_never_crash(data):
         ("a/+/c", "a/x/c", True),
         ("a/b", "a", False),
         ("a", "a/b", False),
+        ("a/#", "a", True),
+        ("a/+", "a/", True),
+        ("a//b", "a//b", True),
+        ("#", "/", True),
+        ("a/#/b", "a/#/b", False),
+        ("#/a", "x/a", False),
+        ("+", "a/b", False),
     ],
 )
 def test_topic_matches(filter_, topic, match):
     assert topic_matches(filter_, topic) is match
+    # The broker's subscription tree agrees, for a filter decode would refuse too.
+    b = Broker()
+    connect(b, "s", "sub")
+    b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=((filter_, 0),)), "s")
+    out = b.handle(MqttMessage(mqtt.PUBLISH, topic=topic, payload=b"m"), "s")
+    assert [d.conn for d in out] == (["s"] if match else [])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +272,9 @@ def test_broker_persistent_session_survives_broker_restart(tmp_path):
     b2 = Broker(state_dir=str(tmp_path))
     out = connect(b2, "c9", "dev1", persistent=True)
     assert out[0].message.session_present
+    connect(b2, "p", "pub")
+    deliveries = b2.handle(MqttMessage(mqtt.PUBLISH, topic="a", payload=b"m"), "p")
+    assert [d.conn for d in deliveries] == ["c9"]
 
 
 def test_broker_transient_session_discarded():
@@ -293,3 +344,146 @@ def test_broker_message_before_connect_rejected():
     b = Broker()
     with pytest.raises(MqttError):
         b.handle(MqttMessage(mqtt.PUBLISH, topic="t", payload=b"m"), "ghost")
+
+
+# ---------------------------------------------------------------------------
+# Routing through the subscription tree
+# ---------------------------------------------------------------------------
+
+
+def scan_deliveries(broker, topic, qos, next_msgid):
+    """The routing the tree replaced: every session in client-id order, each
+    filter through ``topic_matches``. Returns (conn, qos, msgid) per PUBLISH."""
+    out = []
+    for client_id in sorted(broker.sessions):
+        session = broker.sessions[client_id]
+        if session.conn is None:
+            continue
+        best = None
+        for filter_, sub_qos in session.subscriptions.items():
+            if topic_matches(filter_, topic):
+                best = sub_qos if best is None else max(best, sub_qos)
+        if best is None:
+            continue
+        eff_qos = min(qos, best)
+        msgid = 0
+        if eff_qos:
+            msgid, next_msgid = next_msgid, next_msgid % 0xFFFF + 1
+        out.append((session.conn, eff_qos, msgid))
+    return out
+
+
+def tree_entries(broker):
+    """Every (client id, filter, qos) the broker's subscription tree holds."""
+    found = set()
+    stack = [((), broker._tree)]
+    while stack:
+        path, node = stack.pop()
+        found.update((cid, "/".join(path), q) for cid, q in node.subscribers.items())
+        assert node.subscribers or node.children or not path  # no empty leftovers
+        stack.extend((path + (level,), child) for level, child in node.children.items())
+    return found
+
+
+# Levels that include the wildcards, empty levels and '#' anywhere: decode
+# refuses such filters, so they reach the broker through handle directly.
+LEVELS = ["a", "b", "", "+", "#"]
+levels = st.sampled_from(LEVELS)
+raw_filters = st.lists(levels, min_size=1, max_size=3).map("/".join)
+raw_topics = st.lists(levels, min_size=1, max_size=4).map("/".join)
+# Every topic of up to three of those levels, published after the ops.
+SWEEP = ["/".join(p) for n in (1, 2, 3) for p in itertools.product(LEVELS, repeat=n)]
+who = st.integers(min_value=0, max_value=3)
+routing_ops = st.one_of(
+    st.tuples(st.just("sub"), who, raw_filters, st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("unsub"), who, raw_filters),
+    st.tuples(st.just("pub"), who, raw_topics, st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("reconnect"), who, st.booleans()),  # persistent or transient
+    st.tuples(st.just("drop"), who, st.booleans()),  # latest or previous connection
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(raw_filters, st.integers(min_value=0, max_value=2)),
+                         min_size=1, max_size=4), min_size=4, max_size=4),
+       st.lists(routing_ops, max_size=40))
+def test_broker_routing_matches_the_session_scan(initial, ops):
+    """Each PUBLISH gets exactly the deliveries, in order and with the
+    msgids, that scanning every session's filters would give, through
+    subscriptions, reconnects under the same client id and drops; the tree
+    holds exactly the live sessions' subscriptions. After the ops, every
+    topic of up to three levels is published once more."""
+    b = Broker()
+    conns = {i: [f"conn{i}.0"] for i in range(4)}
+    online = set(range(4))
+    for i in range(4):
+        connect(b, conns[i][-1], f"client{i}")
+        b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=tuple(initial[i])), conns[i][-1])
+    msgid = 2
+    for op, i, *args in ops:
+        conn = conns[i][-1]
+        if op == "reconnect":
+            conns[i].append(f"conn{i}.{len(conns[i])}")
+            connect(b, conns[i][-1], f"client{i}", persistent=args[0])
+            online.add(i)
+        elif op == "drop":
+            latest = args[0]
+            if latest or len(conns[i]) == 1:
+                b.drop_connection(conn)
+                online.discard(i)
+            else:
+                b.drop_connection(conns[i][-2])
+        elif i not in online:
+            continue
+        elif op == "sub":
+            b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid, topics=((args[0], args[1]),)),
+                     conn)
+            msgid += 1
+        elif op == "unsub":
+            b.handle(MqttMessage(mqtt.UNSUBSCRIBE, msgid=msgid, topics=((args[0], 0),)), conn)
+            msgid += 1
+        else:
+            check_publish(b, conn, *args)
+        assert tree_entries(b) == {(cid, f, q) for cid, s in b.sessions.items()
+                                   for f, q in s.subscriptions.items()}
+    if online:
+        conn = conns[min(online)][-1]
+        for topic in SWEEP:
+            check_publish(b, conn, topic, 1)
+
+
+def check_publish(broker, conn, topic, qos):
+    expected = scan_deliveries(broker, topic, qos, broker._next_msgid)
+    out = broker.handle(MqttMessage(mqtt.PUBLISH, topic=topic, payload=b"x", qos=qos,
+                                    msgid=9 if qos else 0), conn)
+    got = [(d.conn, d.message.qos, d.message.msgid)
+           for d in out if d.message.kind == mqtt.PUBLISH]
+    assert got == expected, topic
+
+
+def test_broker_routing_cost_does_not_scan_sessions(monkeypatch):
+    b = Broker()
+    n = 10_000
+    conns = [f"conn{i}" for i in range(n)]  # handles are compared by identity
+    for i, conn in enumerate(conns):
+        connect(b, conn, f"dev{i}")
+        b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1,
+                             topics=((f"dev/{i}/in", 1), (f"grp/{i // 50}/#", 0))), conn)
+    calls = []
+    real = mqtt.topic_matches
+    monkeypatch.setattr(mqtt, "topic_matches", lambda f, t: calls.append(1) or real(f, t))
+
+    out = b.handle(MqttMessage(mqtt.PUBLISH, topic="dev/4321/in", payload=b"m", qos=1,
+                               msgid=7), conns[1])
+    pubs = [d for d in out if d.message.kind == mqtt.PUBLISH]
+    assert [(d.conn, d.message.qos) for d in pubs] == [("conn4321", 1)]
+
+    out = b.handle(MqttMessage(mqtt.PUBLISH, topic="grp/17/news", payload=b"m"), conns[1])
+    members = sorted(f"dev{i}" for i in range(17 * 50, 18 * 50))
+    assert [d.conn for d in out] == [f"conn{cid[3:]}" for cid in members]
+    assert calls == []
+
+    for conn in conns:
+        b.drop_connection(conn)
+    assert not b.sessions
+    assert not b._tree.children and not b._tree.subscribers
