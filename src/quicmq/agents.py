@@ -283,8 +283,6 @@ class ClientAgent:
 
     @staticmethod
     def _sanity(raw: bytes) -> None:
-        if not mqtt.valid_mqtt_header(raw):
-            raise AgentError("sanity", "invalid MQTT header")
         if len(raw) > MAX_MESSAGE_SIZE:
             raise AgentError("sanity", f"message of {len(raw)} bytes exceeds limit")
 
@@ -309,6 +307,10 @@ class ClientAgent:
                 retain: bool = False, stream_id: int = PRIMARY_STREAM) -> int:
         if self.state is None:
             raise AgentError("transport", "not connected")
+        try:
+            mqtt.check_publish_topic(topic)  # a topic the broker would refuse
+        except MqttError as e:
+            raise AgentError("sanity", str(e)) from None
         msgid = self._fresh_msgid() if qos else 0
         msg = MqttMessage(mqtt.PUBLISH, topic=topic, payload=payload, qos=qos,
                           retained=retain, msgid=msgid)
@@ -321,8 +323,8 @@ class ClientAgent:
         return msgid
 
     def disconnect(self) -> None:
-        """Clean teardown: DISCONNECT and the transport CLOSE leave in one
-        datagram."""
+        """Clean teardown: the transport CLOSE rides on the packet that
+        carries the DISCONNECT."""
         if self.conn is None or self.conn.phase in ("draining", "closed"):
             return
         self.state.send(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.DISCONNECT)))

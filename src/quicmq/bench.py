@@ -278,21 +278,27 @@ def _hol_world(config: SimConfig, seed: int, streams: int, messages: int,
     return latencies, net
 
 
+def _hol_schedule(config: SimConfig, drop_rate: int) -> tuple[int, float, float]:
+    """Check a HOL drop rate (percent) and return (drop_every_n, one-way
+    delay, publish interval). The interval is scaled to the link and capped
+    so that loss detection stays ack-driven rather than bounded by the
+    retransmission-timer floor."""
+    if drop_rate not in (0, 10, 20, 50):
+        raise BenchError(f"unsupported drop rate {drop_rate}")
+    delay_s = config.delay_ms / 1000.0
+    interval_s = max(0.001, min(4.0 * delay_s, 0.02))
+    return (100 // drop_rate if drop_rate else 0), delay_s, interval_s
+
+
 def bench_hol(profile: str | SimConfig = "wired", drop_rate: int = 10,
               streams: int = 2, messages: int = 200, seed: int = 0,
               trace_path: str | None = None) -> BenchResult:
     """Per-message delivery latency with deterministic per-flow drops: the
     QUIC stack over the simulator versus the ordered-delivery TCP model."""
     config = _profile(profile)
-    if drop_rate not in (0, 10, 20, 50):
-        raise BenchError(f"unsupported drop rate {drop_rate}")
+    drop_every_n, delay_s, interval_s = _hol_schedule(config, drop_rate)
     if streams < 2:
         raise BenchError("need at least 2 streams for isolation checks")
-    drop_every_n = 0 if drop_rate == 0 else 100 // drop_rate
-    delay_s = config.delay_ms / 1000.0
-    # Publish interval scaled to the link, capped so that loss detection
-    # stays ack-driven rather than bounded by the retransmission-timer floor.
-    interval_s = max(0.001, min(4.0 * delay_s, 0.02))
     # Timeout model for the ordered-delivery baseline: smoothed-RTT plus a
     # backoff margin scaled to the send rate.
     tcp_rto_s = 4.0 * delay_s + 20.0 * interval_s
@@ -341,9 +347,7 @@ def bench_stream_isolation(profile: str | SimConfig = "wired", drop_rate: int = 
     """Two streams, drops confined to the first: the untouched stream's
     per-message latencies must equal a lossless run exactly."""
     config = _profile(profile)
-    drop_every_n = 100 // drop_rate
-    delay_s = config.delay_ms / 1000.0
-    interval_s = max(0.001, min(4.0 * delay_s, 0.02))
+    drop_every_n, _, interval_s = _hol_schedule(config, drop_rate)
     lossless, _ = _hol_world(config, seed, 2, messages, interval_s, 0, None)
     isolated, _ = _hol_world(config, seed, 2, messages, interval_s, drop_every_n,
                              isolate_stream=3)

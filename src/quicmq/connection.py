@@ -45,7 +45,6 @@ from .wire import (
     MARKER_DATA,
     MARKER_HANDSHAKE,
     PacketHeader,
-    PingFrame,
     RstStreamFrame,
     StreamFrame,
     WindowUpdateFrame,
@@ -154,9 +153,8 @@ class Stream:
     def __init__(self, stream_id: int, window: int):
         self.stream_id = stream_id
         # send side
-        self.send_queue: list[bytes] = []
+        self.send_buf = bytearray()  # written, not yet packetized
         self.send_offset = 0  # next offset to packetize
-        self.queued_bytes = 0
         self.fin_queued = False
         self.fin_sent = False
         self.peer_limit = window
@@ -166,48 +164,34 @@ class Stream:
         self.fin_offset: int | None = None
         self.advertised = window
         self.window = window
-        self.state = "open"
 
     # -- send --------------------------------------------------------------
 
     def write(self, data: bytes, fin: bool = False) -> None:
-        if self.state == "closed" or self.fin_queued:
+        if self.fin_queued:
             raise TransportError("stream_closed", f"stream {self.stream_id}")
-        if data:
-            self.send_queue.append(data)
-            self.queued_bytes += len(data)
+        self.send_buf += data
         if fin:
             self.fin_queued = True
 
     def sendable(self, conn_room: int) -> int:
         room = min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK)
-        return max(0, min(self.queued_bytes, room))
+        return max(0, min(len(self.send_buf), room))
 
     def has_pending(self) -> bool:
-        return self.queued_bytes > 0 or (self.fin_queued and not self.fin_sent)
-
-    def blocked(self, conn_room: int) -> bool:
-        return self.queued_bytes > 0 and self.sendable(conn_room) == 0
+        return bool(self.send_buf) or (self.fin_queued and not self.fin_sent)
 
     def take_chunk(self, limit: int) -> tuple[bytes, bool, int]:
         """Dequeue up to ``limit`` bytes; returns (data, fin, offset). The
-        FIN goes out with the chunk that drains the queue, or alone after."""
-        out = bytearray()
-        while self.send_queue and len(out) < limit:
-            data = self.send_queue[0]
-            take = min(len(data), limit - len(out))
-            out += data[:take]
-            if take < len(data):
-                self.send_queue[0] = data[take:]
-            else:
-                self.send_queue.pop(0)
-        fin = self.fin_queued and not self.fin_sent and not self.send_queue
-        self.queued_bytes -= len(out)
+        FIN goes out with the chunk that drains the buffer, or alone after."""
+        data = bytes(self.send_buf[:limit])
+        del self.send_buf[:limit]
+        fin = self.fin_queued and not self.fin_sent and not self.send_buf
         offset = self.send_offset
-        self.send_offset += len(out)
+        self.send_offset += len(data)
         if fin:
             self.fin_sent = True
-        return bytes(out), fin, offset
+        return data, fin, offset
 
     # -- receive ------------------------------------------------------------
 
@@ -266,7 +250,6 @@ class Connection:
         self.session = session
 
         self.phase = IDLE
-        self.handshake_completed = False
         self.ik: KeySet | None = None
         self.k: KeySet | None = None
 
@@ -276,8 +259,6 @@ class Connection:
         self.received_sqns: set[int] = set()
         self.largest_received = 0
         self.ack_needed = False
-        self._acked_upto = 0
-        self._acked_count = 0
         self.auth_failures = 0
         self.last_reject_reason = ""
         self._peer_on_k = False  # a packet under k has opened from the peer
@@ -300,7 +281,6 @@ class Connection:
         self._control_frames: list = []
         self._close_pending: CloseFrame | None = None
         self._close_sent = False
-        self._close_received = False
 
         # handshake driver state
         self._hs_secrets: ClientHelloSecrets | None = None
@@ -347,7 +327,7 @@ class Connection:
         return None
 
     def _send_epoch(self) -> int:
-        return EPOCH_K if self.handshake_completed else EPOCH_IK
+        return EPOCH_K if self.k is not None else EPOCH_IK
 
     def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str,
                      version: bool = False) -> int:
@@ -552,14 +532,16 @@ class Connection:
             return
         # The REJ both answers an inchoate hello and rejects a resumption
         # attempt; either way the next step is a fresh full CHLO.
-        if self.phase == KEY_EXCHANGED:
-            self._requeue_unacked_data()
         self.phase = REJECTED
         self._hs_scfg = scfg
         self._emit(SessionTicket(scfg, stk))
         chlo, secrets = build_full_chlo(scfg, stk, self._now(), self.rng)
         self._send_full_chlo(chlo, secrets)
         self._arm_handshake_timer()
+        # The server never opened what went out under the rejected keys: the
+        # same frames go out again under the fresh ik.
+        for record in list(self.sent_packets.values()):
+            self._retransmit(record)
 
     def _client_on_shlo(self, inner: bytes) -> None:
         if self.phase != KEY_EXCHANGED or self.role != "client":
@@ -582,7 +564,6 @@ class Connection:
             self._fail_handshake("shlo_invalid")
             return
         self.phase = ESTABLISHED
-        self.handshake_completed = True
         if self._hs_timer is not None:
             self._hs_timer.cancel()
             self._hs_timer = None
@@ -647,7 +628,6 @@ class Connection:
             ephemeral, self._hs_client_pub, self._hs_nonc, self.cid,
             self._hs_chlo_wire, inner)
         self.phase = ESTABLISHED
-        self.handshake_completed = True
         self._emit(HandshakeDone(resumed=False))
         self.flush()
 
@@ -664,26 +644,22 @@ class Connection:
         except WireError:
             self.auth_failures += 1
             return
-        ack_eliciting = False
+        # An ack is owed from the moment an ack-eliciting packet opens; any
+        # packet its frames cause to be sent carries the ack and clears it.
+        if any(not isinstance(f, (AckFrame, CloseFrame)) for f in frames):
+            self.ack_needed = True
         for frame in frames:
             if isinstance(frame, AckFrame):
                 self._on_ack_frame(frame)
             elif isinstance(frame, StreamFrame):
-                ack_eliciting = True
                 self._on_stream_frame(frame)
             elif isinstance(frame, WindowUpdateFrame):
-                ack_eliciting = True
                 self._on_window_update(frame)
             elif isinstance(frame, RstStreamFrame):
-                ack_eliciting = True
                 self._on_rst_stream(frame)
-            elif isinstance(frame, PingFrame):
-                ack_eliciting = True
             elif isinstance(frame, CloseFrame):
                 self._on_close_frame(frame)
                 return
-        if ack_eliciting:
-            self.ack_needed = True
 
     def _on_stream_frame(self, frame: StreamFrame) -> None:
         if frame.stream_id == HANDSHAKE_STREAM_ID:
@@ -731,14 +707,12 @@ class Connection:
         if stream.fin_offset is not None and stream.fin_offset != frame.final_offset:
             self.close(error_code=1, reason=b"final_offset_changed")
             return
-        stream.state = "closed"
         self.closed_streams.add(frame.stream_id)
         self.streams.pop(frame.stream_id, None)
         self._emit(StreamData(frame.stream_id, b"", True))
 
     def _on_close_frame(self, frame: CloseFrame) -> None:
-        self._close_received = True
-        if not self._close_sent and self.phase not in (CLOSED,):
+        if not self._close_sent:
             self._close_pending = CloseFrame(frame.error_code, b"")
             self._flush_close()
         self._become_closed(f"peer_close:{frame.error_code}")
@@ -786,7 +760,7 @@ class Connection:
         self._rto_timer = None
         if self.phase == CLOSED:
             return
-        if self.role == "client" and not self.handshake_completed:
+        if self.role == "client" and self.k is None:
             # The hello retry timer owns recovery until settlement; initial
             # data that was lost goes out again under k once established.
             if self.sent_packets:
@@ -848,8 +822,8 @@ class Connection:
         self._idle_timer = self._rto_timer = self._hs_timer = None
 
     def close(self, error_code: int = 0, reason: bytes = b"") -> None:
-        """Start a clean close. The CLOSE frame rides in one packet with any
-        final stream data still queued (the usual DISCONNECT)."""
+        """Start a clean close. Queued stream data (the usual DISCONNECT)
+        goes out one chunk per packet, and the CLOSE frame rides on the last."""
         if self.phase in (DRAINING, CLOSED) or self._close_sent:
             return
         self._close_pending = CloseFrame(error_code, reason)
@@ -906,8 +880,6 @@ class Connection:
                 run_start = None
         if run_start is not None:
             gaps.append((run_start, self.largest_received))
-        self._acked_upto = self.largest_received
-        self._acked_count = len(self.received_sqns)
         self.ack_needed = False
         return AckFrame(self.largest_received, 0, tuple(gaps[-wire.MAX_NACK_RANGES:]))
 
@@ -951,10 +923,8 @@ class Connection:
     def _data_allowed(self) -> bool:
         if self.phase in (DRAINING, CLOSED):
             return False
-        if self.role == "client":
-            # Initial data rides under ik before settlement.
-            return self.ik is not None or self.handshake_completed
-        return self.handshake_completed
+        # A client's initial data rides under ik before settlement.
+        return (self.ik if self.role == "client" else self.k) is not None
 
     def _maybe_flush_blocked(self) -> None:
         if any(s.has_pending() for s in self.streams.values()):
@@ -994,57 +964,28 @@ class Connection:
         """Packetize everything currently sendable."""
         if self.phase == CLOSED:
             return
-        if self._close_pending is not None and not self._close_sent:
-            self._flush_close()
+        if self._close_pending is not None:
+            if self._flush_close():
+                self.phase = DRAINING
+                self.scheduler(self.config.drain_period_s, self._drain_done)
+            else:
+                self._become_closed("local_close")
             return
         if self._data_allowed():
             self._flush_data()
-        if self.ack_needed and (self.largest_received == self._acked_upto
-                                and len(self.received_sqns) == self._acked_count):
-            self.ack_needed = False  # a packet this flush already carried the acks
         if self.phase == ESTABLISHED and (self.ack_needed or self._control_frames):
             self._send_ack_packet()
 
-    def _flush_close(self) -> None:
-        """Emit the final packet: ack info, any remaining stream data (the
-        MQTT DISCONNECT, typically), and the CLOSE frame, in one datagram."""
-        close = self._close_pending
-        epoch = self._send_epoch()
-        keys = self._keys_for_epoch(epoch)
-        if keys is None:
-            self._close_sent = True
-            self._close_pending = None
-            self._become_closed("local_close")
-            return
-        frames: list = self._drain_control_frames()
-        if self._data_allowed():
-            frames += self._stream_chunks()
-        self._send_data_packet(frames, close=close)
+    def _flush_close(self) -> bool:
+        """Send the remaining stream chunks one per packet, ignoring the
+        congestion window, with the CLOSE frame on the last; returns False
+        when there are no keys to send under."""
+        close, self._close_pending = self._close_pending, None
         self._close_sent = True
-        self._close_pending = None
-        if self._close_received:
-            self._become_closed("peer_close")
-        elif self.phase != CLOSED:
-            self.phase = DRAINING
-            self.scheduler(self.config.drain_period_s, self._drain_done)
-
-    def _requeue_unacked_data(self) -> None:
-        """After a resumption rejection, everything sent under the stale ik
-        is re-queued to go out under the fresh keys."""
-        per_stream: dict[int, list[StreamFrame]] = {}
-        for record in list(self.sent_packets.values()):
-            self.sent_packets.pop(record.sqn, None)
-            for frame in record.frames:
-                if isinstance(frame, StreamFrame):
-                    per_stream.setdefault(frame.stream_id, []).append(frame)
-                elif isinstance(frame, (WindowUpdateFrame, RstStreamFrame)):
-                    self._control_frames.append(frame)
-        for stream_id, frames in per_stream.items():
-            frames.sort(key=lambda f: f.offset)
-            stream = self.stream_open(stream_id)
-            stream.send_queue[:0] = [f.data for f in frames if f.data]
-            stream.queued_bytes += sum(len(f.data) for f in frames)
-            stream.send_offset = frames[0].offset
-            if any(f.fin for f in frames):
-                stream.fin_sent = False
-        self.conn_bytes_sent = sum(s.send_offset for s in self.streams.values())
+        if self._keys_for_epoch(self._send_epoch()) is None:
+            return False
+        chunks = list(self._stream_chunks()) if self._data_allowed() else []
+        for frame in chunks[:-1]:
+            self._send_data_packet([frame])
+        self._send_data_packet(chunks[-1:], close=close)
+        return True

@@ -159,35 +159,6 @@ def encode(msg: MqttMessage) -> bytes:
     return bytes([(kind << 4) | flags]) + _encode_remaining_length(len(body)) + body
 
 
-def valid_mqtt_header(data: bytes) -> bool:
-    """Pure predicate: does ``data`` begin with a plausible fixed header?
-
-    Checks the kind nibble, its reserved flag bits, and that the remaining
-    length field is well formed. Truncated bodies pass the header check and
-    fail later in decode.
-    """
-    if not data:
-        return False
-    kind = data[0] >> 4
-    flags = data[0] & 0x0F
-    if kind not in KIND_NAMES:
-        return False
-    if kind in (SUBSCRIBE, UNSUBSCRIBE):
-        if flags != 0x02:
-            return False
-    elif kind != PUBLISH and flags != 0:
-        return False
-    if kind == PUBLISH and (flags >> 1) & 0x03 > 1:
-        return False
-    try:
-        _decode_remaining_length(data, 1)
-    except IncompleteMessage:
-        return False
-    except MqttError:
-        return False
-    return True
-
-
 def decode(data: bytes) -> tuple[MqttMessage, int]:
     """Decode one message from the head of ``data``.
 
@@ -240,8 +211,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         return MqttMessage(CONNACK, session_present=bool(body[0] & 1), return_code=body[1]), end
     if kind == PUBLISH:
         topic, p = _decode_string(body, 0)
-        if not topic or "#" in topic or "+" in topic:
-            raise MqttError(f"invalid publish topic {topic!r}")
+        check_publish_topic(topic)
         msgid = 0
         if qos > 0:
             if len(body) - p < 2:
@@ -303,6 +273,13 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError("unexpected payload")
         return MqttMessage(kind), end
     raise MqttError(f"unknown message kind {kind}")
+
+
+def check_publish_topic(topic: str) -> None:
+    """Refuse a PUBLISH topic name that is empty or holds a wildcard
+    (MQTT 3.1.1 §4.7.3, §3.3.2.1)."""
+    if not topic or "#" in topic or "+" in topic:
+        raise MqttError(f"invalid publish topic {topic!r}")
 
 
 def _check_filter(filter_: str) -> None:
@@ -476,7 +453,7 @@ class Broker:
         if client_id is None:
             return
         session = self.sessions.get(client_id)
-        if session is None or session.conn is not conn:
+        if session is None or session.conn != conn:
             return
         session.conn = None
         if not session.persistent:

@@ -8,12 +8,13 @@ and seed reproduce a bit-identical event trace.
 
 Drop rules:
 
-* ``drop_every_n`` drops every n-th datagram of a flow, where a flow is the
-  source ``(ip, port)`` tuple, mirroring firewall-style interception rules.
 * ``loss_rate`` drops datagrams at random (seeded) - the stand-in for the
   wireless/long-distance testbeds' ambient loss.
-* ``add_periodic_drop`` installs a targeted every-n-th rule over the subset
-  of datagrams matching a predicate (used to confine drops to one stream).
+* ``add_periodic_drop(match, n)`` drops every n-th datagram of a flow among
+  those matching a predicate, where a flow is the source ``(ip, port)``
+  tuple, mirroring firewall-style interception rules. A predicate that
+  matches everything drops every n-th datagram of each flow; a narrower one
+  confines the drops, say to one stream.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class NetsimError(Exception):
 class SimConfig:
     name: str = "custom"
     delay_ms: float = 0.2
-    drop_every_n: int = 0  # 0 disables the rule
     loss_rate: float = 0.0
 
 
@@ -110,8 +110,6 @@ class SimNetwork:
         self._queue: list = []
         self._seq = 0
         self._rules: list[_PeriodicDrop] = []
-        if config.drop_every_n:
-            self._rules.append(_PeriodicDrop(lambda *a: True, config.drop_every_n))
 
     # -- endpoints ----------------------------------------------------------
 

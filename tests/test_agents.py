@@ -558,6 +558,23 @@ def test_subscribe_refuses_what_the_broker_would(topic, qos):
     assert [m.granted for m in client.rx_msg_queue if m.kind == mqtt.SUBACK] == [(1,)]
 
 
+def test_publish_refuses_a_topic_the_broker_would():
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    sent = len(net.trace)
+    for topic in ("a/+", "", "#"):
+        with pytest.raises(AgentError) as e:
+            client.publish(topic, b"m", qos=1)
+        assert e.value.stage == "sanity"
+    assert len(net.trace) == sent  # nothing left the host
+    assert not client.state.pending_qos1
+    client.publish("a/b", b"m")
+    net.run(until_s=3.0)
+    assert server.mqtt_errors == 0
+
+
 def test_server_survives_datagram_fuzzing():
     # The loop must survive arbitrary garbage: header fragments, valid
     # headers with bogus bodies, random epochs, and truncated seals.

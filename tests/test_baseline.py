@@ -72,7 +72,8 @@ def test_ladder_loss_recovery_adds_packets():
     # Deterministic drop of every 5th datagram of the publisher flow: each
     # loss event costs a probe, a spurious crossed retransmission, the
     # retransmission itself, and its ack.
-    net = SimNetwork(SimConfig(delay_ms=0.2, drop_every_n=5), seed=1)
+    net = SimNetwork(SimConfig(delay_ms=0.2), seed=1)
+    net.add_periodic_drop(lambda *a: True, 5)
     run_tcp_ladders(net, ("10.0.0.1", 4433), [(("10.0.0.2", 1), "publisher")])
     assert net.count_for_role("10.0.0.2") > 15
     sends = sum(1 for ev in net.trace if ev.event == "send")

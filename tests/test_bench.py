@@ -175,8 +175,13 @@ def test_hol_improvement_positive_and_files(tmp_path):
 
 
 def test_hol_rejects_bad_rate():
-    with pytest.raises(BenchError):
-        bench_hol("wired", drop_rate=33)
+    for bench in (bench_hol, bench_stream_isolation):
+        for rate in (33, 5, -10, 100):
+            with pytest.raises(BenchError):
+                bench("wired", drop_rate=rate)
+    # Rate 0 is a lossless run, not a division by zero.
+    res = bench_stream_isolation("wired", drop_rate=0, messages=10, seed=2)
+    assert res.data["clean_stream_identical"] is True
 
 
 def test_stream_isolation_clean_stream_untouched():

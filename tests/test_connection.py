@@ -61,7 +61,7 @@ def test_1rtt_completes_with_identical_keys(world):
     server_conn = server_ep.only_conn()
     assert conn.phase == "established"
     assert server_conn.phase == "established"
-    assert conn.handshake_completed and server_conn.handshake_completed
+    assert conn.k is not None and server_conn.k is not None
     assert conn.ik == server_conn.ik
     assert conn.k == server_conn.k
     assert conn.k != conn.ik
@@ -224,22 +224,28 @@ def test_0rtt_expired_scfg_falls_back_client_side(world):
 def test_0rtt_unknown_scid_falls_back_transparently(world):
     session, identity = warm_session(world)
     identity.rotate_scfg(1.0, Random(77))
-    net, client_ep, server_ep, _ = world(session=session, identity=identity,
-                                         client_seed=99)
-    conn = client_ep.make_client()
-    conn.send_stream(3, b"\x30\x04\x00\x01tx")
-    assert conn.start_connect() == "0rtt"
-    client_ep.pump(conn.cid)
-    net.run(until_s=3.0)
-    # Server rejected the stale scid; the connection still completed.
-    assert conn.phase == "established"
-    assert server_ep.only_conn().last_reject_reason == "scid_expired"
-    annotations = [a for _, a in client_ep.sent]
-    assert annotations[0] == "chlo_full"
-    assert "chlo_full" in annotations[2:]  # fresh hello after the REJ
-    # The queued data went out again under the fresh keys.
-    server_data = [ev for _, ev in server_ep.events if isinstance(ev, StreamData)]
-    assert b"".join(ev.data for ev in server_data if ev.stream_id == 3) == b"\x30\x04\x00\x01tx"
+    # One small write, then several chunks plus FIN in flight when the REJ lands.
+    for seed, payload, fin, chunks in ((99, b"\x30\x04\x00\x01tx", False, 1),
+                                       (98, bytes(range(256)) * 12, True, 3)):
+        net, client_ep, server_ep, _ = world(session=session, identity=identity,
+                                             client_seed=seed)
+        conn = client_ep.make_client()
+        conn.send_stream(3, payload, fin=fin)
+        assert conn.start_connect() == "0rtt"
+        client_ep.pump(conn.cid)
+        first_flight = [a for _, a in client_ep.sent]
+        assert first_flight == ["chlo_full"] + ["data s3"] * chunks
+        net.run(until_s=3.0)
+        # Server rejected the stale scid; the connection still completed.
+        assert conn.phase == "established"
+        assert server_ep.only_conn().last_reject_reason == "scid_expired"
+        annotations = [a for _, a in client_ep.sent]
+        assert "chlo_full" in annotations[2:]  # fresh hello after the REJ
+        # The data went out again under the fresh keys, each byte and the
+        # FIN delivered exactly once.
+        server_data = [ev for ev in server_ep.events_of(StreamData) if ev.stream_id == 3]
+        assert b"".join(ev.data for ev in server_data) == payload
+        assert sum(ev.fin for ev in server_data) == int(fin)
 
 
 def test_0rtt_replayed_chlo_rejected(world):
@@ -707,6 +713,35 @@ def test_activity_resets_idle_timer(world):
     assert server_conn.phase == "established"
     net.run(until_s=25.0)
     assert server_conn.phase == "closed"
+
+
+def test_close_sends_queued_data_one_chunk_per_packet(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    payload = bytes(range(250)) * 20  # 5000 B, more than four chunks
+    conn.send_stream(3, payload)
+    conn.close()
+    sent_before = len(client_ep.sent)
+    client_ep.pump(conn.cid)
+    flight = client_ep.sent[sent_before:]
+    assert len(flight) == 5
+    assert max(len(p) for p, _ in flight) <= HANDSHAKE_PACKET_LEN
+    assert [a for _, a in flight] == ["data s3"] * 4 + ["close"]  # CLOSE on the last
+    net.run(until_s=net.clock.now_s + 1.0)
+    received = [ev for ev in server_ep.events_of(StreamData) if ev.stream_id == 3]
+    assert b"".join(ev.data for ev in received) == payload
+    assert server_conn.phase == "closed"
+    assert conn.phase == "closed"
+
+
+def test_peer_close_reports_the_error_code(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    server_conn.close(error_code=7)
+    server_ep.pump(server_conn.cid)
+    net.run(until_s=net.clock.now_s + 1.0)
+    assert [ev.reason for ev in client_ep.events_of(Closed)] == ["peer_close:7"]
+    assert [ev.reason for ev in server_ep.events_of(Closed)] == ["peer_close:7"]
 
 
 def test_clean_close_handshake(world):

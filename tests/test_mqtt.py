@@ -13,7 +13,6 @@ from quicmq.mqtt import (
     decode,
     encode,
     topic_matches,
-    valid_mqtt_header,
 )
 
 topic_names = st.from_regex(r"[a-z0-9]{1,8}(/[a-z0-9]{1,8}){0,3}", fullmatch=True)
@@ -147,39 +146,50 @@ def test_bad_publish_qos_refused_before_the_body():
     assert not isinstance(e.value, IncompleteMessage)
 
 
-def test_valid_mqtt_header_predicate():
-    good = encode(MqttMessage(mqtt.PUBLISH, topic="t", payload=b"x"))
-    assert valid_mqtt_header(good)
-    assert not valid_mqtt_header(b"")
-    assert not valid_mqtt_header(b"\x00\x00")  # kind 0 reserved
-    assert not valid_mqtt_header(b"\xf0\x00")  # kind 15 reserved
-    assert not valid_mqtt_header(bytes([mqtt.SUBSCRIBE << 4]) + b"\x00")  # bad flags
+def test_malformed_fixed_header_refused():
+    for raw in (
+        b"\x00\x00",  # kind 0 reserved
+        b"\xf0\x00",  # kind 15 reserved
+        bytes([mqtt.SUBSCRIBE << 4]) + b"\x00",  # SUBSCRIBE flags must be 0b0010
+        bytes([mqtt.UNSUBSCRIBE << 4 | 0x0A]) + b"\x00",
+        bytes([mqtt.PINGREQ << 4 | 0x01]) + b"\x00",  # flags on a flagless kind
+        bytes([mqtt.PUBACK << 4]) + b"\xff\xff\xff\xff\x01",  # 5-byte length
+    ):
+        with pytest.raises(MqttError) as e:
+            decode(raw)
+        assert not isinstance(e.value, IncompleteMessage), raw
+    with pytest.raises(IncompleteMessage):
+        decode(b"")
+
+
+@pytest.mark.parametrize("topic", ["", "a/+", "+", "a/#", "#", "a+b"])
+def test_invalid_publish_topic_refused(topic):
+    with pytest.raises(MqttError):
+        mqtt.check_publish_topic(topic)
+    with pytest.raises(MqttError) as e:
+        decode(encode(MqttMessage(mqtt.PUBLISH, topic=topic, payload=b"x")))
+    assert not isinstance(e.value, IncompleteMessage)
 
 
 def test_header_valid_but_body_truncated_distinguished():
-    # Fuzz corpus: the header predicate passes but the parse stage errors.
+    # Fuzz corpus: the fixed header is well formed but the body parse errors.
     raw = encode(MqttMessage(mqtt.CONNECT, client_id="abc"))
-    cut = raw[: len(raw) - 2]
     # Rewrite remaining length so the header is self-consistent but the body
     # is short on string bytes.
     body = raw[2:-2]
     fixed = raw[:1] + bytes([len(body)]) + body
-    assert valid_mqtt_header(fixed)
-    with pytest.raises(MqttError):
+    with pytest.raises(MqttError) as e:
         decode(fixed)
+    assert not isinstance(e.value, IncompleteMessage)
 
 
 @settings(max_examples=200)
 @given(st.binary(max_size=30))
 def test_random_bytes_never_crash(data):
-    if valid_mqtt_header(data):
-        try:
-            decode(data)
-        except (MqttError, IncompleteMessage):
-            pass
-    else:
-        with pytest.raises((MqttError, IncompleteMessage)):
-            decode(data)
+    try:
+        decode(data)
+    except MqttError:  # IncompleteMessage included
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +294,25 @@ def test_broker_transient_session_discarded():
     b.drop_connection("c1")
     out = connect(b, "c2", "dev1", persistent=False)
     assert not out[0].message.session_present
+
+
+def test_broker_drops_transient_sessions_by_equal_handles():
+    b = Broker()
+    connect(b, "p", "pub")
+    handles = [f"conn{i}" for i in range(3)]
+    for i, conn in enumerate(handles):
+        connect(b, conn, f"dev{i}")
+        b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=((f"dev/{i}", 0),)), conn)
+    for i, conn in enumerate(handles):
+        rebuilt = f"conn{i}"
+        assert rebuilt == conn and rebuilt is not conn
+        b.drop_connection(rebuilt)
+    assert set(b.sessions) == {"pub"}
+    assert list(b._by_conn) == ["p"]
+    assert not b._tree.children and not b._tree.subscribers
+    for i in range(3):
+        out = b.handle(MqttMessage(mqtt.PUBLISH, topic=f"dev/{i}", payload=b"m"), "p")
+        assert out == []
 
 
 def test_broker_disconnect_frees_state():
@@ -464,7 +493,7 @@ def check_publish(broker, conn, topic, qos):
 def test_broker_routing_cost_does_not_scan_sessions(monkeypatch):
     b = Broker()
     n = 10_000
-    conns = [f"conn{i}" for i in range(n)]  # handles are compared by identity
+    conns = [f"conn{i}" for i in range(n)]
     for i, conn in enumerate(conns):
         connect(b, conn, f"dev{i}")
         b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1,

@@ -27,7 +27,8 @@ def test_lossless_delivery_in_order():
 
 
 def test_drop_every_n_pattern():
-    net, inbox, register = make_net(SimConfig(delay_ms=1.0, drop_every_n=10))
+    net, inbox, register = make_net()
+    net.add_periodic_drop(lambda *a: True, 10)
     a, b = ("10.0.0.1", 1000), ("10.0.0.2", 2000)
     register(a)
     register(b)
@@ -38,8 +39,10 @@ def test_drop_every_n_pattern():
     assert delivered == set(range(1, 31)) - {10, 20, 30}
 
 
-def test_drop_every_n_zero_disables():
-    net, inbox, register = make_net(SimConfig(delay_ms=1.0, drop_every_n=0))
+def test_periodic_drop_refuses_a_zero_period():
+    net, inbox, register = make_net()
+    with pytest.raises(NetsimError):
+        net.add_periodic_drop(lambda *a: True, 0)
     a, b = ("10.0.0.1", 1000), ("10.0.0.2", 2000)
     register(a)
     register(b)
@@ -54,7 +57,8 @@ def test_two_flows_independent_counters():
     # flow A sends A1 A2 A3 A4, flow B sends B1 B2 B3 B4, interleaved
     # A1 B1 A2 B2 A3 B3 A4 B4. Per-flow counters drop each flow's 2nd and
     # 4th datagram: A2, A4, B2, B4.
-    net, inbox, register = make_net(SimConfig(delay_ms=1.0, drop_every_n=2))
+    net, inbox, register = make_net()
+    net.add_periodic_drop(lambda *a: True, 2)
     a, b = ("10.0.0.1", 1000), ("10.0.0.2", 2000)
     sink = ("10.0.0.3", 3000)
     register(a)
