@@ -291,14 +291,18 @@ class ClientAgent:
     def subscribe(self, topic: str, qos: int = 0, stream_id: int = PRIMARY_STREAM) -> int:
         if self.state is None:
             raise AgentError("transport", "not connected")
-        msgid = self._fresh_msgid()
+        if qos not in (0, 1, 2):
+            raise AgentError("sanity", f"bad requested qos {qos}")
+        # The msgid is spent only once the message would be accepted.
+        msgid = self._next_msgid
         raw = mqtt.encode(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid,
                                       topics=((topic, qos),)))
         self._sanity(raw)
         try:
-            mqtt.decode(raw)  # a filter or qos the broker would refuse
+            mqtt.decode(raw)  # a filter the broker would refuse
         except MqttError as e:
             raise AgentError("sanity", str(e)) from None
+        self._fresh_msgid()
         self.state.send(stream_id, raw)
         _pump(self.network, self.conn)
         return msgid
@@ -311,11 +315,17 @@ class ClientAgent:
             mqtt.check_publish_topic(topic)  # a topic the broker would refuse
         except MqttError as e:
             raise AgentError("sanity", str(e)) from None
-        msgid = self._fresh_msgid() if qos else 0
+        # The msgid is spent only once the message would be accepted.
+        msgid = self._next_msgid if qos else 0
         msg = MqttMessage(mqtt.PUBLISH, topic=topic, payload=payload, qos=qos,
                           retained=retain, msgid=msgid)
-        raw = mqtt.encode(msg)
+        try:
+            raw = mqtt.encode(msg)  # a qos the broker would refuse
+        except MqttError as e:
+            raise AgentError("sanity", str(e)) from None
         self._sanity(raw)
+        if qos:
+            self._fresh_msgid()
         self.state.send(stream_id, raw)
         if qos == 1:
             self.state.track_qos1(msg, stream_id)

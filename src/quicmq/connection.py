@@ -12,12 +12,13 @@ queue responses before the flush.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterator
 
 from . import wire
-from .crypto import KeySet, NULL_KEYS
+from .crypto import GCM_TAG_LEN, KeySet, NULL_KEYS
 from .handshake import (
     ClientHelloSecrets,
     HandshakeError,
@@ -52,6 +53,8 @@ from .wire import (
     decode_frames,
     decode_header,
     encode_frames,
+    frame_len,
+    header_len,
     open_packet_body,
     seal_packet,
 )
@@ -144,6 +147,80 @@ class SentPacket:
 
     def has_close(self) -> bool:
         return any(isinstance(f, CloseFrame) for f in self.frames)
+
+
+class ReceivedSqns:
+    """The sequence numbers received from the peer: every number below
+    ``floor``, plus sorted, disjoint, non-adjacent inclusive ranges above it.
+    The peer raises the floor by naming its least unacked number, so what is
+    held is the gaps the peer still waits on, not the connection's age.
+    ``len()`` counts the ranges held; ``in`` asks whether a number counts as
+    received."""
+
+    def __init__(self):
+        self.floor = 1  # sqns start at 1
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __contains__(self, sqn: int) -> bool:
+        if sqn < self.floor:
+            return True
+        i = bisect_right(self._starts, sqn)
+        return i > 0 and sqn <= self._ends[i - 1]
+
+    @property
+    def largest(self) -> int:
+        return self._ends[-1] if self._ends else self.floor - 1
+
+    def add(self, sqn: int) -> bool:
+        """Record ``sqn``; False if it already counts as received."""
+        if sqn < self.floor:
+            return False
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, sqn)
+        if i and sqn <= ends[i - 1]:
+            return False
+        joins_above = i < len(starts) and starts[i] == sqn + 1
+        if i == 0 and sqn == self.floor:
+            if joins_above:
+                self.floor = ends[0] + 1
+                del starts[0], ends[0]
+            else:
+                self.floor = sqn + 1
+        elif i and ends[i - 1] == sqn - 1:
+            if joins_above:
+                ends[i - 1] = ends[i]
+                del starts[i], ends[i]
+            else:
+                ends[i - 1] = sqn
+        elif joins_above:
+            starts[i] = sqn
+        else:
+            starts.insert(i, sqn)
+            ends.insert(i, sqn)
+        return True
+
+    def raise_floor(self, floor: int) -> None:
+        """Count every number below ``floor`` as received; never lowers it.
+        Ranges that reach the new floor merge into it."""
+        if floor <= self.floor:
+            return
+        k = bisect_right(self._starts, floor)
+        if k:
+            floor = max(floor, self._ends[k - 1] + 1)
+            del self._starts[:k], self._ends[:k]
+        self.floor = floor
+
+    def gaps(self) -> list[tuple[int, int]]:
+        """The missing numbers from the floor up to the largest received,
+        as inclusive ranges, oldest first."""
+        if not self._starts:
+            return []
+        lows = [self.floor] + [end + 1 for end in self._ends]
+        return [(low, start - 1) for low, start in zip(lows, self._starts)]
 
 
 class Stream:
@@ -256,8 +333,7 @@ class Connection:
         # One send counter per direction; receipts deduplicated by sqn.
         self.next_sqn = 1
         self._last_sqn = 0  # high-water mark of allocated sqns
-        self.received_sqns: set[int] = set()
-        self.largest_received = 0
+        self.received_sqns = ReceivedSqns()
         self.ack_needed = False
         self.auth_failures = 0
         self.last_reject_reason = ""
@@ -340,6 +416,9 @@ class Connection:
             div_nonce=self.identity.scfg.div_nonce
             if self.role == "server" and epoch == EPOCH_IK else None,
         )
+        if marker == MARKER_DATA:
+            # Every data packet leads with current ack information.
+            frames = [self._ack_frame(header, frames)] + frames
         packet = seal_packet(header, bytes([marker]) + encode_frames(frames),
                              self._keys_for_epoch(epoch), self.role)
         self.outputs.append((packet, annotation))
@@ -455,13 +534,23 @@ class Connection:
             # still opens, so a lost server flight can be recovered.
             self.auth_failures += 1
             return
-        if header.sqn in self.received_sqns:
-            return  # duplicate delivery (replay or spurious retransmission)
-        self.received_sqns.add(header.sqn)
-        self.largest_received = max(self.largest_received, header.sqn)
-        # Cleartext packets are sealed under a public key set, so they are
-        # spoofable: they neither refresh the idle timer nor migrate the peer.
-        if header.epoch != EPOCH_CLEAR:
+        if header.epoch == EPOCH_CLEAR:
+            # Cleartext packets are sealed under a public key set, so anyone
+            # who knows the cid can forge one. They carry hellos only, never
+            # refresh the idle timer or migrate the peer, and once the
+            # handshake is over their sqns stay out of the ack state, where
+            # a forged one would be acked as if the peer had sent it.
+            if plain[:1] != bytes([MARKER_HANDSHAKE]):
+                self.auth_failures += 1
+                return
+            if (self.phase in (IDLE, INITIAL_SENT, REJECTED, KEY_EXCHANGED)
+                    and not self.received_sqns.add(header.sqn)):
+                return
+        elif not self.received_sqns.add(header.sqn):
+            # A replay, a spurious retransmission, or a packet below the
+            # floor the peer named (RFC 9000 §13.2.3).
+            return
+        else:
             self._last_rx = self._now()
 
         if self.phase == DRAINING:
@@ -598,7 +687,10 @@ class Connection:
         try:
             ik, nonc = identity.validate_full_chlo(msg, chlo_wire, src[0], self.cid, now)
         except HandshakeError as e:
+            # The REJ spent a sqn the client will acknowledge, so this
+            # connection answers the client's next hello too.
             self._reject_chlo(src, now, e.reason)
+            self.phase = REJECTED
             return
         self.ik = ik
         self._hs_nonc = nonc
@@ -650,7 +742,11 @@ class Connection:
             self.ack_needed = True
         for frame in frames:
             if isinstance(frame, AckFrame):
-                self._on_ack_frame(frame)
+                try:
+                    self._on_ack_frame(frame, header.sqn)
+                except TransportError as e:
+                    self.close(error_code=1, reason=e.reason.encode())
+                    return
             elif isinstance(frame, StreamFrame):
                 self._on_stream_frame(frame)
             elif isinstance(frame, WindowUpdateFrame):
@@ -719,17 +815,35 @@ class Connection:
 
     # -- acks and loss -----------------------------------------------------------
 
-    def _on_ack_frame(self, frame: AckFrame) -> None:
-        nacked: set[int] = set()
-        for start, end in frame.nack_ranges:
-            nacked.update(range(start, end + 1))
+    def _on_ack_frame(self, frame: AckFrame, carrier_sqn: int) -> None:
+        """Apply an ACK that arrived in packet ``carrier_sqn``. Every
+        outstanding packet up to ``largest_observed`` is acked unless a NACK
+        range names it. The walk is over the outstanding records, never over
+        the extent of the ranges."""
+        largest = frame.largest_observed
+        ranges = frame.nack_ranges
+        if largest >= self.next_sqn:
+            raise TransportError("ack_of_unsent_packet", str(largest))  # RFC 9000 §13.1
+        if frame.least_unacked > carrier_sqn:
+            raise TransportError("least_unacked_ahead", str(frame.least_unacked))
+        prev_end = -1
+        for start, end in ranges:
+            if not prev_end < start <= end < largest:
+                raise TransportError("bad_nack_ranges")
+            prev_end = end
+        self.received_sqns.raise_floor(frame.least_unacked)
+        starts = [start for start, _ in ranges]
         now = self._now()
+        # sent_packets is in sqn order: records are added as sqns are spent.
         for sqn, record in list(self.sent_packets.items()):
-            if sqn in nacked:
+            if sqn > largest:
+                break
+            i = bisect_right(starts, sqn) if starts else 0
+            if i and sqn <= ranges[i - 1][1]:
                 record.nack_count += 1
                 if record.nack_count >= NACK_THRESHOLD:
                     self._retransmit(record)
-            elif sqn <= frame.largest_observed:
+            else:
                 rtt = now - record.sent_at
                 self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
                 del self.sent_packets[sqn]
@@ -796,14 +910,20 @@ class Connection:
         now = self._now()
         deadline = self._last_rx + self.config.idle_timeout_s
         if now + 1e-6 >= deadline:  # clock granularity is one microsecond
-            self.phase = DRAINING
-            self.scheduler(self.config.drain_period_s, self._drain_done)
+            self._drain("idle_timeout")
         else:
             self._idle_timer = self.scheduler(deadline - now, self._on_idle)
 
-    def _drain_done(self) -> None:
-        if self.phase == DRAINING:
-            self._become_closed("idle_timeout")
+    def _drain(self, reason: str) -> None:
+        """Drain for the drain period, then close with ``reason`` unless the
+        peer's CLOSE ends the connection first."""
+        self.phase = DRAINING
+
+        def drain_done() -> None:
+            if self.phase == DRAINING:
+                self._become_closed(reason)
+
+        self.scheduler(self.config.drain_period_s, drain_done)
 
     def _become_closed(self, reason: str) -> None:
         if self.phase == CLOSED:
@@ -868,27 +988,31 @@ class Connection:
 
     # ------------------------------------------------------------------- flush
 
-    def _ack_frame(self) -> AckFrame:
-        gaps: list[tuple[int, int]] = []
-        run_start = None
-        for sqn in range(1, self.largest_received + 1):
-            if sqn not in self.received_sqns:
-                if run_start is None:
-                    run_start = sqn
-            elif run_start is not None:
-                gaps.append((run_start, sqn - 1))
-                run_start = None
-        if run_start is not None:
-            gaps.append((run_start, self.largest_received))
+    def _ack_frame(self, header: PacketHeader, frames: list) -> AckFrame:
+        """The ACK that leads the packet ``header`` ahead of ``frames``. It
+        names this end's floor: the oldest packet still outstanding, or this
+        packet's own sqn. Its gaps get the room the other frames leave
+        within the packet budget; those that do not fit are left out from
+        the newest end, and largest_observed drops to just below the first
+        gap left out, since a gap not reported reads as received."""
+        received = self.received_sqns
+        gaps = received.gaps()
+        largest = received.largest
+        if gaps:
+            room = (HANDSHAKE_PACKET_LEN - header_len(header) - 1 - GCM_TAG_LEN
+                    - sum(map(frame_len, frames)) - wire.ACK_FRAME_LEN)
+            fit = min(wire.MAX_NACK_RANGES, max(0, room // wire.NACK_RANGE_LEN))
+            if len(gaps) > fit:
+                largest = gaps[fit][0] - 1
+                gaps = gaps[:fit]
         self.ack_needed = False
-        return AckFrame(self.largest_received, 0, tuple(gaps[-wire.MAX_NACK_RANGES:]))
+        return AckFrame(largest, next(iter(self.sent_packets), header.sqn), tuple(gaps))
 
     def _send_ack_packet(self, epoch: int | None = None) -> None:
         epoch = epoch if epoch is not None else self._send_epoch()
         if self._keys_for_epoch(epoch) is None:
             return
-        frames = [self._ack_frame()] + self._drain_control_frames()
-        self._send_packet(epoch, MARKER_DATA, frames, "ack")
+        self._send_packet(epoch, MARKER_DATA, self._drain_control_frames(), "ack")
 
     def _drain_control_frames(self) -> list:
         frames, self._control_frames = self._control_frames, []
@@ -896,10 +1020,7 @@ class Connection:
 
     def _send_data_packet(self, frames: list, retx: bool = False,
                           close: CloseFrame | None = None) -> None:
-        # Every data packet carries current ack information.
-        out_frames: list = [self._ack_frame()]
-        out_frames += self._drain_control_frames()
-        out_frames += frames
+        out_frames = self._drain_control_frames() + frames
         if close is not None:
             out_frames.append(close)
         stream_ids = sorted({f.stream_id for f in out_frames if isinstance(f, StreamFrame)})
@@ -966,8 +1087,7 @@ class Connection:
             return
         if self._close_pending is not None:
             if self._flush_close():
-                self.phase = DRAINING
-                self.scheduler(self.config.drain_period_s, self._drain_done)
+                self._drain("local_close")
             else:
                 self._become_closed("local_close")
             return

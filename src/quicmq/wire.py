@@ -36,6 +36,8 @@ FLAG_VERSION = 0x01
 FLAG_DIV_NONCE = 0x02
 
 MAX_NACK_RANGES = 256
+ACK_FRAME_LEN = 19  # kind(1) || largest_observed(8) || least_unacked(8) || count(2)
+NACK_RANGE_LEN = 16  # start(8) || end(8)
 
 HANDSHAKE_STREAM_ID = 1
 
@@ -108,6 +110,12 @@ def decode_header(data: bytes) -> tuple[PacketHeader, int]:
     return PacketHeader(cid, sqn, epoch, version, div_nonce), pos
 
 
+def header_len(h: PacketHeader) -> int:
+    """The encoded size of ``h``, without encoding it."""
+    return (17 + (4 if h.version is not None else 0)
+            + (32 if h.div_nonce is not None else 0))
+
+
 # ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------
@@ -130,8 +138,12 @@ class StreamFrame:
 
 @dataclass(frozen=True)
 class AckFrame:
+    """Every sqn up to ``largest_observed`` that no NACK range names counts
+    as received. ``least_unacked`` is the sender's own floor: it no longer
+    waits on any packet it sent below that number, so the receiver of this
+    frame may count them all as received (gQUIC's STOP_WAITING)."""
     largest_observed: int
-    delay_us: int = 0
+    least_unacked: int = 0
     # NACK ranges are inclusive (start, end) sqn pairs below largest_observed.
     nack_ranges: tuple[tuple[int, int], ...] = ()
 
@@ -174,7 +186,7 @@ def encode_frame(f: Frame) -> bytes:
         if len(f.nack_ranges) > MAX_NACK_RANGES:
             raise WireError(f"ack with {len(f.nack_ranges)} NACK ranges")
         out = bytes([KIND_ACK]) + struct.pack(
-            ">QQH", f.largest_observed, f.delay_us, len(f.nack_ranges)
+            ">QQH", f.largest_observed, f.least_unacked, len(f.nack_ranges)
         )
         for start, end in f.nack_ranges:
             out += struct.pack(">QQ", start, end)
@@ -190,6 +202,21 @@ def encode_frame(f: Frame) -> bytes:
     if isinstance(f, CloseFrame):
         return bytes([KIND_CLOSE]) + struct.pack(">IH", f.error_code, len(f.reason)) + f.reason
     raise WireError(f"unknown frame {f!r}")
+
+
+def frame_len(f: Frame) -> int:
+    """The encoded size of ``f``, without encoding it."""
+    if isinstance(f, StreamFrame):
+        return 18 + len(f.data)
+    if isinstance(f, AckFrame):
+        return ACK_FRAME_LEN + NACK_RANGE_LEN * len(f.nack_ranges)
+    if isinstance(f, WindowUpdateFrame):
+        return 13
+    if isinstance(f, RstStreamFrame):
+        return 17
+    if isinstance(f, CloseFrame):
+        return 7 + len(f.reason)
+    return 1  # PING
 
 
 def encode_frames(frames: list[Frame]) -> bytes:
@@ -215,7 +242,7 @@ def decode_frames(data: bytes) -> list[Frame]:
         elif kind == KIND_ACK:
             if n - pos < 18:
                 raise WireError("truncated ACK frame")
-            largest, delay, count = struct.unpack_from(">QQH", data, pos)
+            largest, least_unacked, count = struct.unpack_from(">QQH", data, pos)
             pos += 18
             if count > MAX_NACK_RANGES:
                 raise WireError(f"ack with {count} NACK ranges")
@@ -226,7 +253,7 @@ def decode_frames(data: bytes) -> list[Frame]:
                 start, end = struct.unpack_from(">QQ", data, pos)
                 pos += 16
                 ranges.append((start, end))
-            frames.append(AckFrame(largest, delay, tuple(ranges)))
+            frames.append(AckFrame(largest, least_unacked, tuple(ranges)))
         elif kind == KIND_WINDOW_UPDATE:
             if n - pos < 12:
                 raise WireError("truncated WINDOW_UPDATE")

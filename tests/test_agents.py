@@ -575,6 +575,28 @@ def test_publish_refuses_a_topic_the_broker_would():
     assert server.mqtt_errors == 0
 
 
+def test_refused_publish_or_subscribe_spends_no_msgid():
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    before = client._next_msgid
+    refusals = [
+        lambda: client.publish("a/b", b"m", qos=2),
+        lambda: client.publish("a/+", b"m", qos=1),
+        lambda: client.subscribe("a/#/b", qos=1),
+        lambda: client.subscribe("a/b", qos=3),
+        lambda: client.subscribe("a/b", qos=256),
+    ]
+    for refused in refusals:
+        with pytest.raises(AgentError) as e:
+            refused()
+        assert e.value.stage == "sanity"
+        assert client._next_msgid == before
+    assert client.publish("a/b", b"m", qos=1) == before
+    assert client.subscribe("a/b", qos=1) == before + 1
+
+
 def test_server_survives_datagram_fuzzing():
     # The loop must survive arbitrary garbage: header fragments, valid
     # headers with bogus bodies, random epochs, and truncated seals.

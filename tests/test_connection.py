@@ -668,6 +668,38 @@ def test_spoofed_cleartext_packet_does_not_migrate(world):
     assert server_conn.peer_addr == CLIENT_ADDR
     assert not server_ep.events_of(Migrated)
     assert server_conn._last_rx == last_rx_before  # no idle-timer refresh
+    # Nor does its sqn reach the ack state: acking sqn 700, which the client
+    # never sent, would make the client close the connection.
+    assert 700 not in server_conn.received_sqns
+    conn.send_stream(3, b"up")
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 0.1)
+    server_conn.send_stream(3, b"down")
+    server_ep.pump(server_conn.cid)
+    net.run(until_s=net.clock.now_s + 0.1)
+    conn.send_stream(3, b"up again")
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 0.1)
+    assert conn.phase == server_conn.phase == "established"
+    assert not client_ep.events_of(Closed) and not server_ep.events_of(Closed)
+    assert b"".join(ev.data for ev in server_ep.events_of(StreamData)) == b"upup again"
+    assert b"".join(ev.data for ev in client_ep.events_of(StreamData)) == b"down"
+
+
+def test_cleartext_data_packet_refused(world):
+    # Only hellos travel in cleartext. A forged cleartext data packet must
+    # not inject stream data or acks into an established connection.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    forged = encode_frames([wire.AckFrame(10**6, 1, ()),
+                            StreamFrame(3, 0, b"forged", False)])
+    packet = seal_client_data(NULL_KEYS, 900, forged, cid=conn.cid, epoch=EPOCH_CLEAR)
+    failures = server_conn.auth_failures
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures + 1
+    assert 900 not in server_conn.received_sqns
+    assert server_conn.phase == "established"
+    assert not server_ep.events_of(StreamData)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +724,17 @@ def test_idle_timeout_drains_then_closes(world):
     assert not server_conn.streams and server_conn.ik is None and server_conn.k is None
     closed = [ev for _, ev in server_ep.events if isinstance(ev, Closed)]
     assert closed and closed[0].reason == "idle_timeout"
+
+
+def test_unanswered_local_close_ends_as_local_close(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    net.add_periodic_drop(lambda src, dst, size, ann: src == SERVER_ADDR, 1)
+    conn.close()
+    client_ep.pump(conn.cid)
+    assert conn.phase == "draining"
+    net.run(until_s=net.clock.now_s + conn.config.drain_period_s + 1.0)
+    assert conn.phase == "closed"
+    assert [ev.reason for ev in client_ep.events_of(Closed)] == ["local_close"]
 
 
 def test_activity_resets_idle_timer(world):

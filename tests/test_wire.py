@@ -43,7 +43,7 @@ stream_frames = st.builds(
 ack_frames = st.builds(
     AckFrame,
     largest_observed=st.integers(min_value=0, max_value=2**64 - 1),
-    delay_us=st.integers(min_value=0, max_value=2**64 - 1),
+    least_unacked=st.integers(min_value=0, max_value=2**64 - 1),
     nack_ranges=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=2**64 - 1),
@@ -88,6 +88,13 @@ def test_header_roundtrip(h):
 @given(st.lists(frames, max_size=6))
 def test_frames_roundtrip(fs):
     assert decode_frames(encode_frames(fs)) == fs
+
+
+@settings(max_examples=200)
+@given(headers, frames)
+def test_sizes_match_encoding(h, f):
+    assert wire.header_len(h) == len(encode_header(h))
+    assert wire.frame_len(f) == len(encode_frames([f]))
 
 
 def test_header_truncated():
