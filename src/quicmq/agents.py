@@ -184,11 +184,7 @@ class _ConnState:
         msg = pending["msg"]
         dup = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic=msg.topic, payload=msg.payload,
                                       qos=1, msgid=msgid, dup=True))
-        try:
-            self.send(pending["stream"], dup)
-        except TransportError:  # the stream was reset: nobody left to ack
-            del self.pending_qos1[msgid]
-            return
+        self.send(pending["stream"], dup)
         pending["timer"] = self.schedule(QOS1_RETRY_S, lambda: self._retry_qos1(msgid))
 
 

@@ -114,7 +114,6 @@ def _quic_conn_iteration(config: SimConfig, seed: int, identity: ServerIdentity,
         "subscriber": net.count_for_role(SUB_IP),
         "broker": net.count_for_role(BROKER_ADDR[0]),
         "last_event_s": last_datagram_us / 1e6,
-        "_paths": (pub.handshake_path, sub.handshake_path),
         "_net": net,
     }
 

@@ -46,7 +46,6 @@ from .wire import (
     MARKER_DATA,
     MARKER_HANDSHAKE,
     PacketHeader,
-    RstStreamFrame,
     StreamFrame,
     WindowUpdateFrame,
     WireError,
@@ -74,6 +73,13 @@ RTO_FLOOR_S = 0.2
 NACK_THRESHOLD = 3  # NACKs before a packet counts as lost
 HANDSHAKE_RETRY_S = 0.3
 MAX_HANDSHAKE_RETRIES = 8
+
+
+def data_packet_len(header: PacketHeader, frames: list) -> int:
+    """The size of a data packet under ``header`` carrying ``frames`` behind
+    a gap-free ACK."""
+    return (header_len(header) + 1 + wire.ACK_FRAME_LEN + sum(map(frame_len, frames))
+            + GCM_TAG_LEN)
 
 
 class TransportError(Exception):
@@ -340,8 +346,6 @@ class Connection:
         self._peer_on_k = False  # a packet under k has opened from the peer
 
         self.streams: dict[int, Stream] = {}
-        self.closed_streams: set[int] = set()
-        self._next_stream_id = 1 if role == "client" else 2
         self.conn_bytes_sent = 0
         self.peer_conn_limit = config.connection_window
         self.conn_delivered = 0
@@ -405,17 +409,20 @@ class Connection:
     def _send_epoch(self) -> int:
         return EPOCH_K if self.k is not None else EPOCH_IK
 
+    def _header(self, epoch: int, sqn: int = 0, version: bool = False) -> PacketHeader:
+        return PacketHeader(
+            cid=self.cid, sqn=sqn, epoch=epoch,
+            version=wire.VERSION if version else None,
+            div_nonce=self.identity.scfg.div_nonce
+            if self.role == "server" and epoch == EPOCH_IK else None,
+        )
+
     def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str,
                      version: bool = False) -> int:
         """The one place a packet is built and sealed; returns its sqn.
         Server packets under the initial keys carry the diversification
         nonce; ``version`` is set for a client's first hello only."""
-        header = PacketHeader(
-            cid=self.cid, sqn=self._alloc_sqn(), epoch=epoch,
-            version=wire.VERSION if version else None,
-            div_nonce=self.identity.scfg.div_nonce
-            if self.role == "server" and epoch == EPOCH_IK else None,
-        )
+        header = self._header(epoch, self._alloc_sqn(), version)
         if marker == MARKER_DATA:
             # Every data packet leads with current ack information.
             frames = [self._ack_frame(header, frames)] + frames
@@ -622,6 +629,7 @@ class Connection:
         # The REJ both answers an inchoate hello and rejects a resumption
         # attempt; either way the next step is a fresh full CHLO.
         self.phase = REJECTED
+        self._resumed = False
         self._hs_scfg = scfg
         self._emit(SessionTicket(scfg, stk))
         chlo, secrets = build_full_chlo(scfg, stk, self._now(), self.rng)
@@ -751,8 +759,6 @@ class Connection:
                 self._on_stream_frame(frame)
             elif isinstance(frame, WindowUpdateFrame):
                 self._on_window_update(frame)
-            elif isinstance(frame, RstStreamFrame):
-                self._on_rst_stream(frame)
             elif isinstance(frame, CloseFrame):
                 self._on_close_frame(frame)
                 return
@@ -760,12 +766,7 @@ class Connection:
     def _on_stream_frame(self, frame: StreamFrame) -> None:
         if frame.stream_id == HANDSHAKE_STREAM_ID:
             return
-        stream = self.streams.get(frame.stream_id)
-        if stream is None:
-            if frame.stream_id in self.closed_streams:
-                return
-            stream = Stream(frame.stream_id, self.config.stream_window)
-            self.streams[frame.stream_id] = stream
+        stream = self._stream(frame.stream_id)
         before = stream.delivered
         try:
             chunks = stream.accept(frame)
@@ -795,17 +796,6 @@ class Connection:
         stream = self.streams.get(frame.stream_id)
         if stream is not None:
             stream.peer_limit = max(stream.peer_limit, frame.byte_offset)
-
-    def _on_rst_stream(self, frame: RstStreamFrame) -> None:
-        stream = self.streams.get(frame.stream_id)
-        if stream is None:
-            return
-        if stream.fin_offset is not None and stream.fin_offset != frame.final_offset:
-            self.close(error_code=1, reason=b"final_offset_changed")
-            return
-        self.closed_streams.add(frame.stream_id)
-        self.streams.pop(frame.stream_id, None)
-        self._emit(StreamData(frame.stream_id, b"", True))
 
     def _on_close_frame(self, frame: CloseFrame) -> None:
         if not self._close_sent:
@@ -853,12 +843,7 @@ class Connection:
         """Move a lost packet's frames into a fresh packet under a fresh
         sequence number; the original sqn is never reused."""
         self.sent_packets.pop(record.sqn, None)
-        frames = list(record.frames)
-        if not frames:
-            return
-        close = next((f for f in frames if isinstance(f, CloseFrame)), None)
-        frames = [f for f in frames if not isinstance(f, CloseFrame)]
-        self._send_data_packet(frames, retx=True, close=close)
+        self._send_data_packet(list(record.frames), retx=True)
 
     def _rto(self) -> float:
         if self.srtt is None:
@@ -950,41 +935,20 @@ class Connection:
 
     # ------------------------------------------------------------------ app API
 
-    def stream_open(self, stream_id: int | None = None) -> Stream:
-        """Find or create a stream. Reuses an existing open stream; touching
-        a closed one clears its entry and reports the error."""
-        if stream_id is None:
-            stream_id = self._next_stream_id
-        if stream_id in self.closed_streams:
-            self.closed_streams.discard(stream_id)
-            raise TransportError("stream_closed", f"stream {stream_id}")
-        existing = self.streams.get(stream_id)
-        if existing is not None:
-            return existing
-        if stream_id >= self._next_stream_id and stream_id % 2 == self._next_stream_id % 2:
-            self._next_stream_id = stream_id + 2
-        stream = Stream(stream_id, self.config.stream_window)
-        self.streams[stream_id] = stream
+    def _stream(self, stream_id: int) -> Stream:
+        """The stream ``stream_id``, created by its first write or first
+        frame; it ends with its FIN or with the connection."""
+        stream = self.streams.get(stream_id)
+        if stream is None:
+            stream = self.streams[stream_id] = Stream(stream_id, self.config.stream_window)
         return stream
-
-    def find_stream(self, stream_id: int) -> Stream | None:
-        return self.streams.get(stream_id)
 
     def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> None:
         if self.phase in (DRAINING, CLOSED):
             raise TransportError("connection_closed")
         if stream_id == HANDSHAKE_STREAM_ID:
             raise TransportError("reserved_stream")
-        stream = self.stream_open(stream_id)
-        stream.write(data, fin)
-
-    def reset_stream(self, stream_id: int, error_code: int = 0) -> None:
-        stream = self.streams.pop(stream_id, None)
-        if stream is None:
-            return
-        self.closed_streams.add(stream_id)
-        self._control_frames.append(
-            RstStreamFrame(stream_id, stream.send_offset, error_code))
+        self._stream(stream_id).write(data, fin)
 
     # ------------------------------------------------------------------- flush
 
@@ -999,8 +963,7 @@ class Connection:
         gaps = received.gaps()
         largest = received.largest
         if gaps:
-            room = (HANDSHAKE_PACKET_LEN - header_len(header) - 1 - GCM_TAG_LEN
-                    - sum(map(frame_len, frames)) - wire.ACK_FRAME_LEN)
+            room = HANDSHAKE_PACKET_LEN - data_packet_len(header, frames)
             fit = min(wire.MAX_NACK_RANGES, max(0, room // wire.NACK_RANGE_LEN))
             if len(gaps) > fit:
                 largest = gaps[fit][0] - 1
@@ -1018,13 +981,19 @@ class Connection:
         frames, self._control_frames = self._control_frames, []
         return frames
 
-    def _send_data_packet(self, frames: list, retx: bool = False,
-                          close: CloseFrame | None = None) -> None:
-        out_frames = self._drain_control_frames() + frames
-        if close is not None:
-            out_frames.append(close)
+    def _send_data_packet(self, frames: list, retx: bool = False) -> None:
+        """Send ``frames`` behind the queued control frames, in a packet
+        recorded for retransmission. Control frames that would push the
+        packet past the budget go out first in a packet of their own."""
+        controls = self._drain_control_frames()
+        epoch = self._send_epoch()
+        if controls and (data_packet_len(self._header(epoch), controls + frames)
+                         > HANDSHAKE_PACKET_LEN):
+            self._send_data_packet(controls)
+            controls = []
+        out_frames = controls + frames
         stream_ids = sorted({f.stream_id for f in out_frames if isinstance(f, StreamFrame)})
-        if close is not None:
+        if isinstance(out_frames[-1], CloseFrame):
             annotation = "close"
         elif stream_ids:
             annotation = "data " + ",".join(f"s{i}" for i in stream_ids)
@@ -1032,14 +1001,9 @@ class Connection:
             annotation = "control"
         if retx:
             annotation += " retx"
-        sqn = self._send_packet(self._send_epoch(), MARKER_DATA, out_frames, annotation)
-        retransmittable = tuple(
-            f for f in out_frames
-            if isinstance(f, (StreamFrame, WindowUpdateFrame, RstStreamFrame, CloseFrame))
-        )
-        if retransmittable:
-            self.sent_packets[sqn] = SentPacket(sqn, self._now(), retransmittable)
-            self._arm_rto_timer()
+        sqn = self._send_packet(epoch, MARKER_DATA, out_frames, annotation)
+        self.sent_packets[sqn] = SentPacket(sqn, self._now(), tuple(out_frames))
+        self._arm_rto_timer()
 
     def _data_allowed(self) -> bool:
         if self.phase in (DRAINING, CLOSED):
@@ -1107,5 +1071,5 @@ class Connection:
         chunks = list(self._stream_chunks()) if self._data_allowed() else []
         for frame in chunks[:-1]:
             self._send_data_packet([frame])
-        self._send_data_packet(chunks[-1:], close=close)
+        self._send_data_packet(chunks[-1:] + [close])
         return True

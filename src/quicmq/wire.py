@@ -123,8 +123,7 @@ def header_len(h: PacketHeader) -> int:
 KIND_STREAM = 0x01
 KIND_ACK = 0x02
 KIND_WINDOW_UPDATE = 0x03
-KIND_RST_STREAM = 0x04
-KIND_PING = 0x05
+KIND_PING = 0x05  # 0x04 is unassigned: a stream ends with FIN or its connection
 KIND_CLOSE = 0x06
 
 
@@ -155,13 +154,6 @@ class WindowUpdateFrame:
 
 
 @dataclass(frozen=True)
-class RstStreamFrame:
-    stream_id: int
-    final_offset: int
-    error_code: int
-
-
-@dataclass(frozen=True)
 class PingFrame:
     pass
 
@@ -172,7 +164,7 @@ class CloseFrame:
     reason: bytes = b""
 
 
-Frame = StreamFrame | AckFrame | WindowUpdateFrame | RstStreamFrame | PingFrame | CloseFrame
+Frame = StreamFrame | AckFrame | WindowUpdateFrame | PingFrame | CloseFrame
 
 
 def encode_frame(f: Frame) -> bytes:
@@ -193,10 +185,6 @@ def encode_frame(f: Frame) -> bytes:
         return out
     if isinstance(f, WindowUpdateFrame):
         return bytes([KIND_WINDOW_UPDATE]) + struct.pack(">IQ", f.stream_id, f.byte_offset)
-    if isinstance(f, RstStreamFrame):
-        return bytes([KIND_RST_STREAM]) + struct.pack(
-            ">IQI", f.stream_id, f.final_offset, f.error_code
-        )
     if isinstance(f, PingFrame):
         return bytes([KIND_PING])
     if isinstance(f, CloseFrame):
@@ -212,8 +200,6 @@ def frame_len(f: Frame) -> int:
         return ACK_FRAME_LEN + NACK_RANGE_LEN * len(f.nack_ranges)
     if isinstance(f, WindowUpdateFrame):
         return 13
-    if isinstance(f, RstStreamFrame):
-        return 17
     if isinstance(f, CloseFrame):
         return 7 + len(f.reason)
     return 1  # PING
@@ -260,12 +246,6 @@ def decode_frames(data: bytes) -> list[Frame]:
             stream_id, byte_offset = struct.unpack_from(">IQ", data, pos)
             pos += 12
             frames.append(WindowUpdateFrame(stream_id, byte_offset))
-        elif kind == KIND_RST_STREAM:
-            if n - pos < 16:
-                raise WireError("truncated RST_STREAM")
-            stream_id, final_offset, code = struct.unpack_from(">IQI", data, pos)
-            pos += 16
-            frames.append(RstStreamFrame(stream_id, final_offset, code))
         elif kind == KIND_PING:
             frames.append(PingFrame())
         elif kind == KIND_CLOSE:

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from quicmq.wire import (
     CloseFrame,
     PingFrame,
     StreamFrame,
+    WindowUpdateFrame,
     decode_frames,
     decode_header,
     encode_frames,
@@ -209,6 +211,35 @@ def test_least_unacked_lets_the_receiver_drop_old_gaps(world):
     assert not server_conn.ack_needed
     server_conn.handle_datagram(late, CLIENT_ADDR)
     assert not server_conn.ack_needed  # the PING was never processed
+
+
+@pytest.mark.parametrize("updates,close", [(8, False), (8, True), (1, False), (1, True)])
+def test_queued_control_frames_never_push_a_full_chunk_past_the_budget(world, updates,
+                                                                        close):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    controls = [WindowUpdateFrame(2 * i + 3, 1 << 20) for i in range(updates)]
+    server_conn._control_frames += controls
+    server_conn.send_stream(2, b"x" * 1200)
+    if close:
+        server_conn.close()
+    server_conn.flush()
+    outputs = server_conn.take_outputs()
+    assert all(len(packet) <= HANDSHAKE_PACKET_LEN for packet, _ in outputs)
+    sent = [[f for f in frames_to_client(conn, packet) if not isinstance(f, AckFrame)]
+            for packet, _ in outputs]
+    last = [StreamFrame(2, 0, b"x" * 1200, False)] + ([CloseFrame()] if close else [])
+    if updates == 8:
+        # 8 updates and a full chunk came to 1375 B: the updates go first,
+        # in a packet of their own.
+        assert [a for _, a in outputs] == ["control", "close" if close else "data s2"]
+        assert sent == [controls, last]
+    else:
+        # A packet within the budget is not split.
+        assert [a for _, a in outputs] == ["close" if close else "data s2"]
+        assert sent == [controls + last]
+    # Every frame is recorded for retransmission, in the packet it left in.
+    assert [list(r.frames) for r in server_conn.sent_packets.values()] == sent
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,46 @@ def fanout_run() -> bytes:
     return "\n".join(net.trace_lines()).encode() + repr(received).encode()
 
 
-# sha256 of to_json() followed by repr(series_rows()), and of fanout_run().
+def rej_fallback_run(state_dir: str) -> bytes:
+    """A warm publisher whose cached scid the broker has since retired. Its
+    0-RTT CONNECT and a three-chunk QoS 1 PUBLISH are queued behind the full
+    hello; the broker answers with a REJ, and the publisher sends the same
+    frames again under the fresh initial keys, then disconnects. Returns the
+    wire trace, the publisher's handshake path and what the subscriber
+    received."""
+    broker = ("10.0.0.1", 4433)
+    identity = ServerIdentity.create(now=0.0, rng=Random(42))
+    warm_net = SimNetwork(SimConfig(delay_ms=0.5), seed=11)
+    ServerAgent(warm_net, broker, identity, rng=Random(11))
+    ClientAgent(warm_net, ("10.0.3.1", 40000), broker, "pub", identity.sign_pair.pk,
+                rng=Random(1), state_dir=state_dir).connect_mqtt()
+    warm_net.run(until_s=1.0)
+    identity.rotate_scfg(1.0, Random(50))
+
+    net = SimNetwork(SimConfig(delay_ms=0.5), seed=12)
+    ServerAgent(net, broker, identity, rng=Random(12))
+    received = []
+    sub = ClientAgent(net, ("10.0.3.2", 40000), broker, "sub", identity.sign_pair.pk,
+                      rng=Random(2),
+                      on_message=lambda agent, msg: received.append(
+                          (msg.topic, hashlib.sha256(msg.payload).hexdigest(),
+                           msg.msgid, msg.qos)))
+    sub.connect_mqtt()
+    net.run(until_s=0.5)
+    sub.subscribe("rej/#", qos=1)
+    net.run(until_s=1.0)
+    pub = ClientAgent(net, ("10.0.3.1", 40001), broker, "pub", identity.sign_pair.pk,
+                      rng=Random(3), state_dir=state_dir)
+    path = pub.connect_mqtt()
+    pub.publish("rej/a", bytes(range(256)) * 12, qos=1)
+    net.schedule(0.5, pub.disconnect)
+    net.run(until_s=3.0)
+    return ("\n".join(net.trace_lines()).encode()
+            + repr((path, pub.connected, received)).encode())
+
+
+# sha256 of to_json() followed by repr(series_rows()), and of fanout_run()
+# and rej_fallback_run().
 # The JSON holds packet counts and simulated times only, so these move only
 # when the wire format, the packet ladder, the simulated timing or the
 # broker's delivery order changes; a change that moves one must update it
@@ -128,6 +167,7 @@ PINNED_DIGESTS = {
         "5c241b5e1796f8e626b6ac19e4678eb67f18ea9e1a2d85ccb5a1e1be1109859e",
     "fanout_many_subscribers":
         "b3fac775f23bdfb916ffec429a8b882bbc2211fce6dc030761881a457f54f098",
+    "rej_fallback": "565a201a14a7d88166df2635d6482629936842cff764361bacc4177911b0eb75",
 }
 
 
@@ -160,6 +200,8 @@ def test_bench_output_matches_pinned_digests(tmp_path):
         h.update(repr(res.series_rows()).encode())
         digests[name] = h.hexdigest()
     digests["fanout_many_subscribers"] = hashlib.sha256(fanout_run()).hexdigest()
+    digests["rej_fallback"] = hashlib.sha256(
+        rej_fallback_run(str(tmp_path / "rej"))).hexdigest()
     assert digests == PINNED_DIGESTS
 
 

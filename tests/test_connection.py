@@ -241,6 +241,8 @@ def test_0rtt_unknown_scid_falls_back_transparently(world):
         assert server_ep.only_conn().last_reject_reason == "scid_expired"
         annotations = [a for _, a in client_ep.sent]
         assert "chlo_full" in annotations[2:]  # fresh hello after the REJ
+        # The REJ turned the resumption into a full handshake.
+        assert client_ep.events_of(HandshakeDone)[0].resumed is False
         # The data went out again under the fresh keys, each byte and the
         # FIN delivered exactly once.
         server_data = [ev for ev in server_ep.events_of(StreamData) if ev.stream_id == 3]
@@ -337,46 +339,29 @@ def test_connection_refuses_sqn_reuse():
 # ---------------------------------------------------------------------------
 
 
-def test_stream_id_parity_progression(world):
-    net, client_ep, server_ep, identity = world()
-    conn = client_ep.make_client()
-    first = conn.stream_open()
-    second = conn.stream_open()
-    assert (first.stream_id, second.stream_id) == (1, 3)
-    server_conn = Connection("server", 1, SERVER_ADDR, CLIENT_ADDR,
-                             TransportConfig(), lambda: 0.0,
-                             lambda d, f: net.schedule(d, f), lambda e: None,
-                             rng=Random(1), identity=identity)
-    assert server_conn.stream_open().stream_id == 2
-
-
-def test_stream_find_returns_same_object(world):
-    net, client_ep, _, _ = world()
-    conn = client_ep.make_client()
-    stream = conn.stream_open(3)
-    assert conn.find_stream(3) is stream
-    assert conn.stream_open(3) is stream
-
-
 def test_write_after_fin_is_stream_closed(world):
     net, client_ep, _, _ = world()
     conn = client_ep.make_client()
-    conn.stream_open(3).write(b"x", fin=True)
+    conn.send_stream(3, b"x", fin=True)
     with pytest.raises(TransportError) as e:
         conn.send_stream(3, b"more")
     assert e.value.reason == "stream_closed"
 
 
-def test_reopen_closed_stream_clears_entry_and_errors(world):
-    net, client_ep, _, _ = world()
-    conn = client_ep.make_client()
-    conn.stream_open(3)
-    conn.reset_stream(3)
-    with pytest.raises(TransportError) as e:
-        conn.stream_open(3)
-    assert e.value.reason == "stream_closed"
-    # The entry was cleared: the next attempt starts a fresh stream.
-    assert conn.stream_open(3).stream_id == 3
+def test_frame_kind_0x04_is_refused_and_the_stream_stays(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    conn.send_stream(3, b"abc")
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 0.5)
+    # What an RST_STREAM for stream 3 at its final offset would have been.
+    raw = bytes([0x04]) + (3).to_bytes(4, "big") + (3).to_bytes(8, "big") + bytes(4)
+    packet = seal_client_data(conn.k, conn.next_sqn + 5, raw, cid=conn.cid, epoch=EPOCH_K)
+    failures = server_conn.auth_failures
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures + 1
+    assert server_conn.phase == "established"
+    assert server_conn.streams[3].delivered == 3
 
 
 def test_handshake_stream_reserved(world):
@@ -451,8 +436,7 @@ def test_sender_blocked_at_stream_window_edge(world):
     assert sent_now == 64  # blocked at the advertised offset
     net.run(until_s=5.0)
     # Window updates flow back as the receiver consumes; everything lands.
-    stream = server_conn.find_stream(3)
-    assert stream is not None and stream.delivered == 200
+    assert server_conn.streams[3].delivered == 200
 
 
 def test_sender_blocked_then_window_update_unblocks(world):
@@ -484,7 +468,7 @@ def test_connection_window_caps_aggregate(world):
     burst = sum(len(_stream_bytes(p, server_conn)) for p, _ in client_ep.sent)
     assert burst == 256
     net.run(until_s=5.0)
-    assert server_conn.find_stream(5).delivered == 200
+    assert server_conn.streams[5].delivered == 200
 
 
 def test_congestion_window_blocks_then_releases_without_loss(world):
@@ -503,8 +487,7 @@ def test_congestion_window_blocks_then_releases_without_loss(world):
     burst = sum(1 for _, a in client_ep.sent if a.startswith("data"))
     assert burst == 32  # congestion window
     net.run(until_s=10.0)
-    stream = server_conn.find_stream(3)
-    assert stream is not None and stream.delivered == total
+    assert server_conn.streams[3].delivered == total
 
 
 def test_slow_stream_does_not_block_other(world):
@@ -516,7 +499,7 @@ def test_slow_stream_does_not_block_other(world):
     conn.send_stream(5, b"f" * 32)
     client_ep.pump(conn.cid)
     net.run(until_s=5.0)
-    assert server_conn.find_stream(5).delivered == 32
+    assert server_conn.streams[5].delivered == 32
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +535,7 @@ def test_nacked_data_retransmitted_under_fresh_sqn(world):
     assert retx_sqn != lost_sqn and retx_sqn > lost_sqn
     # Every payload delivered exactly once despite the loss.
     server_conn = server_ep.only_conn()
-    assert server_conn.find_stream(3).delivered == 5 * 12
+    assert server_conn.streams[3].delivered == 5 * 12
 
 
 def test_ack_with_too_many_nack_ranges_rejected(world):

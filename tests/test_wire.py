@@ -12,7 +12,6 @@ from quicmq.wire import (
     HandshakeMessage,
     PacketHeader,
     PingFrame,
-    RstStreamFrame,
     StreamFrame,
     WindowUpdateFrame,
     WireError,
@@ -59,12 +58,6 @@ frames = st.one_of(
         WindowUpdateFrame,
         stream_id=st.integers(min_value=0, max_value=2**32 - 1),
         byte_offset=st.integers(min_value=0, max_value=2**64 - 1),
-    ),
-    st.builds(
-        RstStreamFrame,
-        stream_id=st.integers(min_value=0, max_value=2**32 - 1),
-        final_offset=st.integers(min_value=0, max_value=2**64 - 1),
-        error_code=st.integers(min_value=0, max_value=2**32 - 1),
     ),
     st.just(PingFrame()),
     st.builds(
@@ -121,6 +114,14 @@ def test_decode_rejects_257_ranges():
 def test_decode_frames_unknown_kind():
     with pytest.raises(WireError):
         decode_frames(b"\x7f")
+
+
+def test_decode_frames_refuses_kind_0x04():
+    # 0x04 carried RST_STREAM once; streams now end with FIN or their
+    # connection, so it is an unknown kind like any other.
+    raw = bytes([0x04]) + (3).to_bytes(4, "big") + (0).to_bytes(8, "big") + bytes(4)
+    with pytest.raises(WireError, match="unknown frame kind 0x04"):
+        decode_frames(raw)
 
 
 def test_seal_open_roundtrip():
