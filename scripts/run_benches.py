@@ -40,10 +40,10 @@ def main() -> int:
         print(f"wrote {name}.json")
 
     for profile in ("wired", "wireless", "long_distance"):
-        state = tempfile.mkdtemp(prefix="quicmq-bench-")
-        res = bench_conn_overhead(profile, mode=None, iterations=iterations,
-                                  seed=args.seed, state_dir=state,
-                                  experiments=experiments)
+        with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as state:
+            res = bench_conn_overhead(profile, mode=None, iterations=iterations,
+                                      seed=args.seed, state_dir=state,
+                                      experiments=experiments)
         save(res, f"conn_overhead_{profile}")
         print(f"  {profile} reductions: {res.data['reductions_pct']}")
         for rate in (10, 20, 50):

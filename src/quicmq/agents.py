@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import os
-from collections import deque
 from random import Random
 from typing import Callable, Iterator
 
@@ -28,6 +27,7 @@ from .connection import (
     StreamData,
     TransportConfig,
     TransportError,
+    check_stream_id,
 )
 from .handshake import ServerConfig, ServerIdentity
 from .mqtt import Broker, MqttError, MqttMessage
@@ -230,7 +230,6 @@ class ClientAgent:
         self.dead = False
         self.handshake_path = ""
         self.failure: str | None = None
-        self.rx_msg_queue: deque[MqttMessage] = deque()
         self._next_msgid = 1
         self._ping_timer = None
 
@@ -278,9 +277,13 @@ class ClientAgent:
         return self.handshake_path
 
     @staticmethod
-    def _sanity(raw: bytes) -> None:
+    def _sanity(raw: bytes, stream_id: int = PRIMARY_STREAM) -> None:
         if len(raw) > MAX_MESSAGE_SIZE:
             raise AgentError("sanity", f"message of {len(raw)} bytes exceeds limit")
+        try:
+            check_stream_id(stream_id)  # a stream the transport cannot carry
+        except TransportError as e:
+            raise AgentError("sanity", str(e)) from None
 
     # -- application API ------------------------------------------------------
 
@@ -293,7 +296,7 @@ class ClientAgent:
         msgid = self._next_msgid
         raw = mqtt.encode(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid,
                                       topics=((topic, qos),)))
-        self._sanity(raw)
+        self._sanity(raw, stream_id)
         try:
             mqtt.decode(raw)  # a filter the broker would refuse
         except MqttError as e:
@@ -319,7 +322,7 @@ class ClientAgent:
             raw = mqtt.encode(msg)  # a qos the broker would refuse
         except MqttError as e:
             raise AgentError("sanity", str(e)) from None
-        self._sanity(raw)
+        self._sanity(raw, stream_id)
         if qos:
             self._fresh_msgid()
         self.state.send(stream_id, raw)
@@ -397,9 +400,8 @@ class ClientAgent:
                 self.on_closed(self, event.reason)
 
     def quic_dispatcher(self, msg: MqttMessage, stream_id: int) -> None:
-        """Client branch of the dispatcher: surface the message to the
-        application queue and react to the session-level responses."""
-        self.rx_msg_queue.append(msg)
+        """Client branch of the dispatcher: react to the session-level
+        responses and hand each PUBLISH to ``on_message``."""
         if msg.kind == mqtt.CONNACK:
             self.connected = True
             if self.on_connected is not None:

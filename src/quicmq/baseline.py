@@ -15,6 +15,7 @@ sending anyway).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .netsim import Address, SimNetwork
@@ -37,18 +38,6 @@ _SETUP_FULL = [
     ("c", "ack", 66),
 ]
 
-_SETUP_RESUMED = [
-    ("c", "syn", 74),
-    ("s", "syn_ack", 74),
-    ("c", "ack", 66),
-    ("c", "tls_client_hello_ticket", 360),
-    ("s", "tls_server_hello_ccs_finished", 180),
-    ("c", "tls_ccs_finished", 117),
-    ("c", "mqtt_connect", 110),
-    ("s", "mqtt_connack", 70),
-    ("c", "ack", 66),
-]
-
 _SUBSCRIBE_PHASE = [
     ("c", "mqtt_subscribe", 90),
     ("s", "ack", 66),
@@ -63,30 +52,16 @@ _TEARDOWN = [
     ("c", "ack", 66),
 ]
 
+# One full TCP+TLS1.2 handshake per role: the baseline the reduction table
+# uses. The broker is the far end of both ladders.
 LADDERS = {
-    # Full TCP+TLS1.2 handshake: the baseline the reduction table uses.
-    ("1rtt_equiv", "publisher"): _SETUP_FULL + _TEARDOWN,
-    ("1rtt_equiv", "subscriber"): _SETUP_FULL + _SUBSCRIBE_PHASE + _TEARDOWN,
-    # Reconnection with a TLS session ticket (abbreviated handshake).
-    ("repeat_connect", "publisher"): _SETUP_RESUMED + _TEARDOWN,
-    ("repeat_connect", "subscriber"): _SETUP_RESUMED + _SUBSCRIBE_PHASE + _TEARDOWN,
+    "publisher": _SETUP_FULL + _TEARDOWN,
+    "subscriber": _SETUP_FULL + _SUBSCRIBE_PHASE + _TEARDOWN,
 }
 
 
 class BaselineError(Exception):
     pass
-
-
-def baseline_packet_count(scenario: str, role: str) -> int:
-    """Datagrams the role sees (sent plus received) for one lossless ladder.
-    The broker is the far end of both the publisher and subscriber ladders."""
-    if role == "broker":
-        return (baseline_packet_count(scenario, "publisher")
-                + baseline_packet_count(scenario, "subscriber"))
-    try:
-        return len(LADDERS[(scenario, role)])
-    except KeyError:
-        raise BaselineError(f"unknown scenario/role {scenario!r}/{role!r}") from None
 
 
 TCP_RTO_S = 0.2  # retransmission timeout of the ladder replay
@@ -160,7 +135,7 @@ def run_tcp_ladders(net: SimNetwork, broker_addr: Address,
     net.register(broker_addr, lambda payload, src: None)
     for addr, role in endpoints:
         net.register(addr, lambda payload, src: None)
-        TcpLadderRunner(net, addr, broker_addr, LADDERS[("1rtt_equiv", role)]).start()
+        TcpLadderRunner(net, addr, broker_addr, LADDERS[role]).start()
     net.run()
 
 
@@ -251,16 +226,17 @@ def migration_model(duration_s: float, change_interval_s: float,
         deliveries.append(arrival)
         t += publish_interval_s
     deliveries.sort()
-    series = []
-    second = 0
-    while second <= duration_s:
-        count = sum(1 for d in deliveries if second <= d < second + 1)
-        series.append((float(second), count))
-        second += 1
-    max_gap = 0.0
-    for a, b in zip(deliveries, deliveries[1:]):
-        max_gap = max(max_gap, b - a)
+    series, max_gap = per_second(deliveries, duration_s)
     return MigrationBaseline(series, len(changes), zero_windows, max_gap)
+
+
+def per_second(deliveries: list[float], duration_s: float) -> tuple[list, float]:
+    """Deliveries counted per second from 0 to ``duration_s``, and the
+    longest gap between consecutive ones; ``deliveries`` is sorted."""
+    per: Counter[int] = Counter(int(d) for d in deliveries)
+    series = [(float(second), per[second]) for second in range(int(duration_s) + 1)]
+    max_gap = max((b - a for a, b in zip(deliveries, deliveries[1:])), default=0.0)
+    return series, max_gap
 
 
 def _frange(start: float, stop: float, step: float) -> list[float]:

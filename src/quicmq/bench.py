@@ -18,7 +18,6 @@ from random import Random
 
 from . import baseline
 from .agents import ClientAgent, ServerAgent
-from .connection import TransportConfig
 from .handshake import ServerIdentity
 from .netsim import PROFILES, Address, SimConfig, SimNetwork
 
@@ -77,16 +76,49 @@ def _identity_for(seed: int) -> ServerIdentity:
     return ServerIdentity.create(now=0.0, rng=Random(seed * 7919 + 13))
 
 
+def _lossless(config: SimConfig) -> SimConfig:
+    """The link of a scenario whose drops are the experiment's own (and of
+    the 0-RTT warm-up): the profile's delay without its ambient loss."""
+    return SimConfig(name=config.name, delay_ms=config.delay_ms)
+
+
+class _World:
+    """One simulated network on one link, with the broker at ``BROKER_ADDR``
+    when an identity is given. ``link`` names the link for a result's
+    config; ``client`` builds a client that trusts the broker's key."""
+
+    def __init__(self, config: SimConfig, seed: int,
+                 identity: ServerIdentity | None = None, server_seed: int = 0):
+        self.link = {"profile": config.name, "delay_ms": config.delay_ms,
+                     "loss_rate": config.loss_rate}
+        self.net = SimNetwork(config, seed)
+        self.identity = identity
+        self.server = None if identity is None else ServerAgent(
+            self.net, BROKER_ADDR, identity, rng=Random(server_seed))
+
+    def client(self, addr: Address, client_id: str, rng_seed: int,
+               **options) -> ClientAgent:
+        return ClientAgent(self.net, addr, BROKER_ADDR, client_id,
+                           server_pk=self.identity.sign_pair.pk,
+                           rng=Random(rng_seed), **options)
+
+    def role_counts(self) -> dict[str, int]:
+        """Datagrams each role saw, from the trace."""
+        return {"publisher": self.net.count_for_role(PUB_IP),
+                "subscriber": self.net.count_for_role(SUB_IP),
+                "broker": self.net.count_for_role(BROKER_ADDR[0])}
+
+
 # ---------------------------------------------------------------------------
 # Connection-establishment overhead
 # ---------------------------------------------------------------------------
 
 def _quic_conn_iteration(config: SimConfig, seed: int, identity: ServerIdentity,
-                         state_dir: str | None) -> dict[str, int]:
+                         state_dir: str | None) -> _World:
     """One connect/(subscribe)/disconnect cycle for a publisher and a
-    subscriber; returns per-role datagram counts from the trace."""
-    net = SimNetwork(config, seed)
-    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xA5A5))
+    subscriber."""
+    world = _World(config, seed, identity, seed ^ 0xA5A5)
+    net = world.net
 
     def pub_connected(agent):
         net.schedule(0.01, agent.disconnect)
@@ -97,38 +129,24 @@ def _quic_conn_iteration(config: SimConfig, seed: int, identity: ServerIdentity,
     def sub_suback(agent, msgid):
         net.schedule(0.01, agent.disconnect)
 
-    pub = ClientAgent(net, (PUB_IP, 51000), BROKER_ADDR, "bench-pub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 2 + 1),
-                      state_dir=None if state_dir is None else f"{state_dir}/pub",
-                      on_connected=pub_connected)
-    sub = ClientAgent(net, (SUB_IP, 52000), BROKER_ADDR, "bench-sub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 2 + 2),
-                      state_dir=None if state_dir is None else f"{state_dir}/sub",
-                      on_connected=sub_connected, on_suback=sub_suback)
+    pub = world.client((PUB_IP, 51000), "bench-pub", seed * 2 + 1,
+                       state_dir=None if state_dir is None else f"{state_dir}/pub",
+                       on_connected=pub_connected)
+    sub = world.client((SUB_IP, 52000), "bench-sub", seed * 2 + 2,
+                       state_dir=None if state_dir is None else f"{state_dir}/sub",
+                       on_connected=sub_connected, on_suback=sub_suback)
     pub.connect_mqtt()
     sub.connect_mqtt()
     net.run(until_s=20.0)
-    last_datagram_us = max((ev.time_us for ev in net.trace), default=0)
-    return {
-        "publisher": net.count_for_role(PUB_IP),
-        "subscriber": net.count_for_role(SUB_IP),
-        "broker": net.count_for_role(BROKER_ADDR[0]),
-        "last_event_s": last_datagram_us / 1e6,
-        "_net": net,
-    }
+    return world
 
 
-def _tcp_conn_iteration(config: SimConfig, seed: int) -> dict[str, int]:
-    net = SimNetwork(config, seed)
-    baseline.run_tcp_ladders(net, BROKER_ADDR,
+def _tcp_conn_iteration(config: SimConfig, seed: int) -> _World:
+    world = _World(config, seed)
+    baseline.run_tcp_ladders(world.net, BROKER_ADDR,
                              [((PUB_IP, 51000), "publisher"),
                               ((SUB_IP, 52000), "subscriber")])
-    return {
-        "publisher": net.count_for_role(PUB_IP),
-        "subscriber": net.count_for_role(SUB_IP),
-        "broker": net.count_for_role(BROKER_ADDR[0]),
-        "_net": net,
-    }
+    return world
 
 
 def bench_conn_overhead(profile: str | SimConfig = "wired", mode: str | None = None,
@@ -159,28 +177,29 @@ def bench_conn_overhead(profile: str | SimConfig = "wired", mode: str | None = N
             mode_state = f"{state_dir}/{m}"
             # Warm the session files over a lossless link so the measured
             # iterations all resume.
-            warm = SimConfig(name="warmup", delay_ms=config.delay_ms)
-            _quic_conn_iteration(warm, seed * 1000 + 999, identity, mode_state)
+            _quic_conn_iteration(_lossless(config), seed * 1000 + 999, identity,
+                                 mode_state)
         for e in range(experiments):
             per_role: dict[str, list[int]] = {role: [] for role in ROLES}
             for i in range(iterations):
                 iter_seed = (seed * 100 + e) * 1000 + i
                 if m == "tcp":
-                    result = _tcp_conn_iteration(config, iter_seed)
+                    world = _tcp_conn_iteration(config, iter_seed)
                 else:
-                    result = _quic_conn_iteration(config, iter_seed, identity,
-                                                  mode_state)
-                    last_event_s = max(last_event_s, result["last_event_s"])
+                    world = _quic_conn_iteration(config, iter_seed, identity,
+                                                 mode_state)
+                    last_event_s = max(last_event_s, max(
+                        (ev.time_us for ev in world.net.trace), default=0) / 1e6)
+                result = world.role_counts()
                 for role in ROLES:
                     per_role[role].append(result[role])
-                last_net = result["_net"]
             for role in ROLES:
                 experiment_medians[role].append(
                     int(statistics.median(per_role[role])))
         counts[m] = {role: int(statistics.median(experiment_medians[role]))
                      for role in ROLES}
     if trace_path is not None:
-        last_net.write_trace(trace_path)
+        world.net.write_trace(trace_path)
     data: dict = {"packet_counts": counts, "last_event_s": round(last_event_s, 6)}
     if "tcp" in counts:
         reductions = {}
@@ -195,10 +214,8 @@ def bench_conn_overhead(profile: str | SimConfig = "wired", mode: str | None = N
         data["reductions_pct"] = reductions
     return BenchResult(
         scenario="conn_overhead",
-        config={"profile": config.name, "mode": mode or "all",
-                "iterations": iterations, "experiments": experiments,
-                "seed": seed, "delay_ms": config.delay_ms,
-                "loss_rate": config.loss_rate},
+        config={**world.link, "mode": mode or "all", "iterations": iterations,
+                "experiments": experiments, "seed": seed},
         data=data,
     )
 
@@ -214,12 +231,11 @@ HOL_TAIL = 8  # unmeasured warm-down messages so every measured loss is
 def _hol_world(config: SimConfig, seed: int, streams: int, messages: int,
                interval_s: float, drop_every_n: int, isolate_stream: int | None):
     """Run the QUIC side of a HOL experiment; returns per-stream latency
-    lists in microseconds for the measured messages."""
-    net = SimNetwork(SimConfig(name=config.name, delay_ms=config.delay_ms), seed)
-    identity = _identity_for(seed)
-    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xBEEF))
+    lists in microseconds for the measured messages, and the world."""
+    world = _World(_lossless(config), seed, _identity_for(seed), seed ^ 0xBEEF)
+    net = world.net
     latencies: dict[int, list[int]] = {i: [] for i in range(streams)}
-    state = {"subacks": 0, "published": 0, "delivered": 0}
+    state = {"subacks": 0, "delivered": 0}
 
     def on_message(agent, msg):
         idx, seq, sent_us = struct.unpack(">IIQ", msg.payload[:16])
@@ -231,17 +247,11 @@ def _hol_world(config: SimConfig, seed: int, streams: int, messages: int,
         for i in range(streams):
             agent.subscribe(f"hol/{i}", stream_id=3 + 2 * i)
 
-    def pub_connected(agent):
-        pass
-
-    pub = ClientAgent(net, (PUB_IP, 53000), BROKER_ADDR, "hol-pub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 3 + 1),
-                      on_connected=pub_connected)
-    sub = ClientAgent(net, (SUB_IP, 53001), BROKER_ADDR, "hol-sub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 3 + 2),
-                      on_connected=sub_connected, on_message=on_message,
-                      on_suback=lambda a, m: state.__setitem__("subacks",
-                                                               state["subacks"] + 1))
+    pub = world.client((PUB_IP, 53000), "hol-pub", seed * 3 + 1)
+    sub = world.client((SUB_IP, 53001), "hol-sub", seed * 3 + 2,
+                       on_connected=sub_connected, on_message=on_message,
+                       on_suback=lambda a, m: state.__setitem__("subacks",
+                                                                state["subacks"] + 1))
     sub.connect_mqtt()
     pub.connect_mqtt()
     net.run(until_s=5.0)
@@ -274,7 +284,7 @@ def _hol_world(config: SimConfig, seed: int, streams: int, messages: int,
     net.run()
     if state["delivered"] < messages:
         raise BenchError(f"only {state['delivered']}/{messages} messages delivered")
-    return latencies, net
+    return latencies, world
 
 
 def _hol_schedule(config: SimConfig, drop_rate: int) -> tuple[int, float, float]:
@@ -302,10 +312,10 @@ def bench_hol(profile: str | SimConfig = "wired", drop_rate: int = 10,
     # backoff margin scaled to the send rate.
     tcp_rto_s = 4.0 * delay_s + 20.0 * interval_s
 
-    quic, quic_net = _hol_world(config, seed, streams, messages, interval_s,
-                                drop_every_n, isolate_stream=None)
+    quic, world = _hol_world(config, seed, streams, messages, interval_s,
+                             drop_every_n, isolate_stream=None)
     if trace_path is not None:
-        quic_net.write_trace(trace_path)
+        world.net.write_trace(trace_path)
     quic_all = [v for lat in quic.values() for v in lat]
     quic_mean_us = statistics.mean(quic_all)
 
@@ -334,7 +344,7 @@ def bench_hol(profile: str | SimConfig = "wired", drop_rate: int = 10,
     }
     return BenchResult(
         scenario="hol",
-        config={"profile": config.name, "drop_rate": drop_rate, "streams": streams,
+        config={**world.link, "drop_rate": drop_rate, "streams": streams,
                 "messages": messages, "seed": seed, "interval_s": interval_s,
                 "tcp_rto_s": tcp_rto_s},
         data=data,
@@ -348,13 +358,13 @@ def bench_stream_isolation(profile: str | SimConfig = "wired", drop_rate: int = 
     config = _profile(profile)
     drop_every_n, _, interval_s = _hol_schedule(config, drop_rate)
     lossless, _ = _hol_world(config, seed, 2, messages, interval_s, 0, None)
-    isolated, _ = _hol_world(config, seed, 2, messages, interval_s, drop_every_n,
-                             isolate_stream=3)
+    isolated, world = _hol_world(config, seed, 2, messages, interval_s, drop_every_n,
+                                 isolate_stream=3)
     identical = isolated[1] == lossless[1]
     return BenchResult(
         scenario="stream_isolation",
-        config={"profile": config.name, "drop_rate": drop_rate,
-                "messages": messages, "seed": seed},
+        config={**world.link, "drop_rate": drop_rate, "messages": messages,
+                "seed": seed},
         data={
             "dropped_stream_mean_us": round(statistics.mean(isolated[0]), 3),
             "clean_stream_identical": identical,
@@ -378,19 +388,11 @@ def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
     if conns % publishers:
         raise BenchError("conns must divide evenly across publishers")
     per_pub = conns // publishers
-    net = SimNetwork(SimConfig(name=config.name, delay_ms=config.delay_ms), seed)
-    identity = _identity_for(seed)
-    tcfg = TransportConfig()
-    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xC0DE))
-
-    clients: list[ClientAgent] = []
-    for p in range(publishers):
-        for c in range(per_pub):
-            addr = (f"10.0.1.{p + 1}", 50000 + c)
-            agent = ClientAgent(net, addr, BROKER_ADDR, f"pub-{p}-{c}",
-                                server_pk=identity.sign_pair.pk,
-                                rng=Random(seed * 10000 + p * 100 + c))
-            clients.append(agent)
+    world = _World(_lossless(config), seed, _identity_for(seed), seed ^ 0xC0DE)
+    net, server = world.net, world.server
+    clients = [world.client((f"10.0.1.{p + 1}", 50000 + c), f"pub-{p}-{c}",
+                            seed * 10000 + p * 100 + c)
+               for p in range(publishers) for c in range(per_pub)]
 
     def publish_loop(agent: ClientAgent, topic: str):
         if agent.dead or not agent.connected:
@@ -427,10 +429,10 @@ def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
                                               keepalive_s=20.0)
     return BenchResult(
         scenario="half_open",
-        config={"profile": config.name, "publishers": publishers, "conns": conns,
+        config={**world.link, "publishers": publishers, "conns": conns,
                 "restart_at_s": restart_at, "horizon_s": horizon, "seed": seed,
-                "idle_timeout_s": tcfg.idle_timeout_s,
-                "drain_period_s": tcfg.drain_period_s},
+                "idle_timeout_s": server.config.idle_timeout_s,
+                "drain_period_s": server.config.drain_period_s},
         data={
             "quic_state_series": series,
             "tcp_state_series": tcp_series,
@@ -455,21 +457,18 @@ def bench_migrate(profile: str | SimConfig = "wired", changes: int = 3,
     connection must survive every change without re-handshaking while the
     TCP baseline re-establishes from scratch each time."""
     config = _profile(profile)
-    net = SimNetwork(SimConfig(name=config.name, delay_ms=config.delay_ms), seed)
-    identity = _identity_for(seed)
-    server = ServerAgent(net, BROKER_ADDR, identity, rng=Random(seed ^ 0xD00D))
+    world = _World(_lossless(config), seed, _identity_for(seed), seed ^ 0xD00D)
+    net, server = world.net, world.server
 
     deliveries: list[float] = []
 
     def on_message(agent, msg):
         deliveries.append(net.clock.now_s)
 
-    sub = ClientAgent(net, (SUB_IP, 54001), BROKER_ADDR, "mig-sub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 5 + 2),
-                      on_connected=lambda a: a.subscribe("mig/t"),
-                      on_message=on_message)
-    pub = ClientAgent(net, (PUB_IP, 54000), BROKER_ADDR, "mig-pub",
-                      server_pk=identity.sign_pair.pk, rng=Random(seed * 5 + 1))
+    sub = world.client((SUB_IP, 54001), "mig-sub", seed * 5 + 2,
+                       on_connected=lambda a: a.subscribe("mig/t"),
+                       on_message=on_message)
+    pub = world.client((PUB_IP, 54000), "mig-pub", seed * 5 + 1)
     sub.connect_mqtt()
     pub.connect_mqtt()
     net.run(until_s=2.0)
@@ -500,19 +499,12 @@ def bench_migrate(profile: str | SimConfig = "wired", changes: int = 3,
         if ev.event == "send" and ev.time_us > handshake_cutoff_s * 1e6
         and ev.annotation.split(" ")[0] in ("chlo_inchoate", "chlo_full", "rej", "shlo")
     )
-    gaps = [b - a for a, b in zip(deliveries, deliveries[1:])]
-    max_gap = max(gaps) if gaps else 0.0
-    series: list[tuple[float, int]] = []
-    second = 0
-    while second <= duration:
-        series.append((float(second),
-                       sum(1 for d in deliveries if second <= d < second + 1)))
-        second += 1
+    series, max_gap = baseline.per_second(deliveries, duration)
     rtt_s = 2.0 * config.delay_ms / 1000.0
     tcp = baseline.migration_model(duration, interval, publish_interval, rtt_s)
     return BenchResult(
         scenario="migrate",
-        config={"profile": config.name, "changes": changes, "interval_s": interval,
+        config={**world.link, "changes": changes, "interval_s": interval,
                 "duration_s": duration, "publish_interval_s": publish_interval,
                 "seed": seed},
         data={

@@ -88,6 +88,14 @@ class TransportError(Exception):
         self.reason = reason
 
 
+def check_stream_id(stream_id: int) -> None:
+    """Refuse an id no application stream can have: a WINDOW_UPDATE for
+    stream 0 is the connection-level one, stream 1 carries the handshake,
+    and frames carry the id in 32 bits."""
+    if not HANDSHAKE_STREAM_ID < stream_id <= 0xFFFFFFFF:
+        raise TransportError("bad_stream_id", str(stream_id))
+
+
 @dataclass(frozen=True)
 class TransportConfig:
     idle_timeout_s: float = 30.0
@@ -766,9 +774,9 @@ class Connection:
     def _on_stream_frame(self, frame: StreamFrame) -> None:
         if frame.stream_id == HANDSHAKE_STREAM_ID:
             return
-        stream = self._stream(frame.stream_id)
-        before = stream.delivered
         try:
+            stream = self._stream(frame.stream_id)
+            before = stream.delivered
             chunks = stream.accept(frame)
         except TransportError as e:
             self.close(error_code=1, reason=e.reason.encode())
@@ -940,14 +948,13 @@ class Connection:
         frame; it ends with its FIN or with the connection."""
         stream = self.streams.get(stream_id)
         if stream is None:
+            check_stream_id(stream_id)
             stream = self.streams[stream_id] = Stream(stream_id, self.config.stream_window)
         return stream
 
     def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> None:
         if self.phase in (DRAINING, CLOSED):
             raise TransportError("connection_closed")
-        if stream_id == HANDSHAKE_STREAM_ID:
-            raise TransportError("reserved_stream")
         self._stream(stream_id).write(data, fin)
 
     # ------------------------------------------------------------------- flush

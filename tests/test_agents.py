@@ -36,6 +36,18 @@ def make_client(net, identity, port, client_id, seed=9, **kw):
                        server_pk=identity.sign_pair.pk, rng=Random(seed), **kw)
 
 
+def record_dispatch(client) -> list:
+    """Every MQTT message the client's dispatcher is handed, in order."""
+    seen = []
+    dispatch = client.quic_dispatcher
+
+    def recorder(msg, stream_id):
+        seen.append(msg)
+        dispatch(msg, stream_id)
+    client.quic_dispatcher = recorder
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # client_connect and the initializer chain
 # ---------------------------------------------------------------------------
@@ -44,10 +56,11 @@ def make_client(net, identity, port, client_id, seed=9, **kw):
 def test_fresh_client_connects_via_1rtt():
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1")
+    seen = record_dispatch(client)
     assert client.connect_mqtt() == "1rtt"
     net.run(until_s=2.0)
     assert client.connected
-    assert client.rx_msg_queue[0].kind == mqtt.CONNACK
+    assert seen[0].kind == mqtt.CONNACK
 
 
 def test_warm_client_connects_via_0rtt(tmp_path):
@@ -188,8 +201,10 @@ def test_publish_routed_to_all_subscribers():
 
 def test_client_rx_queue_is_fifo():
     net, identity, server = make_world()
+    payloads = []
     sub = make_client(net, identity, 50001, "sub", seed=21,
-                      on_connected=lambda a: a.subscribe("q"))
+                      on_connected=lambda a: a.subscribe("q"),
+                      on_message=lambda a, m: payloads.append(m.payload))
     pub = make_client(net, identity, 50002, "pub", seed=22)
     sub.connect_mqtt()
     pub.connect_mqtt()
@@ -197,7 +212,6 @@ def test_client_rx_queue_is_fifo():
     for i in range(5):
         pub.publish("q", bytes([i]))
     net.run(until_s=4.0)
-    payloads = [m.payload for m in sub.rx_msg_queue if m.kind == mqtt.PUBLISH]
     assert payloads == [bytes([i]) for i in range(5)]
 
 
@@ -210,7 +224,6 @@ def test_suback_surfaced_to_application():
     sub.connect_mqtt()
     net.run(until_s=2.0)
     assert events == [1]
-    assert any(m.kind == mqtt.SUBACK for m in sub.rx_msg_queue)
 
 
 def test_invalid_mqtt_payload_keeps_connection():
@@ -468,11 +481,11 @@ def test_persistent_session_survives_client_restart():
                        server_pk=identity.sign_pair.pk, rng=Random(31),
                        persistent=True,
                        on_message=lambda a, m: got.append(m.payload))
+    seen = record_dispatch(sub2)
     sub2.connect_mqtt()
     net.run(until_s=5.0)
     assert sub2.connected
-    assert any(m.kind == mqtt.CONNACK and m.session_present
-               for m in sub2.rx_msg_queue)
+    assert any(m.kind == mqtt.CONNACK and m.session_present for m in seen)
     pub = make_client(net, identity, 50002, "pub", seed=23)
     pub.connect_mqtt()
     net.run(until_s=7.0)
@@ -526,10 +539,11 @@ def test_keepalive_pings_when_enabled():
     cfg = TransportConfig(idle_timeout_s=3.0, drain_period_s=1.0)
     net, identity, server = make_world(config=cfg)
     client = make_client(net, identity, 50001, "dev1", keepalive=1, config=cfg)
+    seen = record_dispatch(client)
     client.connect_mqtt()
     net.run(until_s=8.0)
     assert client.connected
-    assert any(m.kind == mqtt.PINGRESP for m in client.rx_msg_queue)
+    assert any(m.kind == mqtt.PINGRESP for m in seen)
     assert server.connection_count() == 1
 
 
@@ -552,10 +566,11 @@ def test_subscribe_refuses_what_the_broker_would(topic, qos):
         client.subscribe(topic, qos=qos)
     assert e.value.stage == "sanity"
     assert len(net.trace) == sent  # nothing left the host
+    seen = record_dispatch(client)
     client.subscribe("a/+/#", qos=2)
     net.run(until_s=3.0)
     assert server.mqtt_errors == 0
-    assert [m.granted for m in client.rx_msg_queue if m.kind == mqtt.SUBACK] == [(1,)]
+    assert [m.granted for m in seen if m.kind == mqtt.SUBACK] == [(1,)]
 
 
 def test_publish_refuses_a_topic_the_broker_would():
@@ -588,11 +603,20 @@ def test_refused_publish_or_subscribe_spends_no_msgid():
         lambda: client.subscribe("a/b", qos=3),
         lambda: client.subscribe("a/b", qos=256),
     ]
+    # Stream 0 would stall at its first window and 1 is the handshake's; a
+    # frame carries the id in 32 bits.
+    for stream_id in (0, 1, 2**32, -1):
+        refusals.append(lambda s=stream_id: client.publish("a/b", b"m", qos=1,
+                                                           stream_id=s))
+        refusals.append(lambda s=stream_id: client.subscribe("a/b", stream_id=s))
+    sent = len(net.trace)
     for refused in refusals:
         with pytest.raises(AgentError) as e:
             refused()
         assert e.value.stage == "sanity"
         assert client._next_msgid == before
+    assert len(net.trace) == sent  # nothing left the host
+    assert not client.state.pending_qos1
     assert client.publish("a/b", b"m", qos=1) == before
     assert client.subscribe("a/b", qos=1) == before + 1
 

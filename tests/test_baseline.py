@@ -2,8 +2,6 @@ import pytest
 
 from quicmq.baseline import (
     BaselineError,
-    LADDERS,
-    baseline_packet_count,
     half_open_series,
     hol_latency_trace,
     migration_model,
@@ -28,11 +26,6 @@ REFERENCE_WIRED_REDUCTIONS = {
 }
 
 
-def test_full_ladder_counts_match_goldens():
-    for role, count in GOLDEN_COUNTS.items():
-        assert baseline_packet_count("1rtt_equiv", role) == count
-
-
 def test_ladder_reductions_reproduce_reference_table():
     for mode, per_role in REFERENCE_WIRED_REDUCTIONS.items():
         for role, expected in per_role.items():
@@ -42,30 +35,13 @@ def test_ladder_reductions_reproduce_reference_table():
             assert got == pytest.approx(expected, abs=0.02)
 
 
-def test_broker_count_is_sum_of_roles():
-    assert (baseline_packet_count("1rtt_equiv", "broker")
-            == baseline_packet_count("1rtt_equiv", "publisher")
-            + baseline_packet_count("1rtt_equiv", "subscriber"))
-
-
-def test_repeat_connect_is_shorter():
-    for role in ("publisher", "subscriber"):
-        assert (baseline_packet_count("repeat_connect", role)
-                < baseline_packet_count("1rtt_equiv", role))
-
-
-def test_unknown_scenario_rejected():
-    with pytest.raises(BaselineError):
-        baseline_packet_count("martian", "broker")
-
-
 def test_ladders_replayed_through_sim_are_trace_derived():
     net = SimNetwork(SimConfig(delay_ms=0.2), seed=1)
     run_tcp_ladders(net, ("10.0.0.1", 4433),
                     [(("10.0.0.2", 1), "publisher"), (("10.0.0.3", 2), "subscriber")])
-    assert net.count_for_role("10.0.0.2") == 15
-    assert net.count_for_role("10.0.0.3") == 19
-    assert net.count_for_role("10.0.0.1") == 34
+    assert net.count_for_role("10.0.0.2") == GOLDEN_COUNTS["publisher"]
+    assert net.count_for_role("10.0.0.3") == GOLDEN_COUNTS["subscriber"]
+    assert net.count_for_role("10.0.0.1") == GOLDEN_COUNTS["broker"]
 
 
 def test_ladder_loss_recovery_adds_packets():

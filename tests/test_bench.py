@@ -19,7 +19,7 @@ from quicmq.bench import (
 )
 from quicmq.cli import main
 from quicmq.handshake import ServerIdentity
-from quicmq.netsim import SimConfig, SimNetwork, TraceEvent
+from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
 
 
@@ -156,13 +156,13 @@ def rej_fallback_run(state_dir: str) -> bytes:
 # and say why.
 PINNED_DIGESTS = {
     "conn_overhead_wired": "8584854b34f06f91667b2fafc14b0d6782b109ddede4bd543594dd84806736c2",
-    "hol_wired": "32fd871e8cc18378d3fa53479f2f0530ea3ccc5401787dab536aa5efbb9ff3c1",
-    "half_open_wired": "dbf30749867aba004e3e2f66c63bb7358cfcb06fc1c73b8aee229a7ac280cd36",
-    "migrate_wired": "db38a298fa56ccfe3bf223af52b88a7e1f535a52104b2d8d59717aea8fb598ec",
+    "hol_wired": "d4781aee5296eff26a3767287513ae74fa0ac7498ca7857dab7bae941de45464",
+    "half_open_wired": "2dc50ba93d6e06a377469c35c8bd8b422f8b99a20589017cd184f0739314e4ac",
+    "migrate_wired": "aaf2340b259c1c28d10e2c571b9e3397fde855217ca0556c8a4618c7831cd3eb",
     "conn_overhead_wireless": "6bdf312e4924ee770ec902d201786d267968589484647bdcadc33350498779c0",
-    "hol_wireless": "4829ba98f9f46f476753c409599248cb6d8fc190f56c6470c90f169c5d91e999",
-    "stream_isolation_wired": "5b23a58b8ac2cf6fb8436bf0e159b0481a2c87e2bbcb51de8ea75b7893b68ab9",
-    "migrate_wireless": "0aa26d9525005b9c48d65268715b88b61ccca1d146cba05a4cb4384d300eb536",
+    "hol_wireless": "1cf2986c12cd3321c1e32903c2efb5afbc8d054d0c48ae52c916cfc6dbeb3550",
+    "stream_isolation_wired": "2bcd722a4bda24ef1b231c0e8ca79188b7be20a41206fa572ac1e3183eb27de4",
+    "migrate_wireless": "86da5891ed9dcded10d3d8cbc6f171b095f2f4fbbc47bc7d6d5987d98e63071e",
     "conn_overhead_long_distance":
         "5c241b5e1796f8e626b6ac19e4678eb67f18ea9e1a2d85ccb5a1e1be1109859e",
     "fanout_many_subscribers":
@@ -249,6 +249,45 @@ def test_migrate_small_world():
     assert res.data["cids_at_server"] == 2  # publisher + subscriber, no more
     assert res.data["max_delivery_gap_s"] <= 1.0 + 2 * res.data["rtt_s"] + 1e-6
     assert res.data["tcp_reestablishments"] == 2
+
+
+def test_every_result_names_the_link_it_ran():
+    # Only conn-overhead runs the profile's ambient loss; the other
+    # scenarios' drops are their own, on a lossless link at its delay.
+    wireless = PROFILES["wireless"]
+    lossless = [
+        bench_hol("wireless", drop_rate=10, streams=2, messages=20, seed=1),
+        bench_stream_isolation("wireless", drop_rate=10, messages=20, seed=1),
+        bench_half_open("wireless", publishers=1, conns=2, restart_at=2.0,
+                        horizon=5.0, seed=1),
+        bench_migrate("wireless", changes=1, interval=2.0, duration=4.0, seed=1),
+    ]
+    for res in lossless:
+        link = (res.config["profile"], res.config["delay_ms"], res.config["loss_rate"])
+        assert link == ("wireless", wireless.delay_ms, 0.0), res.scenario
+    res = bench_conn_overhead("wireless", mode="quic1rtt", iterations=1, seed=1)
+    assert (res.config["profile"], res.config["delay_ms"], res.config["loss_rate"]) \
+        == ("wireless", wireless.delay_ms, 0.25)
+
+
+def test_run_benches_script_writes_every_result(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_benches.py")
+    out = subprocess.run([sys.executable, script, str(tmp_path), "--quick"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    profiles = ("wired", "wireless", "long_distance")
+    expected = ([f"conn_overhead_{p}.json" for p in profiles]
+                + [f"hol_{p}_{rate}pct.json" for p in profiles for rate in (10, 20, 50)]
+                + ["stream_isolation_wired.json", "half_open.json", "half_open.csv",
+                   "migrate.json", "migrate.csv"])
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for name in expected:
+        if not name.endswith(".json"):
+            continue
+        config = json.loads((tmp_path / name).read_text())["config"]
+        profile = PROFILES[config["profile"]]
+        loss = profile.loss_rate if name.startswith("conn_overhead") else 0.0
+        assert (config["delay_ms"], config["loss_rate"]) == (profile.delay_ms, loss), name
 
 
 def test_result_csv_series(tmp_path):

@@ -24,6 +24,7 @@ from quicmq.wire import (
     HANDSHAKE_DATAGRAM_LEN,
     HANDSHAKE_PACKET_LEN,
     LINK_OVERHEAD,
+    CloseFrame,
     PacketHeader,
     StreamFrame,
     decode_frames,
@@ -369,6 +370,39 @@ def test_handshake_stream_reserved(world):
     conn = client_ep.make_client()
     with pytest.raises(TransportError):
         conn.send_stream(1, b"nope")
+
+
+@pytest.mark.parametrize("stream_id", [0, 1, 2**32, -1])
+def test_stream_ids_the_transport_cannot_carry_are_refused(world, stream_id):
+    # Stream 0's WINDOW_UPDATE would read as the connection-level one, and a
+    # frame holds the id in 32 bits: refused at the write, not at flush.
+    net, client_ep, _, _ = world()
+    conn = client_ep.make_client()
+    with pytest.raises(TransportError) as e:
+        conn.send_stream(stream_id, b"nope")
+    assert e.value.reason == "bad_stream_id"
+    assert not conn.streams
+    conn.send_stream(2, b"ok")
+    conn.send_stream(2**32 - 1, b"ok")
+    assert sorted(conn.streams) == [2, 2**32 - 1]
+
+
+def test_stream_frame_on_stream_0_closes_the_connection(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    raw = encode_frames([StreamFrame(0, 0, b"x", False)])
+    server_conn.handle_datagram(
+        seal_client_data(conn.k, conn.next_sqn, raw, cid=conn.cid, epoch=EPOCH_K),
+        CLIENT_ADDR)
+    assert 0 not in server_conn.streams
+    assert not server_ep.events_of(StreamData)
+    server_conn.flush()
+    reasons = []
+    for packet, _ in server_conn.take_outputs():
+        header, hlen = decode_header(packet)
+        plain = open_packet_body(header, hlen, packet, conn.k, "client")
+        reasons += [f.reason for f in decode_frames(plain[1:]) if isinstance(f, CloseFrame)]
+    assert reasons == [b"bad_stream_id"]
 
 
 def test_fin_written_alone_after_data_is_sent():
