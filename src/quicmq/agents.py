@@ -29,12 +29,12 @@ from .connection import (
     TransportError,
     check_stream_id,
 )
+from .crypto import SYSTEM_RNG
 from .handshake import ServerConfig, ServerIdentity
 from .mqtt import Broker, MqttError, MqttMessage
 from .netsim import Address, SimNetwork
 from .wire import EPOCH_CLEAR, WireError, decode_header
 
-STATE_DIR_ENV = "QUICMQ_STATE_DIR"
 PRIMARY_STREAM = 3  # first application stream; stream 1 carries the handshake
 MAX_MESSAGE_SIZE = 16 * 1024
 
@@ -58,9 +58,8 @@ class SessionStore:
     """One human-readable key-value document per broker address, holding the
     resumption material for 0-RTT: scfg, its signature, and the token."""
 
-    def __init__(self, state_dir: str | None = None):
-        self.state_dir = (state_dir or os.environ.get(STATE_DIR_ENV)
-                          or os.path.join(os.path.expanduser("~"), ".quicmq"))
+    def __init__(self, state_dir: str):
+        self.state_dir = state_dir
         os.makedirs(self.state_dir, exist_ok=True)
 
     def path_for(self, host: str, port: int) -> str:
@@ -198,7 +197,7 @@ class ClientAgent:
     def __init__(self, network: SimNetwork, local_addr: Address, broker_addr: Address,
                  client_id: str, server_pk: bytes,
                  config: TransportConfig | None = None,
-                 rng: Random | None = None,
+                 rng: Random = SYSTEM_RNG,
                  state_dir: str | None = None,
                  persistent: bool = False,
                  keepalive: int = 0,
@@ -216,7 +215,7 @@ class ClientAgent:
         self.client_id = client_id
         self.server_pk = server_pk
         self.config = config or TransportConfig()
-        self.rng = rng if rng is not None else Random()
+        self.rng = rng
         self.sessions = SessionStore(state_dir) if state_dir is not None else None
         self.persistent = persistent
         self.keepalive = keepalive
@@ -430,13 +429,13 @@ class ServerAgent:
     def __init__(self, network: SimNetwork, addr: Address, identity: ServerIdentity,
                  broker: Broker | None = None,
                  config: TransportConfig | None = None,
-                 rng: Random | None = None):
+                 rng: Random = SYSTEM_RNG):
         self.network = network
         self.addr = addr
         self.identity = identity
         self.broker = broker if broker is not None else Broker()
         self.config = config or TransportConfig()
-        self.rng = rng if rng is not None else Random()
+        self.rng = rng
         self.conns: dict[int, _ConnState] = {}
         self.conns_opened = 0
         self.rx_errors = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from random import Random
+import tempfile
 
 from .agents import ClientAgent, ServerAgent
 from .bench import (
@@ -38,8 +38,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--state-dir", default=None)
+        p.add_argument("--state-dir", default=None,
+                       help="broker: retained and persistent sessions; "
+                            "client: the session file for 0-RTT resumption")
         p.add_argument("--trace", default=None, help="write a datagram trace file")
 
     broker = sub.add_parser("broker", help="run a broker on a real UDP socket")
@@ -61,8 +62,6 @@ def _parser() -> argparse.ArgumentParser:
     pub.add_argument("--qos", type=int, choices=(0, 1), default=0)
     pub.add_argument("--retain", action="store_true")
     pub.add_argument("--client-id", default="quicmq-pub")
-    pub.add_argument("--resume", action="store_true",
-                     help="resume from the session file (0-RTT) when possible")
 
     subc = sub.add_parser("sub", help="subscribe and print deliveries over real UDP")
     common(subc)
@@ -127,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_broker(args) -> int:
     net = UdpNetwork()
-    identity = ServerIdentity.create(now=0.0, rng=Random(args.seed) if args.seed else None)
+    identity = ServerIdentity.create(now=0.0)
     broker = Broker(state_dir=args.state_dir)
     try:
         agent = ServerAgent(net, args.listen, identity, broker=broker)
@@ -174,7 +173,7 @@ def cmd_pub(args) -> int:
     try:
         agent = ClientAgent(net, ("0.0.0.0", 0), args.broker, args.client_id,
                             server_pk=server_pk,
-                            state_dir=args.state_dir if args.resume else None,
+                            state_dir=args.state_dir,
                             on_connected=on_connected,
                             on_closed=lambda a, r: done.__setitem__("closed", True))
     except OSError as e:
@@ -229,14 +228,11 @@ def cmd_bench(args) -> int:
     try:
         if args.scenario == "conn-overhead":
             mode = None if args.mode == "all" else args.mode
-            state_dir = args.state_dir
-            if state_dir is None and mode in (None, "quic0rtt"):
-                import tempfile
-                state_dir = tempfile.mkdtemp(prefix="quicmq-bench-")
-            result = bench_conn_overhead(args.profile, mode, args.iterations,
-                                         args.seed, state_dir,
-                                         experiments=args.experiments,
-                                         trace_path=args.trace_path)
+            with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as tmp:
+                result = bench_conn_overhead(args.profile, mode, args.iterations,
+                                             args.seed, args.state_dir or tmp,
+                                             experiments=args.experiments,
+                                             trace_path=args.trace_path)
         elif args.scenario == "hol":
             if args.isolation:
                 result = bench_stream_isolation(args.profile, args.drop_rate,

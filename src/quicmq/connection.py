@@ -18,7 +18,7 @@ from random import Random
 from typing import Callable, Iterator
 
 from . import wire
-from .crypto import GCM_TAG_LEN, KeySet, NULL_KEYS
+from .crypto import GCM_TAG_LEN, NULL_KEYS, SYSTEM_RNG, KeySet
 from .handshake import (
     ClientHelloSecrets,
     HandshakeError,
@@ -323,7 +323,7 @@ class Connection:
                  config: TransportConfig, clock: Callable[[], float],
                  scheduler: Callable[[float, Callable[[], None]], object],
                  on_event: Callable[[object], None],
-                 rng: Random | None = None,
+                 rng: Random = SYSTEM_RNG,
                  server_pk: bytes | None = None,
                  identity: ServerIdentity | None = None,
                  session: CachedSession | None = None):
@@ -335,7 +335,7 @@ class Connection:
         self.clock = clock
         self.scheduler = scheduler
         self.on_event = on_event
-        self.rng = rng if rng is not None else Random()
+        self.rng = rng
         self.server_pk = server_pk
         self.identity = identity
         self.session = session
@@ -488,8 +488,8 @@ class Connection:
         packet carried on the handshake stream; returns the padded message.
         The hello is kept so that a retransmission repeats it byte for byte:
         the padded CHLO is part of the key transcript."""
-        # header(17, +4 with the version) + marker(1) + stream frame header(18) + tag(16)
-        overhead = 17 + (4 if first else 0) + 1 + 18 + 16
+        overhead = (header_len(self._header(EPOCH_CLEAR, version=first)) + 1
+                    + frame_len(StreamFrame(HANDSHAKE_STREAM_ID, 0, b"")) + GCM_TAG_LEN)
         padded_bytes = msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded_bytes, False)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
@@ -684,6 +684,9 @@ class Connection:
         if msg.kind != wire.MSG_CHLO:
             self.auth_failures += 1  # a stray REJ/SHLO: dropped silently
             return
+        if identity.scfg.expy <= now:
+            # Renewed before anything is answered under it.
+            identity.rotate_scfg(now, self.rng)
         if not is_full_chlo(msg):
             # Inchoate hello: answer (or repeat) the server config.
             if self.phase in (IDLE, REJECTED):

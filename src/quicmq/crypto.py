@@ -2,17 +2,18 @@
 key agreement, and the HMAC-based key expansion that produces directional
 key sets.
 
-Everything here is a pure function of its inputs plus an optional injectable
-``random.Random`` for reproducible key generation in tests.
+Everything here is a pure function of its inputs plus an ``rng``. Every
+random byte comes from ``SYSTEM_RNG``, the OS generator, unless a caller
+passes a seeded ``random.Random``, as the simulator, the benchmarks and the
+tests do.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 from dataclasses import dataclass
-from random import Random
+from random import Random, SystemRandom
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -36,6 +37,10 @@ LABEL_SCFG_SIGNATURE = b"QUIC Server Config Signature"
 
 _HASH_LEN = 32
 
+# The one source of random bytes when no seeded ``Random`` is given: it reads
+# ``os.urandom``, so no secret can be predicted from earlier outputs.
+SYSTEM_RNG = SystemRandom()
+
 
 class CryptoError(Exception):
     """Raised for unusable crypto inputs (bad lengths, unknown groups)."""
@@ -57,19 +62,15 @@ class SignatureKeyPair:
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
-def kg(lam: int = 128, rng: Random | None = None) -> SignatureKeyPair:
+def kg(lam: int = 128, rng: Random = SYSTEM_RNG) -> SignatureKeyPair:
     """Generate a signing key pair at the requested security level.
 
-    Only the 128-bit level (P-256) is supported. Passing ``rng`` makes the
-    result reproducible; otherwise the key is drawn from the OS CSPRNG.
+    Only the 128-bit level (P-256) is supported. A seeded ``rng`` makes the
+    result reproducible.
     """
     if lam != 128:
         raise CryptoError(f"unsupported security parameter: {lam}")
-    if rng is None:
-        priv = ec.generate_private_key(ec.SECP256R1())
-    else:
-        scalar = rng.randrange(1, _P256_ORDER)
-        priv = ec.derive_private_key(scalar, ec.SECP256R1())
+    priv = ec.derive_private_key(rng.randrange(1, _P256_ORDER), ec.SECP256R1())
     pk = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
     sk = priv.private_numbers().private_value.to_bytes(32, "big")
     return SignatureKeyPair(pk=pk, sk=sk)
@@ -134,8 +135,8 @@ class X25519Group:
 
     group_id = 1
 
-    def keypair(self, rng: Random | None = None) -> DhKeyPair:
-        raw = rng.randbytes(32) if rng is not None else secrets.token_bytes(32)
+    def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
+        raw = rng.randbytes(32)
         priv = X25519PrivateKey.from_private_bytes(raw)
         pub = priv.public_key().public_bytes_raw()
         return DhKeyPair(self.group_id, raw, pub)
@@ -165,9 +166,8 @@ class ModGroup:
         self.generator = generator
         self.prime = prime
 
-    def keypair(self, rng: Random | None = None) -> DhKeyPair:
-        r = rng if rng is not None else Random(secrets.randbits(64))
-        x = r.randrange(1, self.prime - 1)
+    def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
+        x = rng.randrange(1, self.prime - 1)
         y = pow(self.generator, x, self.prime)
         return DhKeyPair(self.group_id, x.to_bytes(4, "big"), y.to_bytes(4, "big"))
 
@@ -188,7 +188,7 @@ class ModGroup:
 GROUPS = {g.group_id: g for g in (X25519Group(), ModGroup())}
 
 
-def dh_keypair(group_id: int = 1, rng: Random | None = None) -> DhKeyPair:
+def dh_keypair(group_id: int = 1, rng: Random = SYSTEM_RNG) -> DhKeyPair:
     try:
         group = GROUPS[group_id]
     except KeyError:

@@ -8,13 +8,13 @@ retransmission live in the connection layer.
 
 from __future__ import annotations
 
-import secrets as _secrets
 from dataclasses import dataclass, field
 from random import Random
 
 from . import crypto, wire
 from .crypto import (
     LABEL_SCFG_SIGNATURE,
+    SYSTEM_RNG,
     KeySet,
     dh_keypair,
     dh_shared,
@@ -103,7 +103,7 @@ def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
     return LABEL_SCFG_SIGNATURE + b"\x00" + scid + pub_bytes + expy.to_bytes(4, "big")
 
 
-def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random | None = None,
+def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random = SYSTEM_RNG,
              group_id: int = 1, rotation_s: float = 86400.0) -> ServerConfig:
     """Mint a fresh server configuration valid for one rotation period."""
     if lam != 128:
@@ -113,7 +113,7 @@ def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random | None = No
     pub_bytes = bytes([group_id]) + pair.public
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
     prof = sign(sign_sk, signed_blob(scid, pub_bytes, expy))
-    div = rng.randbytes(32) if rng is not None else _secrets.token_bytes(32)
+    div = rng.randbytes(32)
     return ServerConfig(scid, group_id, pair.public, expy, div, prof, secret=pair.secret)
 
 
@@ -133,8 +133,8 @@ def check_scfg(cfg: ServerConfig, server_pk: bytes, now: float) -> None:
 # Source address tokens
 # ---------------------------------------------------------------------------
 
-def mint_stk(k_stk: bytes, client_ip: str, now: float, rng: Random | None = None) -> bytes:
-    iv = rng.randbytes(12) if rng is not None else _secrets.token_bytes(12)
+def mint_stk(k_stk: bytes, client_ip: str, now: float, rng: Random = SYSTEM_RNG) -> bytes:
+    iv = rng.randbytes(12)
     plaintext = encode_ipv4(client_ip) + encode_time(now)
     return iv + crypto.aead_seal(k_stk, iv, b"", plaintext)
 
@@ -195,13 +195,12 @@ def build_inchoate_chlo() -> HandshakeMessage:
     return msg
 
 
-def make_nonc(now: float, rng: Random | None = None) -> bytes:
-    r = rng.randbytes(20) if rng is not None else _secrets.token_bytes(20)
-    return encode_time(now) + r
+def make_nonc(now: float, rng: Random = SYSTEM_RNG) -> bytes:
+    return encode_time(now) + rng.randbytes(20)
 
 
 def build_full_chlo(cfg: ServerConfig, stk: bytes, now: float,
-                    rng: Random | None = None) -> tuple[HandshakeMessage, ClientHelloSecrets]:
+                    rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, ClientHelloSecrets]:
     """Build a full CHLO against a validated server config, minting a fresh
     nonce and ephemeral DH value. The padded wire bytes recorded in the
     secrets feed the key expansion on both sides."""
@@ -218,7 +217,7 @@ def build_full_chlo(cfg: ServerConfig, stk: bytes, now: float,
 
 
 def build_rej(cfg: ServerConfig, k_stk: bytes, client_ip: str, now: float,
-              rng: Random | None = None) -> HandshakeMessage:
+              rng: Random = SYSTEM_RNG) -> HandshakeMessage:
     return HandshakeMessage(wire.MSG_REJ, {
         wire.TAG_SCFG: cfg.serialize_pub(),
         wire.TAG_PROF: cfg.prof,
@@ -277,13 +276,13 @@ class ServerIdentity:
     retired: dict[bytes, ServerConfig] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, now: float, rng: Random | None = None) -> "ServerIdentity":
+    def create(cls, now: float, rng: Random = SYSTEM_RNG) -> "ServerIdentity":
         pair = crypto.kg(128, rng)
-        k_stk = rng.randbytes(16) if rng is not None else _secrets.token_bytes(16)
+        k_stk = rng.randbytes(16)
         scfg = get_scfg(pair.sk, now, 128, rng)
         return cls(pair, k_stk, scfg, StrikeRegister())
 
-    def rotate_scfg(self, now: float, rng: Random | None = None) -> None:
+    def rotate_scfg(self, now: float, rng: Random = SYSTEM_RNG) -> None:
         self.retired[self.scfg.scid] = self.scfg
         self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng, self.scfg.group_id)
 
@@ -338,7 +337,7 @@ class ServerIdentity:
     # -- SHLO -------------------------------------------------------------------
 
     def build_shlo(self, client_ip: str, now: float,
-                   rng: Random | None = None) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
+                   rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
         """Fresh ephemeral DH values plus a refreshed token for the client's
         next resumption."""
         pair = dh_keypair(self.scfg.group_id, rng)

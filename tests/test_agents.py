@@ -148,12 +148,6 @@ def test_session_store_roundtrip(tmp_path):
     assert "server = h:1" in text and "created = 123" in text
 
 
-def test_session_store_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QUICMQ_STATE_DIR", str(tmp_path / "envdir"))
-    store = SessionStore()
-    assert store.state_dir == str(tmp_path / "envdir")
-
-
 def test_session_file_rewritten_after_fallback(tmp_path):
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
@@ -172,6 +166,22 @@ def test_session_file_rewritten_after_fallback(tmp_path):
     assert client2.connected  # transparent 1-RTT fallback
     fresh = store.load(*BROKER)
     assert fresh.scfg.scid != old.scfg.scid  # file rewritten with the new config
+
+
+def test_broker_renews_its_server_config_when_it_expires():
+    # The identity is created at 0 s, so its first config expires at 86,400 s.
+    net, identity, server = make_world()
+    first = identity.scfg
+    paths = {}
+    early = make_client(net, identity, 50001, "early")
+    late = make_client(net, identity, 50002, "late", seed=10)
+    net.schedule(100.0, lambda: paths.setdefault("early", early.connect_mqtt()))
+    net.schedule(86410.0, lambda: paths.setdefault("late", late.connect_mqtt()))
+    net.run(until_s=86415.0)
+    assert paths == {"early": "1rtt", "late": "1rtt"}
+    assert early.failure is None and late.failure is None
+    assert late.connected
+    assert identity.scfg.expy > 86410 and identity.retired == {first.scid: first}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
+import time
 from random import Random
 
 import pytest
@@ -317,6 +319,26 @@ def test_cli_bench_conn_overhead(tmp_path, capsys):
     assert json.loads(out)["scenario"] == "conn_overhead"
 
 
+def test_cli_bench_conn_overhead_leaves_no_temp_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    rc = main(["bench", "conn-overhead", "--iterations", "1", "--experiments", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["data"]["packet_counts"]["quic0rtt"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["broker", "--listen", "127.0.0.1:0", "--run-for", "0", "--seed", "1"],
+    ["pub", "--key-file", "k", "--topic", "t", "--seed", "1"],
+    ["sub", "--key-file", "k", "--topic", "t", "--seed", "1"],
+    ["pub", "--key-file", "k", "--topic", "t", "--resume"],
+])
+def test_cli_real_udp_commands_take_no_seed_or_resume(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
 def test_cli_bench_hol_isolation(tmp_path):
     rc = main(["bench", "hol", "--isolation", "--messages", "30",
                "--json", str(tmp_path / "iso.json")])
@@ -347,32 +369,44 @@ def _udp_available() -> bool:
         return False
 
 
-@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
-def test_cli_real_udp_end_to_end(tmp_path):
-    """Broker, subscriber, and publisher as separate processes on loopback;
-    the subscriber prints the published messages."""
+def _cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    port = 18833
+    return env
+
+
+def _start_broker(tmp_path, port: int) -> subprocess.Popen:
+    """A real-UDP broker process; returns once it has written its key."""
     broker = subprocess.Popen(
         [sys.executable, "-m", "quicmq.cli", "broker",
          "--listen", f"127.0.0.1:{port}", "--state-dir", str(tmp_path),
          "--run-for", "25"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    deadline = 50
+    while not (tmp_path / "broker.pk").exists() and deadline:
+        time.sleep(0.1)
+        deadline -= 1
+    if not (tmp_path / "broker.pk").exists():
+        broker.kill()
+        broker.wait()
+        raise AssertionError("broker never wrote its key")
+    return broker
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_cli_real_udp_end_to_end(tmp_path):
+    """Broker, subscriber, and publisher as separate processes on loopback;
+    the subscriber prints the published messages."""
+    env = _cli_env()
+    port = 18833
+    broker = _start_broker(tmp_path, port)
     try:
         key_file = tmp_path / "broker.pk"
-        deadline = 50
-        while not key_file.exists() and deadline:
-            import time
-            time.sleep(0.1)
-            deadline -= 1
-        assert key_file.exists(), "broker never wrote its key"
         sub = subprocess.Popen(
             [sys.executable, "-m", "quicmq.cli", "sub",
              "--broker", f"127.0.0.1:{port}", "--key-file", str(key_file),
              "--topic", "t/demo", "--count", "3", "--run-for", "15"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        import time
         time.sleep(1.0)
         pub = subprocess.run(
             [sys.executable, "-m", "quicmq.cli", "pub",
@@ -384,6 +418,27 @@ def test_cli_real_udp_end_to_end(tmp_path):
         out, _ = sub.communicate(timeout=20)
         assert sub.returncode == 0, out
         assert out.count("t/demo ping") == 3
+    finally:
+        broker.kill()
+        broker.wait()
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_cli_pub_resumes_exactly_when_given_a_state_dir(tmp_path):
+    port = 18834
+    broker = _start_broker(tmp_path, port)
+    pub = [sys.executable, "-m", "quicmq.cli", "pub", "--broker", f"127.0.0.1:{port}",
+           "--key-file", str(tmp_path / "broker.pk"), "--topic", "t/demo",
+           "--interval", "0.05"]
+    try:
+        paths = []
+        for extra in ([], ["--state-dir", str(tmp_path / "pub")],
+                      ["--state-dir", str(tmp_path / "pub")]):
+            run = subprocess.run(pub + extra, env=_cli_env(), capture_output=True,
+                                 text=True, timeout=20)
+            assert run.returncode == 0, run.stdout + run.stderr
+            paths.append(run.stdout.split("handshake path: ")[1].split()[0])
+        assert paths == ["1rtt", "1rtt", "0rtt"]
     finally:
         broker.kill()
         broker.wait()
