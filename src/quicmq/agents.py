@@ -74,8 +74,17 @@ class SessionStore:
             f"prof = {base64.b64encode(scfg.prof).decode()}",
             f"stk = {base64.b64encode(stk).decode()}",
         ]
-        with open(self.path_for(host, port), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        # Written aside, then renamed over the old file: a failed write leaves it.
+        path = self.path_for(host, port)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def load(self, host: str, port: int) -> CachedSession | None:
         path = self.path_for(host, port)

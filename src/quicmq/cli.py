@@ -39,7 +39,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--state-dir", default=None,
-                       help="broker: retained and persistent sessions; "
+                       help="broker: persistent sessions; "
                             "client: the session file for 0-RTT resumption")
         p.add_argument("--trace", default=None, help="write a datagram trace file")
 
@@ -126,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_broker(args) -> int:
     net = UdpNetwork()
-    identity = ServerIdentity.create(now=0.0)
+    identity = ServerIdentity.create(now=net.clock.now_s)
     broker = Broker(state_dir=args.state_dir)
     try:
         agent = ServerAgent(net, args.listen, identity, broker=broker)

@@ -18,7 +18,7 @@ from random import Random
 from typing import Callable, Iterator
 
 from . import wire
-from .crypto import GCM_TAG_LEN, NULL_KEYS, SYSTEM_RNG, KeySet
+from .crypto import GCM_TAG_LEN, NULL_KEYS, SYSTEM_RNG, CryptoError, KeySet
 from .handshake import (
     ClientHelloSecrets,
     HandshakeError,
@@ -31,6 +31,7 @@ from .handshake import (
     derive_ik_client,
     derive_k_client,
     is_full_chlo,
+    parse_public,
     parse_rej,
 )
 from .netsim import Address
@@ -658,14 +659,11 @@ class Connection:
             return
         if msg.kind != wire.MSG_SHLO:
             return
-        pubs = msg.fields.get(wire.TAG_PUBS, b"")
-        if not pubs or pubs[0] != self._hs_scfg.group_id:
-            self._fail_handshake("group_mismatch")
-            return
         try:
+            server_pub = parse_public(msg.fields.get(wire.TAG_PUBS, b""), "shlo_invalid")
             self.k = derive_k_client(self._hs_secrets, self._hs_scfg, self.cid,
-                                     inner, pubs[1:])
-        except Exception:
+                                     inner, server_pub)
+        except (HandshakeError, CryptoError):
             self._fail_handshake("shlo_invalid")
             return
         self.phase = ESTABLISHED
@@ -714,7 +712,7 @@ class Connection:
         self.ik = ik
         self._hs_nonc = nonc
         self._hs_chlo_wire = chlo_wire
-        self._hs_client_pub = msg.fields[wire.TAG_PUBC][1:]
+        self._hs_client_pub = parse_public(msg.fields[wire.TAG_PUBC], "pubc_invalid")
         self.phase = KEY_EXCHANGED
         # Continue after any initial data that arrived in the same flight.
         self.scheduler(0, self._server_continue)
@@ -740,7 +738,6 @@ class Connection:
             self._hs_chlo_wire, inner)
         self.phase = ESTABLISHED
         self._emit(HandshakeDone(resumed=False))
-        self.flush()
 
     def _server_repeat_flight(self) -> None:
         if self._hs_shlo is None or self.ik is None:
@@ -848,7 +845,6 @@ class Connection:
                 rtt = now - record.sent_at
                 self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
                 del self.sent_packets[sqn]
-        self._maybe_flush_blocked()
 
     def _retransmit(self, record: SentPacket) -> None:
         """Move a lost packet's frames into a fresh packet under a fresh
@@ -886,8 +882,6 @@ class Connection:
             self._retransmit(record)
         if self.sent_packets:
             self._arm_rto_timer()
-        if self.phase != DRAINING:
-            self.flush()
 
     def _can_send_packet(self) -> bool:
         return len(self.sent_packets) < CONGESTION_WINDOW_PACKETS
@@ -1020,10 +1014,6 @@ class Connection:
             return False
         # A client's initial data rides under ik before settlement.
         return (self.ik if self.role == "client" else self.k) is not None
-
-    def _maybe_flush_blocked(self) -> None:
-        if any(s.has_pending() for s in self.streams.values()):
-            self.flush()
 
     def _stream_chunks(self) -> Iterator[StreamFrame]:
         """The stream scheduler: dequeue sendable data round-robin over the

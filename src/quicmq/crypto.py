@@ -120,87 +120,53 @@ def aead_open(key: bytes, nonce: bytes, header: bytes, c: bytes) -> bytes | None
 
 
 # ---------------------------------------------------------------------------
-# Diffie-Hellman groups
+# Diffie-Hellman: X25519 (RFC 7748), the one group
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DhKeyPair:
-    group_id: int
     secret: bytes
     public: bytes
 
 
 class X25519Group:
-    """Production group: X25519. Public values are the raw 32-byte u-coordinate."""
+    """The DH group. Public values are the raw 32-byte u-coordinate; on the
+    wire they follow the group byte ``group_id``."""
 
     group_id = 1
 
     def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
         raw = rng.randbytes(32)
         priv = X25519PrivateKey.from_private_bytes(raw)
-        pub = priv.public_key().public_bytes_raw()
-        return DhKeyPair(self.group_id, raw, pub)
-
-    def validate_public(self, public: bytes) -> None:
-        if len(public) != 32:
-            raise CryptoError("x25519 public value must be 32 bytes")
-        if public == b"\x00" * 32:
-            raise CryptoError("degenerate x25519 public value")
+        return DhKeyPair(raw, priv.public_key().public_bytes_raw())
 
     def shared(self, secret: bytes, peer_public: bytes) -> bytes:
-        self.validate_public(peer_public)
+        if len(peer_public) != 32:
+            raise CryptoError("x25519 public value must be 32 bytes")
+        if peer_public == b"\x00" * 32:
+            raise CryptoError("degenerate x25519 public value")
         priv = X25519PrivateKey.from_private_bytes(secret)
-        out = priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
-        if out == b"\x00" * 32:
+        try:
+            out = priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
+        except ValueError:
+            # The library refuses a low-order point, whose output is all zero.
+            raise CryptoError("x25519 low-order public value") from None
+        if out == b"\x00" * 32:  # RFC 7748 §6.1
             raise CryptoError("x25519 produced an all-zero shared secret")
         return out
 
 
-class ModGroup:
-    """Tiny multiplicative group mod a prime, only for brute-force oracle
-    tests. Elements are 4-byte big-endian integers."""
-
-    group_id = 2
-
-    def __init__(self, generator: int = 2, prime: int = 23):
-        self.generator = generator
-        self.prime = prime
-
-    def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
-        x = rng.randrange(1, self.prime - 1)
-        y = pow(self.generator, x, self.prime)
-        return DhKeyPair(self.group_id, x.to_bytes(4, "big"), y.to_bytes(4, "big"))
-
-    def validate_public(self, public: bytes) -> None:
-        if len(public) != 4:
-            raise CryptoError("mod-group public value must be 4 bytes")
-        y = int.from_bytes(public, "big")
-        if y <= 1 or y >= self.prime - 1:
-            raise CryptoError("degenerate mod-group element")
-
-    def shared(self, secret: bytes, peer_public: bytes) -> bytes:
-        self.validate_public(peer_public)
-        x = int.from_bytes(secret, "big")
-        y = int.from_bytes(peer_public, "big")
-        return pow(y, x, self.prime).to_bytes(4, "big")
+_X25519 = X25519Group()
 
 
-GROUPS = {g.group_id: g for g in (X25519Group(), ModGroup())}
-
-
-def dh_keypair(group_id: int = 1, rng: Random = SYSTEM_RNG) -> DhKeyPair:
-    try:
-        group = GROUPS[group_id]
-    except KeyError:
-        raise CryptoError(f"unknown DH group {group_id}") from None
-    return group.keypair(rng)
+def dh_keypair(group_id: int = X25519Group.group_id, rng: Random = SYSTEM_RNG) -> DhKeyPair:
+    if group_id != X25519Group.group_id:
+        raise CryptoError(f"unknown DH group {group_id}")
+    return _X25519.keypair(rng)
 
 
 def dh_shared(pair: DhKeyPair, peer_public: bytes) -> bytes:
-    group = GROUPS.get(pair.group_id)
-    if group is None:
-        raise CryptoError(f"unknown DH group {pair.group_id}")
-    return group.shared(pair.secret, peer_public)
+    return _X25519.shared(pair.secret, peer_public)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from . import crypto, wire
 from .crypto import (
     LABEL_SCFG_SIGNATURE,
     SYSTEM_RNG,
+    CryptoError,
     KeySet,
+    X25519Group,
     dh_keypair,
     dh_shared,
     extract_expand,
@@ -28,6 +30,7 @@ from .wire import HandshakeMessage
 
 STK_LEN = 12 + 8 + 16  # iv || ct(ip4 + time4) || tag
 NONC_LEN = 24  # 4-byte client timestamp || 160-bit random
+GROUP_ID = X25519Group.group_id  # the byte in front of every DH public value
 
 
 class HandshakeError(Exception):
@@ -47,6 +50,14 @@ def encode_ipv4(ip: str) -> bytes:
 
 def encode_time(t: float) -> bytes:
     return (int(t) & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+def parse_public(value: bytes, reason: str) -> bytes:
+    """A DH public value as carried on the wire, the group byte then the
+    32-byte X25519 value: return the value, or raise ``reason``."""
+    if len(value) != 33 or value[0] != GROUP_ID:
+        raise HandshakeError(reason)
+    return value[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +102,12 @@ class ServerConfig:
         pos = 34
         if len(data) < pos + publen + 4 + 32:
             raise HandshakeError("scfg_malformed", "truncated")
-        pub = data[pos:pos + publen]
+        public = parse_public(data[pos:pos + publen], "scfg_malformed")
         pos += publen
         expy = int.from_bytes(data[pos:pos + 4], "big")
         pos += 4
         div_nonce = data[pos:pos + 32]
-        return cls(scid, pub[0], pub[1:], expy, div_nonce, prof)
+        return cls(scid, GROUP_ID, public, expy, div_nonce, prof)
 
 
 def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
@@ -104,17 +115,17 @@ def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
 
 
 def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random = SYSTEM_RNG,
-             group_id: int = 1, rotation_s: float = 86400.0) -> ServerConfig:
+             rotation_s: float = 86400.0) -> ServerConfig:
     """Mint a fresh server configuration valid for one rotation period."""
     if lam != 128:
-        raise crypto.CryptoError(f"unsupported security parameter: {lam}")
-    pair = dh_keypair(group_id, rng)
+        raise CryptoError(f"unsupported security parameter: {lam}")
+    pair = dh_keypair(GROUP_ID, rng)
     expy = int(now + rotation_s)
-    pub_bytes = bytes([group_id]) + pair.public
+    pub_bytes = bytes([GROUP_ID]) + pair.public
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
     prof = sign(sign_sk, signed_blob(scid, pub_bytes, expy))
     div = rng.randbytes(32)
-    return ServerConfig(scid, group_id, pair.public, expy, div, prof, secret=pair.secret)
+    return ServerConfig(scid, GROUP_ID, pair.public, expy, div, prof, secret=pair.secret)
 
 
 def check_scfg(cfg: ServerConfig, server_pk: bytes, now: float) -> None:
@@ -205,12 +216,12 @@ def build_full_chlo(cfg: ServerConfig, stk: bytes, now: float,
     nonce and ephemeral DH value. The padded wire bytes recorded in the
     secrets feed the key expansion on both sides."""
     nonc = make_nonc(now, rng)
-    pair = dh_keypair(cfg.group_id, rng)
+    pair = dh_keypair(GROUP_ID, rng)
     msg = HandshakeMessage(wire.MSG_CHLO, {
         wire.TAG_STK: stk,
         wire.TAG_SCID: cfg.scid,
         wire.TAG_NONC: nonc,
-        wire.TAG_PUBC: bytes([cfg.group_id]) + pair.public,
+        wire.TAG_PUBC: bytes([GROUP_ID]) + pair.public,
         wire.TAG_VER: wire.VERSION,
     })
     return msg, ClientHelloSecrets(nonc=nonc, dh=pair, chlo_wire=b"")
@@ -248,18 +259,31 @@ def ik_transcript(chlo_wire: bytes, cfg: ServerConfig) -> bytes:
     return chlo_wire + cfg.serialize_pub()
 
 
+def initial_keys(own: crypto.DhKeyPair, peer_public: bytes, nonc: bytes, cid: int,
+                 chlo_wire: bytes, cfg: ServerConfig) -> KeySet:
+    """ik, the same at both ends: the client's ephemeral value against the
+    config's, over the padded CHLO and the config."""
+    ipm = dh_shared(own, peer_public)
+    return split_keys(extract_expand(ipm, nonc, cid, ik_transcript(chlo_wire, cfg), 40, 1))
+
+
+def forward_keys(own: crypto.DhKeyPair, peer_public: bytes, nonc: bytes, cid: int,
+                 chlo_wire: bytes, shlo_inner: bytes, cfg: ServerConfig) -> KeySet:
+    """k, the same at both ends: the two ephemeral values, over the padded
+    CHLO, the SHLO and the config."""
+    pms = dh_shared(own, peer_public)
+    transcript = chlo_wire + shlo_inner + cfg.serialize_pub()
+    return split_keys(extract_expand(pms, nonc, cid, transcript, 40, 0))
+
+
 def derive_ik_client(secrets: ClientHelloSecrets, cfg: ServerConfig, cid: int) -> KeySet:
-    ipm = dh_shared(secrets.dh, cfg.public)
-    material = extract_expand(ipm, secrets.nonc, cid,
-                              ik_transcript(secrets.chlo_wire, cfg), 40, 1)
-    return split_keys(material)
+    return initial_keys(secrets.dh, cfg.public, secrets.nonc, cid, secrets.chlo_wire, cfg)
 
 
 def derive_k_client(secrets: ClientHelloSecrets, cfg: ServerConfig, cid: int,
                     shlo_inner: bytes, server_ephemeral_pub: bytes) -> KeySet:
-    pms = dh_shared(secrets.dh, server_ephemeral_pub)
-    transcript = secrets.chlo_wire + shlo_inner + cfg.serialize_pub()
-    return split_keys(extract_expand(pms, secrets.nonc, cid, transcript, 40, 0))
+    return forward_keys(secrets.dh, server_ephemeral_pub, secrets.nonc, cid,
+                        secrets.chlo_wire, shlo_inner, cfg)
 
 
 @dataclass
@@ -284,7 +308,7 @@ class ServerIdentity:
 
     def rotate_scfg(self, now: float, rng: Random = SYSTEM_RNG) -> None:
         self.retired[self.scfg.scid] = self.scfg
-        self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng, self.scfg.group_id)
+        self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng)
 
     # -- full CHLO validation -------------------------------------------------
 
@@ -294,8 +318,9 @@ class ServerIdentity:
 
         Returns (ik, nonc); raises HandshakeError with one of the reasons
         stk_invalid, stk_ip_mismatch, stk_stale, nonc_replayed,
-        nonc_out_of_window, scid_unknown, scid_expired, group_mismatch.
-        On success the nonce is recorded in the strike register.
+        nonc_out_of_window, scid_unknown, scid_expired, group_mismatch,
+        pubc_invalid. On success the nonce is recorded in the strike
+        register.
         """
         try:
             stk = msg.fields[wire.TAG_STK]
@@ -314,7 +339,7 @@ class ServerIdentity:
         if not (-self.strike.window_s <= now - stk_ts <= self.stk_validity_s):
             raise HandshakeError("stk_stale")
 
-        # The nonce is only recorded once every guard has passed.
+        # The nonce is recorded only once every guard, the DH included, passed.
         self.strike.check(nonc, now)
 
         if scid != self.scfg.scid:
@@ -324,15 +349,17 @@ class ServerIdentity:
         if self.scfg.expy <= now:
             raise HandshakeError("scid_expired")
 
-        if not pubc or pubc[0] != self.scfg.group_id:
+        if pubc[:1] != bytes([GROUP_ID]):
             raise HandshakeError("group_mismatch")
+        client_pub = parse_public(pubc, "pubc_invalid")
+        try:
+            ik = initial_keys(crypto.DhKeyPair(self.scfg.secret, self.scfg.public),
+                              client_pub, nonc, cid, chlo_wire, self.scfg)
+        except CryptoError:
+            raise HandshakeError("pubc_invalid") from None
 
         self.strike.seen.add(nonc)
-
-        group = crypto.GROUPS[self.scfg.group_id]
-        ipm = group.shared(self.scfg.secret, pubc[1:])
-        material = extract_expand(ipm, nonc, cid, ik_transcript(chlo_wire, self.scfg), 40, 1)
-        return split_keys(material), nonc
+        return ik, nonc
 
     # -- SHLO -------------------------------------------------------------------
 
@@ -340,9 +367,9 @@ class ServerIdentity:
                    rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
         """Fresh ephemeral DH values plus a refreshed token for the client's
         next resumption."""
-        pair = dh_keypair(self.scfg.group_id, rng)
+        pair = dh_keypair(GROUP_ID, rng)
         msg = HandshakeMessage(wire.MSG_SHLO, {
-            wire.TAG_PUBS: bytes([self.scfg.group_id]) + pair.public,
+            wire.TAG_PUBS: bytes([GROUP_ID]) + pair.public,
             wire.TAG_STK: mint_stk(self.k_stk, client_ip, now, rng),
         })
         return msg, pair
@@ -350,6 +377,5 @@ class ServerIdentity:
     def derive_k_server(self, ephemeral: crypto.DhKeyPair, client_pub: bytes,
                         nonc: bytes, cid: int, chlo_wire: bytes,
                         shlo_inner: bytes) -> KeySet:
-        pms = dh_shared(ephemeral, client_pub)
-        transcript = chlo_wire + shlo_inner + self.scfg.serialize_pub()
-        return split_keys(extract_expand(pms, nonc, cid, transcript, 40, 0))
+        return forward_keys(ephemeral, client_pub, nonc, cid, chlo_wire, shlo_inner,
+                            self.scfg)

@@ -1,9 +1,9 @@
 """Thin real-UDP binding for manual runs.
 
 Exposes the same duck-typed surface the agents use on the simulator
-(register/send/schedule/clock), backed by one UDP socket and a monotonic
-clock. Good enough to run a broker, publisher, and subscriber by hand on
-loopback; the benchmarks always use the simulator. The trace is the
+(register/send/schedule/clock), backed by one UDP socket and a clock that
+reads Unix time. Good enough to run a broker, publisher, and subscriber by
+hand on loopback; the benchmarks always use the simulator. The trace is the
 simulator's: a ``TraceEvent`` per datagram sent and per datagram delivered
 (with this endpoint's socket address as ``dst``), written in the same lines.
 """
@@ -20,12 +20,17 @@ from .netsim import Address, Timer, TraceEvent
 
 
 class _WallClock:
+    """Unix time, read as monotonic time plus an offset fixed once at start:
+    timers never run backwards, and separate processes read the same time,
+    as the broker's check of a client's nonce timestamp needs."""
+
     def __init__(self):
-        self._t0 = time.monotonic()
+        self.start_s = time.time()
+        self._offset = self.start_s - time.monotonic()
 
     @property
     def now_s(self) -> float:
-        return time.monotonic() - self._t0
+        return time.monotonic() + self._offset
 
     @property
     def now_us(self) -> int:
@@ -100,18 +105,21 @@ class UdpNetwork:
 
     def run(self, until_s: float | None = None,
             stop: Callable[[], bool] | None = None) -> None:
+        """Run the loop until ``stop()`` holds or, given ``until_s``, until
+        the runner has been up that many seconds."""
+        until = None if until_s is None else self.clock.start_s + until_s
         self.running = True
         try:
             while self.running:
                 if stop is not None and stop():
                     return
-                if until_s is not None and self.clock.now_s >= until_s:
+                if until is not None and self.clock.now_s >= until:
                     return
                 wait = self._fire_due_timers()
                 if wait is None:
                     wait = 0.2
-                if until_s is not None:
-                    wait = min(wait, max(0.0, until_s - self.clock.now_s))
+                if until is not None:
+                    wait = min(wait, max(0.0, until - self.clock.now_s))
                 if self._sock is None:
                     time.sleep(min(wait, 0.05))
                     continue

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from quicmq import mqtt
+from quicmq import connection, mqtt
 from quicmq.agents import (
     QOS1_MAX_RETRIES,
     QOS1_RETRY_S,
@@ -17,7 +17,7 @@ from quicmq.connection import TransportConfig
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
-from quicmq.wire import EPOCH_IK, EPOCH_K, decode_header
+from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, decode_header
 
 BROKER = ("10.0.0.1", 4433)
 
@@ -148,6 +148,28 @@ def test_session_store_roundtrip(tmp_path):
     assert "server = h:1" in text and "created = 123" in text
 
 
+def test_failed_session_write_leaves_the_old_file(tmp_path, monkeypatch):
+    identity = ServerIdentity.create(now=0.0, rng=Random(1))
+    store = SessionStore(str(tmp_path))
+    store.store("h", 1, identity.scfg, b"t" * 36, created=123.0)
+    before = open(store.path_for("h", 1)).read()
+
+    def disk_full_open(path, mode="r", **kw):
+        # The file is opened for writing, so truncated, then the write fails.
+        f = open(path, mode, **kw)
+        if "w" in mode:
+            f.close()
+            raise OSError(28, "No space left on device")
+        return f
+    monkeypatch.setattr("quicmq.agents.open", disk_full_open, raising=False)
+    with pytest.raises(OSError):
+        store.store("h", 1, identity.scfg, b"u" * 36, created=456.0)
+    monkeypatch.undo()
+    assert open(store.path_for("h", 1)).read() == before
+    assert os.listdir(tmp_path) == ["h_1.session"]
+    assert store.load("h", 1).stk == b"t" * 36
+
+
 def test_session_file_rewritten_after_fallback(tmp_path):
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
@@ -182,6 +204,36 @@ def test_broker_renews_its_server_config_when_it_expires():
     assert early.failure is None and late.failure is None
     assert late.connected
     assert identity.scfg.expy > 86410 and identity.retired == {first.scid: first}
+
+
+@pytest.mark.parametrize("bad_value", [bytes(5), bytes(32), b"\x01" + bytes(31)],
+                         ids=["5_bytes", "all_zero", "low_order"])
+def test_bad_client_dh_value_draws_a_rej_and_records_no_nonce(monkeypatch, bad_value):
+    # The bad hellos follow an honest inchoate hello, so each carries a valid
+    # token and names the current config; only the X25519 value is bad.
+    net, identity, server = make_world()
+    nonces = []
+    honest_build = connection.build_full_chlo
+
+    def build_bad_chlo(cfg, stk, now, rng):
+        msg, secrets = honest_build(cfg, stk, now, rng)
+        msg.fields[TAG_PUBC] = b"\x01" + bad_value
+        nonces.append(secrets.nonc)
+        return msg, secrets
+    monkeypatch.setattr(connection, "build_full_chlo", build_bad_chlo)
+    bad = make_client(net, identity, 50001, "bad")
+    bad.connect_mqtt()
+    net.run(until_s=2.0)
+    assert nonces and not bad.connected
+    assert [s.conn.last_reject_reason for s in server.conns.values()] == ["pubc_invalid"]
+    assert identity.strike.seen == set()
+
+    monkeypatch.undo()
+    honest = make_client(net, identity, 50002, "honest", seed=10)
+    assert honest.connect_mqtt() == "1rtt"
+    net.run(until_s=4.0)
+    assert honest.connected
+    assert len(identity.strike.seen) == 1
 
 
 # ---------------------------------------------------------------------------

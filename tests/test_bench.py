@@ -20,7 +20,7 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
-from quicmq.handshake import ServerIdentity
+from quicmq.handshake import ServerIdentity, StrikeRegister, make_nonc
 from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
 
@@ -466,3 +466,19 @@ def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
     net.write_trace(str(tmp_path / "udp.trace"))
     assert (tmp_path / "udp.trace").read_text().splitlines() == [
         ev.line() for ev in net.trace]
+
+
+def test_real_udp_runners_started_apart_read_the_same_time(monkeypatch):
+    # A broker up for 400 s, more than the strike register's 300 s window,
+    # and a client started now: the client's nonce timestamp must still
+    # fall inside the broker's window.
+    host = {"monotonic": 5000.0, "time": 1_700_000_000.0}
+    monkeypatch.setattr(time, "monotonic", lambda: host["monotonic"])
+    monkeypatch.setattr(time, "time", lambda: host["time"])
+    broker_net = UdpNetwork()
+    host["monotonic"] += 400.0
+    host["time"] += 400.0
+    client_net = UdpNetwork()
+    assert client_net.clock.now_s == broker_net.clock.now_s
+    nonc = make_nonc(client_net.clock.now_s, Random(1))
+    StrikeRegister().check(nonc, broker_net.clock.now_s)

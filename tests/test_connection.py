@@ -644,6 +644,29 @@ def test_reflected_rej_dropped_silently(world):
     assert server_conn.phase == "established"
 
 
+def test_forged_rej_with_empty_public_value_fails_the_handshake_cleanly(world):
+    # A cleartext REJ can come from anyone who sees the cid. One whose
+    # config carries an empty public value ends the handshake with
+    # scfg_malformed; it must not raise out of the client's event loop.
+    net, client_ep, server_ep, identity = world()
+    attacker = ("6.6.6.8", 668)
+    net.register(attacker, lambda p, s: None)
+    conn = client_ep.make_client()
+    conn.start_connect()
+    client_ep.pump(conn.cid)
+    scfg = b"\xab" * 32 + (0).to_bytes(2, "big") + (10**6).to_bytes(4, "big") + bytes(32)
+    rej = wire.HandshakeMessage(wire.MSG_REJ, {wire.TAG_SCFG: scfg, wire.TAG_PROF: b"",
+                                               wire.TAG_STK: bytes(36)})
+    frame = StreamFrame(1, 0, rej.encode(), False)
+    packet = seal_packet(PacketHeader(cid=conn.cid, sqn=1, epoch=EPOCH_CLEAR),
+                         bytes([wire.MARKER_HANDSHAKE]) + encode_frames([frame]),
+                         NULL_KEYS, "server")
+    net.send(packet, attacker, CLIENT_ADDR, "forged rej")
+    net.run(until_s=3.0)
+    assert [ev.reason for ev in client_ep.events_of(HandshakeFailed)] == ["scfg_malformed"]
+    assert conn.phase == "closed"
+
+
 def test_unknown_cid_dropped_without_state_change(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     keys = split_keys(Random(9).randbytes(40))

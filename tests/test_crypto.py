@@ -146,31 +146,20 @@ def test_dh_symmetry_x25519():
         assert dh_shared(a, b.public) == dh_shared(b, a.public)
 
 
-def test_dh_small_group_brute_force():
-    # Test group b=2, a=23 with x_c=6, x_s=5. Independent oracle:
-    # pow(2, 30, 23) == 3, i.e. y_s^x_c == y_c^x_s == 3.
-    group = crypto.ModGroup(2, 23)
-    y_c = pow(2, 6, 23).to_bytes(4, "big")
-    y_s = pow(2, 5, 23).to_bytes(4, "big")
-    c = crypto.DhKeyPair(2, (6).to_bytes(4, "big"), y_c)
-    s = crypto.DhKeyPair(2, (5).to_bytes(4, "big"), y_s)
-    expected = pow(2, 30, 23).to_bytes(4, "big")
-    assert dh_shared(c, y_s) == expected
-    assert dh_shared(s, y_c) == expected
-    assert int.from_bytes(expected, "big") == 3
-
-
-def test_dh_rejects_identity_element():
-    group = crypto.ModGroup(2, 23)
-    pair = group.keypair(Random(1))
-    with pytest.raises(CryptoError):
-        group.shared(pair.secret, (1).to_bytes(4, "big"))
-
-
 def test_dh_rejects_degenerate_x25519_public():
     pair = dh_keypair(1, Random(1))
     with pytest.raises(CryptoError):
         dh_shared(pair, b"\x00" * 32)
+
+
+@pytest.mark.parametrize("peer", [b"\x01" + bytes(31), bytes(31) + b"\x80", b"\x01" * 5])
+def test_dh_refuses_low_order_or_short_public_with_crypto_error(peer):
+    # u = 1 and u = 2^255 (0 once the top bit is masked) are low-order points
+    # (RFC 7748 §6.1): the library's ValueError comes out as CryptoError, as
+    # a short value does.
+    pair = dh_keypair(1, Random(1))
+    with pytest.raises(CryptoError):
+        dh_shared(pair, peer)
 
 
 def test_dh_unknown_group():
