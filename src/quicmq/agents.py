@@ -240,6 +240,7 @@ class ClientAgent:
         self.failure: str | None = None
         self._next_msgid = 1
         self._ping_timer = None
+        self._ticket: SessionTicket | None = None
 
         network.register(local_addr, self._on_datagram)
 
@@ -391,11 +392,15 @@ class ClientAgent:
 
     def _on_conn_event(self, event) -> None:
         if isinstance(event, SessionTicket):
-            if self.sessions is not None:
-                self.sessions.store(self.broker_addr[0], self.broker_addr[1],
-                                    event.scfg, event.stk, self.network.clock.now_s)
+            self._ticket = event  # a REJ's ticket is refreshed by the SHLO's
         elif isinstance(event, HandshakeDone):
-            pass  # MQTT-level connected state arrives with the CONNACK
+            # One session file write per handshake. MQTT-level connected
+            # state arrives with the CONNACK.
+            if self.sessions is not None and self._ticket is not None:
+                self.sessions.store(self.broker_addr[0], self.broker_addr[1],
+                                    self._ticket.scfg, self._ticket.stk,
+                                    self.network.clock.now_s)
+            self._ticket = None
         elif isinstance(event, HandshakeFailed):
             self.failure = event.reason
         elif isinstance(event, StreamData):

@@ -456,13 +456,14 @@ class Connection:
                 check_scfg(self.session.scfg, self.server_pk, self._now())
                 self._start_resume()
                 return "0rtt"
-            except HandshakeError:
-                pass  # unusable cache: fall back to a fresh 1-RTT
+            except (HandshakeError, CryptoError):
+                pass  # unusable cache: fall back to a fresh 1-RTT, nothing sent yet
         self._start_1rtt()
         return "1rtt"
 
     def _start_1rtt(self) -> None:
-        self._send_hello(build_inchoate_chlo(), "chlo_inchoate", first=True)
+        self._send_hello(self._pad_hello(build_inchoate_chlo(), first=True),
+                         "chlo_inchoate", first=True)
         self.phase = INITIAL_SENT
         self._arm_handshake_timer()
 
@@ -476,27 +477,31 @@ class Connection:
 
     def _send_full_chlo(self, msg: HandshakeMessage, secrets: ClientHelloSecrets,
                         first: bool = False) -> None:
-        secrets.chlo_wire = self._send_hello(msg, "chlo_full", first)
-        self._hs_secrets = secrets
+        """Derive ik, then send the hello. A config whose DH value is unusable
+        raises ``CryptoError`` before anything is sent."""
+        secrets.chlo_wire = self._pad_hello(msg, first)
         self.ik = derive_ik_client(secrets, self._hs_scfg, self.cid)
+        self._hs_secrets = secrets
+        self._send_hello(secrets.chlo_wire, "chlo_full", first)
         self.phase = KEY_EXCHANGED
         # Initial data already queued by the application follows under ik in
         # the same flush, right behind the hello.
 
-    def _send_hello(self, msg: HandshakeMessage, annotation: str,
-                    first: bool = False) -> bytes:
-        """Pad a CHLO/REJ to the fixed handshake size, inside a cleartext
-        packet carried on the handshake stream; returns the padded message.
-        The hello is kept so that a retransmission repeats it byte for byte:
-        the padded CHLO is part of the key transcript."""
+    def _pad_hello(self, msg: HandshakeMessage, first: bool = False) -> bytes:
+        """Pad a CHLO/REJ to the fixed handshake size of the cleartext packet
+        that carries it on the handshake stream. The padded CHLO is part of
+        the key transcript."""
         overhead = (header_len(self._header(EPOCH_CLEAR, version=first)) + 1
                     + frame_len(StreamFrame(HANDSHAKE_STREAM_ID, 0, b"")) + GCM_TAG_LEN)
-        padded_bytes = msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
-        frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded_bytes, False)
+        return msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
+
+    def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
+        """Send a hello padded by ``_pad_hello`` with the same ``first``. It
+        is kept so that a retransmission repeats it byte for byte."""
+        frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded, False)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
         self._hs_hello = (frame, first, annotation)
-        return padded_bytes
 
     def _arm_handshake_timer(self) -> None:
         if self._hs_timer is not None:
@@ -640,9 +645,14 @@ class Connection:
         self.phase = REJECTED
         self._resumed = False
         self._hs_scfg = scfg
-        self._emit(SessionTicket(scfg, stk))
         chlo, secrets = build_full_chlo(scfg, stk, self._now(), self.rng)
-        self._send_full_chlo(chlo, secrets)
+        try:
+            self._send_full_chlo(chlo, secrets)
+        except CryptoError:
+            # Signed, yet its DH value is all zero or of low order.
+            self._fail_handshake("scfg_malformed")
+            return
+        self._emit(SessionTicket(scfg, stk))
         self._arm_handshake_timer()
         # The server never opened what went out under the rejected keys: the
         # same frames go out again under the fresh ik.
@@ -689,7 +699,7 @@ class Connection:
             # Inchoate hello: answer (or repeat) the server config.
             if self.phase in (IDLE, REJECTED):
                 rej = build_rej(identity.scfg, identity.k_stk, src[0], now, self.rng)
-                self._send_hello(rej, "rej")
+                self._send_hello(self._pad_hello(rej), "rej")
                 self.phase = REJECTED
             return
         if self._hs_nonc is not None and msg.fields.get(wire.TAG_NONC) == self._hs_nonc:
@@ -720,7 +730,7 @@ class Connection:
     def _reject_chlo(self, src: Address, now: float, reason: str) -> None:
         self.last_reject_reason = reason
         rej = build_rej(self.identity.scfg, self.identity.k_stk, src[0], now, self.rng)
-        self._send_hello(rej, "rej")
+        self._send_hello(self._pad_hello(rej), "rej")
 
     def _server_continue(self) -> None:
         """Phase boundary after the initial-data exchange: ack what arrived

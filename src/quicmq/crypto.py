@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random, SystemRandom
 
 from cryptography.exceptions import InvalidSignature
@@ -125,8 +125,12 @@ def aead_open(key: bytes, nonce: bytes, header: bytes, c: bytes) -> bytes | None
 
 @dataclass(frozen=True)
 class DhKeyPair:
-    secret: bytes
+    """A DH key pair. ``key`` is the library's private key, built once from
+    ``secret`` when the pair is made; every exchange reuses it."""
+
+    secret: bytes = field(repr=False)
     public: bytes
+    key: X25519PrivateKey = field(compare=False, repr=False)
 
 
 class X25519Group:
@@ -138,16 +142,15 @@ class X25519Group:
     def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
         raw = rng.randbytes(32)
         priv = X25519PrivateKey.from_private_bytes(raw)
-        return DhKeyPair(raw, priv.public_key().public_bytes_raw())
+        return DhKeyPair(raw, priv.public_key().public_bytes_raw(), priv)
 
-    def shared(self, secret: bytes, peer_public: bytes) -> bytes:
+    def shared(self, key: X25519PrivateKey, peer_public: bytes) -> bytes:
         if len(peer_public) != 32:
             raise CryptoError("x25519 public value must be 32 bytes")
         if peer_public == b"\x00" * 32:
             raise CryptoError("degenerate x25519 public value")
-        priv = X25519PrivateKey.from_private_bytes(secret)
         try:
-            out = priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
+            out = key.exchange(X25519PublicKey.from_public_bytes(peer_public))
         except ValueError:
             # The library refuses a low-order point, whose output is all zero.
             raise CryptoError("x25519 low-order public value") from None
@@ -166,7 +169,7 @@ def dh_keypair(group_id: int = X25519Group.group_id, rng: Random = SYSTEM_RNG) -
 
 
 def dh_shared(pair: DhKeyPair, peer_public: bytes) -> bytes:
-    return _X25519.shared(pair.secret, peer_public)
+    return _X25519.shared(pair.key, peer_public)
 
 
 # ---------------------------------------------------------------------------

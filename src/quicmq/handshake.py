@@ -68,7 +68,8 @@ def parse_public(value: bytes, reason: str) -> bytes:
 class ServerConfig:
     """Semi-static server state: a medium-term DH value with an expiry,
     identified by scid = SHA-256(pub_s, expy) and signed by the server's
-    long-term key. ``secret`` is present only on the server side."""
+    long-term key. ``dh``, the key pair behind ``public``, is present only on
+    the server side."""
 
     scid: bytes
     group_id: int
@@ -76,7 +77,7 @@ class ServerConfig:
     expy: int
     div_nonce: bytes
     prof: bytes
-    secret: bytes | None = None
+    dh: crypto.DhKeyPair | None = field(default=None, compare=False, repr=False)
 
     def pub_bytes(self) -> bytes:
         return bytes([self.group_id]) + self.public
@@ -125,7 +126,7 @@ def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random = SYSTEM_RN
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
     prof = sign(sign_sk, signed_blob(scid, pub_bytes, expy))
     div = rng.randbytes(32)
-    return ServerConfig(scid, GROUP_ID, pair.public, expy, div, prof, secret=pair.secret)
+    return ServerConfig(scid, GROUP_ID, pair.public, expy, div, prof, dh=pair)
 
 
 def check_scfg(cfg: ServerConfig, server_pk: bytes, now: float) -> None:
@@ -353,8 +354,7 @@ class ServerIdentity:
             raise HandshakeError("group_mismatch")
         client_pub = parse_public(pubc, "pubc_invalid")
         try:
-            ik = initial_keys(crypto.DhKeyPair(self.scfg.secret, self.scfg.public),
-                              client_pub, nonc, cid, chlo_wire, self.scfg)
+            ik = initial_keys(self.scfg.dh, client_pub, nonc, cid, chlo_wire, self.scfg)
         except CryptoError:
             raise HandshakeError("pubc_invalid") from None
 

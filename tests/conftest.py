@@ -4,6 +4,7 @@ the agents do, with captured datagrams and events for inspection."""
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from quicmq.connection import Connection, TransportConfig
 from quicmq.handshake import ServerIdentity
@@ -109,3 +110,16 @@ def world():
                               rng_seed=client_seed, session=session)
         return net, client, server, identity
     return build
+
+
+@pytest.fixture
+def key_builds(monkeypatch):
+    """The raw secrets of every X25519 private key built from bytes, in order."""
+    built = []
+    build = X25519PrivateKey.from_private_bytes
+
+    def counting(data):
+        built.append(data)
+        return build(data)
+    monkeypatch.setattr(X25519PrivateKey, "from_private_bytes", counting)
+    return built

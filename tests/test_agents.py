@@ -17,7 +17,7 @@ from quicmq.connection import TransportConfig
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
-from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, decode_header
+from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, TAG_STK, decode_header
 
 BROKER = ("10.0.0.1", 4433)
 
@@ -188,6 +188,43 @@ def test_session_file_rewritten_after_fallback(tmp_path):
     assert client2.connected  # transparent 1-RTT fallback
     fresh = store.load(*BROKER)
     assert fresh.scfg.scid != old.scfg.scid  # file rewritten with the new config
+
+
+def test_session_file_written_once_per_handshake(tmp_path, monkeypatch):
+    # A 1-RTT connect hears two tickets, the REJ's and the SHLO's; the file
+    # is written once, with the SHLO's token.
+    writes = []
+    store = SessionStore.store
+
+    def counting_store(self, host, port, scfg, stk, created):
+        writes.append(stk)
+        store(self, host, port, scfg, stk, created)
+    monkeypatch.setattr(SessionStore, "store", counting_store)
+    shlo_stks = []
+    build_shlo = ServerIdentity.build_shlo
+
+    def record_shlo(self, *args, **kw):
+        msg, pair = build_shlo(self, *args, **kw)
+        shlo_stks.append(msg.fields[TAG_STK])
+        return msg, pair
+    monkeypatch.setattr(ServerIdentity, "build_shlo", record_shlo)
+
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
+    assert client.connect_mqtt() == "1rtt"
+    net.run(until_s=2.0)
+    assert client.connected
+    assert writes == shlo_stks
+
+    net2, _, server2 = make_world(seed=5)
+    server2.identity = identity
+    client2 = make_client(net2, identity, 50002, "dev1", seed=11,
+                          state_dir=str(tmp_path))
+    assert client2.connect_mqtt() == "0rtt"
+    net2.run(until_s=2.0)
+    assert client2.connected
+    assert len(writes) == 2 and writes == shlo_stks
+    assert SessionStore(str(tmp_path)).load(*BROKER).stk == writes[-1]
 
 
 def test_broker_renews_its_server_config_when_it_expires():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -16,7 +17,8 @@ from quicmq.connection import (
     TransportConfig,
     TransportError,
 )
-from quicmq.crypto import NULL_KEYS, split_keys
+from quicmq.crypto import NULL_KEYS, sha256, sign, split_keys
+from quicmq.handshake import GROUP_ID, signed_blob
 from quicmq.wire import (
     EPOCH_CLEAR,
     EPOCH_IK,
@@ -333,6 +335,66 @@ def test_connection_refuses_sqn_reuse():
     with pytest.raises(TransportError) as e:
         conn.flush()
     assert e.value.reason == "sqn_reuse"
+
+
+def degenerate_scfg(identity, public):
+    """The identity's config with its DH value replaced by ``public``, with a
+    fresh scid and signed by the identity's key, so it passes check_scfg."""
+    cfg = identity.scfg
+    pub_bytes = bytes([GROUP_ID]) + public
+    scid = sha256(pub_bytes + cfg.expy.to_bytes(4, "big"))
+    prof = sign(identity.sign_pair.sk, signed_blob(scid, pub_bytes, cfg.expy))
+    return replace(cfg, scid=scid, public=public, prof=prof)
+
+
+# All zero, and u = 1, a low-order point.
+degenerate_publics = pytest.mark.parametrize(
+    "public", [bytes(32), b"\x01" + bytes(31)], ids=["zero", "low_order"])
+
+
+@degenerate_publics
+def test_signed_degenerate_config_in_a_rej_fails_the_handshake(world, public):
+    net, client_ep, server_ep, identity = world()
+    identity.scfg = degenerate_scfg(identity, public)
+    conn = client_ep.make_client()
+    assert conn.start_connect() == "1rtt"
+    client_ep.pump(conn.cid)
+    net.run(until_s=3.0)
+    assert [ev.reason for ev in client_ep.events_of(HandshakeFailed)] == ["scfg_malformed"]
+    assert conn.phase == "closed"
+    assert [a for _, a in client_ep.sent] == ["chlo_inchoate"]
+    assert not client_ep.events_of(SessionTicket)
+
+
+@degenerate_publics
+def test_signed_degenerate_cached_config_falls_back_to_1rtt(world, public):
+    session, identity = warm_session(world)
+    session = CachedSession(scfg=degenerate_scfg(identity, public), stk=session.stk)
+    net, client_ep, server_ep, _ = world(session=session, identity=identity,
+                                         client_seed=99)
+    conn = client_ep.make_client()
+    assert conn.start_connect() == "1rtt"  # before anything went out
+    client_ep.pump(conn.cid)
+    assert client_ep.sent[0][1] == "chlo_inchoate"
+    net.run(until_s=3.0)
+    assert conn.phase == "established"
+    assert not client_ep.events_of(HandshakeFailed)
+
+
+@pytest.mark.parametrize("path", ["1rtt", "0rtt"])
+def test_a_connect_builds_one_x25519_key_per_ephemeral_value(world, key_builds, path):
+    session, identity = warm_session(world) if path == "0rtt" else (None, None)
+    net, client_ep, server_ep, identity = world(session=session, identity=identity,
+                                                client_seed=99)
+    key_builds.clear()
+    conn = client_ep.make_client()
+    assert conn.start_connect() == path
+    client_ep.pump(conn.cid)
+    net.run(until_s=3.0)
+    assert conn.phase == "established"
+    # The client's hello and the server's SHLO; no DH rebuilds a key.
+    assert len(key_builds) == 2
+    assert key_builds[0] == conn._hs_secrets.dh.secret
 
 
 # ---------------------------------------------------------------------------

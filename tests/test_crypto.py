@@ -162,6 +162,22 @@ def test_dh_refuses_low_order_or_short_public_with_crypto_error(peer):
         dh_shared(pair, peer)
 
 
+def test_dh_shared_builds_no_key(key_builds):
+    a = dh_keypair(1, Random(1))
+    b = dh_keypair(1, Random(2))
+    assert key_builds == [a.secret, b.secret]
+    assert dh_shared(a, b.public) == dh_shared(b, a.public)
+    assert len(key_builds) == 2
+
+
+def test_dh_keypair_repr_hides_the_secret():
+    pair = dh_keypair(1, Random(1))
+    text = repr(pair)
+    assert repr(pair.secret) not in text and pair.secret.hex() not in text
+    assert "secret" not in text
+    assert repr(pair.public) in text
+
+
 def test_dh_unknown_group():
     with pytest.raises(CryptoError):
         dh_keypair(9)

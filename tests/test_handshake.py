@@ -89,7 +89,14 @@ def test_scfg_pub_serialization_roundtrip(identity):
     assert parsed.public == cfg.public
     assert parsed.expy == cfg.expy
     assert parsed.div_nonce == cfg.div_nonce
-    assert parsed.secret is None
+    assert parsed.dh is None
+
+
+def test_scfg_repr_hides_the_config_secret(identity):
+    text = repr(identity.scfg)
+    secret = identity.scfg.dh.secret
+    assert repr(secret) not in text and secret.hex() not in text
+    assert "dh=" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +276,13 @@ def test_group_mismatch(identity):
     with pytest.raises(HandshakeError) as e:
         _accepted_chlo(identity, mutate=mutate)
     assert e.value.reason == "group_mismatch"
+
+
+def test_full_chlos_reuse_the_config_key(identity, key_builds):
+    # Each CHLO builds its client's ephemeral key; the server's DH runs on
+    # the config's key, built once with the config.
+    hellos = [_accepted_chlo(identity, rng_seed=seed)[2] for seed in (2, 3)]
+    assert key_builds == [h.dh.secret for h in hellos]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_unseeded_agents_draw_every_secret_from_the_os(monkeypatch):
     from_os = set(drawn)
     hello = client.conn._hs_secrets
     assert identity.k_stk in from_os
-    assert identity.scfg.secret in from_os
+    assert identity.scfg.dh.secret in from_os
     assert client.conn.cid.to_bytes(8, "big") in from_os
     assert [stk[:12] in from_os for stk in rej_stks] == [True]  # the STK's IV
     assert hello.nonc[4:] in from_os  # the nonce after its 4-byte timestamp
