@@ -4,8 +4,8 @@ transport and routes decrypted transport payloads back to MQTT.
 Both agents are event-driven around a network (simulated or real-UDP): every
 entry point handles one datagram, timer, or application call, then pumps the
 connection's output packets onto the network. Each connection, at either
-end, is one ``_ConnState``: the transport connection, its timer hook, its
-per-stream receive buffers and its QoS 1 retries.
+end, is one ``_ConnState``: the transport connection, its timer hook and
+its per-stream receive buffers.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from .wire import EPOCH_CLEAR, WireError, decode_header
 
 PRIMARY_STREAM = 3  # first application stream; stream 1 carries the handshake
 MAX_MESSAGE_SIZE = 16 * 1024
-
-QOS1_RETRY_S = 2.0
-QOS1_MAX_RETRIES = 5
 
 
 class AgentError(Exception):
@@ -74,17 +71,7 @@ class SessionStore:
             f"prof = {base64.b64encode(scfg.prof).decode()}",
             f"stk = {base64.b64encode(stk).decode()}",
         ]
-        # Written aside, then renamed over the old file: a failed write leaves it.
-        path = self.path_for(host, port)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as f:
-                f.write("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        mqtt.replace_file(self.path_for(host, port), "\n".join(lines) + "\n")
 
     def load(self, host: str, port: int) -> CachedSession | None:
         path = self.path_for(host, port)
@@ -126,8 +113,9 @@ def _pump(network: SimNetwork, conn: Connection) -> None:
 class _ConnState:
     """One connection's MQTT side, the same at both ends. It owns the
     ``Connection`` and is its scheduler: a timer runs, then the connection is
-    pumped. It buffers each stream's bytes until a whole MQTT message is in,
-    and re-sends an unacknowledged QoS 1 PUBLISH with the dup flag."""
+    pumped. It buffers each stream's bytes until a whole MQTT message is in.
+    A QoS 1 PUBLISH is sent once: the stream is reliable and in order, so a
+    re-send on the same connection could only arrive after the original."""
 
     def __init__(self, network: SimNetwork, on_event: Callable[[object], None],
                  **conn_args):
@@ -137,7 +125,6 @@ class _ConnState:
         self.rx_buffers: dict[int, bytearray] = {}
         self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
-        self.pending_qos1: dict[int, dict] = {}
 
     def schedule(self, delay_s: float, fn: Callable[[], None]):
         def wrapped():
@@ -169,31 +156,6 @@ class _ConnState:
         dropped."""
         if self.conn.phase not in ("draining", "closed"):
             self.conn.send_stream(stream_id, raw)
-
-    def track_qos1(self, msg: MqttMessage, stream_id: int) -> None:
-        self.pending_qos1[msg.msgid] = {
-            "msg": msg, "stream": stream_id, "tries": 0,
-            "timer": self.schedule(QOS1_RETRY_S, lambda: self._retry_qos1(msg.msgid)),
-        }
-
-    def on_puback(self, msgid: int) -> None:
-        pending = self.pending_qos1.pop(msgid, None)
-        if pending is not None:
-            pending["timer"].cancel()
-
-    def _retry_qos1(self, msgid: int) -> None:
-        pending = self.pending_qos1.get(msgid)
-        if pending is None or self.conn.phase in ("draining", "closed"):
-            return
-        pending["tries"] += 1
-        if pending["tries"] > QOS1_MAX_RETRIES:
-            del self.pending_qos1[msgid]
-            return
-        msg = pending["msg"]
-        dup = mqtt.encode(MqttMessage(mqtt.PUBLISH, topic=msg.topic, payload=msg.payload,
-                                      qos=1, msgid=msgid, dup=True))
-        self.send(pending["stream"], dup)
-        pending["timer"] = self.schedule(QOS1_RETRY_S, lambda: self._retry_qos1(msgid))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +297,6 @@ class ClientAgent:
         if qos:
             self._fresh_msgid()
         self.state.send(stream_id, raw)
-        if qos == 1:
-            self.state.track_qos1(msg, stream_id)
         _pump(self.network, self.conn)
         return msgid
 
@@ -392,10 +352,11 @@ class ClientAgent:
 
     def _on_conn_event(self, event) -> None:
         if isinstance(event, SessionTicket):
-            self._ticket = event  # a REJ's ticket is refreshed by the SHLO's
+            self._ticket = event  # only a REJ carries one
         elif isinstance(event, HandshakeDone):
-            # One session file write per handshake. MQTT-level connected
-            # state arrives with the CONNACK.
+            # The file is written once per REJ-answered handshake, and never
+            # on a resume: the cached config expires before its token goes
+            # stale. MQTT-level connected state arrives with the CONNACK.
             if self.sessions is not None and self._ticket is not None:
                 self.sessions.store(self.broker_addr[0], self.broker_addr[1],
                                     self._ticket.scfg, self._ticket.stk,
@@ -428,8 +389,6 @@ class ClientAgent:
                                 mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
             if self.on_message is not None:
                 self.on_message(self, msg)
-        elif msg.kind == mqtt.PUBACK:
-            self.state.on_puback(msg.msgid)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +487,6 @@ class ServerAgent:
         elif msg.kind == mqtt.UNSUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams.pop(topic, None)
-        elif msg.kind == mqtt.PUBACK:
-            state.on_puback(msg.msgid)
         try:
             deliveries = self.broker.handle(msg, state.conn)
         except MqttError:
@@ -546,8 +503,6 @@ class ServerAgent:
                 target.send(out_stream, mqtt.encode(delivery.message))
             except TransportError:
                 continue
-            if delivery.message.kind == mqtt.PUBLISH and delivery.message.qos == 1:
-                target.track_qos1(delivery.message, out_stream)
             touched.add(target.conn.cid)
         for cid in touched:
             conn_state = self.conns.get(cid)

@@ -125,7 +125,7 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_broker(args) -> int:
-    net = UdpNetwork()
+    net = UdpNetwork(trace_path=args.trace)
     identity = ServerIdentity.create(now=net.clock.now_s)
     broker = Broker(state_dir=args.state_dir)
     try:
@@ -144,8 +144,7 @@ def cmd_broker(args) -> int:
         net.run(until_s=args.run_for)
     except KeyboardInterrupt:
         pass
-    if args.trace:
-        net.write_trace(args.trace)
+    net.write_trace()
     return 0
 
 
@@ -155,7 +154,7 @@ def _load_key(path: str) -> bytes:
 
 
 def cmd_pub(args) -> int:
-    net = UdpNetwork()
+    net = UdpNetwork(trace_path=args.trace)
     server_pk = _load_key(args.key_file)
     done = {"sent": 0, "closed": False}
 
@@ -184,8 +183,7 @@ def cmd_pub(args) -> int:
     print(f"handshake path: {path}")
     net.run(until_s=30.0 + args.count * args.interval,
             stop=lambda: done["closed"])
-    if args.trace:
-        net.write_trace(args.trace)
+    net.write_trace()
     if done["sent"] < args.count:
         print(f"only published {done['sent']}/{args.count}", file=sys.stderr)
         return 1
@@ -193,7 +191,7 @@ def cmd_pub(args) -> int:
 
 
 def cmd_sub(args) -> int:
-    net = UdpNetwork()
+    net = UdpNetwork(trace_path=args.trace)
     server_pk = _load_key(args.key_file)
     state = {"got": 0, "closed": False}
 
@@ -213,8 +211,7 @@ def cmd_sub(args) -> int:
     agent.local_addr = net.local_address()
     agent.connect_mqtt()
     net.run(until_s=args.run_for, stop=lambda: state["closed"])
-    if args.trace:
-        net.write_trace(args.trace)
+    net.write_trace()
     if args.count and state["got"] < args.count:
         return 1
     return 0

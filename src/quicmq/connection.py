@@ -144,8 +144,9 @@ class Closed:
 
 @dataclass(frozen=True)
 class SessionTicket:
-    """Fresh resumption material to persist (scfg from the REJ, stk
-    refreshed by every REJ and SHLO)."""
+    """Resumption material to persist: the scfg and token of a REJ. The
+    SHLO's token is not offered; the config expires before the REJ's token
+    goes stale, so a refreshed token would never be used."""
     scfg: ServerConfig
     stk: bytes
 
@@ -680,9 +681,6 @@ class Connection:
         if self._hs_timer is not None:
             self._hs_timer.cancel()
             self._hs_timer = None
-        stk = msg.fields.get(wire.TAG_STK)
-        if stk:
-            self._emit(SessionTicket(self._hs_scfg, stk))
         self._emit(HandshakeDone(resumed=self._resumed))
 
     def _server_on_chlo(self, msg: HandshakeMessage, chlo_wire: bytes,

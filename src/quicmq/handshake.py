@@ -8,6 +8,7 @@ retransmission live in the connection layer.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 
@@ -170,17 +171,21 @@ def open_stk(k_stk: bytes, stk: bytes) -> tuple[str, int] | None:
 # ---------------------------------------------------------------------------
 
 class StrikeRegister:
-    """Replay defense: remembers every accepted handshake nonce and bounds
-    acceptable client timestamps to a window around server time."""
+    """Replay defense: remembers the accepted handshake nonces and bounds
+    acceptable client timestamps to a window around server time. A nonce
+    whose timestamp has fallen out of the window is refused by that test
+    alone, so it is forgotten: after each accept the register holds at most
+    the nonces accepted in the two windows before it."""
 
     def __init__(self, window_s: float = 300.0):
         self.window_s = window_s
         self.seen: set[bytes] = set()
+        self._order: deque[tuple[int, bytes]] = deque()  # (timestamp, nonce), as accepted
 
     def check(self, nonc: bytes, now: float) -> None:
         """Raise unless ``nonc`` is well formed, unseen and inside the
-        timestamp window, in that order. Recording an accepted nonce in
-        ``seen`` is the caller's last step, after its own guards."""
+        timestamp window, in that order. Recording an accepted nonce with
+        ``record`` is the caller's last step, after its own guards."""
         if len(nonc) != NONC_LEN:
             raise HandshakeError("nonc_malformed")
         if nonc in self.seen:
@@ -188,6 +193,16 @@ class StrikeRegister:
         ts = int.from_bytes(nonc[:4], "big")
         if abs(now - ts) > self.window_s:
             raise HandshakeError("nonc_out_of_window")
+
+    def record(self, nonc: bytes, now: float) -> None:
+        """Remember an accepted nonce and forget, oldest accepted first, those
+        whose timestamp is over ``window_s`` behind ``now``. An accepted
+        timestamp is within ``window_s`` of its acceptance, so one still in
+        the window holds back the rest for at most two windows."""
+        self.seen.add(nonc)
+        self._order.append((int.from_bytes(nonc[:4], "big"), nonc))
+        while self._order and self._order[0][0] < now - self.window_s:
+            self.seen.discard(self._order.popleft()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +373,7 @@ class ServerIdentity:
         except CryptoError:
             raise HandshakeError("pubc_invalid") from None
 
-        self.strike.seen.add(nonc)
+        self.strike.record(nonc, now)
         return ik, nonc
 
     # -- SHLO -------------------------------------------------------------------

@@ -8,6 +8,7 @@ persistent sessions are implemented.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -294,6 +295,20 @@ def _check_filter(filter_: str) -> None:
             raise MqttError(f"invalid topic filter {filter_!r}")
 
 
+def replace_file(path: str, text: str) -> None:
+    """Write ``text`` aside, then rename it over ``path``: a reader sees the
+    old file or the new one whole, and a failed write leaves the old one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def topic_matches(filter_: str, topic: str) -> bool:
     """MQTT topic filter matching with ``+`` (one level) and ``#`` (rest)."""
     f_parts = filter_.split("/")
@@ -363,25 +378,35 @@ class Broker:
     # -- persistence ------------------------------------------------------
 
     def _session_path(self, client_id: str) -> str:
-        safe = client_id.replace("/", "_")
-        return os.path.join(self.state_dir, "clients", f"{safe}.session")
+        """One file per client id, named by its SHA-256: any id gives a
+        valid file name, and no two ids share one."""
+        name = hashlib.sha256(client_id.encode("utf-8")).hexdigest()
+        return os.path.join(self.state_dir, "clients", f"{name}.session")
 
     def _store_session(self, session: Session) -> None:
         if not self.state_dir or not session.persistent:
             return
         doc = {"client_id": session.client_id, "subscriptions": session.subscriptions}
-        with open(self._session_path(session.client_id), "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True)
+        replace_file(self._session_path(session.client_id), json.dumps(doc, sort_keys=True))
 
     def _load_session(self, client_id: str) -> Session | None:
+        """The stored session of ``client_id``. A missing, unreadable or
+        malformed file, or one stored for another id, is no session."""
         if not self.state_dir:
             return None
-        path = self._session_path(client_id)
-        if not os.path.exists(path):
+        try:
+            with open(self._session_path(client_id), encoding="utf-8") as f:
+                doc = json.load(f)
+            subscriptions = dict(doc["subscriptions"])
+            if doc["client_id"] != client_id:
+                return None
+            for filter_, qos in subscriptions.items():
+                _check_filter(filter_)
+                if qos not in (0, 1):
+                    return None
+        except Exception:
             return None
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        return Session(client_id, True, dict(doc.get("subscriptions", {})))
+        return Session(client_id, True, subscriptions)
 
     # -- subscription tree ------------------------------------------------
 
@@ -483,7 +508,7 @@ class Broker:
         if kind == PUBLISH:
             return self._handle_publish(msg, conn)
         if kind == PUBACK:
-            return []  # QoS bookkeeping lives in the agent layer
+            return []  # the stream delivered the PUBLISH; nothing is re-sent
         if kind == PINGREQ:
             return [Delivery(conn, MqttMessage(PINGRESP))]
         if kind == DISCONNECT:

@@ -3,9 +3,10 @@
 Exposes the same duck-typed surface the agents use on the simulator
 (register/send/schedule/clock), backed by one UDP socket and a clock that
 reads Unix time. Good enough to run a broker, publisher, and subscriber by
-hand on loopback; the benchmarks always use the simulator. The trace is the
-simulator's: a ``TraceEvent`` per datagram sent and per datagram delivered
-(with this endpoint's socket address as ``dst``), written in the same lines.
+hand on loopback; the benchmarks always use the simulator. Given a trace
+path, a runner keeps the simulator's trace: a ``TraceEvent`` per datagram sent
+and per datagram delivered (with this endpoint's socket address as ``dst``),
+written in the same lines. Without one it keeps nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class _WallClock:
 class UdpNetwork:
     """One endpoint's UDP event loop."""
 
-    def __init__(self):
+    def __init__(self, trace_path: str | None = None):
         self.clock = _WallClock()
+        self.trace_path = trace_path
         self._sock: socket.socket | None = None
         self._handler: Callable[[bytes, Address], None] | None = None
         self._timers: list = []
@@ -71,8 +73,9 @@ class UdpNetwork:
         self.register(new, handler)
 
     def send(self, payload: bytes, src: Address, dst: Address, annotation: str = "") -> None:
-        self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),
-                                     annotation))
+        if self.trace_path is not None:
+            self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),
+                                         annotation))
         if self._sock is not None:
             self._sock.sendto(payload, dst)
 
@@ -82,8 +85,11 @@ class UdpNetwork:
         heapq.heappush(self._timers, (self.clock.now_s + max(0.0, delay_s), self._seq, timer))
         return timer
 
-    def write_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+    def write_trace(self) -> None:
+        """Write the trace to the path given at construction, if any."""
+        if self.trace_path is None:
+            return
+        with open(self.trace_path, "w", encoding="utf-8") as f:
             for ev in self.trace:
                 f.write(ev.line() + "\n")
 
@@ -133,8 +139,9 @@ class UdpNetwork:
                             break
                         except OSError:
                             return
-                        self.trace.append(TraceEvent(self.clock.now_us, "deliver", src,
-                                                     local, len(payload)))
+                        if self.trace_path is not None:
+                            self.trace.append(TraceEvent(self.clock.now_us, "deliver",
+                                                         src, local, len(payload)))
                         if self._handler is not None:
                             self._handler(payload, src)
         finally:

@@ -5,8 +5,6 @@ import pytest
 
 from quicmq import connection, mqtt
 from quicmq.agents import (
-    QOS1_MAX_RETRIES,
-    QOS1_RETRY_S,
     AgentError,
     ClientAgent,
     ServerAgent,
@@ -14,7 +12,7 @@ from quicmq.agents import (
     _pump,
 )
 from quicmq.connection import TransportConfig
-from quicmq.handshake import ServerIdentity
+from quicmq.handshake import HandshakeError, ServerIdentity
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
 from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, TAG_STK, decode_header
@@ -161,7 +159,7 @@ def test_failed_session_write_leaves_the_old_file(tmp_path, monkeypatch):
             f.close()
             raise OSError(28, "No space left on device")
         return f
-    monkeypatch.setattr("quicmq.agents.open", disk_full_open, raising=False)
+    monkeypatch.setattr("quicmq.mqtt.open", disk_full_open, raising=False)
     with pytest.raises(OSError):
         store.store("h", 1, identity.scfg, b"u" * 36, created=456.0)
     monkeypatch.undo()
@@ -190,9 +188,8 @@ def test_session_file_rewritten_after_fallback(tmp_path):
     assert fresh.scfg.scid != old.scfg.scid  # file rewritten with the new config
 
 
-def test_session_file_written_once_per_handshake(tmp_path, monkeypatch):
-    # A 1-RTT connect hears two tickets, the REJ's and the SHLO's; the file
-    # is written once, with the SHLO's token.
+def count_session_writes(monkeypatch) -> list:
+    """The token of every session file write, in order."""
     writes = []
     store = SessionStore.store
 
@@ -200,21 +197,28 @@ def test_session_file_written_once_per_handshake(tmp_path, monkeypatch):
         writes.append(stk)
         store(self, host, port, scfg, stk, created)
     monkeypatch.setattr(SessionStore, "store", counting_store)
-    shlo_stks = []
-    build_shlo = ServerIdentity.build_shlo
+    return writes
 
-    def record_shlo(self, *args, **kw):
-        msg, pair = build_shlo(self, *args, **kw)
-        shlo_stks.append(msg.fields[TAG_STK])
-        return msg, pair
-    monkeypatch.setattr(ServerIdentity, "build_shlo", record_shlo)
+
+def test_session_file_written_once_per_handshake(tmp_path, monkeypatch):
+    # A 1-RTT connect writes the file once, with the REJ's token; a resumed
+    # connect writes nothing.
+    writes = count_session_writes(monkeypatch)
+    rej_stks = []
+    build_rej = connection.build_rej
+
+    def record_rej(*args, **kw):
+        msg = build_rej(*args, **kw)
+        rej_stks.append(msg.fields[TAG_STK])
+        return msg
+    monkeypatch.setattr(connection, "build_rej", record_rej)
 
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
     assert client.connect_mqtt() == "1rtt"
     net.run(until_s=2.0)
     assert client.connected
-    assert writes == shlo_stks
+    assert len(writes) == 1 and writes == rej_stks
 
     net2, _, server2 = make_world(seed=5)
     server2.identity = identity
@@ -223,8 +227,34 @@ def test_session_file_written_once_per_handshake(tmp_path, monkeypatch):
     assert client2.connect_mqtt() == "0rtt"
     net2.run(until_s=2.0)
     assert client2.connected
-    assert len(writes) == 2 and writes == shlo_stks
-    assert SessionStore(str(tmp_path)).load(*BROKER).stk == writes[-1]
+    assert len(writes) == 1 and writes == rej_stks
+    assert SessionStore(str(tmp_path)).load(*BROKER).stk == writes[0]
+
+
+def test_session_file_outlives_resumes_until_its_config_expires(tmp_path, monkeypatch):
+    # The broker's config, minted at 0 s, expires at 86,400 s; the REJ's
+    # token, minted at 100 s, goes stale at 86,500 s. Resumes before the
+    # expiry write nothing; the first connect after it falls back to 1-RTT
+    # and writes the file once.
+    writes = count_session_writes(monkeypatch)
+    net, identity, server = make_world()
+    paths, written = {}, {}
+
+    def connect_at(at, port):
+        client = make_client(net, identity, port, f"dev{port}", seed=port,
+                             state_dir=str(tmp_path))
+
+        def go():
+            paths[at] = client.connect_mqtt()
+            net.schedule(1.0, lambda: written.setdefault(at, (client.connected,
+                                                              len(writes))))
+        net.schedule(at, go)
+    for port, at in enumerate((100.0, 50_000.0, 86_390.0, 86_410.0), start=50001):
+        connect_at(at, port)
+    net.run(until_s=86_415.0)
+    assert paths == {100.0: "1rtt", 50_000.0: "0rtt", 86_390.0: "0rtt", 86_410.0: "1rtt"}
+    assert written == {100.0: (True, 1), 50_000.0: (True, 1), 86_390.0: (True, 1),
+                       86_410.0: (True, 2)}
 
 
 def test_broker_renews_its_server_config_when_it_expires():
@@ -271,6 +301,34 @@ def test_bad_client_dh_value_draws_a_rej_and_records_no_nonce(monkeypatch, bad_v
     net.run(until_s=4.0)
     assert honest.connected
     assert len(identity.strike.seen) == 1
+
+
+def test_strike_register_holds_only_recent_nonces(monkeypatch):
+    # One full handshake every 100 s for 2,000 s: the register keeps at most
+    # the nonces of the last two 300 s windows, and still refuses a replay
+    # of one inside the window.
+    net, identity, server = make_world()
+    window = identity.strike.window_s
+    nonces, sizes = [], {}
+    honest_build = connection.build_full_chlo
+
+    def record_nonce(cfg, stk, now, rng):
+        msg, secrets = honest_build(cfg, stk, now, rng)
+        nonces.append(secrets.nonc)
+        return msg, secrets
+    monkeypatch.setattr(connection, "build_full_chlo", record_nonce)
+    starts = [100.0 * i for i in range(1, 21)]
+    for port, at in enumerate(starts, start=50001):
+        client = make_client(net, identity, port, f"dev{port}", seed=port)
+        net.schedule(at, client.connect_mqtt)
+        net.schedule(at + 1.0, lambda at=at: sizes.setdefault(at, len(identity.strike.seen)))
+    net.run(until_s=starts[-1] + 2.0)
+    assert len(nonces) == len(starts) and sizes[starts[-1]] < len(starts)
+    for at, size in sizes.items():
+        assert size <= sum(1 for s in starts if at - 2 * window <= s <= at)
+    with pytest.raises(HandshakeError) as e:
+        identity.strike.check(nonces[-1], net.clock.now_s)
+    assert e.value.reason == "nonc_replayed"
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +425,7 @@ def test_qos1_delivery_and_puback():
                       on_connected=lambda a: a.subscribe("q1", qos=1),
                       on_message=lambda a, m: got.append(m))
     pub = make_client(net, identity, 50002, "pub", seed=22)
+    acks = record_dispatch(pub)
     sub.connect_mqtt()
     pub.connect_mqtt()
     net.run(until_s=2.0)
@@ -374,7 +433,7 @@ def test_qos1_delivery_and_puback():
     net.run(until_s=4.0)
     assert [m.payload for m in got] == [b"important"]
     assert got[0].qos == 1 and not got[0].dup
-    assert msgid not in pub.state.pending_qos1  # PUBACK retired the retry state
+    assert [m.msgid for m in acks if m.kind == mqtt.PUBACK] == [msgid]
 
 
 class RecordingBroker(Broker):
@@ -387,29 +446,10 @@ class RecordingBroker(Broker):
         return super().handle(msg, conn)
 
 
-def test_qos1_retry_carries_dup_flag():
-    net = SimNetwork(SimConfig(delay_ms=0.5), seed=8)
-    identity = ServerIdentity.create(now=0.0, rng=Random(42))
-    broker = RecordingBroker()
-    server = ServerAgent(net, BROKER, identity, broker=broker, rng=Random(8))
-    client = make_client(net, identity, 50001, "pub", seed=21)
-    client.connect_mqtt()
-    net.run(until_s=2.0)
-    # Suppress the broker's PUBACK by dropping broker->client data packets;
-    # the MQTT retry fires with the dup flag set.
-    net.add_periodic_drop(
-        lambda src, dst, size, ann: src == BROKER and ann.startswith("data"), 1)
-    client.publish("q1", b"retry-me", qos=1)
-    net.run(until_s=net.clock.now_s + 5.0)
-    dups = [m for m in broker.seen if m.kind == mqtt.PUBLISH and m.dup]
-    assert dups and dups[0].topic == "q1"
-
-
 @pytest.mark.parametrize("end", ["publisher", "broker"])
-def test_qos1_retry_resends_with_dup_then_gives_up(end):
-    # Every PUBACK to the sender is lost: both ends share one retry, which
-    # re-sends the PUBLISH with the dup flag QOS1_MAX_RETRIES times and then
-    # forgets it.
+def test_qos1_publish_without_puback_is_sent_once(end):
+    # Every PUBACK to the sender is lost. The stream already delivered the
+    # PUBLISH, so neither end sends it again, with or without the dup flag.
     net = SimNetwork(SimConfig(delay_ms=0.5), seed=8)
     identity = ServerIdentity.create(now=0.0, rng=Random(42))
     broker = RecordingBroker()
@@ -426,15 +466,32 @@ def test_qos1_retry_resends_with_dup_then_gives_up(end):
     acker, me = sender.conn.peer_addr, sender.conn.local_addr
     net.add_periodic_drop(lambda src, dst, size, ann: (src == acker and dst == me
                                                        and ann.startswith("data")), 1)
-    pub.publish("q1", b"retry-me", qos=1)
-    net.run(until_s=net.clock.now_s + QOS1_RETRY_S / 2)
-    assert sender.pending_qos1
-    net.run(until_s=net.clock.now_s + QOS1_RETRY_S * (QOS1_MAX_RETRIES + 1))
+    pub.publish("q1", b"once", qos=1)
+    net.run(until_s=net.clock.now_s + 15.0)
     received = broker.seen if end == "publisher" else got
-    dups = [m for m in received if m.kind == mqtt.PUBLISH and m.dup]
-    assert len(dups) == QOS1_MAX_RETRIES
-    assert {(m.topic, m.payload) for m in dups} == {("q1", b"retry-me")}
-    assert not sender.pending_qos1
+    publishes = [m for m in received if m.kind == mqtt.PUBLISH]
+    assert [(m.topic, m.payload, m.dup) for m in publishes] == [("q1", b"once", False)]
+
+
+def test_subscriber_that_never_pubacks_gets_each_message_once():
+    net, identity, server = make_world()
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("q1", qos=1),
+                      on_message=lambda a, m: got.append(m))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    send = sub.state.send
+    sub.state.send = lambda stream_id, raw: (
+        None if raw[0] >> 4 == mqtt.PUBACK else send(stream_id, raw))
+    for i in range(100):
+        pub.publish("q1", i.to_bytes(2, "big"), qos=1)
+        net.run(until_s=net.clock.now_s + 0.05)
+    net.run(until_s=net.clock.now_s + 15.0)
+    assert [m.payload for m in got] == [i.to_bytes(2, "big") for i in range(100)]
+    assert not any(m.dup for m in got)
 
 
 def test_unsubscribed_filter_no_longer_picks_the_stream():
@@ -608,8 +665,7 @@ def test_persistent_session_survives_client_restart():
 
 def test_qos1_at_least_once_under_loss():
     # Every 2nd fresh data packet from the publisher is dropped; transport
-    # retransmission still delivers every qos-1 publish, and any MQTT-level
-    # duplicates carry the dup flag.
+    # retransmission delivers every qos-1 publish exactly once.
     net, identity, server = make_world()
     got = []
     sub = make_client(net, identity, 50001, "sub", seed=21,
@@ -627,9 +683,8 @@ def test_qos1_at_least_once_under_loss():
         pub.publish("q1", bytes([i]), qos=1)
         net.run(until_s=net.clock.now_s + 0.05)
     net.run(until_s=net.clock.now_s + 10.0)
-    fresh = {m.payload for m in got if not m.dup}
-    assert fresh == {bytes([i]) for i in range(5)}
-    assert all(m.dup for m in got if got.count(m) > 1 or m.dup)
+    assert sorted(m.payload for m in got) == [bytes([i]) for i in range(5)]
+    assert not any(m.dup for m in got)
 
 
 def test_keepalive_pings_when_enabled():
@@ -683,7 +738,6 @@ def test_publish_refuses_a_topic_the_broker_would():
             client.publish(topic, b"m", qos=1)
         assert e.value.stage == "sanity"
     assert len(net.trace) == sent  # nothing left the host
-    assert not client.state.pending_qos1
     client.publish("a/b", b"m")
     net.run(until_s=3.0)
     assert server.mqtt_errors == 0
@@ -715,7 +769,6 @@ def test_refused_publish_or_subscribe_spends_no_msgid():
         assert e.value.stage == "sanity"
         assert client._next_msgid == before
     assert len(net.trace) == sent  # nothing left the host
-    assert not client.state.pending_qos1
     assert client.publish("a/b", b"m", qos=1) == before
     assert client.subscribe("a/b", qos=1) == before + 1
 

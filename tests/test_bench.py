@@ -446,7 +446,7 @@ def test_cli_pub_resumes_exactly_when_given_a_state_dir(tmp_path):
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
 def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
-    net = UdpNetwork()
+    net = UdpNetwork(trace_path=str(tmp_path / "udp.trace"))
     got = []
 
     def handler(payload, src):
@@ -463,9 +463,30 @@ def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
     assert [(ev.event, ev.src, ev.dst, ev.size, ev.annotation) for ev in net.trace] == [
         ("send", addr, addr, 5, "probe"), ("deliver", addr, addr, 5, "")]
     assert all(isinstance(ev, TraceEvent) for ev in net.trace)
-    net.write_trace(str(tmp_path / "udp.trace"))
+    net.write_trace()
     assert (tmp_path / "udp.trace").read_text().splitlines() == [
         ev.line() for ev in net.trace]
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_udp_runner_keeps_no_trace_without_a_path():
+    net = UdpNetwork()
+    got = []
+
+    def handler(payload, src):
+        got.append(payload)
+        if len(got) == 3:
+            net.stop()
+    net.register(("127.0.0.1", 0), handler)
+    addr = net.local_address()
+    try:
+        for _ in range(3):
+            net.send(b"hello", addr, addr, "probe")
+        net.run(until_s=5.0)
+    finally:
+        net.unregister(addr)
+    assert got == [b"hello"] * 3
+    assert net.trace == []
 
 
 def test_real_udp_runners_started_apart_read_the_same_time(monkeypatch):

@@ -153,9 +153,9 @@ def test_distinct_connections_distinct_cids(world):
 def test_rej_carries_session_ticket(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     tickets = client_ep.events_of(SessionTicket)
-    # One from the REJ, one refreshed by the SHLO.
-    assert len(tickets) >= 2
-    assert tickets[0].scfg.scid == tickets[-1].scfg.scid
+    # Only the REJ carries one; the SHLO's token is not offered.
+    assert len(tickets) == 1
+    assert tickets[0].scfg.scid == conn._hs_scfg.scid
 
 
 def test_sender_sqns_strictly_increase(world):

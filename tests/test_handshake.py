@@ -144,10 +144,26 @@ def test_strike_accepts_once_then_rejects():
     strike = StrikeRegister(window_s=300)
     nonc = make_nonc(NOW, Random(1))
     strike.check(nonc, NOW)
-    strike.seen.add(nonc)
+    strike.record(nonc, NOW)
     with pytest.raises(HandshakeError) as e:
         strike.check(nonc, NOW)
     assert e.value.reason == "nonc_replayed"
+
+
+def test_strike_forgets_a_nonce_once_out_of_the_window():
+    strike = StrikeRegister(window_s=300)
+    old = make_nonc(NOW, Random(1))
+    strike.record(old, NOW)
+    strike.record(make_nonc(NOW + 300, Random(2)), NOW + 300)
+    assert old in strike.seen  # 300 s behind is still inside the window
+    with pytest.raises(HandshakeError) as e:
+        strike.check(old, NOW + 300)
+    assert e.value.reason == "nonc_replayed"
+    strike.record(make_nonc(NOW + 301, Random(3)), NOW + 301)
+    assert old not in strike.seen and len(strike.seen) == 2
+    with pytest.raises(HandshakeError) as e:
+        strike.check(old, NOW + 301)
+    assert e.value.reason == "nonc_out_of_window"
 
 
 def test_strike_rejects_out_of_window():

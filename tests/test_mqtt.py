@@ -287,6 +287,52 @@ def test_broker_persistent_session_survives_broker_restart(tmp_path):
     assert [d.conn for d in deliveries] == ["c9"]
 
 
+@pytest.mark.parametrize("client_id", ["d" * 300, "dev\x001"], ids=["long", "nul"])
+def test_broker_persists_any_client_id(tmp_path, client_id):
+    # Neither a name too long for the file system nor a NUL may escape
+    # handle(); the session is stored and survives a restart.
+    b = Broker(state_dir=str(tmp_path))
+    connect(b, "c1", client_id, persistent=True)
+    b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("a", 0),)), "c1")
+    b2 = Broker(state_dir=str(tmp_path))
+    out = connect(b2, "c9", client_id, persistent=True)
+    assert out[0].message.session_present
+
+
+def test_broker_session_files_of_similar_ids_stay_apart(tmp_path):
+    b = Broker(state_dir=str(tmp_path))
+    connect(b, "c1", "a_b", persistent=True)
+    b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("secret/#", 0),)), "c1")
+    b2 = Broker(state_dir=str(tmp_path))
+    out = connect(b2, "c2", "a/b", persistent=True)
+    assert not out[0].message.session_present
+    connect(b2, "p", "pub")
+    deliveries = b2.handle(MqttMessage(mqtt.PUBLISH, topic="secret/x", payload=b"m"), "p")
+    assert deliveries == []
+
+
+@pytest.mark.parametrize("damage", ["torn", "not_utf8", "other_id", "bad_filter"])
+def test_broker_reads_a_damaged_session_file_as_none(tmp_path, damage):
+    b = Broker(state_dir=str(tmp_path))
+    connect(b, "c1", "dev1", persistent=True)
+    b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("a", 0),)), "c1")
+    (path,) = (tmp_path / "clients").iterdir()
+    text = path.read_text()
+    path.write_bytes({
+        "torn": text[:len(text) // 2].encode(),
+        "not_utf8": b"\xff\xfe" + text.encode(),
+        "other_id": text.replace('"dev1"', '"dev2"').encode(),
+        "bad_filter": text.replace('"a"', '"a/#/b"').encode(),
+    }[damage])
+    b2 = Broker(state_dir=str(tmp_path))
+    out = connect(b2, "c9", "dev1", persistent=True)
+    assert not out[0].message.session_present
+    # The damaged file is replaced by a good one on the next store.
+    b2.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("b", 0),)), "c9")
+    out = connect(Broker(state_dir=str(tmp_path)), "c10", "dev1", persistent=True)
+    assert out[0].message.session_present
+
+
 def test_broker_transient_session_discarded():
     b = Broker()
     connect(b, "c1", "dev1", persistent=False)
