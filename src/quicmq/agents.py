@@ -30,7 +30,7 @@ from .connection import (
     check_stream_id,
 )
 from .crypto import SYSTEM_RNG
-from .handshake import ServerConfig, ServerIdentity
+from .handshake import HandshakeError, ServerConfig, ServerIdentity
 from .mqtt import Broker, MqttError, MqttMessage
 from .netsim import Address, SimNetwork
 from .wire import EPOCH_CLEAR, WireError, decode_header
@@ -74,22 +74,21 @@ class SessionStore:
         mqtt.replace_file(self.path_for(host, port), "\n".join(lines) + "\n")
 
     def load(self, host: str, port: int) -> CachedSession | None:
-        path = self.path_for(host, port)
-        if not os.path.exists(path):
-            return None
+        """The cached session for a broker. A missing, unreadable or
+        malformed file is no session."""
         fields: dict[str, str] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                if "=" in line:
-                    key, _, value = line.partition("=")
-                    fields[key.strip()] = value.strip()
         try:
+            with open(self.path_for(host, port), encoding="utf-8") as f:
+                for line in f:
+                    if "=" in line:
+                        key, _, value = line.partition("=")
+                        fields[key.strip()] = value.strip()
             scfg = ServerConfig.parse_pub(
                 base64.b64decode(fields["scfg"]),
                 base64.b64decode(fields["prof"]),
             )
             stk = base64.b64decode(fields["stk"])
-        except Exception:
+        except (OSError, ValueError, KeyError, HandshakeError):
             return None
         return CachedSession(scfg=scfg, stk=stk)
 

@@ -71,6 +71,8 @@ CLOSED = "closed"
 MAX_STREAM_CHUNK = 1200
 CONGESTION_WINDOW_PACKETS = 32  # unacked packets in flight
 RTO_FLOOR_S = 0.2
+MAX_ACK_DELAY_S = 0.025  # an owed ACK waits at most this long (RFC 9000 §13.2.1)
+QUICK_ACKS = 16  # ack-eliciting packets acked at once on a new connection
 NACK_THRESHOLD = 3  # NACKs before a packet counts as lost
 HANDSHAKE_RETRY_S = 0.3
 MAX_HANDSHAKE_RETRIES = 8
@@ -350,7 +352,9 @@ class Connection:
         self.next_sqn = 1
         self._last_sqn = 0  # high-water mark of allocated sqns
         self.received_sqns = ReceivedSqns()
-        self.ack_needed = False
+        self.ack_needed = 0  # ack-eliciting packets since the last ACK sent
+        self._eliciting_rx = 0  # ack-eliciting packets received in all
+        self._ack_timer = None
         self.auth_failures = 0
         self.last_reject_reason = ""
         self._peer_on_k = False  # a packet under k has opened from the peer
@@ -763,7 +767,8 @@ class Connection:
         # An ack is owed from the moment an ack-eliciting packet opens; any
         # packet its frames cause to be sent carries the ack and clears it.
         if any(not isinstance(f, (AckFrame, CloseFrame)) for f in frames):
-            self.ack_needed = True
+            self.ack_needed += 1
+            self._eliciting_rx += 1
         for frame in frames:
             if isinstance(frame, AckFrame):
                 try:
@@ -934,10 +939,10 @@ class Connection:
         self._emit(Closed(reason))
 
     def _cancel_timers(self) -> None:
-        for timer in (self._idle_timer, self._rto_timer, self._hs_timer):
+        for timer in (self._idle_timer, self._rto_timer, self._hs_timer, self._ack_timer):
             if timer is not None:
                 timer.cancel()
-        self._idle_timer = self._rto_timer = self._hs_timer = None
+        self._idle_timer = self._rto_timer = self._hs_timer = self._ack_timer = None
 
     def close(self, error_code: int = 0, reason: bytes = b"") -> None:
         """Start a clean close. Queued stream data (the usual DISCONNECT)
@@ -980,7 +985,7 @@ class Connection:
             if len(gaps) > fit:
                 largest = gaps[fit][0] - 1
                 gaps = gaps[:fit]
-        self.ack_needed = False
+        self.ack_needed = 0
         return AckFrame(largest, next(iter(self.sent_packets), header.sqn), tuple(gaps))
 
     def _send_ack_packet(self, epoch: int | None = None) -> None:
@@ -1065,7 +1070,28 @@ class Connection:
             return
         if self._data_allowed():
             self._flush_data()
-        if self.phase == ESTABLISHED and (self.ack_needed or self._control_frames):
+        if self.phase != ESTABLISHED or not (self.ack_needed or self._control_frames):
+            return
+        if self._control_frames or self._ack_at_once():
+            self._send_ack_packet()
+        elif self._ack_timer is None:
+            self._ack_timer = self.scheduler(MAX_ACK_DELAY_S, self._on_ack_delay)
+
+    def _ack_at_once(self) -> bool:
+        """Whether an owed ACK leaves now rather than within MAX_ACK_DELAY_S
+        (RFC 9000 §13.2.1-13.2.2): every second ack-eliciting packet, any
+        packet while a gap is held, so the sender learns of a loss without
+        delay, and each of a connection's first QUICK_ACKS ack-eliciting
+        packets, so a short exchange never waits on the timer."""
+        return (self.ack_needed >= 2 or len(self.received_sqns) > 0
+                or self._eliciting_rx <= QUICK_ACKS)
+
+    def _on_ack_delay(self) -> None:
+        """The ACK timer: send the ACK if one is still owed. A packet that
+        carried it in the meantime leaves the timer armed, and it finds
+        nothing to do."""
+        self._ack_timer = None
+        if self.phase == ESTABLISHED and self.ack_needed:
             self._send_ack_packet()
 
     def _flush_close(self) -> bool:

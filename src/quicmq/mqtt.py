@@ -372,6 +372,7 @@ class Broker:
         self._by_conn: dict[object, str] = {}
         self._next_msgid = 1
         self.state_dir = state_dir
+        self.store_failures = 0
         if state_dir:
             os.makedirs(os.path.join(state_dir, "clients"), exist_ok=True)
 
@@ -384,10 +385,16 @@ class Broker:
         return os.path.join(self.state_dir, "clients", f"{name}.session")
 
     def _store_session(self, session: Session) -> None:
+        """Persist a session. A failed write is counted and the session lives
+        on in memory: a storage fault must not stop the broker answering."""
         if not self.state_dir or not session.persistent:
             return
         doc = {"client_id": session.client_id, "subscriptions": session.subscriptions}
-        replace_file(self._session_path(session.client_id), json.dumps(doc, sort_keys=True))
+        try:
+            replace_file(self._session_path(session.client_id),
+                         json.dumps(doc, sort_keys=True))
+        except OSError:
+            self.store_failures += 1
 
     def _load_session(self, client_id: str) -> Session | None:
         """The stored session of ``client_id``. A missing, unreadable or

@@ -1,5 +1,6 @@
 """ACK state: the receiver's range-compressed record of received sqns, the
-sender-named floor, the checks on an incoming ACK, and the packet budget."""
+sender-named floor, the checks on an incoming ACK, the packet budget, and
+when an owed ACK is sent."""
 
 import time
 import tracemalloc
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quicmq.agents import ClientAgent, ServerAgent
-from quicmq.connection import ReceivedSqns
+from quicmq.connection import (
+    MAX_ACK_DELAY_S,
+    MAX_STREAM_CHUNK,
+    QUICK_ACKS,
+    ReceivedSqns,
+    TransportConfig,
+)
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker
 from quicmq.netsim import SimConfig, SimNetwork
@@ -27,7 +34,7 @@ from quicmq.wire import (
     encode_frames,
     open_packet_body,
 )
-from conftest import CLIENT_ADDR
+from conftest import CLIENT_ADDR, SERVER_ADDR
 from test_connection import run_handshake, seal_client_data
 
 
@@ -280,3 +287,151 @@ def test_lossy_two_stream_run_keeps_every_datagram_in_budget():
     assert max(ev.size for ev in sends) <= HANDSHAKE_PACKET_LEN
     conns = [pub.conn, sub.conn] + [s.conn for s in server.conns.values()]
     assert all(len(c.received_sqns) < 10 for c in conns)
+
+
+# ---------------------------------------------------------------------------
+# When an owed ACK goes out
+# ---------------------------------------------------------------------------
+
+DELAY_US = 1000  # the one-way delay of the world fixture's link
+MAX_ACK_DELAY_US = round(MAX_ACK_DELAY_S * 1_000_000)
+
+
+def client_sends(net, client_ep, conn, data=b"x") -> int:
+    """The client sends ``data`` on stream 3 in one flush, one chunk per
+    packet; returns the simulated time (us) it reaches the server, and runs
+    the simulator up to it."""
+    conn.send_stream(3, data)
+    client_ep.pump(conn.cid)
+    arrival = net.clock.now_us + DELAY_US
+    net.run(until_s=arrival / 1e6)
+    return arrival
+
+
+def server_acks(net, since_us: int) -> list:
+    """The server's ack-only sends from ``since_us`` on, as trace events."""
+    return [ev for ev in net.trace if ev.event == "send" and ev.src == SERVER_ADDR
+            and ev.annotation == "ack" and ev.time_us >= since_us]
+
+
+def past_quick_acks(world, **kw):
+    """A handshake, then QUICK_ACKS lone client packets, each of which the
+    server acks at once."""
+    net, client_ep, server_ep, conn = run_handshake(world, **kw)
+    for _ in range(QUICK_ACKS):
+        arrival = client_sends(net, client_ep, conn)
+        assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
+        net.run(until_s=net.clock.now_s + 0.05)
+    return net, client_ep, server_ep, conn
+
+
+def test_first_quick_acks_packets_are_each_acked_at_once(world):
+    net, client_ep, server_ep, conn = past_quick_acks(world)
+    # The next lone packet waits for the timer.
+    arrival = client_sends(net, client_ep, conn)
+    assert server_acks(net, arrival) == []
+    assert server_ep.only_conn().ack_needed == 1
+
+
+def test_two_in_order_packets_share_one_ack(world):
+    net, client_ep, server_ep, conn = past_quick_acks(world)
+    first = conn.next_sqn
+    arrival = client_sends(net, client_ep, conn, b"x" * (MAX_STREAM_CHUNK + 1))
+    packet, _ = server_ep.sent[-1]
+    net.run(until_s=net.clock.now_s + 0.1)
+    assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
+    (ack,) = frames_to_client(conn, packet)
+    assert ack.largest_observed == first + 1 and ack.nack_ranges == ()
+
+
+def test_lone_packet_is_acked_by_the_timer(world):
+    net, client_ep, server_ep, conn = past_quick_acks(world)
+    arrival = client_sends(net, client_ep, conn)
+    net.run(until_s=net.clock.now_s + 0.1)
+    (ack,) = server_acks(net, arrival)
+    assert 0 < ack.time_us - arrival <= MAX_ACK_DELAY_US
+    assert server_ep.only_conn().ack_needed == 0
+
+
+def test_timer_left_armed_acks_a_later_packet(world):
+    net, client_ep, server_ep, conn = past_quick_acks(world)
+    first = client_sends(net, client_ep, conn)  # arms the timer
+    net.run(until_s=net.clock.now_s + 0.005)
+    second = client_sends(net, client_ep, conn)  # two owed: acked at once
+    net.run(until_s=net.clock.now_s + 0.005)
+    client_sends(net, client_ep, conn)  # the armed timer serves it
+    net.run(until_s=net.clock.now_s + 0.1)
+    assert [ev.time_us for ev in server_acks(net, first)] == [
+        second, first + MAX_ACK_DELAY_US]
+
+
+def test_packet_that_opens_a_gap_is_acked_at_once(world):
+    net, client_ep, server_ep, conn = past_quick_acks(world)
+    arrival = client_sends(net, client_ep, conn)
+    assert server_acks(net, arrival) == []  # in order: delayed
+    net.run(until_s=net.clock.now_s + 0.1)
+    conn.send_stream(3, b"lost")
+    conn.flush()
+    conn.take_outputs()  # dropped on the way
+    arrival = client_sends(net, client_ep, conn)
+    assert len(server_ep.only_conn().received_sqns) == 1
+    assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
+
+
+def test_queued_window_update_leaves_at_once(world):
+    window = 2048
+    net, client_ep, server_ep, conn = past_quick_acks(
+        world, config=TransportConfig(stream_window=window))
+    server_conn = server_ep.only_conn()
+    arrival = client_sends(net, client_ep, conn)
+    assert server_acks(net, arrival) == []  # no update queued: delayed
+    net.run(until_s=net.clock.now_s + 0.1)
+    # One chunk takes the stream past half its window.
+    arrival = client_sends(net, client_ep, conn, b"x" * 1100)
+    assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
+    packet, _ = server_ep.sent[-1]
+    updates = [f for f in frames_to_client(conn, packet)
+               if isinstance(f, WindowUpdateFrame)]
+    assert updates == [WindowUpdateFrame(3, server_conn.streams[3].delivered + window)]
+
+
+def _subscriber_owing_an_ack():
+    """A subscriber past its quick acks that has just received a lone
+    PUBLISH, so its ACK timer is armed."""
+    broker_addr = ("10.0.0.1", 4433)
+    net = SimNetwork(SimConfig(delay_ms=1.0), seed=3)
+    identity = ServerIdentity.create(now=0.0, rng=Random(42))
+    ServerAgent(net, broker_addr, identity, rng=Random(3))
+    sub = ClientAgent(net, ("10.0.0.3", 40000), broker_addr, "sub",
+                      identity.sign_pair.pk, rng=Random(1))
+    pub = ClientAgent(net, ("10.0.0.2", 40000), broker_addr, "pub",
+                      identity.sign_pair.pk, rng=Random(2))
+    for agent in (sub, pub):
+        agent.connect_mqtt()
+    net.run(until_s=1.0)
+    sub.subscribe("t")
+    net.run(until_s=1.1)
+    for _ in range(QUICK_ACKS + 1):
+        pub.publish("t", b"m")
+        net.run(until_s=net.clock.now_s + 0.1)
+    pub.publish("t", b"m")
+    net.run(until_s=net.clock.now_s + 0.0025)  # two hops in: delivered
+    assert sub.conn.ack_needed == 1 and sub.conn._ack_timer is not None
+    return net, sub
+
+
+@pytest.mark.parametrize("end", ["close", "kill"])
+def test_no_ack_leaves_after_close_or_kill(end):
+    net, sub = _subscriber_owing_an_ack()
+    timer = sub.conn._ack_timer
+    since = net.clock.now_us
+    if end == "close":
+        sub.disconnect()  # close(), then a flush: the CLOSE carries the ACK
+        assert sub.conn.ack_needed == 0  # the armed timer finds none owed
+    else:
+        sub.kill()
+        assert timer.cancelled and sub.conn._ack_timer is None
+    net.run(until_s=net.clock.now_s + 1.0)
+    sent = [ev.annotation for ev in net.trace if ev.event == "send"
+            and ev.src == sub.local_addr and ev.time_us >= since]
+    assert sent == (["close"] if end == "close" else [])

@@ -168,6 +168,34 @@ def test_failed_session_write_leaves_the_old_file(tmp_path, monkeypatch):
     assert store.load("h", 1).stk == b"t" * 36
 
 
+def test_session_file_that_is_not_utf8_is_no_session(tmp_path):
+    net, identity, server = make_world()
+    store = SessionStore(str(tmp_path))
+    with open(store.path_for(*BROKER), "wb") as f:
+        f.write(b"\xff\xfe garbage")
+    assert store.load(*BROKER) is None
+    client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))
+    assert client.connect_mqtt() == "1rtt"
+    net.run(until_s=2.0)
+    assert client.connected
+    assert store.load(*BROKER) is not None  # replaced by the REJ's material
+
+
+def test_broker_keeps_serving_when_its_session_writes_fail(tmp_path):
+    net, identity, server = make_world(state_dir=str(tmp_path))
+    os.rmdir(tmp_path / "clients")
+    client = make_client(net, identity, 50001, "dev1", persistent=True)
+    subacks = []
+    client.on_suback = lambda agent, msgid: subacks.append(msgid)
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    assert client.connected
+    msgid = client.subscribe("a/b")
+    net.run(until_s=3.0)
+    assert subacks == [msgid]
+    assert server.broker.store_failures == 2
+
+
 def test_session_file_rewritten_after_fallback(tmp_path):
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1", state_dir=str(tmp_path))

@@ -58,7 +58,7 @@ def test_bench_json_is_deterministic(tmp_path):
     assert a.to_json() == b.to_json()
 
 
-def fanout_run() -> bytes:
+def fanout_run() -> tuple[bytes, bytes]:
     """30 subscribers with exact, ``+`` and ``#`` filters at QoS 0 and 1, and
     a persistent client that disconnects and comes back on a new address,
     over a seeded simulator; 300 publishes at QoS 0 and 1 from random
@@ -109,7 +109,7 @@ def fanout_run() -> bytes:
     net.schedule(1.0, keeper.disconnect)
     net.schedule(1.5, lambda: client("10.0.2.2", "keeper", persistent=True))
     net.run(until_s=8.0)
-    return "\n".join(net.trace_lines()).encode() + repr(received).encode()
+    return "\n".join(net.trace_lines()).encode(), repr(received).encode()
 
 
 def rej_fallback_run(state_dir: str) -> bytes:
@@ -150,8 +150,9 @@ def rej_fallback_run(state_dir: str) -> bytes:
             + repr((path, pub.connected, received)).encode())
 
 
-# sha256 of to_json() followed by repr(series_rows()), and of fanout_run()
-# and rej_fallback_run().
+# sha256 of to_json() followed by repr(series_rows()), of fanout_run()'s
+# trace and deliveries together and of its deliveries alone, and of
+# rej_fallback_run().
 # The JSON holds packet counts and simulated times only, so these move only
 # when the wire format, the packet ladder, the simulated timing or the
 # broker's delivery order changes; a change that moves one must update it
@@ -167,8 +168,11 @@ PINNED_DIGESTS = {
     "migrate_wireless": "86da5891ed9dcded10d3d8cbc6f171b095f2f4fbbc47bc7d6d5987d98e63071e",
     "conn_overhead_long_distance":
         "5c241b5e1796f8e626b6ac19e4678eb67f18ea9e1a2d85ccb5a1e1be1109859e",
+    # The trace moves with ACK timing; "fanout_received", the deliveries
+    # alone, must not: broker routing order decides them.
     "fanout_many_subscribers":
-        "b3fac775f23bdfb916ffec429a8b882bbc2211fce6dc030761881a457f54f098",
+        "b6e2aaa1223c46a40fa66bebaa28b23a0226640b324f483c16a866653969f2a8",
+    "fanout_received": "104038966138270088989bb52413df64aea4ff5182ca2e74e69c708abdc289b8",
     "rej_fallback": "565a201a14a7d88166df2635d6482629936842cff764361bacc4177911b0eb75",
 }
 
@@ -201,7 +205,9 @@ def test_bench_output_matches_pinned_digests(tmp_path):
         h = hashlib.sha256(res.to_json().encode())
         h.update(repr(res.series_rows()).encode())
         digests[name] = h.hexdigest()
-    digests["fanout_many_subscribers"] = hashlib.sha256(fanout_run()).hexdigest()
+    trace, received = fanout_run()
+    digests["fanout_many_subscribers"] = hashlib.sha256(trace + received).hexdigest()
+    digests["fanout_received"] = hashlib.sha256(received).hexdigest()
     digests["rej_fallback"] = hashlib.sha256(
         rej_fallback_run(str(tmp_path / "rej"))).hexdigest()
     assert digests == PINNED_DIGESTS

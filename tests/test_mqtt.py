@@ -333,6 +333,23 @@ def test_broker_reads_a_damaged_session_file_as_none(tmp_path, damage):
     assert out[0].message.session_present
 
 
+def test_broker_answers_when_a_session_write_fails(tmp_path):
+    b = Broker(state_dir=str(tmp_path))
+    (tmp_path / "clients").rmdir()  # every session write now fails
+    out = connect(b, "c1", "dev1", persistent=True)
+    assert [d.message.kind for d in out] == [mqtt.CONNACK]
+    out = b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("a", 0), ("b", 0))), "c1")
+    assert [d.message.kind for d in out] == [mqtt.SUBACK]
+    out = b.handle(MqttMessage(mqtt.UNSUBSCRIBE, msgid=2, topics=(("b", 0),)), "c1")
+    assert [d.message.kind for d in out] == [mqtt.UNSUBACK]
+    assert b.store_failures == 3
+    # The session lives on in memory.
+    connect(b, "p", "pub")
+    out = b.handle(MqttMessage(mqtt.PUBLISH, topic="a", payload=b"m"), "p")
+    assert [(d.conn, d.message.topic) for d in out] == [("c1", "a")]
+    assert b.sessions["dev1"].subscriptions == {"a": 0}
+
+
 def test_broker_transient_session_discarded():
     b = Broker()
     connect(b, "c1", "dev1", persistent=False)
