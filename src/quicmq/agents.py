@@ -23,7 +23,6 @@ from .connection import (
     HandshakeDone,
     HandshakeFailed,
     Migrated,
-    SessionTicket,
     StreamData,
     TransportConfig,
     TransportError,
@@ -62,14 +61,14 @@ class SessionStore:
     def path_for(self, host: str, port: int) -> str:
         return os.path.join(self.state_dir, f"{host}_{port}.session")
 
-    def store(self, host: str, port: int, scfg: ServerConfig, stk: bytes,
+    def store(self, host: str, port: int, session: CachedSession,
               created: float) -> None:
         lines = [
             f"server = {host}:{port}",
             f"created = {int(created)}",
-            f"scfg = {base64.b64encode(scfg.serialize_pub()).decode()}",
-            f"prof = {base64.b64encode(scfg.prof).decode()}",
-            f"stk = {base64.b64encode(stk).decode()}",
+            f"scfg = {base64.b64encode(session.scfg.serialize_pub()).decode()}",
+            f"prof = {base64.b64encode(session.scfg.prof).decode()}",
+            f"stk = {base64.b64encode(session.stk).decode()}",
         ]
         mqtt.replace_file(self.path_for(host, port), "\n".join(lines) + "\n")
 
@@ -201,7 +200,6 @@ class ClientAgent:
         self.failure: str | None = None
         self._next_msgid = 1
         self._ping_timer = None
-        self._ticket: SessionTicket | None = None
 
         network.register(local_addr, self._on_datagram)
 
@@ -218,7 +216,10 @@ class ClientAgent:
 
     def connect_mqtt(self) -> str:
         """Build the CONNECT message, sanity-check it, set up the connection,
-        and start the handshake. Returns the chosen path (1rtt or 0rtt)."""
+        and start the handshake. Returns the chosen path (1rtt or 0rtt). An
+        agent connects once: a reconnect is a new agent."""
+        if self.state is not None:
+            raise AgentError("transport", "this agent has already connected")
         msg = MqttMessage(mqtt.CONNECT, client_id=self.client_id,
                           persistent=self.persistent, keepalive=self.keepalive)
         try:
@@ -226,16 +227,13 @@ class ClientAgent:
         except MqttError as e:
             raise AgentError("instance", str(e)) from None
         self._sanity(raw)
-        if self.state is None:
-            cid = self.rng.getrandbits(64)
-            session = None
-            if self.sessions is not None:
-                session = self.sessions.load(*self.broker_addr)
-            self.state = _ConnState(
-                self.network, self._on_conn_event, role="client", cid=cid,
-                local_addr=self.local_addr, peer_addr=self.broker_addr,
-                config=self.config, rng=self.rng, server_pk=self.server_pk,
-                session=session)
+        session = self.sessions.load(*self.broker_addr) if self.sessions else None
+        self.state = _ConnState(
+            self.network, self._on_conn_event, role="client",
+            cid=self.rng.getrandbits(64),
+            local_addr=self.local_addr, peer_addr=self.broker_addr,
+            config=self.config, rng=self.rng, server_pk=self.server_pk,
+            session=session)
         try:
             self.handshake_path = self.conn.start_connect()
         except Exception as e:
@@ -262,15 +260,15 @@ class ClientAgent:
             raise AgentError("transport", "not connected")
         if qos not in (0, 1, 2):
             raise AgentError("sanity", f"bad requested qos {qos}")
+        try:
+            mqtt.check_filter(topic)  # a filter the broker would refuse
+        except MqttError as e:
+            raise AgentError("sanity", str(e)) from None
         # The msgid is spent only once the message would be accepted.
         msgid = self._next_msgid
         raw = mqtt.encode(MqttMessage(mqtt.SUBSCRIBE, msgid=msgid,
                                       topics=((topic, qos),)))
         self._sanity(raw, stream_id)
-        try:
-            mqtt.decode(raw)  # a filter the broker would refuse
-        except MqttError as e:
-            raise AgentError("sanity", str(e)) from None
         self._fresh_msgid()
         self.state.send(stream_id, raw)
         _pump(self.network, self.conn)
@@ -350,17 +348,13 @@ class ClientAgent:
     # -- events -------------------------------------------------------------------
 
     def _on_conn_event(self, event) -> None:
-        if isinstance(event, SessionTicket):
-            self._ticket = event  # only a REJ carries one
-        elif isinstance(event, HandshakeDone):
-            # The file is written once per REJ-answered handshake, and never
-            # on a resume: the cached config expires before its token goes
-            # stale. MQTT-level connected state arrives with the CONNACK.
-            if self.sessions is not None and self._ticket is not None:
-                self.sessions.store(self.broker_addr[0], self.broker_addr[1],
-                                    self._ticket.scfg, self._ticket.stk,
+        if isinstance(event, HandshakeDone):
+            # The REJ's material is written once per handshake it answered,
+            # and never on a resume: the cached config expires before its
+            # token goes stale. MQTT-level connected state comes with CONNACK.
+            if self.sessions is not None and not event.resumed:
+                self.sessions.store(*self.broker_addr, self.conn.session,
                                     self.network.clock.now_s)
-            self._ticket = None
         elif isinstance(event, HandshakeFailed):
             self.failure = event.reason
         elif isinstance(event, StreamData):
@@ -445,8 +439,9 @@ class ServerAgent:
         conn = state.conn
         conn.handle_datagram(data, src)
         if conn.phase == "idle" and conn.auth_failures:
-            # Garbage that never started a handshake: drop the slot.
+            # Garbage that never started a handshake: drop the slot and its timers.
             self.conns.pop(conn.cid, None)
+            conn._cancel_timers()
             return
         _pump(self.network, conn)
 

@@ -20,6 +20,7 @@ from .bench import (
     bench_migrate,
     bench_stream_isolation,
 )
+from .connection import TransportConfig
 from .handshake import ServerIdentity
 from .mqtt import Broker
 from .udprun import UdpNetwork
@@ -148,6 +149,11 @@ def cmd_broker(args) -> int:
     return 0
 
 
+# The MQTT keep-alive of the real-UDP clients: a PINGREQ every third of the
+# transport's idle timeout keeps a quiet connection from idling out.
+CLIENT_KEEPALIVE_S = int(TransportConfig().idle_timeout_s // 3)
+
+
 def _load_key(path: str) -> bytes:
     with open(path, encoding="utf-8") as f:
         return bytes.fromhex(f.read().strip())
@@ -173,6 +179,7 @@ def cmd_pub(args) -> int:
         agent = ClientAgent(net, ("0.0.0.0", 0), args.broker, args.client_id,
                             server_pk=server_pk,
                             state_dir=args.state_dir,
+                            keepalive=CLIENT_KEEPALIVE_S,
                             on_connected=on_connected,
                             on_closed=lambda a, r: done.__setitem__("closed", True))
     except OSError as e:
@@ -204,6 +211,7 @@ def cmd_sub(args) -> int:
     agent = ClientAgent(net, ("0.0.0.0", 0), args.broker, args.client_id,
                         server_pk=server_pk, state_dir=args.state_dir,
                         persistent=args.persist,
+                        keepalive=CLIENT_KEEPALIVE_S,
                         on_connected=lambda a: a.subscribe(args.topic,
                                                            qos=1 if args.persist else 0),
                         on_message=on_message,

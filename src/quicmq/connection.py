@@ -109,7 +109,11 @@ class TransportConfig:
 
 @dataclass(frozen=True)
 class CachedSession:
-    """Client-side resumption state loaded from a session file."""
+    """Client-side resumption material for 0-RTT: a signed scfg and its
+    token. It is loaded from a session file, and a REJ replaces it with the
+    REJ's own pair. The SHLO's token is never kept: the config expires
+    before the REJ's token goes stale, so a refreshed token would never be
+    used."""
     scfg: ServerConfig
     stk: bytes
 
@@ -142,15 +146,6 @@ class Migrated:
 @dataclass(frozen=True)
 class Closed:
     reason: str
-
-
-@dataclass(frozen=True)
-class SessionTicket:
-    """Resumption material to persist: the scfg and token of a REJ. The
-    SHLO's token is not offered; the config expires before the REJ's token
-    goes stale, so a refreshed token would never be used."""
-    scfg: ServerConfig
-    stk: bytes
 
 
 # -- helper records ----------------------------------------------------------
@@ -657,7 +652,7 @@ class Connection:
             # Signed, yet its DH value is all zero or of low order.
             self._fail_handshake("scfg_malformed")
             return
-        self._emit(SessionTicket(scfg, stk))
+        self.session = CachedSession(scfg, stk)
         self._arm_handshake_timer()
         # The server never opened what went out under the rejected keys: the
         # same frames go out again under the fresh ik.

@@ -1,6 +1,6 @@
 """Cryptographic primitives for the transport: signatures, AEAD, Diffie-Hellman
-key agreement, and the HMAC-based key expansion that produces directional
-key sets.
+key agreement, and the HKDF key expansion that produces directional key
+sets.
 
 Everything here is a pure function of its inputs plus an ``rng``. Every
 random byte comes from ``SYSTEM_RNG``, the OS generator, unless a caller
@@ -11,7 +11,6 @@ tests do.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass, field
 from random import Random, SystemRandom
 
@@ -23,6 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 AEAD_KEY_LEN = 16  # AES-128-GCM
@@ -178,29 +178,18 @@ def dh_shared(pair: DhKeyPair, peer_public: bytes) -> bytes:
 
 def extract_expand(ipm: bytes, nonc: bytes, cid: int, m: bytes, l: int,
                    init: int) -> bytes:
-    """Expand shared key material into ``l`` bytes of output.
-
-    ``ms = HMAC-SHA256(nonc, ipm)`` is the extracted secret; the output is
-    the chained expansion ``T(i) = HMAC(ms, T(i-1) || info || 0x0i)`` with
-    ``info = label || 0x00 || cid || m``. The label differs between the
-    initial (``init=1``) and forward-secure (``init=0``) derivations, so the
-    two schedules can never collide.
+    """Expand shared key material into ``l`` bytes of output: HKDF-SHA256
+    (RFC 5869) with salt ``nonc`` and ``info = label || 0x00 || cid || m``.
+    The label differs between the initial (``init=1``) and forward-secure
+    (``init=0``) derivations, so the two schedules can never collide.
     """
     if l < 0:
         raise CryptoError("negative output length")
     if l > 255 * _HASH_LEN:
         raise CryptoError("expansion output too long")
-    ms = hmac.new(nonc, ipm, hashlib.sha256).digest()
     label = LABEL_INITIAL if init else LABEL_FORWARD_SECURE
     info = label + b"\x00" + cid.to_bytes(8, "big") + m
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < l:
-        block = hmac.new(ms, block + info + bytes([counter]), hashlib.sha256).digest()
-        out += block
-        counter += 1
-    return out[:l]
+    return HKDF(hashes.SHA256(), l, nonc, info).derive(ipm)
 
 
 @dataclass(frozen=True)

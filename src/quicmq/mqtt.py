@@ -230,8 +230,6 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError("bad ack length")
         return MqttMessage(kind, msgid=int.from_bytes(body, "big")), end
     if kind == SUBSCRIBE:
-        if flags != 0x02:
-            raise MqttError("bad SUBSCRIBE flags")
         if len(body) < 2:
             raise MqttError("truncated SUBSCRIBE")
         msgid = int.from_bytes(body[:2], "big")
@@ -241,7 +239,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         p = 2
         while p < len(body):
             topic, p = _decode_string(body, p)
-            _check_filter(topic)
+            check_filter(topic)
             if p > len(body) - 1:
                 raise MqttError("missing requested qos")
             if body[p] > 2:
@@ -264,7 +262,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         p = 2
         while p < len(body):
             topic, p = _decode_string(body, p)
-            _check_filter(topic)
+            check_filter(topic)
             topics.append((topic, 0))
         if not topics:
             raise MqttError("UNSUBSCRIBE without topics")
@@ -283,7 +281,7 @@ def check_publish_topic(topic: str) -> None:
         raise MqttError(f"invalid publish topic {topic!r}")
 
 
-def _check_filter(filter_: str) -> None:
+def check_filter(filter_: str) -> None:
     """Refuse a filter no topic can match (MQTT 3.1.1 §4.7): an empty one,
     ``#`` anywhere but alone in the last level, ``+`` not alone in its level."""
     if not filter_:
@@ -408,7 +406,7 @@ class Broker:
             if doc["client_id"] != client_id:
                 return None
             for filter_, qos in subscriptions.items():
-                _check_filter(filter_)
+                check_filter(filter_)
                 if qos not in (0, 1):
                     return None
         except Exception:

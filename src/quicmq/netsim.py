@@ -99,9 +99,7 @@ class _PeriodicDrop:
 
 
 class SimNetwork:
-    def __init__(self, config: SimConfig | str = "wired", seed: int = 0):
-        if isinstance(config, str):
-            config = PROFILES[config]
+    def __init__(self, config: SimConfig, seed: int = 0):
         self.config = config
         self.clock = SimClock()
         self.rng = Random(seed)

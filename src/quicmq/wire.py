@@ -123,8 +123,7 @@ def header_len(h: PacketHeader) -> int:
 KIND_STREAM = 0x01
 KIND_ACK = 0x02
 KIND_WINDOW_UPDATE = 0x03
-KIND_PING = 0x05  # 0x04 is unassigned: a stream ends with FIN or its connection
-KIND_CLOSE = 0x06
+KIND_CLOSE = 0x06  # 0x04 and 0x05 are unassigned and refused
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,12 @@ class WindowUpdateFrame:
 
 
 @dataclass(frozen=True)
-class PingFrame:
-    pass
-
-
-@dataclass(frozen=True)
 class CloseFrame:
     error_code: int = 0
     reason: bytes = b""
 
 
-Frame = StreamFrame | AckFrame | WindowUpdateFrame | PingFrame | CloseFrame
+Frame = StreamFrame | AckFrame | WindowUpdateFrame | CloseFrame
 
 
 def encode_frame(f: Frame) -> bytes:
@@ -185,8 +179,6 @@ def encode_frame(f: Frame) -> bytes:
         return out
     if isinstance(f, WindowUpdateFrame):
         return bytes([KIND_WINDOW_UPDATE]) + struct.pack(">IQ", f.stream_id, f.byte_offset)
-    if isinstance(f, PingFrame):
-        return bytes([KIND_PING])
     if isinstance(f, CloseFrame):
         return bytes([KIND_CLOSE]) + struct.pack(">IH", f.error_code, len(f.reason)) + f.reason
     raise WireError(f"unknown frame {f!r}")
@@ -200,9 +192,7 @@ def frame_len(f: Frame) -> int:
         return ACK_FRAME_LEN + NACK_RANGE_LEN * len(f.nack_ranges)
     if isinstance(f, WindowUpdateFrame):
         return 13
-    if isinstance(f, CloseFrame):
-        return 7 + len(f.reason)
-    return 1  # PING
+    return 7 + len(f.reason)  # CLOSE
 
 
 def encode_frames(frames: list[Frame]) -> bytes:
@@ -246,8 +236,6 @@ def decode_frames(data: bytes) -> list[Frame]:
             stream_id, byte_offset = struct.unpack_from(">IQ", data, pos)
             pos += 12
             frames.append(WindowUpdateFrame(stream_id, byte_offset))
-        elif kind == KIND_PING:
-            frames.append(PingFrame())
         elif kind == KIND_CLOSE:
             if n - pos < 6:
                 raise WireError("truncated CLOSE")

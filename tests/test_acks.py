@@ -26,7 +26,6 @@ from quicmq.wire import (
     HANDSHAKE_PACKET_LEN,
     AckFrame,
     CloseFrame,
-    PingFrame,
     StreamFrame,
     WindowUpdateFrame,
     decode_frames,
@@ -169,7 +168,8 @@ def test_gaps_past_the_packet_budget_keep_the_oldest(world):
     server_conn = server_ep.only_conn()
     base = conn.next_sqn + 10
     for k in range(300):  # every other sqn: 300 one-sqn gaps and counting
-        packet = seal_client_data(conn.k, base + 2 * k, encode_frames([PingFrame()]),
+        packet = seal_client_data(conn.k, base + 2 * k,
+                                  encode_frames([WindowUpdateFrame(0, 0)]),
                                   cid=conn.cid, epoch=EPOCH_K)
         server_conn.handle_datagram(packet, CLIENT_ADDR)
     received = server_conn.received_sqns
@@ -213,11 +213,11 @@ def test_least_unacked_lets_the_receiver_drop_old_gaps(world):
     assert lost in server_conn.received_sqns
     assert len(server_conn.received_sqns) == 0
     # A packet that late is a duplicate now (RFC 9000 §13.2.3).
-    late = seal_client_data(conn.k, lost, encode_frames([PingFrame()]),
+    late = seal_client_data(conn.k, lost, encode_frames([WindowUpdateFrame(0, 0)]),
                             cid=conn.cid, epoch=EPOCH_K)
     assert not server_conn.ack_needed
     server_conn.handle_datagram(late, CLIENT_ADDR)
-    assert not server_conn.ack_needed  # the PING was never processed
+    assert not server_conn.ack_needed  # the frame was never processed
 
 
 @pytest.mark.parametrize("updates,close", [(8, False), (8, True), (1, False), (1, True)])

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from quicmq import connection, mqtt
+from quicmq import connection, mqtt, wire
 from quicmq.agents import (
     AgentError,
     ClientAgent,
@@ -11,7 +11,7 @@ from quicmq.agents import (
     SessionStore,
     _pump,
 )
-from quicmq.connection import TransportConfig
+from quicmq.connection import CachedSession, TransportConfig
 from quicmq.handshake import HandshakeError, ServerIdentity
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
@@ -138,7 +138,7 @@ def test_session_file_path_layout(tmp_path):
 def test_session_store_roundtrip(tmp_path):
     identity = ServerIdentity.create(now=0.0, rng=Random(1))
     store = SessionStore(str(tmp_path))
-    store.store("h", 1, identity.scfg, b"t" * 36, created=123.0)
+    store.store("h", 1, CachedSession(identity.scfg, b"t" * 36), created=123.0)
     session = store.load("h", 1)
     assert session.stk == b"t" * 36
     assert session.scfg.scid == identity.scfg.scid
@@ -149,7 +149,7 @@ def test_session_store_roundtrip(tmp_path):
 def test_failed_session_write_leaves_the_old_file(tmp_path, monkeypatch):
     identity = ServerIdentity.create(now=0.0, rng=Random(1))
     store = SessionStore(str(tmp_path))
-    store.store("h", 1, identity.scfg, b"t" * 36, created=123.0)
+    store.store("h", 1, CachedSession(identity.scfg, b"t" * 36), created=123.0)
     before = open(store.path_for("h", 1)).read()
 
     def disk_full_open(path, mode="r", **kw):
@@ -161,7 +161,7 @@ def test_failed_session_write_leaves_the_old_file(tmp_path, monkeypatch):
         return f
     monkeypatch.setattr("quicmq.mqtt.open", disk_full_open, raising=False)
     with pytest.raises(OSError):
-        store.store("h", 1, identity.scfg, b"u" * 36, created=456.0)
+        store.store("h", 1, CachedSession(identity.scfg, b"u" * 36), created=456.0)
     monkeypatch.undo()
     assert open(store.path_for("h", 1)).read() == before
     assert os.listdir(tmp_path) == ["h_1.session"]
@@ -221,9 +221,9 @@ def count_session_writes(monkeypatch) -> list:
     writes = []
     store = SessionStore.store
 
-    def counting_store(self, host, port, scfg, stk, created):
-        writes.append(stk)
-        store(self, host, port, scfg, stk, created)
+    def counting_store(self, host, port, session, created):
+        writes.append(session.stk)
+        store(self, host, port, session, created)
     monkeypatch.setattr(SessionStore, "store", counting_store)
     return writes
 
@@ -729,6 +729,24 @@ def test_keepalive_pings_when_enabled():
     assert server.connection_count() == 1
 
 
+def test_second_connect_is_refused_and_sends_nothing():
+    # A spent connection cannot complete again: a reconnect is a new agent.
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    client.disconnect()
+    net.run(until_s=20.0)
+    conn, sent, rng_state = client.conn, len(net.trace), client.rng.getstate()
+    with pytest.raises(AgentError) as e:
+        client.connect_mqtt()
+    assert e.value.stage == "transport"
+    assert client.conn is conn
+    assert client.rng.getstate() == rng_state  # nothing drawn
+    net.run(until_s=25.0)
+    assert len(net.trace) == sent  # nothing left the host
+
+
 def test_publish_before_connect_rejected():
     net, identity, server = make_world()
     client = make_client(net, identity, 50001, "dev1")
@@ -833,6 +851,22 @@ def test_server_survives_datagram_fuzzing():
     client.publish("still/up", b"ok")
     net.run(until_s=net.clock.now_s + 1.0)
     assert client.connected
+
+
+def test_garbage_hellos_leave_no_slot_and_no_timer():
+    net, identity, server = make_world()
+    attacker = ("6.6.6.6", 6666)
+    net.register(attacker, lambda p, s: None)
+    for cid in range(1, 201):
+        # A cleartext header with an unknown cid, then bytes that do not open.
+        header = wire.encode_header(wire.PacketHeader(cid=cid, sqn=1,
+                                                      epoch=wire.EPOCH_CLEAR))
+        net.send(header + bytes(64), attacker, BROKER, "fuzz")
+    net.run(until_s=1.0)
+    assert server.connection_count() == 0
+    live = [item for _, _, item in net._queue
+            if item[0] == "timer" and not item[1].cancelled]
+    assert live == []
 
 
 def test_migration_via_set_address():

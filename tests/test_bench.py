@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from quicmq import cli
 from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.bench import (
     BenchError,
@@ -20,6 +21,7 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
+from quicmq.connection import TransportConfig
 from quicmq.handshake import ServerIdentity, StrikeRegister, make_nonc
 from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
@@ -397,6 +399,29 @@ def _start_broker(tmp_path, port: int) -> subprocess.Popen:
         broker.wait()
         raise AssertionError("broker never wrote its key")
     return broker
+
+
+class Built(Exception):
+    """Raised in place of building the CLI's client agent."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sub", "--topic", "t", "--count", "0"],  # runs until killed
+    ["pub", "--topic", "t", "--interval", "60"],  # quiet past the idle timeout
+])
+def test_cli_clients_keep_their_connection_alive(tmp_path, monkeypatch, argv):
+    key_file = tmp_path / "broker.pk"
+    key_file.write_text(ServerIdentity.create(now=0.0).sign_pair.pk.hex() + "\n")
+    seen = []
+
+    def recording_agent(*args, **kw):
+        seen.append(kw)
+        raise Built()
+    monkeypatch.setattr(cli, "ClientAgent", recording_agent)
+    with pytest.raises(Built):
+        main(argv + ["--broker", "127.0.0.1:9", "--key-file", str(key_file)])
+    keepalive, = [kw["keepalive"] for kw in seen]
+    assert 0 < keepalive < TransportConfig().idle_timeout_s
 
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")

@@ -11,7 +11,6 @@ from quicmq.connection import (
     HandshakeDone,
     HandshakeFailed,
     Migrated,
-    SessionTicket,
     Stream,
     StreamData,
     TransportConfig,
@@ -152,10 +151,9 @@ def test_distinct_connections_distinct_cids(world):
 
 def test_rej_carries_session_ticket(world):
     net, client_ep, server_ep, conn = run_handshake(world)
-    tickets = client_ep.events_of(SessionTicket)
-    # Only the REJ carries one; the SHLO's token is not offered.
-    assert len(tickets) == 1
-    assert tickets[0].scfg.scid == conn._hs_scfg.scid
+    # The REJ's pair is kept; the SHLO's token is not.
+    assert conn.session is not None
+    assert conn.session.scfg.scid == conn._hs_scfg.scid
 
 
 def test_sender_sqns_strictly_increase(world):
@@ -187,11 +185,9 @@ def test_nonce_inputs_never_repeat_per_direction(world):
 
 
 def warm_session(world):
-    """Complete one 1-RTT handshake and return the freshest ticket."""
+    """Complete one 1-RTT handshake and return the session it kept."""
     net, client_ep, server_ep, conn = run_handshake(world)
-    ticket = client_ep.events_of(SessionTicket)[-1]
-    identity = server_ep.identity
-    return CachedSession(scfg=ticket.scfg, stk=ticket.stk), identity
+    return conn.session, server_ep.identity
 
 
 def test_0rtt_first_flight_carries_data(world):
@@ -363,7 +359,7 @@ def test_signed_degenerate_config_in_a_rej_fails_the_handshake(world, public):
     assert [ev.reason for ev in client_ep.events_of(HandshakeFailed)] == ["scfg_malformed"]
     assert conn.phase == "closed"
     assert [a for _, a in client_ep.sent] == ["chlo_inchoate"]
-    assert not client_ep.events_of(SessionTicket)
+    assert conn.session is None
 
 
 @degenerate_publics
@@ -425,6 +421,21 @@ def test_frame_kind_0x04_is_refused_and_the_stream_stays(world):
     assert server_conn.auth_failures == failures + 1
     assert server_conn.phase == "established"
     assert server_conn.streams[3].delivered == 3
+
+
+def test_frame_kind_0x05_is_refused_and_owes_no_ack(world):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    net.run(until_s=net.clock.now_s + 0.5)
+    # 0x05 was a PING frame once; nothing sends one, so it is unknown.
+    packet = seal_client_data(conn.k, conn.next_sqn + 5, bytes([0x05]),
+                              cid=conn.cid, epoch=EPOCH_K)
+    failures = server_conn.auth_failures
+    owed = server_conn.ack_needed
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures + 1
+    assert server_conn.ack_needed == owed
+    assert server_conn.phase == "established"
 
 
 def test_handshake_stream_reserved(world):

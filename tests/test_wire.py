@@ -11,7 +11,6 @@ from quicmq.wire import (
     CloseFrame,
     HandshakeMessage,
     PacketHeader,
-    PingFrame,
     StreamFrame,
     WindowUpdateFrame,
     WireError,
@@ -59,7 +58,6 @@ frames = st.one_of(
         stream_id=st.integers(min_value=0, max_value=2**32 - 1),
         byte_offset=st.integers(min_value=0, max_value=2**64 - 1),
     ),
-    st.just(PingFrame()),
     st.builds(
         CloseFrame,
         error_code=st.integers(min_value=0, max_value=2**32 - 1),
