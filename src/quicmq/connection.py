@@ -251,6 +251,7 @@ class Stream:
         # receive side
         self.fragments: dict[int, bytes] = {}
         self.delivered = 0
+        self.received = 0  # highest offset received
         self.fin_offset: int | None = None
         self.advertised = window
         self.window = window
@@ -286,8 +287,11 @@ class Stream:
     # -- receive ------------------------------------------------------------
 
     def accept(self, frame: StreamFrame) -> list[tuple[bytes, bool]]:
-        """Insert a fragment, returning newly contiguous (data, fin) chunks."""
+        """Insert a fragment, returning newly contiguous (data, fin) chunks.
+        Data past the advertised limit is a flow-control error (RFC 9000 §4.1)."""
         end = frame.offset + len(frame.data)
+        if end > self.advertised:
+            raise TransportError("flow_control", f"stream {self.stream_id}")
         if frame.fin:
             if self.fin_offset is not None and self.fin_offset != end:
                 raise TransportError("final_offset_changed",
@@ -295,6 +299,7 @@ class Stream:
             self.fin_offset = end
         if self.fin_offset is not None and end > self.fin_offset:
             raise TransportError("data_past_final_offset")
+        self.received = max(self.received, end)
         if end > self.delivered:
             start = frame.offset
             data = frame.data
@@ -358,6 +363,7 @@ class Connection:
         self.conn_bytes_sent = 0
         self.peer_conn_limit = config.connection_window
         self.conn_delivered = 0
+        self.conn_received = 0  # the sum of the streams' highest offsets received
         self.conn_advertised = config.connection_window
 
         self.sent_packets: dict[int, SentPacket] = {}
@@ -371,29 +377,20 @@ class Connection:
         self._close_pending: CloseFrame | None = None
         self._close_sent = False
 
-        # handshake driver state
+        # Handshake state. The client drops its secrets and hello once the SHLO
+        # settles k; the server drops the SHLO at the first packet under k.
         self._hs_secrets: ClientHelloSecrets | None = None
-        self._hs_scfg: ServerConfig | None = None
-        # the last hello sent: (frame, version flag, annotation)
+        # the client's last hello: (frame, version flag, annotation)
         self._hs_hello: tuple[StreamFrame, bool, str] | None = None
         self._hs_retries = 0
-        self._rej_count = 0
+        self._rej_count = 0  # zero at settlement means the handshake resumed
         self._hs_timer = None
         self._hs_nonc: bytes | None = None
-        self._hs_chlo_wire: bytes | None = None
-        self._hs_client_pub: bytes | None = None
         self._hs_shlo: StreamFrame | None = None
-        self._resumed = False
 
         self._arm_idle_timer()
 
     # ------------------------------------------------------------------ utils
-
-    def _emit(self, event) -> None:
-        self.on_event(event)
-
-    def _now(self) -> float:
-        return self.clock()
 
     def _alloc_sqn(self) -> int:
         """Hand out the next sequence number. A number at or below one
@@ -453,7 +450,7 @@ class Connection:
         assert self.role == "client"
         if self.session is not None:
             try:
-                check_scfg(self.session.scfg, self.server_pk, self._now())
+                check_scfg(self.session.scfg, self.server_pk, self.clock())
                 self._start_resume()
                 return "0rtt"
             except (HandshakeError, CryptoError):
@@ -469,18 +466,16 @@ class Connection:
 
     def _start_resume(self) -> None:
         cfg = self.session.scfg
-        msg, secrets = build_full_chlo(cfg, self.session.stk, self._now(), self.rng)
-        self._hs_scfg = cfg
-        self._send_full_chlo(msg, secrets, first=True)
-        self._resumed = True
+        msg, secrets = build_full_chlo(cfg, self.session.stk, self.clock(), self.rng)
+        self._send_full_chlo(msg, secrets, cfg, first=True)
         self._arm_handshake_timer()
 
     def _send_full_chlo(self, msg: HandshakeMessage, secrets: ClientHelloSecrets,
-                        first: bool = False) -> None:
-        """Derive ik, then send the hello. A config whose DH value is unusable
-        raises ``CryptoError`` before anything is sent."""
+                        cfg: ServerConfig, first: bool = False) -> None:
+        """Derive ik against ``cfg``, then send the hello. A config whose DH
+        value is unusable raises ``CryptoError`` before anything is sent."""
         secrets.chlo_wire = self._pad_hello(msg, first)
-        self.ik = derive_ik_client(secrets, self._hs_scfg, self.cid)
+        self.ik = derive_ik_client(secrets, cfg, self.cid)
         self._hs_secrets = secrets
         self._send_hello(secrets.chlo_wire, "chlo_full", first)
         self.phase = KEY_EXCHANGED
@@ -496,12 +491,13 @@ class Connection:
         return msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
 
     def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
-        """Send a hello padded by ``_pad_hello`` with the same ``first``. It
-        is kept so that a retransmission repeats it byte for byte."""
+        """Send a hello padded by ``_pad_hello`` with the same ``first``. A
+        client keeps it so that a retransmission repeats it byte for byte."""
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded, False)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
-        self._hs_hello = (frame, first, annotation)
+        if self.role == "client":
+            self._hs_hello = (frame, first, annotation)
 
     def _arm_handshake_timer(self) -> None:
         if self._hs_timer is not None:
@@ -523,7 +519,7 @@ class Connection:
     def _fail_handshake(self, reason: str) -> None:
         self.phase = CLOSED
         self._cancel_timers()
-        self._emit(HandshakeFailed(reason))
+        self.on_event(HandshakeFailed(reason))
 
     # ------------------------------------------------------------- datagrams
 
@@ -547,7 +543,9 @@ class Connection:
             self.auth_failures += 1
             return
         if header.epoch == EPOCH_K:
+            # The client only sends under k once the SHLO has settled it.
             self._peer_on_k = True
+            self._hs_shlo = None
         elif (header.epoch == EPOCH_IK and self._peer_on_k
               and plain[:1] == bytes([MARKER_DATA])):
             # Once the peer has moved to the forward-secure key, data under
@@ -572,7 +570,7 @@ class Connection:
             # floor the peer named (RFC 9000 §13.2.3).
             return
         else:
-            self._last_rx = self._now()
+            self._last_rx = self.clock()
 
         if self.phase == DRAINING:
             # Only a peer CLOSE still matters while draining.
@@ -591,7 +589,7 @@ class Connection:
                 and header.epoch != EPOCH_CLEAR):
             old = self.peer_addr
             self.peer_addr = src
-            self._emit(Migrated(old, src))
+            self.on_event(Migrated(old, src))
 
         marker = plain[0] if plain else None
         payload = plain[1:]
@@ -636,18 +634,15 @@ class Connection:
             return
         try:
             scfg, stk = parse_rej(msg)
-            check_scfg(scfg, self.server_pk, self._now())
+            check_scfg(scfg, self.server_pk, self.clock())
         except HandshakeError as e:
             self._fail_handshake(e.reason)
             return
         # The REJ both answers an inchoate hello and rejects a resumption
         # attempt; either way the next step is a fresh full CHLO.
-        self.phase = REJECTED
-        self._resumed = False
-        self._hs_scfg = scfg
-        chlo, secrets = build_full_chlo(scfg, stk, self._now(), self.rng)
+        chlo, secrets = build_full_chlo(scfg, stk, self.clock(), self.rng)
         try:
-            self._send_full_chlo(chlo, secrets)
+            self._send_full_chlo(chlo, secrets, scfg)
         except CryptoError:
             # Signed, yet its DH value is all zero or of low order.
             self._fail_handshake("scfg_malformed")
@@ -671,21 +666,22 @@ class Connection:
             return
         try:
             server_pub = parse_public(msg.fields.get(wire.TAG_PUBS, b""), "shlo_invalid")
-            self.k = derive_k_client(self._hs_secrets, self._hs_scfg, self.cid,
+            self.k = derive_k_client(self._hs_secrets, self.session.scfg, self.cid,
                                      inner, server_pub)
         except (HandshakeError, CryptoError):
             self._fail_handshake("shlo_invalid")
             return
         self.phase = ESTABLISHED
+        self._hs_secrets = self._hs_hello = None
         if self._hs_timer is not None:
             self._hs_timer.cancel()
             self._hs_timer = None
-        self._emit(HandshakeDone(resumed=self._resumed))
+        self.on_event(HandshakeDone(resumed=self._rej_count == 0))
 
     def _server_on_chlo(self, msg: HandshakeMessage, chlo_wire: bytes,
                         src: Address) -> None:
         identity = self.identity
-        now = self._now()
+        now = self.clock()
         if msg.kind != wire.MSG_CHLO:
             self.auth_failures += 1  # a stray REJ/SHLO: dropped silently
             return
@@ -701,7 +697,8 @@ class Connection:
             return
         if self._hs_nonc is not None and msg.fields.get(wire.TAG_NONC) == self._hs_nonc:
             # Client retransmission after a lost server flight: repeat the
-            # settlement without re-deriving or re-accepting anything.
+            # settlement without re-deriving or re-accepting anything. Once
+            # the SHLO is dropped, a late copy draws nothing.
             self._server_repeat_flight()
             return
         if self.phase in (KEY_EXCHANGED, ESTABLISHED):
@@ -718,33 +715,31 @@ class Connection:
             return
         self.ik = ik
         self._hs_nonc = nonc
-        self._hs_chlo_wire = chlo_wire
-        self._hs_client_pub = parse_public(msg.fields[wire.TAG_PUBC], "pubc_invalid")
+        client_pub = parse_public(msg.fields[wire.TAG_PUBC], "pubc_invalid")
         self.phase = KEY_EXCHANGED
         # Continue after any initial data that arrived in the same flight.
-        self.scheduler(0, self._server_continue)
+        self.scheduler(0, lambda: self._server_continue(chlo_wire, client_pub))
 
     def _reject_chlo(self, src: Address, now: float, reason: str) -> None:
         self.last_reject_reason = reason
         rej = build_rej(self.identity.scfg, self.identity.k_stk, src[0], now, self.rng)
         self._send_hello(self._pad_hello(rej), "rej")
 
-    def _server_continue(self) -> None:
+    def _server_continue(self, chlo_wire: bytes, client_pub: bytes) -> None:
         """Phase boundary after the initial-data exchange: ack what arrived
         under ik, settle the forward-secure key, then release queued data."""
         if self.phase != KEY_EXCHANGED or self.role != "server":
             return
-        self._send_ack_packet(EPOCH_IK)
-        shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self._now(),
+        self._send_ack_packet()
+        shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self.clock(),
                                                    self.rng)
         inner = shlo.encode()
         self._hs_shlo = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner, False)
         self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo")
         self.k = self.identity.derive_k_server(
-            ephemeral, self._hs_client_pub, self._hs_nonc, self.cid,
-            self._hs_chlo_wire, inner)
+            ephemeral, client_pub, self._hs_nonc, self.cid, chlo_wire, inner)
         self.phase = ESTABLISHED
-        self._emit(HandshakeDone(resumed=False))
+        self.on_event(HandshakeDone(resumed=False))
 
     def _server_repeat_flight(self) -> None:
         if self._hs_shlo is None or self.ik is None:
@@ -765,12 +760,13 @@ class Connection:
             self.ack_needed += 1
             self._eliciting_rx += 1
         for frame in frames:
+            if self._close_pending is not None:
+                return  # an earlier frame closed the connection
             if isinstance(frame, AckFrame):
                 try:
                     self._on_ack_frame(frame, header.sqn)
                 except TransportError as e:
                     self.close(error_code=1, reason=e.reason.encode())
-                    return
             elif isinstance(frame, StreamFrame):
                 self._on_stream_frame(frame)
             elif isinstance(frame, WindowUpdateFrame):
@@ -784,13 +780,16 @@ class Connection:
             return
         try:
             stream = self._stream(frame.stream_id)
-            before = stream.delivered
+            before, received = stream.delivered, stream.received
             chunks = stream.accept(frame)
+            self.conn_received += stream.received - received
+            if self.conn_received > self.conn_advertised:
+                raise TransportError("flow_control", "connection")
         except TransportError as e:
             self.close(error_code=1, reason=e.reason.encode())
             return
         for data, fin in chunks:
-            self._emit(StreamData(frame.stream_id, data, fin))
+            self.on_event(StreamData(frame.stream_id, data, fin))
         delivered_now = stream.delivered - before
         if delivered_now:
             self.conn_delivered += delivered_now
@@ -839,7 +838,7 @@ class Connection:
             prev_end = end
         self.received_sqns.raise_floor(frame.least_unacked)
         starts = [start for start, _ in ranges]
-        now = self._now()
+        now = self.clock()
         # sent_packets is in sqn order: records are added as sqns are spent.
         for sqn, record in list(self.sent_packets.items()):
             if sqn > largest:
@@ -880,7 +879,7 @@ class Connection:
             if self.sent_packets:
                 self._arm_rto_timer()
             return
-        now = self._now()
+        now = self.clock()
         rto = self._rto()
         for record in list(self.sent_packets.values()):
             if now - record.sent_at < rto:
@@ -905,7 +904,7 @@ class Connection:
         self._idle_timer = None
         if self.phase in (DRAINING, CLOSED):
             return
-        now = self._now()
+        now = self.clock()
         deadline = self._last_rx + self.config.idle_timeout_s
         if now + 1e-6 >= deadline:  # clock granularity is one microsecond
             self._drain("idle_timeout")
@@ -931,7 +930,7 @@ class Connection:
         self.streams.clear()
         self.ik = None
         self.k = None
-        self._emit(Closed(reason))
+        self.on_event(Closed(reason))
 
     def _cancel_timers(self) -> None:
         for timer in (self._idle_timer, self._rto_timer, self._hs_timer, self._ack_timer):
@@ -983,11 +982,9 @@ class Connection:
         self.ack_needed = 0
         return AckFrame(largest, next(iter(self.sent_packets), header.sqn), tuple(gaps))
 
-    def _send_ack_packet(self, epoch: int | None = None) -> None:
-        epoch = epoch if epoch is not None else self._send_epoch()
-        if self._keys_for_epoch(epoch) is None:
-            return
-        self._send_packet(epoch, MARKER_DATA, self._drain_control_frames(), "ack")
+    def _send_ack_packet(self) -> None:
+        self._send_packet(self._send_epoch(), MARKER_DATA, self._drain_control_frames(),
+                          "ack")
 
     def _drain_control_frames(self) -> list:
         frames, self._control_frames = self._control_frames, []
@@ -1014,7 +1011,7 @@ class Connection:
         if retx:
             annotation += " retx"
         sqn = self._send_packet(epoch, MARKER_DATA, out_frames, annotation)
-        self.sent_packets[sqn] = SentPacket(sqn, self._now(), tuple(out_frames))
+        self.sent_packets[sqn] = SentPacket(sqn, self.clock(), tuple(out_frames))
         self._arm_rto_timer()
 
     def _data_allowed(self) -> bool:

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+from quicmq import connection
 from quicmq.connection import Connection, TransportConfig
 from quicmq.handshake import ServerIdentity
 from quicmq.netsim import SimConfig, SimNetwork
@@ -122,4 +123,19 @@ def key_builds(monkeypatch):
         built.append(data)
         return build(data)
     monkeypatch.setattr(X25519PrivateKey, "from_private_bytes", counting)
+    return built
+
+
+@pytest.fixture
+def full_chlos(monkeypatch):
+    """(server config, secrets) of every full CHLO a client builds, in order:
+    the handshake material a connection drops once it is settled."""
+    built = []
+    build = connection.build_full_chlo
+
+    def recording(cfg, stk, now, rng):
+        msg, secrets = build(cfg, stk, now, rng)
+        built.append((cfg, secrets))
+        return msg, secrets
+    monkeypatch.setattr(connection, "build_full_chlo", recording)
     return built

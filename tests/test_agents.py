@@ -1,4 +1,6 @@
+import gc
 import os
+import tracemalloc
 from random import Random
 
 import pytest
@@ -331,26 +333,20 @@ def test_bad_client_dh_value_draws_a_rej_and_records_no_nonce(monkeypatch, bad_v
     assert len(identity.strike.seen) == 1
 
 
-def test_strike_register_holds_only_recent_nonces(monkeypatch):
+def test_strike_register_holds_only_recent_nonces(full_chlos):
     # One full handshake every 100 s for 2,000 s: the register keeps at most
     # the nonces of the last two 300 s windows, and still refuses a replay
     # of one inside the window.
     net, identity, server = make_world()
     window = identity.strike.window_s
-    nonces, sizes = [], {}
-    honest_build = connection.build_full_chlo
-
-    def record_nonce(cfg, stk, now, rng):
-        msg, secrets = honest_build(cfg, stk, now, rng)
-        nonces.append(secrets.nonc)
-        return msg, secrets
-    monkeypatch.setattr(connection, "build_full_chlo", record_nonce)
+    sizes = {}
     starts = [100.0 * i for i in range(1, 21)]
     for port, at in enumerate(starts, start=50001):
         client = make_client(net, identity, port, f"dev{port}", seed=port)
         net.schedule(at, client.connect_mqtt)
         net.schedule(at + 1.0, lambda at=at: sizes.setdefault(at, len(identity.strike.seen)))
     net.run(until_s=starts[-1] + 2.0)
+    nonces = [secrets.nonc for _, secrets in full_chlos]
     assert len(nonces) == len(starts) and sizes[starts[-1]] < len(starts)
     for at, size in sizes.items():
         assert size <= sum(1 for s in starts if at - 2 * window <= s <= at)
@@ -583,6 +579,29 @@ def test_broker_shutdown_closes_every_connection():
     net.run(until_s=4.0)
     assert server.connection_count() == 0
     assert all(not c.connected for c in clients)
+
+
+def test_established_idle_pair_stays_under_its_memory_bound():
+    # Once settled, neither end keeps its hellos, its ephemeral secrets or
+    # the SHLO: about 15.0 KB per client-broker pair, against 20.1 KB when
+    # both ends kept them for the connection's whole life.
+    net, identity, server = make_world()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        clients = [make_client(net, identity, 10000 + i, f"c{i}", seed=i)
+                   for i in range(100)]
+        for client in clients:
+            client.connect_mqtt()
+        net.run(until_s=2.0)
+        net.trace.clear()
+        gc.collect()
+        per_pair = (tracemalloc.get_traced_memory()[0] - before) / len(clients)
+    finally:
+        tracemalloc.stop()
+    assert all(client.connected for client in clients)
+    assert per_pair < 17_000
 
 
 def test_crashed_clients_reclaimed_within_budget():

@@ -149,11 +149,11 @@ def test_distinct_connections_distinct_cids(world):
     assert a.cid != other_ep_rng_ids.cid
 
 
-def test_rej_carries_session_ticket(world):
+def test_rej_carries_session_ticket(world, full_chlos):
     net, client_ep, server_ep, conn = run_handshake(world)
     # The REJ's pair is kept; the SHLO's token is not.
     assert conn.session is not None
-    assert conn.session.scfg.scid == conn._hs_scfg.scid
+    assert conn.session.scfg.scid == full_chlos[-1][0].scid
 
 
 def test_sender_sqns_strictly_increase(world):
@@ -269,6 +269,24 @@ def test_0rtt_replayed_chlo_rejected(world):
     assert replay_conn.phase != "established"
 
 
+def test_chlo_replayed_after_the_first_packet_under_k_draws_nothing(world):
+    # The client's first packet under k shows the SHLO arrived, so the server
+    # no longer keeps it: a late copy of the CHLO is neither answered with
+    # the SHLO nor taken for a new hello.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    chlo = next(p for p, a in client_ep.sent if a == "chlo_full")
+    conn.send_stream(3, b"\x30\x04\x00\x01tx")
+    client_ep.pump(conn.cid)
+    net.run(until_s=4.0)
+    server_conn = server_ep.only_conn()
+    sent = len(server_ep.sent)
+    for _ in range(10):
+        server_ep.on_datagram(chlo, CLIENT_ADDR)
+    net.run(until_s=6.0)
+    assert server_ep.sent[sent:] == []
+    assert conn.phase == server_conn.phase == "established"
+
+
 def test_tampered_config_signature_aborts_handshake(world):
     # Give the client the wrong broker key: the REJ's config signature fails
     # verification and the handshake aborts instead of proceeding.
@@ -378,7 +396,8 @@ def test_signed_degenerate_cached_config_falls_back_to_1rtt(world, public):
 
 
 @pytest.mark.parametrize("path", ["1rtt", "0rtt"])
-def test_a_connect_builds_one_x25519_key_per_ephemeral_value(world, key_builds, path):
+def test_a_connect_builds_one_x25519_key_per_ephemeral_value(world, key_builds, full_chlos,
+                                                             path):
     session, identity = warm_session(world) if path == "0rtt" else (None, None)
     net, client_ep, server_ep, identity = world(session=session, identity=identity,
                                                 client_seed=99)
@@ -390,7 +409,7 @@ def test_a_connect_builds_one_x25519_key_per_ephemeral_value(world, key_builds, 
     assert conn.phase == "established"
     # The client's hello and the server's SHLO; no DH rebuilds a key.
     assert len(key_builds) == 2
-    assert key_builds[0] == conn._hs_secrets.dh.secret
+    assert key_builds[0] == full_chlos[-1][1].dh.secret
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +479,29 @@ def test_stream_ids_the_transport_cannot_carry_are_refused(world, stream_id):
     assert sorted(conn.streams) == [2, 2**32 - 1]
 
 
+def close_reasons(sent, keys) -> list[bytes]:
+    """The reasons of the CLOSE frames in ``sent``, packets a server sealed
+    under ``keys``."""
+    reasons = []
+    for packet, _ in sent:
+        header, hlen = decode_header(packet)
+        plain = open_packet_body(header, hlen, packet, keys, "client")
+        reasons += [f.reason for f in decode_frames(plain[1:]) if isinstance(f, CloseFrame)]
+    return reasons
+
+
 def test_stream_frame_on_stream_0_closes_the_connection(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
-    raw = encode_frames([StreamFrame(0, 0, b"x", False)])
+    # The frame after the bad one is not taken either.
+    raw = encode_frames([StreamFrame(0, 0, b"x", False), StreamFrame(3, 0, b"y", False)])
     server_conn.handle_datagram(
         seal_client_data(conn.k, conn.next_sqn, raw, cid=conn.cid, epoch=EPOCH_K),
         CLIENT_ADDR)
     assert 0 not in server_conn.streams
     assert not server_ep.events_of(StreamData)
     server_conn.flush()
-    reasons = []
-    for packet, _ in server_conn.take_outputs():
-        header, hlen = decode_header(packet)
-        plain = open_packet_body(header, hlen, packet, conn.k, "client")
-        reasons += [f.reason for f in decode_frames(plain[1:]) if isinstance(f, CloseFrame)]
-    assert reasons == [b"bad_stream_id"]
+    assert close_reasons(server_conn.take_outputs(), conn.k) == [b"bad_stream_id"]
 
 
 def test_fin_written_alone_after_data_is_sent():
@@ -576,6 +602,38 @@ def test_connection_window_caps_aggregate(world):
     assert burst == 256
     net.run(until_s=5.0)
     assert server_conn.streams[5].delivered == 200
+
+
+def test_data_past_the_stream_window_closes_the_connection(world):
+    # The client believes in a larger stream window than the server gave.
+    net, client_ep, server_ep, conn = run_handshake(
+        world, config=TransportConfig(stream_window=64, connection_window=1024),
+        client_config=TransportConfig(stream_window=128, connection_window=1024))
+    keys = conn.k
+    server_ep.sent.clear()
+    conn.send_stream(3, b"x" * 128)
+    client_ep.pump(conn.cid)
+    net.run(until_s=5.0)
+    assert close_reasons(server_ep.sent, keys) == [b"flow_control"]
+    assert not server_ep.events_of(StreamData)
+    assert [ev.reason for ev in client_ep.events_of(Closed)] == ["peer_close:1"]
+
+
+def test_streams_past_the_connection_window_close_the_connection(world):
+    # Each frame stays inside its stream's window (200); held out of order,
+    # nothing is delivered and no window moves, yet the two highest offsets
+    # together pass the connection's 256.
+    net, client_ep, server_ep, conn = run_handshake(
+        world, config=TransportConfig(stream_window=200, connection_window=256))
+    server_conn = server_ep.only_conn()
+    raw = encode_frames([StreamFrame(3, 100, b"a" * 100, False),
+                         StreamFrame(5, 100, b"b" * 100, False)])
+    server_conn.handle_datagram(
+        seal_client_data(conn.k, conn.next_sqn, raw, cid=conn.cid, epoch=EPOCH_K),
+        CLIENT_ADDR)
+    server_conn.flush()
+    assert close_reasons(server_conn.take_outputs(), conn.k) == [b"flow_control"]
+    assert server_conn.conn_received == 400
 
 
 def test_congestion_window_blocks_then_releases_without_loss(world):

@@ -16,7 +16,7 @@ BROKER = ("10.0.0.1", 4433)
 SRC = Path(quicmq.__file__).parent
 
 
-def test_unseeded_agents_draw_every_secret_from_the_os(monkeypatch):
+def test_unseeded_agents_draw_every_secret_from_the_os(monkeypatch, full_chlos):
     drawn = []
 
     def urandom(n):
@@ -52,7 +52,7 @@ def test_unseeded_agents_draw_every_secret_from_the_os(monkeypatch):
     assert client.connected
 
     from_os = set(drawn)
-    hello = client.conn._hs_secrets
+    hello = full_chlos[-1][1]
     assert identity.k_stk in from_os
     assert identity.scfg.dh.secret in from_os
     assert client.conn.cid.to_bytes(8, "big") in from_os
