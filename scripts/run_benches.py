@@ -19,6 +19,7 @@ from quicmq.bench import (  # noqa: E402
     bench_migrate,
     bench_stream_isolation,
 )
+from quicmq.netsim import PROFILES  # noqa: E402
 
 
 def main() -> int:
@@ -39,7 +40,7 @@ def main() -> int:
             result.write_csv(os.path.join(args.outdir, f"{name}.csv"))
         print(f"wrote {name}.json")
 
-    for profile in ("wired", "wireless", "long_distance"):
+    for profile in PROFILES:
         with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as state:
             res = bench_conn_overhead(profile, mode=None, iterations=iterations,
                                       seed=args.seed, state_dir=state,

@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 
 from . import mqtt
 from .connection import (
+    ESTABLISHED,
     CachedSession,
     Closed,
     Connection,
@@ -149,12 +150,6 @@ class _ConnState:
             del buf[:consumed]
             yield msg
 
-    def send(self, stream_id: int, raw: bytes) -> None:
-        """Queue one encoded MQTT message; a write to a closed connection is
-        dropped."""
-        if self.conn.phase not in ("draining", "closed"):
-            self.conn.send_stream(stream_id, raw)
-
 
 # ---------------------------------------------------------------------------
 # Client agent
@@ -196,7 +191,6 @@ class ClientAgent:
         self.state: _ConnState | None = None
         self.connected = False
         self.dead = False
-        self.handshake_path = ""
         self.failure: str | None = None
         self._next_msgid = 1
         self._ping_timer = None
@@ -235,14 +229,14 @@ class ClientAgent:
             config=self.config, rng=self.rng, server_pk=self.server_pk,
             session=session)
         try:
-            self.handshake_path = self.conn.start_connect()
+            path = self.conn.start_connect()
         except Exception as e:
             raise AgentError("transport", str(e)) from None
-        self.state.send(PRIMARY_STREAM, raw)
+        self.conn.send_stream(PRIMARY_STREAM, raw)
         _pump(self.network, self.conn)
         if self.keepalive:
             self._arm_ping()
-        return self.handshake_path
+        return path
 
     @staticmethod
     def _sanity(raw: bytes, stream_id: int = PRIMARY_STREAM) -> None:
@@ -270,7 +264,7 @@ class ClientAgent:
                                       topics=((topic, qos),)))
         self._sanity(raw, stream_id)
         self._fresh_msgid()
-        self.state.send(stream_id, raw)
+        self.conn.send_stream(stream_id, raw)
         _pump(self.network, self.conn)
         return msgid
 
@@ -293,16 +287,16 @@ class ClientAgent:
         self._sanity(raw, stream_id)
         if qos:
             self._fresh_msgid()
-        self.state.send(stream_id, raw)
+        self.conn.send_stream(stream_id, raw)
         _pump(self.network, self.conn)
         return msgid
 
     def disconnect(self) -> None:
         """Clean teardown: the transport CLOSE rides on the packet that
         carries the DISCONNECT."""
-        if self.conn is None or self.conn.phase in ("draining", "closed"):
+        if self.conn is None:
             return
-        self.state.send(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.DISCONNECT)))
+        self.conn.send_stream(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.DISCONNECT)))
         self.conn.close()
         _pump(self.network, self.conn)
 
@@ -312,8 +306,8 @@ class ClientAgent:
         self._ping_timer = self.state.schedule(max(1, self.keepalive), self._send_ping)
 
     def _send_ping(self) -> None:
-        if self.conn.phase == "established":
-            self.state.send(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.PINGREQ)))
+        if self.conn.phase == ESTABLISHED:
+            self.conn.send_stream(PRIMARY_STREAM, mqtt.encode(MqttMessage(mqtt.PINGREQ)))
             self._arm_ping()
 
     # -- plumbing ----------------------------------------------------------------
@@ -329,14 +323,9 @@ class ClientAgent:
         and every local timer stops. The broker only learns through silence."""
         self.dead = True
         self.connected = False
-        try:
-            self.network.unregister(self.local_addr)
-        except Exception:
-            pass
+        self.network.unregister(self.local_addr)
         if self.conn is not None:
-            self.conn._cancel_timers()
-            self.conn.take_outputs()
-            self.conn.phase = "closed"  # a closed connection sends nothing more
+            self.conn.kill()
 
     def set_address(self, new_addr: Address) -> None:
         """Follow a local address change (roaming); the connection survives."""
@@ -378,8 +367,8 @@ class ClientAgent:
                 self.on_suback(self, msg.msgid)
         elif msg.kind == mqtt.PUBLISH:
             if msg.qos == 1:
-                self.state.send(stream_id,
-                                mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
+                self.conn.send_stream(stream_id,
+                                      mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
             if self.on_message is not None:
                 self.on_message(self, msg)
 
@@ -429,7 +418,8 @@ class ServerAgent:
             self.rx_errors += 1
             return
         state = self.conns.get(header.cid)
-        if state is None:
+        fresh = state is None
+        if fresh:
             if header.epoch != EPOCH_CLEAR:
                 self.rx_errors += 1  # unknown cid: drop, no state change
                 return
@@ -438,10 +428,10 @@ class ServerAgent:
         # our event hook handles the rest.
         conn = state.conn
         conn.handle_datagram(data, src)
-        if conn.phase == "idle" and conn.auth_failures:
+        if fresh and conn.auth_failures:
             # Garbage that never started a handshake: drop the slot and its timers.
-            self.conns.pop(conn.cid, None)
-            conn._cancel_timers()
+            del self.conns[conn.cid]
+            conn.kill()
             return
         _pump(self.network, conn)
 
@@ -489,27 +479,23 @@ class ServerAgent:
         touched = set()
         for delivery in deliveries:
             target = self.conns.get(delivery.conn.cid)
-            if target is None or target.conn.phase in ("draining", "closed"):
+            if target is None:
                 continue
-            out_stream = self._stream_for(target, delivery.message, stream_id,
-                                          source=state)
-            try:
-                target.send(out_stream, mqtt.encode(delivery.message))
-            except TransportError:
-                continue
+            target.conn.send_stream(self._stream_for(target, delivery.message, stream_id),
+                                    mqtt.encode(delivery.message))
             touched.add(target.conn.cid)
         for cid in touched:
             conn_state = self.conns.get(cid)
             if conn_state is not None and conn_state is not state:
                 _pump(self.network, conn_state.conn)
 
-    def _stream_for(self, target: _ConnState, msg: MqttMessage,
-                    arrival_stream: int, source: _ConnState) -> int:
+    @staticmethod
+    def _stream_for(target: _ConnState, msg: MqttMessage, arrival_stream: int) -> int:
+        """A PUBLISH goes out on the stream its filter was subscribed from;
+        any other delivery answers its asker on the stream it came in on."""
         if msg.kind == mqtt.PUBLISH:
             for topic_filter, stream_id in sorted(target.sub_streams.items()):
                 if mqtt.topic_matches(topic_filter, msg.topic):
                     return stream_id
             return target.primary_stream
-        if target is source:
-            return arrival_stream
-        return target.primary_stream
+        return arrival_stream

@@ -18,6 +18,7 @@ from random import Random
 
 from . import baseline
 from .agents import ClientAgent, ServerAgent
+from .connection import ESTABLISHED
 from .handshake import ServerIdentity
 from .netsim import PROFILES, Address, SimConfig, SimNetwork
 
@@ -63,9 +64,7 @@ class BenchResult:
                 f.write(f"{name},{t},{v}\n")
 
 
-def _profile(profile: str | SimConfig) -> SimConfig:
-    if isinstance(profile, SimConfig):
-        return profile
+def _profile(profile: str) -> SimConfig:
     try:
         return PROFILES[profile]
     except KeyError:
@@ -149,7 +148,7 @@ def _tcp_conn_iteration(config: SimConfig, seed: int) -> _World:
     return world
 
 
-def bench_conn_overhead(profile: str | SimConfig = "wired", mode: str | None = None,
+def bench_conn_overhead(profile: str = "wired", mode: str | None = None,
                         iterations: int = 10, seed: int = 0,
                         state_dir: str | None = None,
                         experiments: int = 1,
@@ -299,7 +298,7 @@ def _hol_schedule(config: SimConfig, drop_rate: int) -> tuple[int, float, float]
     return (100 // drop_rate if drop_rate else 0), delay_s, interval_s
 
 
-def bench_hol(profile: str | SimConfig = "wired", drop_rate: int = 10,
+def bench_hol(profile: str = "wired", drop_rate: int = 10,
               streams: int = 2, messages: int = 200, seed: int = 0,
               trace_path: str | None = None) -> BenchResult:
     """Per-message delivery latency with deterministic per-flow drops: the
@@ -351,7 +350,7 @@ def bench_hol(profile: str | SimConfig = "wired", drop_rate: int = 10,
     )
 
 
-def bench_stream_isolation(profile: str | SimConfig = "wired", drop_rate: int = 10,
+def bench_stream_isolation(profile: str = "wired", drop_rate: int = 10,
                            messages: int = 100, seed: int = 0) -> BenchResult:
     """Two streams, drops confined to the first: the untouched stream's
     per-message latencies must equal a lossless run exactly."""
@@ -378,7 +377,7 @@ def bench_stream_isolation(profile: str | SimConfig = "wired", drop_rate: int = 
 # Half-open connections
 # ---------------------------------------------------------------------------
 
-def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
+def bench_half_open(profile: str = "wired", publishers: int = 10,
                     conns: int = 100, restart_at: float = 30.0,
                     horizon: float = 120.0, seed: int = 0,
                     trace_path: str | None = None) -> BenchResult:
@@ -449,7 +448,7 @@ def bench_half_open(profile: str | SimConfig = "wired", publishers: int = 10,
 # Connection migration
 # ---------------------------------------------------------------------------
 
-def bench_migrate(profile: str | SimConfig = "wired", changes: int = 3,
+def bench_migrate(profile: str = "wired", changes: int = 3,
                   interval: float = 300.0, duration: float = 960.0,
                   publish_interval: float = 1.0, seed: int = 0,
                   trace_path: str | None = None) -> BenchResult:
@@ -477,7 +476,7 @@ def bench_migrate(profile: str | SimConfig = "wired", changes: int = 3,
     handshake_cutoff_s = net.clock.now_s
 
     def publish_loop():
-        if pub.dead or pub.conn is None or pub.conn.phase != "established":
+        if pub.dead or pub.conn is None or pub.conn.phase != ESTABLISHED:
             return
         pub.publish("mig/t", b"steady")
         if net.clock.now_s + publish_interval <= duration:

@@ -23,6 +23,7 @@ from .bench import (
 from .connection import TransportConfig
 from .handshake import ServerIdentity
 from .mqtt import Broker
+from .netsim import PROFILES
 from .udprun import UdpNetwork
 
 
@@ -80,8 +81,7 @@ def _parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="scenario", required=True)
 
     def bench_common(p):
-        p.add_argument("--profile", default="wired",
-                       choices=("wired", "wireless", "long_distance"))
+        p.add_argument("--profile", default="wired", choices=tuple(PROFILES))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--state-dir", default=None)
         p.add_argument("--trace", dest="trace_path", default=None,
@@ -159,6 +159,12 @@ def _load_key(path: str) -> bytes:
         return bytes.fromhex(f.read().strip())
 
 
+def _handshake_failed(agent: ClientAgent) -> bool:
+    if agent.failure is not None:
+        print(f"handshake failed: {agent.failure}", file=sys.stderr)
+    return agent.failure is not None
+
+
 def cmd_pub(args) -> int:
     net = UdpNetwork(trace_path=args.trace)
     server_pk = _load_key(args.key_file)
@@ -191,6 +197,8 @@ def cmd_pub(args) -> int:
     net.run(until_s=30.0 + args.count * args.interval,
             stop=lambda: done["closed"])
     net.write_trace()
+    if _handshake_failed(agent):
+        return 1
     if done["sent"] < args.count:
         print(f"only published {done['sent']}/{args.count}", file=sys.stderr)
         return 1
@@ -220,7 +228,7 @@ def cmd_sub(args) -> int:
     agent.connect_mqtt()
     net.run(until_s=args.run_for, stop=lambda: state["closed"])
     net.write_trace()
-    if args.count and state["got"] < args.count:
+    if _handshake_failed(agent) or (args.count and state["got"] < args.count):
         return 1
     return 0
 

@@ -59,11 +59,9 @@ from .wire import (
     seal_packet,
 )
 
-# Connection phases.
-IDLE = "idle"
-INITIAL_SENT = "initial_sent"
-REJECTED = "rejected"
-KEY_EXCHANGED = "key_exchanged"
+# Connection phases (RFC 9000 §10). Which handshake step a connection is
+# at follows from the keys and hello it holds.
+HANDSHAKE = "handshake"
 ESTABLISHED = "established"
 DRAINING = "draining"
 CLOSED = "closed"
@@ -344,7 +342,7 @@ class Connection:
         self.identity = identity
         self.session = session
 
-        self.phase = IDLE
+        self.phase = HANDSHAKE
         self.ik: KeySet | None = None
         self.k: KeySet | None = None
 
@@ -369,7 +367,7 @@ class Connection:
         self.sent_packets: dict[int, SentPacket] = {}
         self.srtt: float | None = None
         self._rto_timer = None
-        self._idle_timer = None
+        self._idle_timer = scheduler(config.idle_timeout_s, self._on_idle)
         self._last_rx = clock()
 
         self.outputs: list[tuple[bytes, str]] = []
@@ -387,8 +385,6 @@ class Connection:
         self._hs_timer = None
         self._hs_nonc: bytes | None = None
         self._hs_shlo: StreamFrame | None = None
-
-        self._arm_idle_timer()
 
     # ------------------------------------------------------------------ utils
 
@@ -461,7 +457,6 @@ class Connection:
     def _start_1rtt(self) -> None:
         self._send_hello(self._pad_hello(build_inchoate_chlo(), first=True),
                          "chlo_inchoate", first=True)
-        self.phase = INITIAL_SENT
         self._arm_handshake_timer()
 
     def _start_resume(self) -> None:
@@ -478,7 +473,6 @@ class Connection:
         self.ik = derive_ik_client(secrets, cfg, self.cid)
         self._hs_secrets = secrets
         self._send_hello(secrets.chlo_wire, "chlo_full", first)
-        self.phase = KEY_EXCHANGED
         # Initial data already queued by the application follows under ik in
         # the same flush, right behind the hello.
 
@@ -505,7 +499,7 @@ class Connection:
         self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
 
     def _handshake_retry(self) -> None:
-        if self.phase in (ESTABLISHED, DRAINING, CLOSED):
+        if self.phase != HANDSHAKE:
             return
         self._hs_retries += 1
         if self._hs_retries > MAX_HANDSHAKE_RETRIES:
@@ -517,9 +511,8 @@ class Connection:
         self._arm_handshake_timer()
 
     def _fail_handshake(self, reason: str) -> None:
-        self.phase = CLOSED
-        self._cancel_timers()
         self.on_event(HandshakeFailed(reason))
+        self._become_closed(reason)
 
     # ------------------------------------------------------------- datagrams
 
@@ -562,8 +555,7 @@ class Connection:
             if plain[:1] != bytes([MARKER_HANDSHAKE]):
                 self.auth_failures += 1
                 return
-            if (self.phase in (IDLE, INITIAL_SENT, REJECTED, KEY_EXCHANGED)
-                    and not self.received_sqns.add(header.sqn)):
+            if self.phase == HANDSHAKE and not self.received_sqns.add(header.sqn):
                 return
         elif not self.received_sqns.add(header.sqn):
             # A replay, a spurious retransmission, or a packet below the
@@ -624,9 +616,9 @@ class Connection:
             self._client_on_shlo(stream_data)
 
     def _client_on_rej(self, msg: HandshakeMessage) -> None:
-        if msg.kind != wire.MSG_REJ:
-            return
-        if self.phase not in (INITIAL_SENT, KEY_EXCHANGED):
+        # A REJ answers a hello: none is held before the first is sent or
+        # once the SHLO has settled k.
+        if msg.kind != wire.MSG_REJ or self._hs_hello is None:
             return
         self._rej_count += 1
         if self._rej_count > 4:
@@ -655,8 +647,8 @@ class Connection:
             self._retransmit(record)
 
     def _client_on_shlo(self, inner: bytes) -> None:
-        if self.phase != KEY_EXCHANGED or self.role != "client":
-            return
+        if self.phase != HANDSHAKE:
+            return  # a repeated SHLO after settlement
         try:
             msg = HandshakeMessage.decode(inner)
         except WireError:
@@ -689,11 +681,11 @@ class Connection:
             # Renewed before anything is answered under it.
             identity.rotate_scfg(now, self.rng)
         if not is_full_chlo(msg):
-            # Inchoate hello: answer (or repeat) the server config.
-            if self.phase in (IDLE, REJECTED):
+            # Inchoate hello: answer (or repeat) the server config until a
+            # full CHLO is accepted.
+            if self.ik is None:
                 rej = build_rej(identity.scfg, identity.k_stk, src[0], now, self.rng)
                 self._send_hello(self._pad_hello(rej), "rej")
-                self.phase = REJECTED
             return
         if self._hs_nonc is not None and msg.fields.get(wire.TAG_NONC) == self._hs_nonc:
             # Client retransmission after a lost server flight: repeat the
@@ -701,7 +693,7 @@ class Connection:
             # the SHLO is dropped, a late copy draws nothing.
             self._server_repeat_flight()
             return
-        if self.phase in (KEY_EXCHANGED, ESTABLISHED):
+        if self.ik is not None:
             # A different nonce on a live connection is never accepted.
             self._reject_chlo(src, now, "chlo_on_live_connection")
             return
@@ -711,12 +703,10 @@ class Connection:
             # The REJ spent a sqn the client will acknowledge, so this
             # connection answers the client's next hello too.
             self._reject_chlo(src, now, e.reason)
-            self.phase = REJECTED
             return
         self.ik = ik
         self._hs_nonc = nonc
         client_pub = parse_public(msg.fields[wire.TAG_PUBC], "pubc_invalid")
-        self.phase = KEY_EXCHANGED
         # Continue after any initial data that arrived in the same flight.
         self.scheduler(0, lambda: self._server_continue(chlo_wire, client_pub))
 
@@ -728,8 +718,8 @@ class Connection:
     def _server_continue(self, chlo_wire: bytes, client_pub: bytes) -> None:
         """Phase boundary after the initial-data exchange: ack what arrived
         under ik, settle the forward-secure key, then release queued data."""
-        if self.phase != KEY_EXCHANGED or self.role != "server":
-            return
+        if self.phase != HANDSHAKE:
+            return  # closed by what arrived in the same flight
         self._send_ack_packet()
         shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self.clock(),
                                                    self.rng)
@@ -742,7 +732,7 @@ class Connection:
         self.on_event(HandshakeDone(resumed=False))
 
     def _server_repeat_flight(self) -> None:
-        if self._hs_shlo is None or self.ik is None:
+        if self._hs_shlo is None:
             return
         self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo retx")
 
@@ -871,8 +861,6 @@ class Connection:
 
     def _on_rto(self) -> None:
         self._rto_timer = None
-        if self.phase == CLOSED:
-            return
         if self.role == "client" and self.k is None:
             # The hello retry timer owns recovery until settlement; initial
             # data that was lost goes out again under k once established.
@@ -895,14 +883,9 @@ class Connection:
 
     # -- idle / teardown ---------------------------------------------------------
 
-    def _arm_idle_timer(self) -> None:
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
-        self._idle_timer = self.scheduler(self.config.idle_timeout_s, self._on_idle)
-
     def _on_idle(self) -> None:
         self._idle_timer = None
-        if self.phase in (DRAINING, CLOSED):
+        if self.phase == DRAINING:
             return
         now = self.clock()
         deadline = self._last_rx + self.config.idle_timeout_s
@@ -923,6 +906,8 @@ class Connection:
         self.scheduler(self.config.drain_period_s, drain_done)
 
     def _become_closed(self, reason: str) -> None:
+        """Every end but ``kill`` comes here: the timers stop, streams and
+        keys are dropped, and the agent gets ``Closed``."""
         if self.phase == CLOSED:
             return
         self.phase = CLOSED
@@ -938,10 +923,17 @@ class Connection:
                 timer.cancel()
         self._idle_timer = self._rto_timer = self._hs_timer = self._ack_timer = None
 
+    def kill(self) -> None:
+        """End at once, as a dead process would: no CLOSE goes out, queued
+        outputs are discarded, every timer stops and no event is emitted."""
+        self._cancel_timers()
+        self.outputs = []
+        self.phase = CLOSED
+
     def close(self, error_code: int = 0, reason: bytes = b"") -> None:
         """Start a clean close. Queued stream data (the usual DISCONNECT)
         goes out one chunk per packet, and the CLOSE frame rides on the last."""
-        if self.phase in (DRAINING, CLOSED) or self._close_sent:
+        if self.phase in (DRAINING, CLOSED):
             return
         self._close_pending = CloseFrame(error_code, reason)
 
@@ -957,9 +949,10 @@ class Connection:
         return stream
 
     def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> None:
-        if self.phase in (DRAINING, CLOSED):
-            raise TransportError("connection_closed")
-        self._stream(stream_id).write(data, fin)
+        """Queue ``data`` on a stream; a write to a draining or closed
+        connection is dropped."""
+        if self.phase not in (DRAINING, CLOSED):
+            self._stream(stream_id).write(data, fin)
 
     # ------------------------------------------------------------------- flush
 

@@ -47,8 +47,30 @@ ops = st.lists(st.one_of(
 ), max_size=80)
 
 
+@st.composite
+def shuffled_arrivals(draw):
+    """Every sqn from 1 to n, some of them twice, and a few floor raises, in
+    a random order: arrivals that fill gaps and merge the ranges around them."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    sqns = list(range(1, n + 1)) + draw(st.lists(st.integers(1, n), max_size=n))
+    floors = draw(st.lists(st.integers(1, n + 1), max_size=4))
+    return draw(st.permutations([("add", s) for s in sqns]
+                                + [("floor", f) for f in floors]))
+
+
+def runs(xs) -> list[tuple[int, int]]:
+    """The maximal runs of consecutive numbers in ``xs``, as inclusive ranges."""
+    out: list[tuple[int, int]] = []
+    for x in sorted(xs):
+        if out and out[-1][1] == x - 1:
+            out[-1] = (out[-1][0], x)
+        else:
+            out.append((x, x))
+    return out
+
+
 @settings(max_examples=300)
-@given(ops)
+@given(st.one_of(ops, shuffled_arrivals()))
 def test_received_sqns_matches_set_model(steps):
     got = ReceivedSqns()
     seen: set[int] = set()
@@ -71,6 +93,8 @@ def test_received_sqns_matches_set_model(steps):
         assert all(lo <= hi for lo, hi in gaps)
         assert all(a[1] + 1 < b[0] for a, b in zip(gaps, gaps[1:]))
         assert len(got) == len(gaps)  # one range held per gap it closes
+        lowest_missing = min(x for x in range(1, 70) if x not in received)
+        assert len(got) == len(runs(x for x in received if x > lowest_missing))
 
 
 def test_in_order_receipt_holds_no_ranges():

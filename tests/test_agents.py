@@ -507,8 +507,8 @@ def test_subscriber_that_never_pubacks_gets_each_message_once():
     sub.connect_mqtt()
     pub.connect_mqtt()
     net.run(until_s=2.0)
-    send = sub.state.send
-    sub.state.send = lambda stream_id, raw: (
+    send = sub.conn.send_stream
+    sub.conn.send_stream = lambda stream_id, raw: (
         None if raw[0] >> 4 == mqtt.PUBACK else send(stream_id, raw))
     for i in range(100):
         pub.publish("q1", i.to_bytes(2, "big"), qos=1)
@@ -886,6 +886,26 @@ def test_garbage_hellos_leave_no_slot_and_no_timer():
     live = [item for _, _, item in net._queue
             if item[0] == "timer" and not item[1].cancelled]
     assert live == []
+
+
+@pytest.mark.parametrize("reason", ["scfg_bad_signature", "handshake_timeout"])
+def test_failed_handshake_closes_the_client(reason):
+    # A REJ signed by another key, or no broker at all: either way the
+    # client learns the reason through on_closed, as for any other end.
+    net, identity, server = make_world()
+    server_pk = identity.sign_pair.pk
+    if reason == "scfg_bad_signature":
+        server_pk = ServerIdentity.create(now=0.0, rng=Random(7)).sign_pair.pk
+    else:
+        net.unregister(BROKER)
+    closed = []
+    client = ClientAgent(net, ("10.0.0.9", 50001), BROKER, "dev1", server_pk=server_pk,
+                         rng=Random(9), on_closed=lambda a, r: closed.append(r))
+    client.connect_mqtt()
+    net.run(until_s=10.0)
+    assert client.failure == reason
+    assert closed == [reason]
+    assert client.conn.phase == "closed" and not client.connected
 
 
 def test_migration_via_set_address():

@@ -377,6 +377,14 @@ def _udp_available() -> bool:
         return False
 
 
+def _free_port() -> int:
+    """A loopback UDP port the OS reports free, so that suites run at the
+    same time do not collide."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
 def _cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
@@ -429,7 +437,7 @@ def test_cli_real_udp_end_to_end(tmp_path):
     """Broker, subscriber, and publisher as separate processes on loopback;
     the subscriber prints the published messages."""
     env = _cli_env()
-    port = 18833
+    port = _free_port()
     broker = _start_broker(tmp_path, port)
     try:
         key_file = tmp_path / "broker.pk"
@@ -456,7 +464,7 @@ def test_cli_real_udp_end_to_end(tmp_path):
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
 def test_cli_pub_resumes_exactly_when_given_a_state_dir(tmp_path):
-    port = 18834
+    port = _free_port()
     broker = _start_broker(tmp_path, port)
     pub = [sys.executable, "-m", "quicmq.cli", "pub", "--broker", f"127.0.0.1:{port}",
            "--key-file", str(tmp_path / "broker.pk"), "--topic", "t/demo",
@@ -470,6 +478,29 @@ def test_cli_pub_resumes_exactly_when_given_a_state_dir(tmp_path):
             assert run.returncode == 0, run.stdout + run.stderr
             paths.append(run.stdout.split("handshake path: ")[1].split()[0])
         assert paths == ["1rtt", "1rtt", "0rtt"]
+    finally:
+        broker.kill()
+        broker.wait()
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_cli_clients_exit_1_when_the_handshake_fails(tmp_path):
+    port = _free_port()
+    broker = _start_broker(tmp_path, port)
+    wrong_key = tmp_path / "wrong.pk"
+    wrong_key.write_text(ServerIdentity.create(now=0.0).sign_pair.pk.hex() + "\n")
+    client = [sys.executable, "-m", "quicmq.cli"]
+    target = ["--broker", f"127.0.0.1:{port}", "--key-file", str(wrong_key),
+              "--topic", "t/demo"]
+    try:
+        for command in (["sub", "--run-for", "15"], ["pub"]):
+            started = time.monotonic()
+            run = subprocess.run(client + command + target, env=_cli_env(),
+                                 capture_output=True, text=True, timeout=40)
+            elapsed = time.monotonic() - started
+            assert run.returncode == 1, run.stdout + run.stderr
+            assert "handshake failed: scfg_bad_signature" in run.stderr
+            assert elapsed < 5.0, (command, elapsed)
     finally:
         broker.kill()
         broker.wait()

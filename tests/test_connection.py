@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from quicmq import wire
+from quicmq import connection, wire
 from quicmq.connection import (
     CachedSession,
     Closed,
@@ -310,7 +310,7 @@ def test_shlo_with_data_marker_is_not_accepted(world):
     c.start_connect()
     fresh_client_ep.pump(c.cid)
     fresh_net.run(until_s=0.0025)  # hello and reject exchanged, no SHLO yet
-    assert c.phase == "key_exchanged"
+    assert c.phase == "handshake" and c.ik is not None and c.k is None
     server_conn = fresh_server_ep.only_conn()
     shlo_msg, _ = identity.build_shlo("10.0.0.2", 0.0, Random(5))
     from quicmq.wire import PacketHeader, StreamFrame, encode_frames, seal_packet
@@ -318,8 +318,8 @@ def test_shlo_with_data_marker_is_not_accepted(world):
     packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
                          b"\x01" + encode_frames([frame]), c.ik, "server")
     c.handle_datagram(packet, SERVER_ADDR)
-    assert c.phase == "key_exchanged"  # not established
-    assert c.k is None
+    assert c.phase == "handshake"  # not established
+    assert c.ik is not None and c.k is None
 
 
 def test_persistently_rejecting_server_fails_connect(world):
@@ -335,6 +335,28 @@ def test_persistently_rejecting_server_fails_connect(world):
     failures = [ev for _, ev in client_ep.events if isinstance(ev, HandshakeFailed)]
     assert failures and failures[0].reason == "too_many_rejects"
     assert server_ep.only_conn().last_reject_reason == "stk_stale"
+
+
+def test_client_with_no_broker_gives_up_after_its_hello_retries(world):
+    # Nothing answers: the hello goes out once and again on each of 8
+    # retries, 0.3 s apart. The next retry fails the handshake, and the
+    # failed handshake closes the connection like any other end.
+    net, client_ep, server_ep, identity = world()
+    nowhere = ("10.0.0.99", 4433)
+    conn = client_ep.make_client(peer=nowhere)
+    timed = []
+    record = conn.on_event
+    conn.on_event = lambda event: (timed.append((net.clock.now_us, event)), record(event))
+    conn.start_connect()
+    client_ep.pump(conn.cid)
+    net.run(until_s=10.0)
+    hellos = [ev.time_us for ev in net.trace if ev.event == "send" and ev.dst == nowhere]
+    assert hellos == [300_000 * i for i in range(1 + connection.MAX_HANDSHAKE_RETRIES)]
+    assert timed == [(2_700_000, HandshakeFailed("handshake_timeout")),
+                     (2_700_000, Closed("handshake_timeout"))]
+    assert conn.phase == "closed"
+    assert [item for _, _, item in net._queue
+            if item[0] == "timer" and not item[1].cancelled] == []
 
 
 def test_connection_refuses_sqn_reuse():
