@@ -413,10 +413,11 @@ class ServerAgent:
 
     def on_datagram(self, data: bytes, src: Address) -> None:
         try:
-            header, _ = decode_header(data)
+            decoded = decode_header(data)
         except WireError:
             self.rx_errors += 1
             return
+        header = decoded[0]
         state = self.conns.get(header.cid)
         fresh = state is None
         if fresh:
@@ -427,7 +428,7 @@ class ServerAgent:
         # The connection advances the handshake or decrypts and dispatches;
         # our event hook handles the rest.
         conn = state.conn
-        conn.handle_datagram(data, src)
+        conn.handle_datagram(data, src, decoded)
         if fresh and conn.auth_failures:
             # Garbage that never started a handshake: drop the slot and its timers.
             del self.conns[conn.cid]

@@ -128,7 +128,7 @@ class HandshakeFailed:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamData:
     stream_id: int
     data: bytes
@@ -149,7 +149,7 @@ class Closed:
 # -- helper records ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SentPacket:
     sqn: int
     sent_at: float
@@ -237,6 +237,10 @@ class ReceivedSqns:
 class Stream:
     """One bidirectional stream: send buffering with offset accounting and
     receive reassembly that never delivers a byte twice."""
+
+    __slots__ = ("stream_id", "send_buf", "send_offset", "fin_queued", "fin_sent",
+                 "peer_limit", "fragments", "delivered", "received", "fin_offset",
+                 "advertised", "window")
 
     def __init__(self, stream_id: int, window: int):
         self.stream_id = stream_id
@@ -516,14 +520,20 @@ class Connection:
 
     # ------------------------------------------------------------- datagrams
 
-    def handle_datagram(self, data: bytes, src: Address) -> None:
+    def handle_datagram(self, data: bytes, src: Address,
+                        decoded: tuple[PacketHeader, int] | None = None) -> None:
+        """Take one datagram from ``src``. ``decoded`` is its clear header
+        and length, given by a caller that already decoded it to find this
+        connection; without it the header is decoded here."""
         if self.phase == CLOSED:
             return
-        try:
-            header, hlen = decode_header(data)
-        except WireError:
-            self.auth_failures += 1
-            return
+        if decoded is None:
+            try:
+                decoded = decode_header(data)
+            except WireError:
+                self.auth_failures += 1
+                return
+        header, hlen = decoded
         if header.cid != self.cid:
             self.auth_failures += 1
             return
@@ -1036,6 +1046,8 @@ class Connection:
     def _flush_data(self) -> None:
         """Send one stream chunk per packet while the congestion window
         allows; anything left stays queued on its stream."""
+        if not any(stream.has_pending() for stream in self.streams.values()):
+            return
         chunks = self._stream_chunks()
         while self._can_send_packet():
             frame = next(chunks, None)

@@ -10,6 +10,7 @@ tests do.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from random import Random, SystemRandom
@@ -96,6 +97,12 @@ def ver(pk: bytes, m: bytes, sigma: bytes) -> bool:
 # AEAD (AES-128-GCM: 128-bit key, 96-bit nonce, 128-bit tag)
 # ---------------------------------------------------------------------------
 
+# One cipher context per recently used key. Building one costs more than
+# sealing a packet with it; each holds about 2.4 KB of native memory, so the
+# cache is bounded rather than kept per key set.
+_aesgcm = functools.lru_cache(maxsize=256)(AESGCM)
+
+
 def aead_seal(key: bytes, nonce: bytes, header: bytes, m: bytes) -> bytes:
     """Seal ``m`` under ``key``/``nonce`` authenticating ``header``.
 
@@ -105,7 +112,7 @@ def aead_seal(key: bytes, nonce: bytes, header: bytes, m: bytes) -> bytes:
         raise CryptoError(f"AEAD key must be {AEAD_KEY_LEN} bytes")
     if len(nonce) != NONCE_LEN:
         raise CryptoError(f"nonce must be {NONCE_LEN} bytes")
-    return AESGCM(key).encrypt(nonce, m, header)
+    return _aesgcm(key).encrypt(nonce, m, header)
 
 
 def aead_open(key: bytes, nonce: bytes, header: bytes, c: bytes) -> bytes | None:
@@ -114,7 +121,7 @@ def aead_open(key: bytes, nonce: bytes, header: bytes, c: bytes) -> bytes | None
     if len(key) != AEAD_KEY_LEN or len(nonce) != NONCE_LEN:
         return None
     try:
-        return AESGCM(key).decrypt(nonce, c, header)
+        return _aesgcm(key).decrypt(nonce, c, header)
     except Exception:
         return None
 

@@ -43,7 +43,7 @@ class IncompleteMessage(MqttError):
     """More bytes are needed; not a protocol violation."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MqttMessage:
     kind: int
     msgid: int = 0
@@ -344,7 +344,7 @@ class _FilterNode:
         self.subscribers: dict[str, int] = {}  # client id -> qos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
     """A message the broker wants sent to a connected client."""
     conn: object
@@ -580,11 +580,7 @@ class Broker:
             if session.conn is None:
                 continue
             eff_qos = min(msg.qos, matched[client_id])
-            out.append(Delivery(session.conn, replace(
-                msg,
-                retained=False,
-                dup=False,
-                qos=eff_qos,
-                msgid=self.fresh_msgid() if eff_qos else 0,
-            )))
+            out.append(Delivery(session.conn, MqttMessage(
+                PUBLISH, topic=msg.topic, payload=msg.payload, qos=eff_qos,
+                msgid=self.fresh_msgid() if eff_qos else 0)))
         return out

@@ -59,7 +59,7 @@ class SimClock:
         return self.now_us / 1_000_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     time_us: int
     event: str  # send | deliver | drop

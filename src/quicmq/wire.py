@@ -52,7 +52,7 @@ class WireError(Exception):
     """Malformed or truncated wire data."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PacketHeader:
     cid: int
     sqn: int
@@ -126,7 +126,7 @@ KIND_WINDOW_UPDATE = 0x03
 KIND_CLOSE = 0x06  # 0x04 and 0x05 are unassigned and refused
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamFrame:
     stream_id: int
     offset: int
@@ -134,7 +134,7 @@ class StreamFrame:
     fin: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckFrame:
     """Every sqn up to ``largest_observed`` that no NACK range names counts
     as received. ``least_unacked`` is the sender's own floor: it no longer
@@ -146,13 +146,13 @@ class AckFrame:
     nack_ranges: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowUpdateFrame:
     stream_id: int  # 0 addresses the connection-level window
     byte_offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CloseFrame:
     error_code: int = 0
     reason: bytes = b""
@@ -165,7 +165,7 @@ def encode_frame(f: Frame) -> bytes:
     if isinstance(f, StreamFrame):
         return (
             bytes([KIND_STREAM])
-            + struct.pack(">IQB I".replace(" ", ""), f.stream_id, f.offset, 1 if f.fin else 0, len(f.data))
+            + struct.pack(">IQBI", f.stream_id, f.offset, 1 if f.fin else 0, len(f.data))
             + f.data
         )
     if isinstance(f, AckFrame):

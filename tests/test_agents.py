@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from quicmq import connection, mqtt, wire
+from quicmq import agents, connection, mqtt, wire
 from quicmq.agents import (
     AgentError,
     ClientAgent,
@@ -378,6 +378,51 @@ def test_publish_routed_to_all_subscribers():
     net.run(until_s=4.0)
     assert got["a"] == [b"fanout"]
     assert got["b"] == [b"fanout"]
+
+
+def test_broker_decodes_each_datagram_header_once(monkeypatch):
+    """The server agent decodes a header to find the connection and hands
+    it on: one decode per datagram to the broker, through either name."""
+    inside_broker = False
+    counts = {"datagrams": 0, "decodes": 0}
+    on_datagram = ServerAgent.on_datagram
+
+    def counted_on_datagram(self, data, src):
+        nonlocal inside_broker
+        counts["datagrams"] += 1
+        inside_broker = True
+        try:
+            on_datagram(self, data, src)
+        finally:
+            inside_broker = False
+
+    def counted(decode):
+        def wrapper(data):
+            counts["decodes"] += inside_broker
+            return decode(data)
+        return wrapper
+
+    monkeypatch.setattr(ServerAgent, "on_datagram", counted_on_datagram)
+    monkeypatch.setattr(agents, "decode_header", counted(wire.decode_header))
+    monkeypatch.setattr(connection, "decode_header", counted(wire.decode_header))
+    net, identity, server = make_world()
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("t", qos=1),
+                      on_message=lambda a, m: got.append(m.payload))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    for i in range(10):
+        pub.publish("t", bytes([i]), qos=1)
+    net.run(until_s=4.0)
+    pub.disconnect()
+    net.run(until_s=5.0)
+    assert got == [bytes([i]) for i in range(10)]
+    to_broker = sum(1 for ev in net.trace if ev.event == "deliver" and ev.dst == BROKER)
+    assert counts["datagrams"] == to_broker > 20
+    assert counts["decodes"] == to_broker
 
 
 def test_client_rx_queue_is_fifo():

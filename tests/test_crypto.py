@@ -133,6 +133,32 @@ def test_aead_tamper_sweep():
         assert aead_open(*args) is None
 
 
+def test_aead_cipher_cache_is_bounded_and_keeps_results_exact():
+    rng = Random(18)
+    key, nonce, header = rng.randbytes(16), rng.randbytes(12), b"hdr"
+    first = aead_seal(key, nonce, header, b"first")
+    # Far more keys than the cache holds: the first key's context is evicted.
+    for _ in range(300):
+        other = rng.randbytes(16)
+        aead_seal(other, nonce, header, b"other")
+        assert crypto._aesgcm.cache_info().currsize <= 256
+    assert aead_open(key, nonce, header, first) == b"first"
+    # A cached context for the right key still refuses a wrong key or tag.
+    assert aead_open(other, nonce, header, first) is None
+    flipped = bytearray(first)
+    flipped[-1] ^= 0x80
+    assert aead_open(key, nonce, header, bytes(flipped)) is None
+    # Length checks come before any lookup.
+    before = crypto._aesgcm.cache_info()
+    for bad in (key[:15], key + b"\x00"):
+        with pytest.raises(CryptoError):
+            aead_seal(bad, nonce, header, b"m")
+        assert aead_open(bad, nonce, header, first) is None
+    after = crypto._aesgcm.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert after.maxsize == 256 and after.currsize <= 256
+
+
 # ---------------------------------------------------------------------------
 # Diffie-Hellman
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,41 @@ def test_broker_qos_downgrade_and_msgid():
     pubs = [d for d in out if d.message.kind == mqtt.PUBLISH]
     assert pubs[0].message.qos == 1 and pubs[0].message.msgid != 0
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    topic=topic_names,
+    payload=st.binary(max_size=64),
+    qos=st.integers(min_value=0, max_value=1),
+    dup=st.booleans(),
+    retained=st.booleans(),
+    msgid=st.integers(min_value=1, max_value=0xFFFF),
+    sub_qos=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=4),
+)
+def test_delivered_publish_is_the_decoded_one_with_fresh_flags(
+        topic, payload, qos, dup, retained, msgid, sub_qos):
+    """Each delivered PUBLISH equals the decoded one with the retained and
+    dup flags cleared, the lower of the two qos levels, and a fresh msgid
+    under QoS 1 only; every other field stays at its default."""
+    b = Broker()
+    connect(b, "p", "pub")
+    for i, q in enumerate(sub_qos):
+        connect(b, f"s{i}", f"sub{i}")
+        b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=((topic, q),)), f"s{i}")
+    msg, _ = decode(encode(MqttMessage(
+        mqtt.PUBLISH, topic=topic, payload=payload, qos=qos, dup=dup,
+        retained=retained, msgid=msgid if qos else 0)))
+    out = b.handle(msg, "p")
+    expected = []
+    next_msgid = 1  # a new broker's first fresh msgid
+    for i, q in enumerate(sub_qos):  # client ids sub0..sub3 sort in this order
+        eff_qos = min(qos, q)
+        fresh = next_msgid if eff_qos else 0
+        next_msgid += 1 if eff_qos else 0
+        expected.append((f"s{i}", replace(msg, retained=False, dup=False,
+                                           qos=eff_qos, msgid=fresh)))
+    assert [(d.conn, d.message) for d in out if d.message.kind == mqtt.PUBLISH] == expected
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
