@@ -76,7 +76,6 @@ class TcpLadderRunner:
     client_addr: Address
     broker_addr: Address
     ladder: list
-    done: bool = False
     _step: int = 0
 
     def start(self) -> None:
@@ -89,7 +88,6 @@ class TcpLadderRunner:
 
     def _advance(self) -> None:
         if self._step >= len(self.ladder):
-            self.done = True
             return
         direction, label, size = self.ladder[self._step]
         self._step += 1

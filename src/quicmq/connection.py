@@ -74,6 +74,10 @@ QUICK_ACKS = 16  # ack-eliciting packets acked at once on a new connection
 NACK_THRESHOLD = 3  # NACKs before a packet counts as lost
 HANDSHAKE_RETRY_S = 0.3
 MAX_HANDSHAKE_RETRIES = 8
+# Receive windows, the same at both ends: no transport parameters are
+# exchanged, so a sender starts from these as the peer's limits.
+STREAM_WINDOW = 64 * 1024
+CONNECTION_WINDOW = 256 * 1024
 
 
 def data_packet_len(header: PacketHeader, frames: list) -> int:
@@ -101,8 +105,6 @@ def check_stream_id(stream_id: int) -> None:
 class TransportConfig:
     idle_timeout_s: float = 30.0
     drain_period_s: float = 10.0
-    stream_window: int = 64 * 1024
-    connection_window: int = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -240,23 +242,22 @@ class Stream:
 
     __slots__ = ("stream_id", "send_buf", "send_offset", "fin_queued", "fin_sent",
                  "peer_limit", "fragments", "delivered", "received", "fin_offset",
-                 "advertised", "window")
+                 "advertised")
 
-    def __init__(self, stream_id: int, window: int):
+    def __init__(self, stream_id: int):
         self.stream_id = stream_id
         # send side
         self.send_buf = bytearray()  # written, not yet packetized
         self.send_offset = 0  # next offset to packetize
         self.fin_queued = False
         self.fin_sent = False
-        self.peer_limit = window
+        self.peer_limit = STREAM_WINDOW
         # receive side
         self.fragments: dict[int, bytes] = {}
         self.delivered = 0
         self.received = 0  # highest offset received
         self.fin_offset: int | None = None
-        self.advertised = window
-        self.window = window
+        self.advertised = STREAM_WINDOW
 
     # -- send --------------------------------------------------------------
 
@@ -363,10 +364,10 @@ class Connection:
 
         self.streams: dict[int, Stream] = {}
         self.conn_bytes_sent = 0
-        self.peer_conn_limit = config.connection_window
+        self.peer_conn_limit = CONNECTION_WINDOW
         self.conn_delivered = 0
         self.conn_received = 0  # the sum of the streams' highest offsets received
-        self.conn_advertised = config.connection_window
+        self.conn_advertised = CONNECTION_WINDOW
 
         self.sent_packets: dict[int, SentPacket] = {}
         self.srtt: float | None = None
@@ -524,106 +525,100 @@ class Connection:
                         decoded: tuple[PacketHeader, int] | None = None) -> None:
         """Take one datagram from ``src``. ``decoded`` is its clear header
         and length, given by a caller that already decoded it to find this
-        connection; without it the header is decoded here."""
+        connection; without it the header is decoded here. A datagram the
+        gate or the payload handlers refuse counts once in ``auth_failures``."""
         if self.phase == CLOSED:
             return
+        opened = self._open(data, decoded)
+        if opened is None or not self._dispatch(opened, src):
+            self.auth_failures += 1
+
+    def _open(self, data: bytes, decoded: tuple[PacketHeader, int] | None
+              ) -> tuple[PacketHeader, bytes] | None:
+        """The gate: the header and the opened plaintext, or None when the
+        datagram is refused. Nothing here changes the connection."""
         if decoded is None:
             try:
                 decoded = decode_header(data)
             except WireError:
-                self.auth_failures += 1
-                return
+                return None
         header, hlen = decoded
         if header.cid != self.cid:
-            self.auth_failures += 1
-            return
+            return None
         keys = self._keys_for_epoch(header.epoch)
         if keys is None:
-            self.auth_failures += 1
-            return
+            return None
         plain = open_packet_body(header, hlen, data, keys, self.role)
         if plain is None:
-            self.auth_failures += 1
-            return
-        if header.epoch == EPOCH_K:
+            return None
+        epoch, marker = header.epoch, plain[0] if plain else None
+        # Cleartext packets are sealed under a public key set, so anyone who
+        # knows the cid can forge one: they carry hellos only. Once the peer
+        # has moved to the forward-secure key, data under the initial key is
+        # refused (RFC 9001 §4.9); a repeated SHLO still opens, so a lost
+        # server flight can be recovered.
+        if ((epoch == EPOCH_CLEAR and marker != MARKER_HANDSHAKE)
+                or (epoch == EPOCH_IK and self._peer_on_k and marker == MARKER_DATA)):
+            return None
+        return header, plain
+
+    def _dispatch(self, opened: tuple[PacketHeader, bytes], src: Address) -> bool:
+        """Act on a packet the gate let through, given as its header and
+        plaintext: record its sqn, migrate the peer, then decode the frames
+        once and hand them on. Returns False when the payload is refused."""
+        header, plain = opened
+        epoch = header.epoch
+        if epoch == EPOCH_K:
             # The client only sends under k once the SHLO has settled it.
             self._peer_on_k = True
             self._hs_shlo = None
-        elif (header.epoch == EPOCH_IK and self._peer_on_k
-              and plain[:1] == bytes([MARKER_DATA])):
-            # Once the peer has moved to the forward-secure key, data under
-            # the initial key is refused (RFC 9001 §4.9). A repeated SHLO
-            # still opens, so a lost server flight can be recovered.
-            self.auth_failures += 1
-            return
-        if header.epoch == EPOCH_CLEAR:
-            # Cleartext packets are sealed under a public key set, so anyone
-            # who knows the cid can forge one. They carry hellos only, never
-            # refresh the idle timer or migrate the peer, and once the
-            # handshake is over their sqns stay out of the ack state, where
-            # a forged one would be acked as if the peer had sent it.
-            if plain[:1] != bytes([MARKER_HANDSHAKE]):
-                self.auth_failures += 1
-                return
-            if self.phase == HANDSHAKE and not self.received_sqns.add(header.sqn):
-                return
-        elif not self.received_sqns.add(header.sqn):
-            # A replay, a spurious retransmission, or a packet below the
-            # floor the peer named (RFC 9000 §13.2.3).
-            return
-        else:
+        # A cleartext packet never refreshes the idle timer or migrates the
+        # peer, and once the handshake is over its sqn stays out of the ack
+        # state, where a forged one would be acked as if the peer had sent
+        # it. A sqn already held is a replay, a spurious retransmission, or
+        # below the floor the peer named (RFC 9000 §13.2.3).
+        if ((epoch != EPOCH_CLEAR or self.phase == HANDSHAKE)
+                and not self.received_sqns.add(header.sqn)):
+            return True
+        if epoch != EPOCH_CLEAR:
             self._last_rx = self.clock()
-
-        if self.phase == DRAINING:
-            # Only a peer CLOSE still matters while draining.
-            if plain and plain[0] == MARKER_DATA:
-                try:
-                    frames = decode_frames(plain[1:])
-                except WireError:
-                    return
-                for frame in frames:
-                    if isinstance(frame, CloseFrame):
-                        self._on_close_frame(frame)
-            return
-
-        # Authenticated non-probe traffic from a new address migrates the peer.
-        if (src != self.peer_addr and self.phase == ESTABLISHED
-                and header.epoch != EPOCH_CLEAR):
-            old = self.peer_addr
-            self.peer_addr = src
-            self.on_event(Migrated(old, src))
+            if src != self.peer_addr and self.phase == ESTABLISHED:
+                # Authenticated traffic from a new address migrates the peer.
+                old, self.peer_addr = self.peer_addr, src
+                self.on_event(Migrated(old, src))
 
         marker = plain[0] if plain else None
-        payload = plain[1:]
-        if marker == MARKER_HANDSHAKE:
-            self._handle_handshake_payload(header, payload, src)
+        if marker not in (MARKER_HANDSHAKE, MARKER_DATA):
+            return False
+        try:
+            frames = decode_frames(plain[1:])
+        except WireError:
+            return False
+        if self.phase == DRAINING:
+            # Only a peer CLOSE still matters while draining.
+            for frame in frames if marker == MARKER_DATA else ():
+                if isinstance(frame, CloseFrame):
+                    self._on_close_frame(frame)
         elif marker == MARKER_DATA:
-            self._handle_data_payload(header, payload)
-        else:
-            self.auth_failures += 1
+            self._on_data_frames(header.sqn, frames)
+        elif epoch == EPOCH_CLEAR or (epoch == EPOCH_IK and self.role == "client"):
+            # The one handshake message: a hello, or the SHLO to a client.
+            raw = b"".join(f.data for f in frames if isinstance(f, StreamFrame))
+            try:
+                msg = HandshakeMessage.decode(raw)
+            except WireError:
+                return False
+            if self.role == "server":
+                if msg.kind != wire.MSG_CHLO:
+                    return False  # a stray REJ/SHLO
+                self._server_on_chlo(msg, raw, src)
+            elif epoch == EPOCH_CLEAR:
+                self._client_on_rej(msg)
+            else:
+                self._client_on_shlo(msg, raw)
+        return True
 
     # -- handshake payloads ------------------------------------------------
-
-    def _handle_handshake_payload(self, header: PacketHeader, payload: bytes,
-                                  src: Address) -> None:
-        try:
-            frames = decode_frames(payload)
-        except WireError:
-            self.auth_failures += 1
-            return
-        stream_data = b"".join(f.data for f in frames if isinstance(f, StreamFrame))
-        if header.epoch == EPOCH_CLEAR:
-            try:
-                msg = HandshakeMessage.decode(stream_data)
-            except WireError:
-                self.auth_failures += 1
-                return
-            if self.role == "server":
-                self._server_on_chlo(msg, stream_data, src)
-            else:
-                self._client_on_rej(msg)
-        elif header.epoch == EPOCH_IK and self.role == "client":
-            self._client_on_shlo(stream_data)
 
     def _client_on_rej(self, msg: HandshakeMessage) -> None:
         # A REJ answers a hello: none is held before the first is sent or
@@ -656,16 +651,9 @@ class Connection:
         for record in list(self.sent_packets.values()):
             self._retransmit(record)
 
-    def _client_on_shlo(self, inner: bytes) -> None:
-        if self.phase != HANDSHAKE:
-            return  # a repeated SHLO after settlement
-        try:
-            msg = HandshakeMessage.decode(inner)
-        except WireError:
-            self.auth_failures += 1
-            return
-        if msg.kind != wire.MSG_SHLO:
-            return
+    def _client_on_shlo(self, msg: HandshakeMessage, inner: bytes) -> None:
+        if self.phase != HANDSHAKE or msg.kind != wire.MSG_SHLO:
+            return  # a repeated SHLO after settlement, or not a SHLO
         try:
             server_pub = parse_public(msg.fields.get(wire.TAG_PUBS, b""), "shlo_invalid")
             self.k = derive_k_client(self._hs_secrets, self.session.scfg, self.cid,
@@ -684,9 +672,6 @@ class Connection:
                         src: Address) -> None:
         identity = self.identity
         now = self.clock()
-        if msg.kind != wire.MSG_CHLO:
-            self.auth_failures += 1  # a stray REJ/SHLO: dropped silently
-            return
         if identity.scfg.expy <= now:
             # Renewed before anything is answered under it.
             identity.rotate_scfg(now, self.rng)
@@ -748,12 +733,7 @@ class Connection:
 
     # -- data payloads --------------------------------------------------------
 
-    def _handle_data_payload(self, header: PacketHeader, payload: bytes) -> None:
-        try:
-            frames = decode_frames(payload)
-        except WireError:
-            self.auth_failures += 1
-            return
+    def _on_data_frames(self, sqn: int, frames: list) -> None:
         # An ack is owed from the moment an ack-eliciting packet opens; any
         # packet its frames cause to be sent carries the ack and clears it.
         if any(not isinstance(f, (AckFrame, CloseFrame)) for f in frames):
@@ -764,7 +744,7 @@ class Connection:
                 return  # an earlier frame closed the connection
             if isinstance(frame, AckFrame):
                 try:
-                    self._on_ack_frame(frame, header.sqn)
+                    self._on_ack_frame(frame, sqn)
                 except TransportError as e:
                     self.close(error_code=1, reason=e.reason.encode())
             elif isinstance(frame, StreamFrame):
@@ -796,12 +776,12 @@ class Connection:
             self._maybe_advertise(stream)
 
     def _maybe_advertise(self, stream: Stream) -> None:
-        if stream.advertised - stream.delivered <= stream.window // 2:
-            stream.advertised = stream.delivered + stream.window
+        if stream.advertised - stream.delivered <= STREAM_WINDOW // 2:
+            stream.advertised = stream.delivered + STREAM_WINDOW
             self._control_frames.append(
                 WindowUpdateFrame(stream.stream_id, stream.advertised))
-        if self.conn_advertised - self.conn_delivered <= self.config.connection_window // 2:
-            self.conn_advertised = self.conn_delivered + self.config.connection_window
+        if self.conn_advertised - self.conn_delivered <= CONNECTION_WINDOW // 2:
+            self.conn_advertised = self.conn_delivered + CONNECTION_WINDOW
             self._control_frames.append(WindowUpdateFrame(0, self.conn_advertised))
 
     def _on_window_update(self, frame: WindowUpdateFrame) -> None:
@@ -955,7 +935,7 @@ class Connection:
         stream = self.streams.get(stream_id)
         if stream is None:
             check_stream_id(stream_id)
-            stream = self.streams[stream_id] = Stream(stream_id, self.config.stream_window)
+            stream = self.streams[stream_id] = Stream(stream_id)
         return stream
 
     def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> None:

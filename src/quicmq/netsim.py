@@ -73,6 +73,13 @@ class TraceEvent:
         return f"{self.time_us}\t{self.event}\t{flow}\t{self.size}\t{self.annotation}"
 
 
+def write_trace_file(trace: list[TraceEvent], path: str) -> None:
+    """Write ``trace`` to ``path``, one ``TraceEvent.line()`` per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for ev in trace:
+            f.write(ev.line() + "\n")
+
+
 class Timer:
     __slots__ = ("fn", "cancelled")
 
@@ -216,9 +223,7 @@ class SimNetwork:
     # -- trace helpers -----------------------------------------------------------
 
     def write_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for ev in self.trace:
-                f.write(ev.line() + "\n")
+        write_trace_file(self.trace, path)
 
     def trace_lines(self) -> list[str]:
         return [ev.line() for ev in self.trace]

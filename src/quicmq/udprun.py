@@ -17,7 +17,7 @@ import socket
 import time
 from typing import Callable
 
-from .netsim import Address, Timer, TraceEvent
+from .netsim import Address, Timer, TraceEvent, write_trace_file
 
 
 class _WallClock:
@@ -87,11 +87,8 @@ class UdpNetwork:
 
     def write_trace(self) -> None:
         """Write the trace to the path given at construction, if any."""
-        if self.trace_path is None:
-            return
-        with open(self.trace_path, "w", encoding="utf-8") as f:
-            for ev in self.trace:
-                f.write(ev.line() + "\n")
+        if self.trace_path is not None:
+            write_trace_file(self.trace, self.trace_path)
 
     # -- loop -------------------------------------------------------------
 

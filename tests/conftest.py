@@ -99,18 +99,28 @@ class ConnEndpoint:
 @pytest.fixture
 def world():
     """(net, client endpoint, server endpoint, identity) with a wired link."""
-    def build(delay_ms=1.0, seed=7, config=None, client_config=None,
-              session=None, identity=None, client_seed=12):
+    def build(delay_ms=1.0, seed=7, config=None, session=None, identity=None,
+              client_seed=12):
         net = SimNetwork(SimConfig(delay_ms=delay_ms), seed=seed)
         identity = identity or ServerIdentity.create(now=0.0, rng=Random(42))
         server = ConnEndpoint(net, SERVER_ADDR, "server", identity=identity,
                               config=config, rng_seed=11)
         client = ConnEndpoint(net, CLIENT_ADDR, "client",
                               server_pk=identity.sign_pair.pk,
-                              config=client_config or config,
+                              config=config,
                               rng_seed=client_seed, session=session)
         return net, client, server, identity
     return build
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """``windows(stream, conn)`` sets the stream and connection receive
+    windows, which both ends share, for the rest of the test."""
+    def set_windows(stream, conn):
+        monkeypatch.setattr(connection, "STREAM_WINDOW", stream)
+        monkeypatch.setattr(connection, "CONNECTION_WINDOW", conn)
+    return set_windows
 
 
 @pytest.fixture

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.connection import (
+    CONNECTION_WINDOW,
     MAX_ACK_DELAY_S,
     MAX_STREAM_CHUNK,
     QUICK_ACKS,
     ReceivedSqns,
-    TransportConfig,
 )
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker
@@ -338,10 +338,10 @@ def server_acks(net, since_us: int) -> list:
             and ev.annotation == "ack" and ev.time_us >= since_us]
 
 
-def past_quick_acks(world, **kw):
+def past_quick_acks(world):
     """A handshake, then QUICK_ACKS lone client packets, each of which the
     server acks at once."""
-    net, client_ep, server_ep, conn = run_handshake(world, **kw)
+    net, client_ep, server_ep, conn = run_handshake(world)
     for _ in range(QUICK_ACKS):
         arrival = client_sends(net, client_ep, conn)
         assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
@@ -402,10 +402,10 @@ def test_packet_that_opens_a_gap_is_acked_at_once(world):
     assert [ev.time_us for ev in server_acks(net, arrival)] == [arrival]
 
 
-def test_queued_window_update_leaves_at_once(world):
+def test_queued_window_update_leaves_at_once(world, windows):
     window = 2048
-    net, client_ep, server_ep, conn = past_quick_acks(
-        world, config=TransportConfig(stream_window=window))
+    windows(window, CONNECTION_WINDOW)
+    net, client_ep, server_ep, conn = past_quick_acks(world)
     server_conn = server_ep.only_conn()
     arrival = client_sends(net, client_ep, conn)
     assert server_acks(net, arrival) == []  # no update queued: delayed

@@ -527,7 +527,7 @@ def test_stream_frame_on_stream_0_closes_the_connection(world):
 
 
 def test_fin_written_alone_after_data_is_sent():
-    stream = Stream(3, 1 << 16)
+    stream = Stream(3)
     stream.write(b"abc")
     assert stream.take_chunk(stream.sendable(1 << 16)) == (b"abc", False, 0)
     stream.write(b"", fin=True)
@@ -536,7 +536,7 @@ def test_fin_written_alone_after_data_is_sent():
 
 
 def test_stream_reassembly_no_double_delivery():
-    stream = Stream(3, 1 << 16)
+    stream = Stream(3)
     out = stream.accept(StreamFrame(3, 0, b"abc", False))
     assert out == [(b"abc", False)]
     # Overlapping retransmission: already-delivered bytes are trimmed.
@@ -549,7 +549,7 @@ def test_stream_reassembly_no_double_delivery():
 
 
 def test_stream_final_offset_never_decreases():
-    stream = Stream(3, 1 << 16)
+    stream = Stream(3)
     stream.accept(StreamFrame(3, 0, b"abcd", True))
     with pytest.raises(TransportError) as e:
         stream.accept(StreamFrame(3, 0, b"ab", True))
@@ -559,10 +559,6 @@ def test_stream_final_offset_never_decreases():
 # ---------------------------------------------------------------------------
 # Flow control
 # ---------------------------------------------------------------------------
-
-
-def tiny_window_config():
-    return TransportConfig(stream_window=64, connection_window=256)
 
 
 def _stream_bytes(packet, server_conn):
@@ -579,9 +575,9 @@ def _stream_bytes(packet, server_conn):
                     if isinstance(f, StreamFrame))
 
 
-def test_sender_blocked_at_stream_window_edge(world):
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=tiny_window_config())
+def test_sender_blocked_at_stream_window_edge(world, windows):
+    windows(64, 256)
+    net, client_ep, server_ep, conn = run_handshake(world)
     client_ep.sent.clear()
     conn = client_ep.only_conn()
     server_conn = server_ep.only_conn()
@@ -594,9 +590,9 @@ def test_sender_blocked_at_stream_window_edge(world):
     assert server_conn.streams[3].delivered == 200
 
 
-def test_sender_blocked_then_window_update_unblocks(world):
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=tiny_window_config())
+def test_sender_blocked_then_window_update_unblocks(world, windows):
+    windows(64, 256)
+    net, client_ep, server_ep, conn = run_handshake(world)
     conn = client_ep.only_conn()
     server_conn = server_ep.only_conn()
     client_ep.sent.clear()
@@ -609,11 +605,11 @@ def test_sender_blocked_then_window_update_unblocks(world):
     assert total == 200
 
 
-def test_connection_window_caps_aggregate(world):
+def test_connection_window_caps_aggregate(world, windows):
     # Two streams, each within its stream window, together capped by the
     # connection-level window (256 here).
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=TransportConfig(stream_window=200, connection_window=256))
+    windows(200, 256)
+    net, client_ep, server_ep, conn = run_handshake(world)
     conn = client_ep.only_conn()
     server_conn = server_ep.only_conn()
     client_ep.sent.clear()
@@ -626,14 +622,14 @@ def test_connection_window_caps_aggregate(world):
     assert server_conn.streams[5].delivered == 200
 
 
-def test_data_past_the_stream_window_closes_the_connection(world):
+def test_data_past_the_stream_window_closes_the_connection(world, windows):
     # The client believes in a larger stream window than the server gave.
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=TransportConfig(stream_window=64, connection_window=1024),
-        client_config=TransportConfig(stream_window=128, connection_window=1024))
+    windows(64, 1024)
+    net, client_ep, server_ep, conn = run_handshake(world)
     keys = conn.k
     server_ep.sent.clear()
     conn.send_stream(3, b"x" * 128)
+    conn.streams[3].peer_limit = 128
     client_ep.pump(conn.cid)
     net.run(until_s=5.0)
     assert close_reasons(server_ep.sent, keys) == [b"flow_control"]
@@ -641,12 +637,12 @@ def test_data_past_the_stream_window_closes_the_connection(world):
     assert [ev.reason for ev in client_ep.events_of(Closed)] == ["peer_close:1"]
 
 
-def test_streams_past_the_connection_window_close_the_connection(world):
+def test_streams_past_the_connection_window_close_the_connection(world, windows):
     # Each frame stays inside its stream's window (200); held out of order,
     # nothing is delivered and no window moves, yet the two highest offsets
     # together pass the connection's 256.
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=TransportConfig(stream_window=200, connection_window=256))
+    windows(200, 256)
+    net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
     raw = encode_frames([StreamFrame(3, 100, b"a" * 100, False),
                          StreamFrame(5, 100, b"b" * 100, False)])
@@ -658,13 +654,12 @@ def test_streams_past_the_connection_window_close_the_connection(world):
     assert server_conn.conn_received == 400
 
 
-def test_congestion_window_blocks_then_releases_without_loss(world):
+def test_congestion_window_blocks_then_releases_without_loss(world, windows):
     # Enough queued data for 50 packets against a 32-packet window: the
     # flush stops at the window, nothing is dropped, and acks release the
     # rest until every byte lands exactly once.
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=TransportConfig(stream_window=256 * 1024,
-                                      connection_window=1024 * 1024))
+    windows(256 * 1024, 1024 * 1024)
+    net, client_ep, server_ep, conn = run_handshake(world)
     conn = client_ep.only_conn()
     server_conn = server_ep.only_conn()
     client_ep.sent.clear()
@@ -677,9 +672,9 @@ def test_congestion_window_blocks_then_releases_without_loss(world):
     assert server_conn.streams[3].delivered == total
 
 
-def test_slow_stream_does_not_block_other(world):
-    net, client_ep, server_ep, conn = run_handshake(
-        world, config=TransportConfig(stream_window=64, connection_window=1024))
+def test_slow_stream_does_not_block_other(world, windows):
+    windows(64, 1024)
+    net, client_ep, server_ep, conn = run_handshake(world)
     conn = client_ep.only_conn()
     server_conn = server_ep.only_conn()
     conn.send_stream(3, b"s" * 64)  # exhausts its own stream window
@@ -893,6 +888,61 @@ def test_cleartext_data_packet_refused(world):
     assert 900 not in server_conn.received_sqns
     assert server_conn.phase == "established"
     assert not server_ep.events_of(StreamData)
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
+
+
+def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world):
+    # Every single-bit flip of the 17-byte header, 32 seeded flips in the
+    # body and every truncation of one genuine client packet under k, each
+    # sent from the client's address and from a new one: each is refused
+    # once and moves nothing the server holds. The genuine packet is then
+    # taken.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    conn.send_stream(3, b"up")
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 1.0)  # quiet, and past the last receipt
+    conn.send_stream(3, b"genuine")
+    conn.flush()
+    [packet] = [p for p, annotation in conn.take_outputs() if annotation == "data s3"]
+    header, hlen = decode_header(packet)
+    assert header.epoch == EPOCH_K and hlen == 17
+
+    def state():
+        received = server_conn.received_sqns
+        streams = {sid: (s.send_offset, s.delivered, s.received, s.fin_offset,
+                         s.advertised, s.peer_limit)
+                   for sid, s in server_conn.streams.items()}
+        return (received.floor, received.gaps(), received.largest, server_conn._last_rx,
+                server_conn.peer_addr, server_conn.phase, streams)
+
+    rng = Random(19)
+    altered = [flip_bit(packet, bit) for bit in range(hlen * 8)]
+    altered += [flip_bit(packet, rng.randrange(hlen * 8, len(packet) * 8))
+                for _ in range(32)]
+    altered += [packet[:n] for n in range(len(packet))]
+    before = state()
+    for data in altered:
+        for src in (CLIENT_ADDR, ("10.0.0.9", 40000)):
+            failures, events = server_conn.auth_failures, len(server_ep.events)
+            server_conn.handle_datagram(data, src)
+            assert server_conn.auth_failures == failures + 1
+            assert len(server_ep.events) == events
+            assert server_conn.outputs == []
+            assert state() == before
+
+    failures = server_conn.auth_failures
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures
+    assert header.sqn in server_conn.received_sqns
+    assert server_conn._last_rx == net.clock.now_s
+    assert server_conn.streams[3].delivered == len(b"upgenuine")
+    assert server_ep.events_of(StreamData)[-1].data == b"genuine"
 
 
 # ---------------------------------------------------------------------------
