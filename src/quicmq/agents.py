@@ -121,7 +121,7 @@ class _ConnState:
         self.network = network
         self.conn = Connection(clock=lambda: network.clock.now_s,
                                scheduler=self.schedule, on_event=on_event, **conn_args)
-        self.rx_buffers: dict[int, bytearray] = {}
+        self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
         self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
 
@@ -135,19 +135,22 @@ class _ConnState:
         """Decode and consume each complete MQTT message at the head of the
         event's stream buffer; a partial message stays buffered. Malformed
         bytes are dropped with the rest of the buffer and yield None, and the
-        connection stays up."""
-        buf = self.rx_buffers.setdefault(event.stream_id, bytearray())
-        buf += event.data
-        while buf:
+        connection stays up. With nothing buffered, the event's bytes are
+        decoded as they are."""
+        data = event.data
+        held = self.rx_buffers.pop(event.stream_id, None)
+        if held:
+            data = held + data
+        while data:
             try:
-                msg, consumed = mqtt.decode(bytes(buf))
+                msg, consumed = mqtt.decode(data)
             except mqtt.IncompleteMessage:
+                self.rx_buffers[event.stream_id] = data
                 return
             except MqttError:
-                buf.clear()
                 yield None
                 return
-            del buf[:consumed]
+            data = data[consumed:]
             yield msg
 
 
@@ -337,7 +340,11 @@ class ClientAgent:
     # -- events -------------------------------------------------------------------
 
     def _on_conn_event(self, event) -> None:
-        if isinstance(event, HandshakeDone):
+        if isinstance(event, StreamData):
+            for msg in self.state.read(event):
+                if msg is not None:
+                    self.quic_dispatcher(msg, event.stream_id)
+        elif isinstance(event, HandshakeDone):
             # The REJ's material is written once per handshake it answered,
             # and never on a resume: the cached config expires before its
             # token goes stale. MQTT-level connected state comes with CONNACK.
@@ -346,10 +353,6 @@ class ClientAgent:
                                     self.network.clock.now_s)
         elif isinstance(event, HandshakeFailed):
             self.failure = event.reason
-        elif isinstance(event, StreamData):
-            for msg in self.state.read(event):
-                if msg is not None:
-                    self.quic_dispatcher(msg, event.stream_id)
         elif isinstance(event, Closed):
             self.connected = False
             if self.on_closed is not None:

@@ -418,11 +418,9 @@ class Connection:
 
     def _header(self, epoch: int, sqn: int = 0, version: bool = False) -> PacketHeader:
         return PacketHeader(
-            cid=self.cid, sqn=sqn, epoch=epoch,
-            version=wire.VERSION if version else None,
-            div_nonce=self.identity.scfg.div_nonce
-            if self.role == "server" and epoch == EPOCH_IK else None,
-        )
+            self.cid, sqn, epoch, wire.VERSION if version else None,
+            self.identity.scfg.div_nonce
+            if epoch == EPOCH_IK and self.role == "server" else None)
 
     def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str,
                      version: bool = False) -> int:
@@ -736,9 +734,11 @@ class Connection:
     def _on_data_frames(self, sqn: int, frames: list) -> None:
         # An ack is owed from the moment an ack-eliciting packet opens; any
         # packet its frames cause to be sent carries the ack and clears it.
-        if any(not isinstance(f, (AckFrame, CloseFrame)) for f in frames):
-            self.ack_needed += 1
-            self._eliciting_rx += 1
+        for f in frames:
+            if not isinstance(f, (AckFrame, CloseFrame)):
+                self.ack_needed += 1
+                self._eliciting_rx += 1
+                break
         for frame in frames:
             if self._close_pending is not None:
                 return  # an earlier frame closed the connection
@@ -817,13 +817,29 @@ class Connection:
                 raise TransportError("bad_nack_ranges")
             prev_end = end
         self.received_sqns.raise_floor(frame.least_unacked)
-        starts = [start for start, _ in ranges]
         now = self.clock()
         # sent_packets is in sqn order: records are added as sqns are spent.
-        for sqn, record in list(self.sent_packets.items()):
-            if sqn > largest:
+        sent = self.sent_packets
+        if not ranges:
+            # Every record up to largest is acked, oldest first.
+            srtt = self.srtt
+            while sent:
+                sqn = next(iter(sent))
+                if sqn > largest:
+                    break
+                rtt = now - sent.pop(sqn).sent_at
+                srtt = rtt if srtt is None else 0.875 * srtt + 0.125 * rtt
+            self.srtt = srtt
+            return
+        # A retransmission adds a record, so the walk is over those due.
+        due = []
+        for item in sent.items():
+            if item[0] > largest:
                 break
-            i = bisect_right(starts, sqn) if starts else 0
+            due.append(item)
+        starts = [start for start, _ in ranges]
+        for sqn, record in due:
+            i = bisect_right(starts, sqn)
             if i and sqn <= ranges[i - 1][1]:
                 record.nack_count += 1
                 if record.nack_count >= NACK_THRESHOLD:
@@ -831,7 +847,7 @@ class Connection:
             else:
                 rtt = now - record.sent_at
                 self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
-                del self.sent_packets[sqn]
+                del sent[sqn]
 
     def _retransmit(self, record: SentPacket) -> None:
         """Move a lost packet's frames into a fresh packet under a fresh
@@ -984,13 +1000,16 @@ class Connection:
             self._send_data_packet(controls)
             controls = []
         out_frames = controls + frames
-        stream_ids = sorted({f.stream_id for f in out_frames if isinstance(f, StreamFrame)})
-        if isinstance(out_frames[-1], CloseFrame):
+        last = out_frames[-1]
+        if isinstance(last, CloseFrame):
             annotation = "close"
-        elif stream_ids:
-            annotation = "data " + ",".join(f"s{i}" for i in stream_ids)
+        elif len(out_frames) == 1 and isinstance(last, StreamFrame):
+            annotation = f"data s{last.stream_id}"
         else:
-            annotation = "control"
+            stream_ids = sorted({f.stream_id for f in out_frames
+                                 if isinstance(f, StreamFrame)})
+            annotation = ("data " + ",".join(f"s{i}" for i in stream_ids)
+                          if stream_ids else "control")
         if retx:
             annotation += " retx"
         sqn = self._send_packet(epoch, MARKER_DATA, out_frames, annotation)
@@ -1026,7 +1045,10 @@ class Connection:
     def _flush_data(self) -> None:
         """Send one stream chunk per packet while the congestion window
         allows; anything left stays queued on its stream."""
-        if not any(stream.has_pending() for stream in self.streams.values()):
+        for stream in self.streams.values():
+            if stream.send_buf or (stream.fin_queued and not stream.fin_sent):
+                break  # Stream.has_pending, inlined: this runs on every flush
+        else:
             return
         chunks = self._stream_chunks()
         while self._can_send_packet():

@@ -245,15 +245,17 @@ def get_iv(keys: KeySet, role: str, direction: str, sqn: int) -> bytes:
     server with iv_c); a receiver uses its own-role prefix, which is the
     same value the sender chose.
     """
-    if role not in ("client", "server"):
-        raise CryptoError(f"bad role {role!r}")
-    if direction not in ("send", "receive"):
-        raise CryptoError(f"bad direction {direction!r}")
     if role == "client":
-        prefix = keys.iv_s if direction == "send" else keys.iv_c
+        own, peer = keys.iv_c, keys.iv_s
+    elif role == "server":
+        own, peer = keys.iv_s, keys.iv_c
     else:
-        prefix = keys.iv_c if direction == "send" else keys.iv_s
-    return prefix + sqn.to_bytes(8, "big")
+        raise CryptoError(f"bad role {role!r}")
+    if direction == "send":
+        return peer + sqn.to_bytes(8, "big")
+    if direction == "receive":
+        return own + sqn.to_bytes(8, "big")
+    raise CryptoError(f"bad direction {direction!r}")
 
 
 def sha256(data: bytes) -> bytes:

@@ -133,10 +133,13 @@ def encode(msg: MqttMessage) -> bytes:
         if msg.qos == 1 and msg.msgid == 0:
             raise MqttError("qos 1 publish requires a nonzero msgid")
         flags = (0x08 if msg.dup else 0) | (msg.qos << 1) | (0x01 if msg.retained else 0)
-        body = _encode_string(msg.topic)
+        head = _encode_string(msg.topic)
         if msg.qos > 0:
-            body += msg.msgid.to_bytes(2, "big")
-        body += msg.payload
+            head += msg.msgid.to_bytes(2, "big")
+        payload = msg.payload
+        # One join: the payload is copied once, not once per concatenation.
+        return b"".join((bytes([(PUBLISH << 4) | flags]),
+                         _encode_remaining_length(len(head) + len(payload)), head, payload))
     elif kind in (PUBACK, UNSUBACK):
         body = msg.msgid.to_bytes(2, "big")
     elif kind == SUBSCRIBE:
@@ -221,10 +224,9 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             if msgid == 0:
                 raise MqttError("qos 1 publish with zero msgid")
             p += 2
-        return MqttMessage(
-            PUBLISH, msgid=msgid, dup=bool(flags & 0x08), retained=bool(flags & 0x01),
-            qos=qos, topic=topic, payload=body[p:],
-        ), end
+        # Positional: kind, msgid, dup, retained, qos, topic, payload.
+        return MqttMessage(PUBLISH, msgid, bool(flags & 0x08), bool(flags & 0x01), qos,
+                           topic, body[p:]), end
     if kind in (PUBACK, UNSUBACK):
         if len(body) != 2:
             raise MqttError("bad ack length")
@@ -580,7 +582,8 @@ class Broker:
             if session.conn is None:
                 continue
             eff_qos = min(msg.qos, matched[client_id])
+            # Positional: kind, msgid, dup, retained, qos, topic, payload.
             out.append(Delivery(session.conn, MqttMessage(
-                PUBLISH, topic=msg.topic, payload=msg.payload, qos=eff_qos,
-                msgid=self.fresh_msgid() if eff_qos else 0)))
+                PUBLISH, self.fresh_msgid() if eff_qos else 0, False, False, eff_qos,
+                msg.topic, msg.payload)))
         return out

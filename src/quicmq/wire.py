@@ -61,53 +61,59 @@ class PacketHeader:
     div_nonce: bytes | None = None
 
 
+# The clear header's four layouts, indexed by flags & (FLAG_VERSION |
+# FLAG_DIV_NONCE): every packet after the hellos takes the first.
+_HEADERS = (
+    struct.Struct(">BQQ"),
+    struct.Struct(">BQ4sQ"),
+    struct.Struct(">BQ32sQ"),
+    struct.Struct(">BQ4s32sQ"),
+)
+_SHORT_HEADER = _HEADERS[0]
+
+
 def encode_header(h: PacketHeader) -> bytes:
     flags = (h.epoch & 0x03) << 2
-    out = bytearray()
-    if h.version is not None:
-        if len(h.version) != 4:
+    version, div_nonce = h.version, h.div_nonce
+    if version is None and div_nonce is None:
+        return _SHORT_HEADER.pack(flags, h.cid, h.sqn)
+    fields = [h.cid]
+    if version is not None:
+        if len(version) != 4:
             raise WireError("version field must be 4 bytes")
         flags |= FLAG_VERSION
-    if h.div_nonce is not None:
-        if len(h.div_nonce) != 32:
+        fields.append(version)
+    if div_nonce is not None:
+        if len(div_nonce) != 32:
             raise WireError("div_nonce must be 32 bytes")
         flags |= FLAG_DIV_NONCE
-    out.append(flags)
-    out += h.cid.to_bytes(8, "big")
-    if h.version is not None:
-        out += h.version
-    if h.div_nonce is not None:
-        out += h.div_nonce
-    out += h.sqn.to_bytes(8, "big")
-    return bytes(out)
+        fields.append(div_nonce)
+    return _HEADERS[flags & 0x03].pack(flags, *fields, h.sqn)
 
 
 def decode_header(data: bytes) -> tuple[PacketHeader, int]:
     """Decode the clear header, returning it with its encoded length."""
-    if len(data) < 9:
+    n = len(data)
+    if n < 9:
         raise WireError("truncated header")
     flags = data[0]
-    pos = 1
-    cid = int.from_bytes(data[pos:pos + 8], "big")
-    pos += 8
-    version = None
-    div_nonce = None
-    if flags & FLAG_VERSION:
-        if len(data) < pos + 4:
+    layout = flags & 0x03
+    if not layout:
+        if n < 17:
+            raise WireError("truncated sqn")
+        _, cid, sqn = _SHORT_HEADER.unpack_from(data)
+        return PacketHeader(cid, sqn, (flags >> 2) & 0x03), 17
+    size = _HEADERS[layout].size
+    if n < size:
+        if flags & FLAG_VERSION and n < 13:
             raise WireError("truncated version")
-        version = data[pos:pos + 4]
-        pos += 4
-    if flags & FLAG_DIV_NONCE:
-        if len(data) < pos + 32:
+        if flags & FLAG_DIV_NONCE and n < size - 8:
             raise WireError("truncated div_nonce")
-        div_nonce = data[pos:pos + 32]
-        pos += 32
-    if len(data) < pos + 8:
         raise WireError("truncated sqn")
-    sqn = int.from_bytes(data[pos:pos + 8], "big")
-    pos += 8
-    epoch = (flags >> 2) & 0x03
-    return PacketHeader(cid, sqn, epoch, version, div_nonce), pos
+    fields = _HEADERS[layout].unpack_from(data)
+    version = fields[2] if flags & FLAG_VERSION else None
+    div_nonce = fields[-2] if flags & FLAG_DIV_NONCE else None
+    return PacketHeader(fields[1], fields[-1], (flags >> 2) & 0x03, version, div_nonce), size
 
 
 def header_len(h: PacketHeader) -> int:
@@ -161,26 +167,31 @@ class CloseFrame:
 Frame = StreamFrame | AckFrame | WindowUpdateFrame | CloseFrame
 
 
+# Frame heads, kind byte included.
+_STREAM_HEAD = struct.Struct(">BIQBI")  # kind, stream_id, offset, fin, data length
+_ACK_HEAD = struct.Struct(">BQQH")  # kind, largest_observed, least_unacked, count
+_NACK_RANGE = struct.Struct(">QQ")  # start, end
+_WINDOW_UPDATE = struct.Struct(">BIQ")  # kind, stream_id, byte_offset
+_CLOSE_HEAD = struct.Struct(">BIH")  # kind, error_code, reason length
+
+
 def encode_frame(f: Frame) -> bytes:
     if isinstance(f, StreamFrame):
-        return (
-            bytes([KIND_STREAM])
-            + struct.pack(">IQBI", f.stream_id, f.offset, 1 if f.fin else 0, len(f.data))
-            + f.data
-        )
+        data = f.data
+        return _STREAM_HEAD.pack(KIND_STREAM, f.stream_id, f.offset, 1 if f.fin else 0,
+                                 len(data)) + data
     if isinstance(f, AckFrame):
-        if len(f.nack_ranges) > MAX_NACK_RANGES:
-            raise WireError(f"ack with {len(f.nack_ranges)} NACK ranges")
-        out = bytes([KIND_ACK]) + struct.pack(
-            ">QQH", f.largest_observed, f.least_unacked, len(f.nack_ranges)
-        )
-        for start, end in f.nack_ranges:
-            out += struct.pack(">QQ", start, end)
-        return out
+        ranges = f.nack_ranges
+        if len(ranges) > MAX_NACK_RANGES:
+            raise WireError(f"ack with {len(ranges)} NACK ranges")
+        head = _ACK_HEAD.pack(KIND_ACK, f.largest_observed, f.least_unacked, len(ranges))
+        if not ranges:
+            return head
+        return head + b"".join([_NACK_RANGE.pack(start, end) for start, end in ranges])
     if isinstance(f, WindowUpdateFrame):
-        return bytes([KIND_WINDOW_UPDATE]) + struct.pack(">IQ", f.stream_id, f.byte_offset)
+        return _WINDOW_UPDATE.pack(KIND_WINDOW_UPDATE, f.stream_id, f.byte_offset)
     if isinstance(f, CloseFrame):
-        return bytes([KIND_CLOSE]) + struct.pack(">IH", f.error_code, len(f.reason)) + f.reason
+        return _CLOSE_HEAD.pack(KIND_CLOSE, f.error_code, len(f.reason)) + f.reason
     raise WireError(f"unknown frame {f!r}")
 
 
@@ -196,7 +207,9 @@ def frame_len(f: Frame) -> int:
 
 
 def encode_frames(frames: list[Frame]) -> bytes:
-    return b"".join(encode_frame(f) for f in frames)
+    # encode_frame is looked up per frame: the benchmark's tracer wraps it
+    # there to sample ACK sizes.
+    return b"".join([encode_frame(f) for f in frames])
 
 
 def decode_frames(data: bytes) -> list[Frame]:
@@ -205,46 +218,48 @@ def decode_frames(data: bytes) -> list[Frame]:
     n = len(data)
     while pos < n:
         kind = data[pos]
-        pos += 1
         if kind == KIND_STREAM:
-            if n - pos < 17:
-                raise WireError("truncated STREAM frame")
-            stream_id, offset, fin, dlen = struct.unpack_from(">IQBI", data, pos)
-            pos += 17
-            if n - pos < dlen:
-                raise WireError("truncated STREAM data")
-            frames.append(StreamFrame(stream_id, offset, data[pos:pos + dlen], bool(fin)))
-            pos += dlen
-        elif kind == KIND_ACK:
             if n - pos < 18:
-                raise WireError("truncated ACK frame")
-            largest, least_unacked, count = struct.unpack_from(">QQH", data, pos)
+                raise WireError("truncated STREAM frame")
+            _, stream_id, offset, fin, dlen = _STREAM_HEAD.unpack_from(data, pos)
             pos += 18
+            end = pos + dlen
+            if end > n:
+                raise WireError("truncated STREAM data")
+            frames.append(StreamFrame(stream_id, offset, data[pos:end], fin != 0))
+            pos = end
+        elif kind == KIND_ACK:
+            if n - pos < ACK_FRAME_LEN:
+                raise WireError("truncated ACK frame")
+            _, largest, least_unacked, count = _ACK_HEAD.unpack_from(data, pos)
+            pos += ACK_FRAME_LEN
             if count > MAX_NACK_RANGES:
                 raise WireError(f"ack with {count} NACK ranges")
-            if n - pos < 16 * count:
+            if not count:
+                frames.append(AckFrame(largest, least_unacked))
+                continue
+            end = pos + NACK_RANGE_LEN * count
+            if end > n:
                 raise WireError("truncated NACK ranges")
-            ranges = []
-            for _ in range(count):
-                start, end = struct.unpack_from(">QQ", data, pos)
-                pos += 16
-                ranges.append((start, end))
-            frames.append(AckFrame(largest, least_unacked, tuple(ranges)))
+            frames.append(AckFrame(largest, least_unacked,
+                                   tuple(_NACK_RANGE.iter_unpack(data[pos:end]))))
+            pos = end
         elif kind == KIND_WINDOW_UPDATE:
-            if n - pos < 12:
+            if n - pos < 13:
                 raise WireError("truncated WINDOW_UPDATE")
-            stream_id, byte_offset = struct.unpack_from(">IQ", data, pos)
-            pos += 12
+            _, stream_id, byte_offset = _WINDOW_UPDATE.unpack_from(data, pos)
+            pos += 13
             frames.append(WindowUpdateFrame(stream_id, byte_offset))
         elif kind == KIND_CLOSE:
-            if n - pos < 6:
+            if n - pos < 7:
                 raise WireError("truncated CLOSE")
-            code, rlen = struct.unpack_from(">IH", data, pos)
-            pos += 6
-            if n - pos < rlen:
+            _, code, rlen = _CLOSE_HEAD.unpack_from(data, pos)
+            pos += 7
+            end = pos + rlen
+            if end > n:
                 raise WireError("truncated CLOSE reason")
-            frames.append(CloseFrame(code, data[pos:pos + rlen]))
-            pos += rlen
+            frames.append(CloseFrame(code, data[pos:end]))
+            pos = end
         else:
             raise WireError(f"unknown frame kind 0x{kind:02x}")
     return frames

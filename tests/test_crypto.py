@@ -323,6 +323,53 @@ def test_get_iv_distinct_sqn_distinct_nonce():
     assert get_iv(ks, "client", "send", 1) != get_iv(ks, "client", "send", 2)
 
 
+def ref_get_iv(keys: KeySet, role: str, direction: str, sqn: int) -> bytes:
+    """``get_iv`` as it was before its role and direction checks were folded
+    into its branches, kept verbatim as a reference."""
+    if role not in ("client", "server"):
+        raise CryptoError(f"bad role {role!r}")
+    if direction not in ("send", "receive"):
+        raise CryptoError(f"bad direction {direction!r}")
+    if role == "client":
+        prefix = keys.iv_s if direction == "send" else keys.iv_c
+    else:
+        prefix = keys.iv_c if direction == "send" else keys.iv_s
+    return prefix + sqn.to_bytes(8, "big")
+
+
+def iv_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:  # noqa: BLE001 - the exception itself is compared
+        return ("raise", type(e), str(e))
+
+
+bad_names = st.one_of(st.sampled_from(["", "Client", "server ", "recv", "sender", "both"]),
+                      st.text(max_size=8), st.none(), st.integers())
+
+
+@settings(max_examples=300)
+@given(st.binary(min_size=40, max_size=40),
+       st.one_of(st.sampled_from(["client", "server"]), bad_names),
+       st.one_of(st.sampled_from(["send", "receive"]), bad_names),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_get_iv_matches_reference(material, role, direction, sqn):
+    # Both roles and both directions, and bad values for each, alone and
+    # together: the same nonce, or the same CryptoError with the same message.
+    keys = split_keys(material)
+    assert (iv_outcome(get_iv, keys, role, direction, sqn)
+            == iv_outcome(ref_get_iv, keys, role, direction, sqn))
+
+
+def test_get_iv_matches_reference_on_every_pairing():
+    keys = split_keys(Random(5).randbytes(40))
+    for role in ("client", "server", "broker", ""):
+        for direction in ("send", "receive", "both", ""):
+            for sqn in (0, 1, 2**64 - 1, -1, 2**64):
+                assert (iv_outcome(get_iv, keys, role, direction, sqn)
+                        == iv_outcome(ref_get_iv, keys, role, direction, sqn))
+
+
 def test_extract_expand_is_hand_rolled_chain():
     # Pin the construction itself: one manual chain block.
     ipm, nonc = b"\x05" * 32, b"\x06" * 20

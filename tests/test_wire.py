@@ -1,3 +1,4 @@
+import struct
 from random import Random
 
 import pytest
@@ -187,3 +188,234 @@ def test_handshake_message_truncated():
 def test_handshake_message_unknown_kind():
     with pytest.raises(WireError):
         HandshakeMessage.decode(b"XXXX" + b"\x00" * 8)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the header and frame codecs as they were before they
+# were rewritten on precompiled struct layouts, kept verbatim. For every
+# input the codecs in ``wire`` must give the same bytes or records, or raise
+# the same exception type with the same message. Integers are drawn within
+# their fields' widths, the only values the connection produces.
+# ---------------------------------------------------------------------------
+
+def ref_encode_header(h: PacketHeader) -> bytes:
+    flags = (h.epoch & 0x03) << 2
+    out = bytearray()
+    if h.version is not None:
+        if len(h.version) != 4:
+            raise WireError("version field must be 4 bytes")
+        flags |= wire.FLAG_VERSION
+    if h.div_nonce is not None:
+        if len(h.div_nonce) != 32:
+            raise WireError("div_nonce must be 32 bytes")
+        flags |= wire.FLAG_DIV_NONCE
+    out.append(flags)
+    out += h.cid.to_bytes(8, "big")
+    if h.version is not None:
+        out += h.version
+    if h.div_nonce is not None:
+        out += h.div_nonce
+    out += h.sqn.to_bytes(8, "big")
+    return bytes(out)
+
+
+def ref_decode_header(data: bytes) -> tuple[PacketHeader, int]:
+    """Decode the clear header, returning it with its encoded length."""
+    if len(data) < 9:
+        raise WireError("truncated header")
+    flags = data[0]
+    pos = 1
+    cid = int.from_bytes(data[pos:pos + 8], "big")
+    pos += 8
+    version = None
+    div_nonce = None
+    if flags & wire.FLAG_VERSION:
+        if len(data) < pos + 4:
+            raise WireError("truncated version")
+        version = data[pos:pos + 4]
+        pos += 4
+    if flags & wire.FLAG_DIV_NONCE:
+        if len(data) < pos + 32:
+            raise WireError("truncated div_nonce")
+        div_nonce = data[pos:pos + 32]
+        pos += 32
+    if len(data) < pos + 8:
+        raise WireError("truncated sqn")
+    sqn = int.from_bytes(data[pos:pos + 8], "big")
+    pos += 8
+    epoch = (flags >> 2) & 0x03
+    return PacketHeader(cid, sqn, epoch, version, div_nonce), pos
+
+
+def ref_encode_frame(f) -> bytes:
+    if isinstance(f, StreamFrame):
+        return (
+            bytes([wire.KIND_STREAM])
+            + struct.pack(">IQBI", f.stream_id, f.offset, 1 if f.fin else 0, len(f.data))
+            + f.data
+        )
+    if isinstance(f, AckFrame):
+        if len(f.nack_ranges) > wire.MAX_NACK_RANGES:
+            raise WireError(f"ack with {len(f.nack_ranges)} NACK ranges")
+        out = bytes([wire.KIND_ACK]) + struct.pack(
+            ">QQH", f.largest_observed, f.least_unacked, len(f.nack_ranges)
+        )
+        for start, end in f.nack_ranges:
+            out += struct.pack(">QQ", start, end)
+        return out
+    if isinstance(f, WindowUpdateFrame):
+        return bytes([wire.KIND_WINDOW_UPDATE]) + struct.pack(">IQ", f.stream_id, f.byte_offset)
+    if isinstance(f, CloseFrame):
+        return bytes([wire.KIND_CLOSE]) + struct.pack(">IH", f.error_code, len(f.reason)) + f.reason
+    raise WireError(f"unknown frame {f!r}")
+
+
+def ref_decode_frames(data: bytes) -> list:
+    frames = []
+    pos = 0
+    n = len(data)
+    while pos < n:
+        kind = data[pos]
+        pos += 1
+        if kind == wire.KIND_STREAM:
+            if n - pos < 17:
+                raise WireError("truncated STREAM frame")
+            stream_id, offset, fin, dlen = struct.unpack_from(">IQBI", data, pos)
+            pos += 17
+            if n - pos < dlen:
+                raise WireError("truncated STREAM data")
+            frames.append(StreamFrame(stream_id, offset, data[pos:pos + dlen], bool(fin)))
+            pos += dlen
+        elif kind == wire.KIND_ACK:
+            if n - pos < 18:
+                raise WireError("truncated ACK frame")
+            largest, least_unacked, count = struct.unpack_from(">QQH", data, pos)
+            pos += 18
+            if count > wire.MAX_NACK_RANGES:
+                raise WireError(f"ack with {count} NACK ranges")
+            if n - pos < 16 * count:
+                raise WireError("truncated NACK ranges")
+            ranges = []
+            for _ in range(count):
+                start, end = struct.unpack_from(">QQ", data, pos)
+                pos += 16
+                ranges.append((start, end))
+            frames.append(AckFrame(largest, least_unacked, tuple(ranges)))
+        elif kind == wire.KIND_WINDOW_UPDATE:
+            if n - pos < 12:
+                raise WireError("truncated WINDOW_UPDATE")
+            stream_id, byte_offset = struct.unpack_from(">IQ", data, pos)
+            pos += 12
+            frames.append(WindowUpdateFrame(stream_id, byte_offset))
+        elif kind == wire.KIND_CLOSE:
+            if n - pos < 6:
+                raise WireError("truncated CLOSE")
+            code, rlen = struct.unpack_from(">IH", data, pos)
+            pos += 6
+            if n - pos < rlen:
+                raise WireError("truncated CLOSE reason")
+            frames.append(CloseFrame(code, data[pos:pos + rlen]))
+            pos += rlen
+        else:
+            raise WireError(f"unknown frame kind 0x{kind:02x}")
+    return frames
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ("ok", value) or ("raise", type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:  # noqa: BLE001 - the exception itself is compared
+        return ("raise", type(e), str(e))
+
+
+# Every optional-field combination, including fields of the wrong length.
+oracle_headers = st.builds(
+    PacketHeader,
+    cid=st.integers(min_value=0, max_value=2**64 - 1),
+    sqn=st.integers(min_value=0, max_value=2**64 - 1),
+    epoch=st.integers(min_value=0, max_value=3),
+    version=st.one_of(st.none(), st.just(wire.VERSION), st.binary(max_size=6)),
+    div_nonce=st.one_of(st.none(), st.binary(min_size=32, max_size=32),
+                        st.binary(max_size=40)),
+)
+
+
+@settings(max_examples=400)
+@given(oracle_headers)
+def test_encode_header_matches_reference(h):
+    assert outcome(encode_header, h) == outcome(ref_encode_header, h)
+
+
+@settings(max_examples=300)
+@given(oracle_headers.filter(lambda h: h.version in (None, wire.VERSION)
+                             and (h.div_nonce is None or len(h.div_nonce) == 32)),
+       st.integers(min_value=0, max_value=15))
+def test_decode_header_matches_reference_on_every_truncation(h, high_bits):
+    # Flag bits 4-7 carry nothing; set on input, they must be ignored alike.
+    data = bytearray(ref_encode_header(h))
+    data[0] |= high_bits << 4
+    data = bytes(data) + b"\xaa\xbb"  # trailing body bytes
+    for cut in range(len(data) + 1):
+        assert outcome(decode_header, data[:cut]) == outcome(ref_decode_header, data[:cut])
+
+
+@settings(max_examples=400)
+@given(st.binary(max_size=64))
+def test_decode_header_matches_reference_on_random_bytes(data):
+    assert outcome(decode_header, data) == outcome(ref_decode_header, data)
+
+
+oracle_ack_frames = st.builds(
+    AckFrame,
+    largest_observed=st.integers(min_value=0, max_value=2**64 - 1),
+    least_unacked=st.integers(min_value=0, max_value=2**64 - 1),
+    nack_ranges=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                  st.integers(min_value=0, max_value=2**64 - 1)),
+        min_size=1, max_size=5).map(tuple),
+)
+oracle_frames = st.lists(st.one_of(frames, oracle_ack_frames), max_size=6)
+
+
+@settings(max_examples=300)
+@given(oracle_frames)
+def test_encode_frames_matches_reference(fs):
+    assert outcome(encode_frames, fs) == outcome(
+        lambda fs: b"".join(ref_encode_frame(f) for f in fs), fs)
+
+
+def test_encode_frame_refusals_match_reference():
+    for f in (AckFrame(300, 0, tuple((i, i) for i in range(257))), object()):
+        assert outcome(wire.encode_frame, f) == outcome(ref_encode_frame, f)
+
+
+@settings(max_examples=200)
+@given(oracle_frames)
+def test_decode_frames_matches_reference_on_every_truncation(fs):
+    data = b"".join(ref_encode_frame(f) for f in fs)
+    for cut in range(len(data) + 1):
+        assert outcome(decode_frames, data[:cut]) == outcome(ref_decode_frames, data[:cut])
+
+
+@settings(max_examples=400)
+@given(st.binary(max_size=80),
+       st.sampled_from([b"", bytes([wire.KIND_STREAM]), bytes([wire.KIND_ACK]),
+                        bytes([wire.KIND_WINDOW_UPDATE]), bytes([wire.KIND_CLOSE])]))
+def test_decode_frames_matches_reference_on_random_bytes(data, lead):
+    data = lead + data
+    assert outcome(decode_frames, data) == outcome(ref_decode_frames, data)
+
+
+def test_decode_frames_matches_reference_on_edge_values():
+    cases = []
+    # A claimed range count at, above and far above the cap, with and
+    # without the ranges it claims.
+    for count in (0, 1, 5, 256, 257, 0xFFFF):
+        head = bytes([wire.KIND_ACK]) + struct.pack(">QQH", 9, 1, count)
+        cases += [head, head + b"\x00" * 16 * min(count, 300)]
+    # Any nonzero fin byte reads as a FIN.
+    for fin in (0, 1, 2, 0x80, 0xFF):
+        cases.append(bytes([wire.KIND_STREAM]) + struct.pack(">IQBI", 3, 7, fin, 2) + b"ab")
+    for data in cases:
+        assert outcome(decode_frames, data) == outcome(ref_decode_frames, data)
