@@ -2,7 +2,7 @@
 """Compare the CPU cost of two quicmq source trees in one process.
 
 Usage: python3 scripts/ab_compare.py OLD_SRC NEW_SRC [--world stream|fleet]
-                                     [--reps N] [--devices N] [--seed N]
+                                     [--reps N]
 
 OLD_SRC and NEW_SRC are directories holding a ``quicmq`` package (a
 checkout's ``src``) or the package directory itself. Both are imported into
@@ -11,11 +11,16 @@ the package is relative. The same seeded world is built on each side:
 
 - ``stream``: one publisher and one subscriber, 32 B messages on stream 3
   and 4 KB ones on stream 5 at about 9:1, 2% seeded loss, 0.2 ms delay.
-- ``fleet``: ``--devices`` clients, each subscribed to its inbox and its
+  This is the message mix of ``tests/test_trace_pin.py``, with other seeds
+  and a chunked schedule, so it is not that test's pinned trace.
+- ``fleet``: ``DEVICES`` clients, each subscribed to its inbox and its
   group of 50; 95% of publishes go to a random peer's inbox, 5% to a group.
+  This is a simplified fleet, not perfbench's ``fleet`` workload: no
+  connects or 0-RTT resumes are timed, and the publishers are drawn
+  uniformly per publish.
 
 After set-up, ``gc.freeze()`` moves both worlds out of the collector's
-reach, so collecting one world's garbage is not charged to the other. The
+reach while the chunks run, so collecting one world's garbage is not charged to the other. The
 two sides then run the same plan in alternating chunks of 25 publishes (one
 per simulated millisecond), ``--reps`` chunks each, with the order of the
 pair swapped every rep so that drift in host speed falls on both. Each
@@ -39,6 +44,8 @@ from random import Random
 BROKER = ("10.0.0.1", 4433)
 CHUNK = 25  # publishes per timed chunk
 GROUP_SIZE = 50
+DEVICES = 1000  # clients in the fleet world
+SEED = 1
 
 
 def load(src: str, name: str) -> dict:
@@ -56,10 +63,11 @@ def load(src: str, name: str) -> dict:
             for sub in ("agents", "handshake", "netsim")}
 
 
-def plan(world: str, publishes: int, devices: int, seed: int) -> list[tuple]:
+def plan(world: str, publishes: int) -> list[tuple]:
     """(publisher index, topic, payload, stream id) for every publish, drawn
     once and replayed by both sides."""
-    rng = Random(seed)
+    rng = Random(SEED + 1)
+    devices = DEVICES
     out = []
     for n in range(publishes):
         if world == "stream":
@@ -81,7 +89,8 @@ def plan(world: str, publishes: int, devices: int, seed: int) -> list[tuple]:
 class World:
     """One side: a broker and its clients on a simulated network."""
 
-    def __init__(self, mods: dict, world: str, devices: int, seed: int):
+    def __init__(self, mods: dict, world: str):
+        seed = SEED
         agents, netsim = mods["agents"], mods["netsim"]
         loss = 0.02 if world == "stream" else 0.0
         self.net = net = netsim.SimNetwork(
@@ -89,7 +98,7 @@ class World:
         identity = mods["handshake"].ServerIdentity.create(now=0.0, rng=Random(seed))
         agents.ServerAgent(net, BROKER, identity, rng=Random(seed))
         self.received: list[tuple] = []
-        count = 2 if world == "stream" else devices
+        count = 2 if world == "stream" else DEVICES
         self.clients = []
         for i in range(count):
             self.clients.append(agents.ClientAgent(
@@ -131,17 +140,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--world", choices=("stream", "fleet"), default="stream")
     parser.add_argument("--reps", type=int, default=200, help="chunks per side")
-    parser.add_argument("--devices", type=int, default=1000, help="fleet world size")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.reps < 1 or args.devices < 2:
-        parser.error("--reps must be at least 1 and --devices at least 2")
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
 
     sides = {}
     for label, src in (("old", args.old_src), ("new", args.new_src)):
-        sides[label] = World(load(os.path.abspath(src), f"quicmq_{label}"),
-                             args.world, args.devices, args.seed)
-    publishes = plan(args.world, CHUNK * args.reps, args.devices, args.seed + 1)
+        sides[label] = World(load(os.path.abspath(src), f"quicmq_{label}"), args.world)
+    publishes = plan(args.world, CHUNK * args.reps)
     gc.collect()
     gc.freeze()
     for rep in range(args.reps):
@@ -149,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ("old", "new") if rep % 2 == 0 else ("new", "old")
         for label in order:
             sides[label].run_chunk(chunk)
+    gc.unfreeze()
 
     results = {label: side.outcome() for label, side in sides.items()}
     for label, side in sides.items():

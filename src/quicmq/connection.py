@@ -1046,8 +1046,8 @@ class Connection:
         """Send one stream chunk per packet while the congestion window
         allows; anything left stays queued on its stream."""
         for stream in self.streams.values():
-            if stream.send_buf or (stream.fin_queued and not stream.fin_sent):
-                break  # Stream.has_pending, inlined: this runs on every flush
+            if stream.has_pending():
+                break
         else:
             return
         chunks = self._stream_chunks()

@@ -1,38 +1,50 @@
 """Smoke tests of scripts/ab_compare.py on tiny worlds. They check only
 what the script reports about the two sides' outputs, never a timing."""
 
+import importlib.util
 import os
 import re
 import shutil
-import subprocess
 import sys
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPT = os.path.join(ROOT, "scripts", "ab_compare.py")
 SRC = os.path.join(ROOT, "src")
 
 
-def ab_compare(old, new, *args):
-    proc = subprocess.run([sys.executable, SCRIPT, old, new, *args],
-                          capture_output=True, text=True, timeout=300)
-    sides = dict(re.findall(r"^(old|new): (deliveries \d+, datagrams \d+)", proc.stdout,
+@pytest.fixture
+def ab():
+    spec = importlib.util.spec_from_file_location(
+        "ab_compare", os.path.join(ROOT, "scripts", "ab_compare.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.DEVICES = 6  # a tiny fleet world
+    yield module
+    # main() imports each tree under these names; drop them so that the
+    # next test imports its trees afresh.
+    for name in [n for n in sys.modules if n.split(".")[0] in ("quicmq_old", "quicmq_new")]:
+        del sys.modules[name]
+
+
+def run(ab, capsys, old, new, world):
+    code = ab.main([old, new, "--world", world, "--reps", "2"])
+    out = capsys.readouterr().out
+    sides = dict(re.findall(r"^(old|new): (deliveries \d+, datagrams \d+)", out,
                             re.MULTILINE))
-    return proc, sides
+    return code, out, sides
 
 
-@pytest.mark.parametrize("args", [("--world", "stream", "--reps", "2"),
-                                  ("--world", "fleet", "--devices", "6", "--reps", "2")])
-def test_same_tree_on_both_sides_gives_equal_outputs(args):
-    proc, sides = ab_compare(SRC, SRC, *args)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.mark.parametrize("world", ["stream", "fleet"])
+def test_same_tree_on_both_sides_gives_equal_outputs(ab, capsys, world):
+    code, out, sides = run(ab, capsys, SRC, SRC, world)
+    assert code == 0, out
     assert sides["old"] == sides["new"]
-    assert "cpu ratio new/old:" in proc.stdout
-    assert proc.stdout.strip().endswith("outputs equal")
+    assert "cpu ratio new/old:" in out
+    assert out.strip().endswith("outputs equal")
 
 
-def test_a_tree_that_sends_other_datagrams_exits_1(tmp_path):
+def test_a_tree_that_sends_other_datagrams_exits_1(ab, capsys, tmp_path):
     # Acking every packet at once changes the datagram count, not the
     # deliveries.
     pkg = tmp_path / "quicmq"
@@ -41,7 +53,7 @@ def test_a_tree_that_sends_other_datagrams_exits_1(tmp_path):
     source = (pkg / "connection.py").read_text()
     assert "QUICK_ACKS = 16" in source
     (pkg / "connection.py").write_text(source.replace("QUICK_ACKS = 16", "QUICK_ACKS = 10**9"))
-    proc, sides = ab_compare(SRC, str(tmp_path), "--world", "stream", "--reps", "2")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
+    code, out, sides = run(ab, capsys, SRC, str(tmp_path), "stream")
+    assert code == 1, out
     assert sides["old"] != sides["new"]
-    assert "MISMATCH" in proc.stdout
+    assert "MISMATCH" in out
