@@ -78,8 +78,10 @@ def kg(lam: int = 128, rng: Random = SYSTEM_RNG) -> SignatureKeyPair:
 
 
 def sign(sk: bytes, m: bytes) -> bytes:
+    """Sign with a nonce derived from the key and the message (RFC 6979),
+    so one key signs one message to the same bytes on every run."""
     priv = ec.derive_private_key(int.from_bytes(sk, "big"), ec.SECP256R1())
-    return priv.sign(m, ec.ECDSA(hashes.SHA256()))
+    return priv.sign(m, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
 
 
 def ver(pk: bytes, m: bytes, sigma: bytes) -> bool:

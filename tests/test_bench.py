@@ -159,6 +159,9 @@ def rej_fallback_run(state_dir: str) -> bytes:
 # when the wire format, the packet ladder, the simulated timing or the
 # broker's delivery order changes; a change that moves one must update it
 # and say why.
+# Each "<run>.datagrams" entry is the sha256 of every datagram that run put
+# on the simulated network, in the order sent. Signatures are deterministic,
+# so REJs included, these move only when some byte on the wire does.
 PINNED_DIGESTS = {
     "conn_overhead_wired": "8584854b34f06f91667b2fafc14b0d6782b109ddede4bd543594dd84806736c2",
     "hol_wired": "d4781aee5296eff26a3767287513ae74fa0ac7498ca7857dab7bae941de45464",
@@ -176,10 +179,30 @@ PINNED_DIGESTS = {
         "b6e2aaa1223c46a40fa66bebaa28b23a0226640b324f483c16a866653969f2a8",
     "fanout_received": "104038966138270088989bb52413df64aea4ff5182ca2e74e69c708abdc289b8",
     "rej_fallback": "565a201a14a7d88166df2635d6482629936842cff764361bacc4177911b0eb75",
+    "conn_overhead_wired.datagrams":
+        "5de849a6641611cd82627452db79372805f8a589600e2b3cfb4c3b0f59f1bdd9",
+    "hol_wired.datagrams": "929f6ce19ed8376341051cc3a79d9e3519cab0df1d52cd914674218603f99122",
+    "half_open_wired.datagrams":
+        "c43c3144c201475504dd6d31e2ecb99a0a21c26eccff0f2eb6aeb58c351be6b5",
+    # migrate runs lossless, so its two profiles send the same bytes, at
+    # different times.
+    "migrate_wired.datagrams": "8dd9f048081aa84232c111d760cd69a957fdabdaed59604393f84c4e946a24e2",
+    "conn_overhead_wireless.datagrams":
+        "77aa254d62b3c8c0d9391d0187f96950cb868487ee263bbac8994e59563c0c8f",
+    "hol_wireless.datagrams": "1e8e62e7e198882da7650da67e4b31cc07eea4c65035595f4501fee1d700814b",
+    "stream_isolation_wired.datagrams":
+        "7beea4dd6f8d257758915f14d78515a22c347e2b1f4fbd2218a2210d8671e19d",
+    "migrate_wireless.datagrams":
+        "8dd9f048081aa84232c111d760cd69a957fdabdaed59604393f84c4e946a24e2",
+    "conn_overhead_long_distance.datagrams":
+        "817cc6247dc1d284ed845cf1c354ed42173693e10de1af8588d721db3aa7520a",
+    "fanout_many_subscribers.datagrams":
+        "ac55de32ccb348ae16899f77b7fa1905692fb4e110d76496a0bad7c0b77f671a",
+    "rej_fallback.datagrams": "d6852e34bc5b7974f828a0f58e799975b404a4fb39c139798e75e4a885953c56",
 }
 
 
-def test_bench_output_matches_pinned_digests(tmp_path):
+def test_bench_output_matches_pinned_digests(tmp_path, monkeypatch):
     # The first four are the test_benchmark_determinism configurations.
     runs = {
         "conn_overhead_wired": lambda: bench_conn_overhead(
@@ -201,17 +224,32 @@ def test_bench_output_matches_pinned_digests(tmp_path):
         "conn_overhead_long_distance": lambda: bench_conn_overhead(
             "long_distance", mode=None, iterations=3, seed=9, state_dir=str(tmp_path / "c")),
     }
+    datagrams = hashlib.sha256()
+    send = SimNetwork.send
+
+    def recording_send(self, payload, *args):
+        datagrams.update(payload)
+        send(self, payload, *args)
+    monkeypatch.setattr(SimNetwork, "send", recording_send)
+
+    def pinned(name, run):
+        nonlocal datagrams
+        datagrams = hashlib.sha256()
+        out = run()
+        digests[name + ".datagrams"] = datagrams.hexdigest()
+        return out
+
     digests = {}
     for name, run in runs.items():
-        res = run()
+        res = pinned(name, run)
         h = hashlib.sha256(res.to_json().encode())
         h.update(repr(res.series_rows()).encode())
         digests[name] = h.hexdigest()
-    trace, received = fanout_run()
+    trace, received = pinned("fanout_many_subscribers", fanout_run)
     digests["fanout_many_subscribers"] = hashlib.sha256(trace + received).hexdigest()
     digests["fanout_received"] = hashlib.sha256(received).hexdigest()
     digests["rej_fallback"] = hashlib.sha256(
-        rej_fallback_run(str(tmp_path / "rej"))).hexdigest()
+        pinned("rej_fallback", lambda: rej_fallback_run(str(tmp_path / "rej")))).hexdigest()
     assert digests == PINNED_DIGESTS
 
 

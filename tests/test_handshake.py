@@ -47,6 +47,16 @@ def test_scfg_signature_verifies(identity):
     assert ver(identity.sign_pair.pk, blob, cfg.prof)
 
 
+def test_one_seed_signs_one_config():
+    # RFC 6979 nonces: a seeded identity, and every REJ that carries its
+    # config, repeat byte for byte.
+    a = ServerIdentity.create(1000.0, Random(42))
+    b = ServerIdentity.create(1000.0, Random(42))
+    assert a.scfg.prof == b.scfg.prof
+    assert ver(a.sign_pair.pk, signed_blob(a.scfg.scid, a.scfg.pub_bytes(), a.scfg.expy),
+               a.scfg.prof)
+
+
 def test_scid_is_hash_of_public_and_expiry(identity):
     cfg = identity.scfg
     assert cfg.scid == sha256(cfg.pub_bytes() + cfg.expy.to_bytes(4, "big"))

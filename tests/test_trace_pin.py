@@ -20,9 +20,8 @@ from quicmq.wire import AckFrame, WindowUpdateFrame
 BROKER = ("10.0.0.1", 4433)
 
 # sha256 of lossy_exchange()'s trace lines, the received (topic, payload)
-# pairs and the sha256 of every datagram's bytes but a REJ's, in the order
-# sent.
-PINNED_DIGEST = "da3c3a0136517836b16d42e29851fc836f5d539a232c4a2621cd20c8dc608a25"
+# pairs and the sha256 of every datagram's bytes, in the order sent.
+PINNED_DIGEST = "3b3449160cf434914d09c046693b3299250d405f209d31bc9e9f651b1c64f549"
 
 
 def lossy_exchange() -> bytes:
@@ -30,16 +29,14 @@ def lossy_exchange() -> bytes:
     and of 4 KB on stream 5, about 9:1 by a seeded draw, one per simulated
     millisecond, over a link with 2% seeded loss and 0.2 ms delay. Returns
     the wire trace, what the subscriber received and a digest of the
-    datagrams' bytes, which the trace does not hold. A REJ is left out of
-    the digest: it carries the server config's ECDSA signature, whose nonce
-    the library draws from the OS, so its bytes differ from run to run."""
+    datagrams' bytes, which the trace does not hold. A REJ is among them:
+    its config's signature is deterministic (RFC 6979)."""
     net = SimNetwork(SimConfig(delay_ms=0.2, loss_rate=0.02), seed=20)
     wire_bytes = hashlib.sha256()
     send = net.send
 
     def recording_send(payload, src, dst, annotation=""):
-        if annotation != "rej":
-            wire_bytes.update(payload)
+        wire_bytes.update(payload)
         send(payload, src, dst, annotation)
     net.send = recording_send
     identity = ServerIdentity.create(now=0.0, rng=Random(42))
