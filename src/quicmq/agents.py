@@ -119,7 +119,7 @@ class _ConnState:
     def __init__(self, network: SimNetwork, on_event: Callable[[object], None],
                  **conn_args):
         self.network = network
-        self.conn = Connection(clock=lambda: network.clock.now_s,
+        self.conn = Connection(config=TransportConfig(), clock=lambda: network.clock.now_s,
                                scheduler=self.schedule, on_event=on_event, **conn_args)
         self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
         self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
@@ -163,7 +163,6 @@ class ClientAgent:
 
     def __init__(self, network: SimNetwork, local_addr: Address, broker_addr: Address,
                  client_id: str, server_pk: bytes,
-                 config: TransportConfig | None = None,
                  rng: Random = SYSTEM_RNG,
                  state_dir: str | None = None,
                  persistent: bool = False,
@@ -181,7 +180,6 @@ class ClientAgent:
         self.broker_addr = broker_addr
         self.client_id = client_id
         self.server_pk = server_pk
-        self.config = config or TransportConfig()
         self.rng = rng
         self.sessions = SessionStore(state_dir) if state_dir is not None else None
         self.persistent = persistent
@@ -196,7 +194,6 @@ class ClientAgent:
         self.dead = False
         self.failure: str | None = None
         self._next_msgid = 1
-        self._ping_timer = None
 
         network.register(local_addr, self._on_datagram)
 
@@ -229,8 +226,7 @@ class ClientAgent:
             self.network, self._on_conn_event, role="client",
             cid=self.rng.getrandbits(64),
             local_addr=self.local_addr, peer_addr=self.broker_addr,
-            config=self.config, rng=self.rng, server_pk=self.server_pk,
-            session=session)
+            rng=self.rng, server_pk=self.server_pk, session=session)
         try:
             path = self.conn.start_connect()
         except Exception as e:
@@ -304,9 +300,7 @@ class ClientAgent:
         _pump(self.network, self.conn)
 
     def _arm_ping(self) -> None:
-        if self._ping_timer is not None:
-            self._ping_timer.cancel()
-        self._ping_timer = self.state.schedule(max(1, self.keepalive), self._send_ping)
+        self.state.schedule(max(1, self.keepalive), self._send_ping)
 
     def _send_ping(self) -> None:
         if self.conn.phase == ESTABLISHED:
@@ -386,13 +380,11 @@ class ServerAgent:
 
     def __init__(self, network: SimNetwork, addr: Address, identity: ServerIdentity,
                  broker: Broker | None = None,
-                 config: TransportConfig | None = None,
                  rng: Random = SYSTEM_RNG):
         self.network = network
         self.addr = addr
         self.identity = identity
         self.broker = broker if broker is not None else Broker()
-        self.config = config or TransportConfig()
         self.rng = rng
         self.conns: dict[int, _ConnState] = {}
         self.conns_opened = 0
@@ -443,7 +435,7 @@ class ServerAgent:
         state = _ConnState(
             self.network, lambda event: self._on_conn_event(state, event),
             role="server", cid=cid, local_addr=self.addr, peer_addr=src,
-            config=self.config, rng=self.rng, identity=self.identity)
+            rng=self.rng, identity=self.identity)
         self.conns[cid] = state
         self.conns_opened += 1
         return state

@@ -18,7 +18,7 @@ from random import Random
 
 from . import baseline
 from .agents import ClientAgent, ServerAgent
-from .connection import ESTABLISHED
+from .connection import ESTABLISHED, TransportConfig
 from .handshake import ServerIdentity
 from .netsim import PROFILES, Address, SimConfig, SimNetwork
 
@@ -426,12 +426,13 @@ def bench_half_open(profile: str = "wired", publishers: int = 10,
     tcp_series = baseline.half_open_series(conns, restart_at, horizon)
     tcp_keepalive = baseline.half_open_series(conns, restart_at, horizon,
                                               keepalive_s=20.0)
+    transport = TransportConfig()  # what every agent's connection runs on
     return BenchResult(
         scenario="half_open",
         config={**world.link, "publishers": publishers, "conns": conns,
                 "restart_at_s": restart_at, "horizon_s": horizon, "seed": seed,
-                "idle_timeout_s": server.config.idle_timeout_s,
-                "drain_period_s": server.config.drain_period_s},
+                "idle_timeout_s": transport.idle_timeout_s,
+                "drain_period_s": transport.drain_period_s},
         data={
             "quic_state_series": series,
             "tcp_state_series": tcp_series,

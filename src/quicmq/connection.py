@@ -134,7 +134,6 @@ class HandshakeFailed:
 class StreamData:
     stream_id: int
     data: bytes
-    fin: bool
 
 
 @dataclass(frozen=True)
@@ -240,68 +239,46 @@ class Stream:
     """One bidirectional stream: send buffering with offset accounting and
     receive reassembly that never delivers a byte twice."""
 
-    __slots__ = ("stream_id", "send_buf", "send_offset", "fin_queued", "fin_sent",
-                 "peer_limit", "fragments", "delivered", "received", "fin_offset",
-                 "advertised")
+    __slots__ = ("stream_id", "send_buf", "send_offset", "peer_limit", "fragments",
+                 "delivered", "received", "advertised")
 
     def __init__(self, stream_id: int):
         self.stream_id = stream_id
         # send side
         self.send_buf = bytearray()  # written, not yet packetized
         self.send_offset = 0  # next offset to packetize
-        self.fin_queued = False
-        self.fin_sent = False
         self.peer_limit = STREAM_WINDOW
         # receive side
         self.fragments: dict[int, bytes] = {}
         self.delivered = 0
         self.received = 0  # highest offset received
-        self.fin_offset: int | None = None
         self.advertised = STREAM_WINDOW
 
     # -- send --------------------------------------------------------------
-
-    def write(self, data: bytes, fin: bool = False) -> None:
-        if self.fin_queued:
-            raise TransportError("stream_closed", f"stream {self.stream_id}")
-        self.send_buf += data
-        if fin:
-            self.fin_queued = True
 
     def sendable(self, conn_room: int) -> int:
         room = min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK)
         return max(0, min(len(self.send_buf), room))
 
     def has_pending(self) -> bool:
-        return bool(self.send_buf) or (self.fin_queued and not self.fin_sent)
+        return bool(self.send_buf)
 
-    def take_chunk(self, limit: int) -> tuple[bytes, bool, int]:
-        """Dequeue up to ``limit`` bytes; returns (data, fin, offset). The
-        FIN goes out with the chunk that drains the buffer, or alone after."""
+    def take_chunk(self, limit: int) -> tuple[bytes, int]:
+        """Dequeue up to ``limit`` bytes; returns (data, offset)."""
         data = bytes(self.send_buf[:limit])
         del self.send_buf[:limit]
-        fin = self.fin_queued and not self.fin_sent and not self.send_buf
         offset = self.send_offset
         self.send_offset += len(data)
-        if fin:
-            self.fin_sent = True
-        return data, fin, offset
+        return data, offset
 
     # -- receive ------------------------------------------------------------
 
-    def accept(self, frame: StreamFrame) -> list[tuple[bytes, bool]]:
-        """Insert a fragment, returning newly contiguous (data, fin) chunks.
-        Data past the advertised limit is a flow-control error (RFC 9000 §4.1)."""
+    def accept(self, frame: StreamFrame) -> list[bytes]:
+        """Insert a fragment, returning the newly contiguous chunks. Data
+        past the advertised limit is a flow-control error (RFC 9000 §4.1)."""
         end = frame.offset + len(frame.data)
         if end > self.advertised:
             raise TransportError("flow_control", f"stream {self.stream_id}")
-        if frame.fin:
-            if self.fin_offset is not None and self.fin_offset != end:
-                raise TransportError("final_offset_changed",
-                                     f"stream {self.stream_id}")
-            self.fin_offset = end
-        if self.fin_offset is not None and end > self.fin_offset:
-            raise TransportError("data_past_final_offset")
         self.received = max(self.received, end)
         if end > self.delivered:
             start = frame.offset
@@ -316,10 +293,7 @@ class Stream:
         while self.delivered in self.fragments:
             data = self.fragments.pop(self.delivered)
             self.delivered += len(data)
-            fin = self.fin_offset == self.delivered
-            out.append((data, fin))
-        if not out and frame.fin and self.fin_offset == self.delivered:
-            out.append((b"", True))
+            out.append(data)
         return out
 
 
@@ -490,7 +464,7 @@ class Connection:
     def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
         """Send a hello padded by ``_pad_hello`` with the same ``first``. A
         client keeps it so that a retransmission repeats it byte for byte."""
-        frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded, False)
+        frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
         if self.role == "client":
@@ -717,7 +691,7 @@ class Connection:
         shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self.clock(),
                                                    self.rng)
         inner = shlo.encode()
-        self._hs_shlo = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner, False)
+        self._hs_shlo = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner)
         self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo")
         self.k = self.identity.derive_k_server(
             ephemeral, client_pub, self._hs_nonc, self.cid, chlo_wire, inner)
@@ -768,8 +742,8 @@ class Connection:
         except TransportError as e:
             self.close(error_code=1, reason=e.reason.encode())
             return
-        for data, fin in chunks:
-            self.on_event(StreamData(frame.stream_id, data, fin))
+        for data in chunks:
+            self.on_event(StreamData(frame.stream_id, data))
         delivered_now = stream.delivered - before
         if delivered_now:
             self.conn_delivered += delivered_now
@@ -947,18 +921,18 @@ class Connection:
 
     def _stream(self, stream_id: int) -> Stream:
         """The stream ``stream_id``, created by its first write or first
-        frame; it ends with its FIN or with the connection."""
+        frame; it ends with the connection."""
         stream = self.streams.get(stream_id)
         if stream is None:
             check_stream_id(stream_id)
             stream = self.streams[stream_id] = Stream(stream_id)
         return stream
 
-    def send_stream(self, stream_id: int, data: bytes, fin: bool = False) -> None:
+    def send_stream(self, stream_id: int, data: bytes) -> None:
         """Queue ``data`` on a stream; a write to a draining or closed
         connection is dropped."""
         if self.phase not in (DRAINING, CLOSED):
-            self._stream(stream_id).write(data, fin)
+            self._stream(stream_id).send_buf += data
 
     # ------------------------------------------------------------------- flush
 
@@ -1035,11 +1009,11 @@ class Connection:
                 if not stream.has_pending():
                     continue
                 conn_room = self.peer_conn_limit - self.conn_bytes_sent
-                data, fin, offset = stream.take_chunk(stream.sendable(conn_room))
-                if not data and not fin:
+                data, offset = stream.take_chunk(stream.sendable(conn_room))
+                if not data:
                     continue
                 self.conn_bytes_sent += len(data)
-                yield StreamFrame(stream_id, offset, data, fin)
+                yield StreamFrame(stream_id, offset, data)
                 progressed = True
 
     def _flush_data(self) -> None:

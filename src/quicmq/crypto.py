@@ -218,9 +218,6 @@ class KeySet:
         if len(self.iv_c) != 4 or len(self.iv_s) != 4:
             raise CryptoError("IV prefixes must be 4 bytes")
 
-    def serialize(self) -> bytes:
-        return self.k_c + self.k_s + self.iv_c + self.iv_s
-
 
 NULL_KEYS = KeySet(b"\x00" * 16, b"\x00" * 16, b"\x00" * 4, b"\x00" * 4)
 

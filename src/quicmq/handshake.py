@@ -116,11 +116,9 @@ def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
     return LABEL_SCFG_SIGNATURE + b"\x00" + scid + pub_bytes + expy.to_bytes(4, "big")
 
 
-def get_scfg(sign_sk: bytes, now: float, lam: int = 128, rng: Random = SYSTEM_RNG,
+def get_scfg(sign_sk: bytes, now: float, rng: Random = SYSTEM_RNG,
              rotation_s: float = 86400.0) -> ServerConfig:
     """Mint a fresh server configuration valid for one rotation period."""
-    if lam != 128:
-        raise CryptoError(f"unsupported security parameter: {lam}")
     pair = dh_keypair(GROUP_ID, rng)
     expy = int(now + rotation_s)
     pub_bytes = bytes([GROUP_ID]) + pair.public
@@ -319,12 +317,12 @@ class ServerIdentity:
     def create(cls, now: float, rng: Random = SYSTEM_RNG) -> "ServerIdentity":
         pair = crypto.kg(128, rng)
         k_stk = rng.randbytes(16)
-        scfg = get_scfg(pair.sk, now, 128, rng)
+        scfg = get_scfg(pair.sk, now, rng)
         return cls(pair, k_stk, scfg, StrikeRegister())
 
     def rotate_scfg(self, now: float, rng: Random = SYSTEM_RNG) -> None:
         self.retired[self.scfg.scid] = self.scfg
-        self.scfg = get_scfg(self.sign_pair.sk, now, 128, rng)
+        self.scfg = get_scfg(self.sign_pair.sk, now, rng)
 
     # -- full CHLO validation -------------------------------------------------
 

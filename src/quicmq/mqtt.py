@@ -469,9 +469,6 @@ class Broker:
 
     # -- accounting -------------------------------------------------------
 
-    def connection_count(self) -> int:
-        return len(self._by_conn)
-
     def fresh_msgid(self) -> int:
         msgid = self._next_msgid
         self._next_msgid = self._next_msgid % 0xFFFF + 1

@@ -49,7 +49,6 @@ class UdpNetwork:
         self._timers: list = []
         self._seq = 0
         self.trace: list[TraceEvent] = []
-        self.running = False
 
     def register(self, address: Address, handler: Callable[[bytes, Address], None]) -> None:
         if self._sock is not None:
@@ -111,38 +110,31 @@ class UdpNetwork:
         """Run the loop until ``stop()`` holds or, given ``until_s``, until
         the runner has been up that many seconds."""
         until = None if until_s is None else self.clock.start_s + until_s
-        self.running = True
-        try:
-            while self.running:
-                if stop is not None and stop():
-                    return
-                if until is not None and self.clock.now_s >= until:
-                    return
-                wait = self._fire_due_timers()
-                if wait is None:
-                    wait = 0.2
-                if until is not None:
-                    wait = min(wait, max(0.0, until - self.clock.now_s))
-                if self._sock is None:
-                    time.sleep(min(wait, 0.05))
-                    continue
-                ready, _, _ = select.select([self._sock], [], [], min(wait, 0.2))
-                if ready:
-                    local = self.local_address()
-                    for _ in range(64):
-                        try:
-                            payload, src = self._sock.recvfrom(65535)
-                        except BlockingIOError:
-                            break
-                        except OSError:
-                            return
-                        if self.trace_path is not None:
-                            self.trace.append(TraceEvent(self.clock.now_us, "deliver",
-                                                         src, local, len(payload)))
-                        if self._handler is not None:
-                            self._handler(payload, src)
-        finally:
-            self.running = False
-
-    def stop(self) -> None:
-        self.running = False
+        while True:
+            if stop is not None and stop():
+                return
+            if until is not None and self.clock.now_s >= until:
+                return
+            wait = self._fire_due_timers()
+            if wait is None:
+                wait = 0.2
+            if until is not None:
+                wait = min(wait, max(0.0, until - self.clock.now_s))
+            if self._sock is None:
+                time.sleep(min(wait, 0.05))
+                continue
+            ready, _, _ = select.select([self._sock], [], [], min(wait, 0.2))
+            if ready:
+                local = self.local_address()
+                for _ in range(64):
+                    try:
+                        payload, src = self._sock.recvfrom(65535)
+                    except BlockingIOError:
+                        break
+                    except OSError:
+                        return
+                    if self.trace_path is not None:
+                        self.trace.append(TraceEvent(self.clock.now_us, "deliver",
+                                                     src, local, len(payload)))
+                    if self._handler is not None:
+                        self._handler(payload, src)

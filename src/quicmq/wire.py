@@ -134,10 +134,11 @@ KIND_CLOSE = 0x06  # 0x04 and 0x05 are unassigned and refused
 
 @dataclass(slots=True)
 class StreamFrame:
+    """Stream data at ``offset``. A stream has no FIN: it ends with its
+    connection."""
     stream_id: int
     offset: int
     data: bytes
-    fin: bool = False
 
 
 @dataclass(slots=True)
@@ -168,7 +169,9 @@ Frame = StreamFrame | AckFrame | WindowUpdateFrame | CloseFrame
 
 
 # Frame heads, kind byte included.
-_STREAM_HEAD = struct.Struct(">BIQBI")  # kind, stream_id, offset, fin, data length
+# kind, stream_id, offset, reserved, data length; the reserved byte is sent
+# as 0 and a frame with it set is refused.
+_STREAM_HEAD = struct.Struct(">BIQBI")
 _ACK_HEAD = struct.Struct(">BQQH")  # kind, largest_observed, least_unacked, count
 _NACK_RANGE = struct.Struct(">QQ")  # start, end
 _WINDOW_UPDATE = struct.Struct(">BIQ")  # kind, stream_id, byte_offset
@@ -178,8 +181,7 @@ _CLOSE_HEAD = struct.Struct(">BIH")  # kind, error_code, reason length
 def encode_frame(f: Frame) -> bytes:
     if isinstance(f, StreamFrame):
         data = f.data
-        return _STREAM_HEAD.pack(KIND_STREAM, f.stream_id, f.offset, 1 if f.fin else 0,
-                                 len(data)) + data
+        return _STREAM_HEAD.pack(KIND_STREAM, f.stream_id, f.offset, 0, len(data)) + data
     if isinstance(f, AckFrame):
         ranges = f.nack_ranges
         if len(ranges) > MAX_NACK_RANGES:
@@ -221,12 +223,14 @@ def decode_frames(data: bytes) -> list[Frame]:
         if kind == KIND_STREAM:
             if n - pos < 18:
                 raise WireError("truncated STREAM frame")
-            _, stream_id, offset, fin, dlen = _STREAM_HEAD.unpack_from(data, pos)
+            _, stream_id, offset, reserved, dlen = _STREAM_HEAD.unpack_from(data, pos)
+            if reserved:
+                raise WireError("reserved STREAM byte set")
             pos += 18
             end = pos + dlen
             if end > n:
                 raise WireError("truncated STREAM data")
-            frames.append(StreamFrame(stream_id, offset, data[pos:end], fin != 0))
+            frames.append(StreamFrame(stream_id, offset, data[pos:end]))
             pos = end
         elif kind == KIND_ACK:
             if n - pos < ACK_FRAME_LEN:

@@ -259,7 +259,7 @@ def test_queued_control_frames_never_push_a_full_chunk_past_the_budget(world, up
     assert all(len(packet) <= HANDSHAKE_PACKET_LEN for packet, _ in outputs)
     sent = [[f for f in frames_to_client(conn, packet) if not isinstance(f, AckFrame)]
             for packet, _ in outputs]
-    last = [StreamFrame(2, 0, b"x" * 1200, False)] + ([CloseFrame()] if close else [])
+    last = [StreamFrame(2, 0, b"x" * 1200)] + ([CloseFrame()] if close else [])
     if updates == 8:
         # 8 updates and a full chunk came to 1375 B: the updates go first,
         # in a packet of their own.

@@ -22,12 +22,11 @@ from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, TAG_STK, decode_header
 BROKER = ("10.0.0.1", 4433)
 
 
-def make_world(seed=3, delay_ms=0.5, state_dir=None, config=None):
+def make_world(seed=3, delay_ms=0.5, state_dir=None):
     net = SimNetwork(SimConfig(delay_ms=delay_ms), seed=seed)
     identity = ServerIdentity.create(now=0.0, rng=Random(42))
     broker = Broker(state_dir=state_dir)
-    server = ServerAgent(net, BROKER, identity, broker=broker,
-                         config=config, rng=Random(seed))
+    server = ServerAgent(net, BROKER, identity, broker=broker, rng=Random(seed))
     return net, identity, server
 
 
@@ -650,18 +649,18 @@ def test_established_idle_pair_stays_under_its_memory_bound():
 
 
 def test_crashed_clients_reclaimed_within_budget():
-    cfg = TransportConfig(idle_timeout_s=3.0, drain_period_s=1.0)
-    net, identity, server = make_world(config=cfg)
+    cfg = TransportConfig()
+    net, identity, server = make_world()
     clients = []
     for i in range(10):
-        c = make_client(net, identity, 50001 + i, f"c{i}", seed=30 + i, config=cfg)
+        c = make_client(net, identity, 50001 + i, f"c{i}", seed=30 + i)
         c.connect_mqtt()
         clients.append(c)
     net.run(until_s=2.0)
     assert server.connection_count() == 10
     for c in clients:
         c.kill()
-    net.run(until_s=2.0 + 3.0 + 1.0 + 1.0)
+    net.run(until_s=2.0 + cfg.idle_timeout_s + cfg.drain_period_s + 1.0)
     assert server.connection_count() == 0
 
 
@@ -782,12 +781,11 @@ def test_qos1_at_least_once_under_loss():
 def test_keepalive_pings_when_enabled():
     # Keep-alive is off by default; with a period set, PINGREQs flow and the
     # broker answers, keeping the connection alive past the idle timeout.
-    cfg = TransportConfig(idle_timeout_s=3.0, drain_period_s=1.0)
-    net, identity, server = make_world(config=cfg)
-    client = make_client(net, identity, 50001, "dev1", keepalive=1, config=cfg)
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1", keepalive=1)
     seen = record_dispatch(client)
     client.connect_mqtt()
-    net.run(until_s=8.0)
+    net.run(until_s=TransportConfig().idle_timeout_s + 5.0)
     assert client.connected
     assert any(m.kind == mqtt.PINGRESP for m in seen)
     assert server.connection_count() == 1

@@ -549,14 +549,11 @@ def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
     net = UdpNetwork(trace_path=str(tmp_path / "udp.trace"))
     got = []
 
-    def handler(payload, src):
-        got.append(payload)
-        net.stop()
-    net.register(("127.0.0.1", 0), handler)
+    net.register(("127.0.0.1", 0), lambda payload, src: got.append(payload))
     addr = net.local_address()
     try:
         net.send(b"hello", addr, addr, "probe")
-        net.run(until_s=5.0)
+        net.run(until_s=5.0, stop=lambda: got)
     finally:
         net.unregister(addr)
     assert got == [b"hello"]
@@ -573,16 +570,12 @@ def test_udp_runner_keeps_no_trace_without_a_path():
     net = UdpNetwork()
     got = []
 
-    def handler(payload, src):
-        got.append(payload)
-        if len(got) == 3:
-            net.stop()
-    net.register(("127.0.0.1", 0), handler)
+    net.register(("127.0.0.1", 0), lambda payload, src: got.append(payload))
     addr = net.local_address()
     try:
         for _ in range(3):
             net.send(b"hello", addr, addr, "probe")
-        net.run(until_s=5.0)
+        net.run(until_s=5.0, stop=lambda: len(got) == 3)
     finally:
         net.unregister(addr)
     assert got == [b"hello"] * 3

@@ -223,13 +223,13 @@ def test_0rtt_expired_scfg_falls_back_client_side(world):
 def test_0rtt_unknown_scid_falls_back_transparently(world):
     session, identity = warm_session(world)
     identity.rotate_scfg(1.0, Random(77))
-    # One small write, then several chunks plus FIN in flight when the REJ lands.
-    for seed, payload, fin, chunks in ((99, b"\x30\x04\x00\x01tx", False, 1),
-                                       (98, bytes(range(256)) * 12, True, 3)):
+    # One small write, then several chunks in flight when the REJ lands.
+    for seed, payload, chunks in ((99, b"\x30\x04\x00\x01tx", 1),
+                                  (98, bytes(range(256)) * 12, 3)):
         net, client_ep, server_ep, _ = world(session=session, identity=identity,
                                              client_seed=seed)
         conn = client_ep.make_client()
-        conn.send_stream(3, payload, fin=fin)
+        conn.send_stream(3, payload)
         assert conn.start_connect() == "0rtt"
         client_ep.pump(conn.cid)
         first_flight = [a for _, a in client_ep.sent]
@@ -242,11 +242,10 @@ def test_0rtt_unknown_scid_falls_back_transparently(world):
         assert "chlo_full" in annotations[2:]  # fresh hello after the REJ
         # The REJ turned the resumption into a full handshake.
         assert client_ep.events_of(HandshakeDone)[0].resumed is False
-        # The data went out again under the fresh keys, each byte and the
-        # FIN delivered exactly once.
+        # The data went out again under the fresh keys, each byte delivered
+        # exactly once.
         server_data = [ev for ev in server_ep.events_of(StreamData) if ev.stream_id == 3]
         assert b"".join(ev.data for ev in server_data) == payload
-        assert sum(ev.fin for ev in server_data) == int(fin)
 
 
 def test_0rtt_replayed_chlo_rejected(world):
@@ -314,7 +313,7 @@ def test_shlo_with_data_marker_is_not_accepted(world):
     server_conn = fresh_server_ep.only_conn()
     shlo_msg, _ = identity.build_shlo("10.0.0.2", 0.0, Random(5))
     from quicmq.wire import PacketHeader, StreamFrame, encode_frames, seal_packet
-    frame = StreamFrame(1, 0, shlo_msg.encode(), False)
+    frame = StreamFrame(1, 0, shlo_msg.encode())
     packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
                          b"\x01" + encode_frames([frame]), c.ik, "server")
     c.handle_datagram(packet, SERVER_ADDR)
@@ -439,15 +438,6 @@ def test_a_connect_builds_one_x25519_key_per_ephemeral_value(world, key_builds, 
 # ---------------------------------------------------------------------------
 
 
-def test_write_after_fin_is_stream_closed(world):
-    net, client_ep, _, _ = world()
-    conn = client_ep.make_client()
-    conn.send_stream(3, b"x", fin=True)
-    with pytest.raises(TransportError) as e:
-        conn.send_stream(3, b"more")
-    assert e.value.reason == "stream_closed"
-
-
 def test_frame_kind_0x04_is_refused_and_the_stream_stays(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
@@ -516,7 +506,7 @@ def test_stream_frame_on_stream_0_closes_the_connection(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
     # The frame after the bad one is not taken either.
-    raw = encode_frames([StreamFrame(0, 0, b"x", False), StreamFrame(3, 0, b"y", False)])
+    raw = encode_frames([StreamFrame(0, 0, b"x"), StreamFrame(3, 0, b"y")])
     server_conn.handle_datagram(
         seal_client_data(conn.k, conn.next_sqn, raw, cid=conn.cid, epoch=EPOCH_K),
         CLIENT_ADDR)
@@ -526,34 +516,17 @@ def test_stream_frame_on_stream_0_closes_the_connection(world):
     assert close_reasons(server_conn.take_outputs(), conn.k) == [b"bad_stream_id"]
 
 
-def test_fin_written_alone_after_data_is_sent():
-    stream = Stream(3)
-    stream.write(b"abc")
-    assert stream.take_chunk(stream.sendable(1 << 16)) == (b"abc", False, 0)
-    stream.write(b"", fin=True)
-    assert stream.take_chunk(stream.sendable(1 << 16)) == (b"", True, 3)
-    assert not stream.has_pending()
-
-
 def test_stream_reassembly_no_double_delivery():
     stream = Stream(3)
-    out = stream.accept(StreamFrame(3, 0, b"abc", False))
-    assert out == [(b"abc", False)]
+    out = stream.accept(StreamFrame(3, 0, b"abc"))
+    assert out == [b"abc"]
     # Overlapping retransmission: already-delivered bytes are trimmed.
-    out = stream.accept(StreamFrame(3, 0, b"abcdef", False))
-    assert out == [(b"def", False)]
+    out = stream.accept(StreamFrame(3, 0, b"abcdef"))
+    assert out == [b"def"]
     # Out-of-order fragment held until the gap fills.
-    assert stream.accept(StreamFrame(3, 9, b"z", True)) == []
-    out = stream.accept(StreamFrame(3, 6, b"ghi", False))
-    assert out == [(b"ghi", False), (b"z", True)]
-
-
-def test_stream_final_offset_never_decreases():
-    stream = Stream(3)
-    stream.accept(StreamFrame(3, 0, b"abcd", True))
-    with pytest.raises(TransportError) as e:
-        stream.accept(StreamFrame(3, 0, b"ab", True))
-    assert e.value.reason == "final_offset_changed"
+    assert stream.accept(StreamFrame(3, 9, b"z")) == []
+    out = stream.accept(StreamFrame(3, 6, b"ghi"))
+    assert out == [b"ghi", b"z"]
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +617,8 @@ def test_streams_past_the_connection_window_close_the_connection(world, windows)
     windows(200, 256)
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
-    raw = encode_frames([StreamFrame(3, 100, b"a" * 100, False),
-                         StreamFrame(5, 100, b"b" * 100, False)])
+    raw = encode_frames([StreamFrame(3, 100, b"a" * 100),
+                         StreamFrame(5, 100, b"b" * 100)])
     server_conn.handle_datagram(
         seal_client_data(conn.k, conn.next_sqn, raw, cid=conn.cid, epoch=EPOCH_K),
         CLIENT_ADDR)
@@ -783,7 +756,7 @@ def test_reflected_rej_dropped_silently(world):
     from quicmq.crypto import NULL_KEYS
     msg = build_rej(server_ep.identity.scfg, server_ep.identity.k_stk,
                     "10.0.0.2", 0.0, Random(1))
-    frame = StreamFrame(1, 0, msg.encode(), False)
+    frame = StreamFrame(1, 0, msg.encode())
     packet = seal_packet(PacketHeader(cid=conn.cid, sqn=600, epoch=0),
                          b"\x00" + encode_frames([frame]), NULL_KEYS, "client")
     net.send(packet, CLIENT_ADDR, SERVER_ADDR, "reflected rej")
@@ -805,7 +778,7 @@ def test_forged_rej_with_empty_public_value_fails_the_handshake_cleanly(world):
     scfg = b"\xab" * 32 + (0).to_bytes(2, "big") + (10**6).to_bytes(4, "big") + bytes(32)
     rej = wire.HandshakeMessage(wire.MSG_REJ, {wire.TAG_SCFG: scfg, wire.TAG_PROF: b"",
                                                wire.TAG_STK: bytes(36)})
-    frame = StreamFrame(1, 0, rej.encode(), False)
+    frame = StreamFrame(1, 0, rej.encode())
     packet = seal_packet(PacketHeader(cid=conn.cid, sqn=1, epoch=EPOCH_CLEAR),
                          bytes([wire.MARKER_HANDSHAKE]) + encode_frames([frame]),
                          NULL_KEYS, "server")
@@ -880,7 +853,7 @@ def test_cleartext_data_packet_refused(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
     forged = encode_frames([wire.AckFrame(10**6, 1, ()),
-                            StreamFrame(3, 0, b"forged", False)])
+                            StreamFrame(3, 0, b"forged")])
     packet = seal_client_data(NULL_KEYS, 900, forged, cid=conn.cid, epoch=EPOCH_CLEAR)
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
@@ -915,8 +888,8 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
 
     def state():
         received = server_conn.received_sqns
-        streams = {sid: (s.send_offset, s.delivered, s.received, s.fin_offset,
-                         s.advertised, s.peer_limit)
+        streams = {sid: (s.send_offset, s.delivered, s.received, s.advertised,
+                         s.peer_limit)
                    for sid, s in server_conn.streams.items()}
         return (received.floor, received.gaps(), received.largest, server_conn._last_rx,
                 server_conn.peer_addr, server_conn.phase, streams)
@@ -1058,11 +1031,11 @@ def test_data_under_ik_refused_once_peer_is_on_k(world):
     conn.send_stream(3, b"real")  # one genuine packet under k
     client_ep.pump(conn.cid)
     net.run(until_s=net.clock.now_s + 0.1)
-    assert server_ep.events_of(StreamData) == [StreamData(3, b"real", False)]
-    forged = encode_frames([StreamFrame(5, 0, b"forged", False)])
+    assert server_ep.events_of(StreamData) == [StreamData(3, b"real")]
+    forged = encode_frames([StreamFrame(5, 0, b"forged")])
     packet = seal_client_data(conn.ik, 500, forged, cid=conn.cid, epoch=EPOCH_IK)
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
     assert server_conn.auth_failures == failures + 1
-    assert server_ep.events_of(StreamData) == [StreamData(3, b"real", False)]
+    assert server_ep.events_of(StreamData) == [StreamData(3, b"real")]
     assert 500 not in server_conn.received_sqns

@@ -382,9 +382,9 @@ def test_broker_drops_transient_sessions_by_equal_handles():
 def test_broker_disconnect_frees_state():
     b = Broker()
     connect(b, "c1", "dev1")
-    assert b.connection_count() == 1
+    assert len(b._by_conn) == 1
     b.handle(MqttMessage(mqtt.DISCONNECT), "c1")
-    assert b.connection_count() == 0
+    assert len(b._by_conn) == 0
 
 
 def test_broker_qos_downgrade_and_msgid():

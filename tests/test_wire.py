@@ -37,7 +37,6 @@ stream_frames = st.builds(
     stream_id=st.integers(min_value=0, max_value=2**32 - 1),
     offset=st.integers(min_value=0, max_value=2**64 - 1),
     data=st.binary(max_size=64),
-    fin=st.booleans(),
 )
 ack_frames = st.builds(
     AckFrame,
@@ -251,7 +250,7 @@ def ref_encode_frame(f) -> bytes:
     if isinstance(f, StreamFrame):
         return (
             bytes([wire.KIND_STREAM])
-            + struct.pack(">IQBI", f.stream_id, f.offset, 1 if f.fin else 0, len(f.data))
+            + struct.pack(">IQBI", f.stream_id, f.offset, 0, len(f.data))
             + f.data
         )
     if isinstance(f, AckFrame):
@@ -280,11 +279,13 @@ def ref_decode_frames(data: bytes) -> list:
         if kind == wire.KIND_STREAM:
             if n - pos < 17:
                 raise WireError("truncated STREAM frame")
-            stream_id, offset, fin, dlen = struct.unpack_from(">IQBI", data, pos)
+            stream_id, offset, reserved, dlen = struct.unpack_from(">IQBI", data, pos)
+            if reserved:
+                raise WireError("reserved STREAM byte set")
             pos += 17
             if n - pos < dlen:
                 raise WireError("truncated STREAM data")
-            frames.append(StreamFrame(stream_id, offset, data[pos:pos + dlen], bool(fin)))
+            frames.append(StreamFrame(stream_id, offset, data[pos:pos + dlen]))
             pos += dlen
         elif kind == wire.KIND_ACK:
             if n - pos < 18:
@@ -414,8 +415,9 @@ def test_decode_frames_matches_reference_on_edge_values():
     for count in (0, 1, 5, 256, 257, 0xFFFF):
         head = bytes([wire.KIND_ACK]) + struct.pack(">QQH", 9, 1, count)
         cases += [head, head + b"\x00" * 16 * min(count, 300)]
-    # Any nonzero fin byte reads as a FIN.
-    for fin in (0, 1, 2, 0x80, 0xFF):
-        cases.append(bytes([wire.KIND_STREAM]) + struct.pack(">IQBI", 3, 7, fin, 2) + b"ab")
+    # Any nonzero reserved byte is refused, whole or truncated data behind it.
+    for reserved in (0, 1, 2, 0x80, 0xFF):
+        head = bytes([wire.KIND_STREAM]) + struct.pack(">IQBI", 3, 7, reserved, 2)
+        cases += [head + b"ab", head + b"a"]
     for data in cases:
         assert outcome(decode_frames, data) == outcome(ref_decode_frames, data)
