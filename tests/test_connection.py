@@ -17,7 +17,7 @@ from quicmq.connection import (
     TransportError,
 )
 from quicmq.crypto import NULL_KEYS, sha256, sign, split_keys
-from quicmq.handshake import GROUP_ID, signed_blob
+from quicmq.handshake import GROUP_ID, build_full_chlo, signed_blob
 from quicmq.wire import (
     EPOCH_CLEAR,
     EPOCH_IK,
@@ -321,6 +321,68 @@ def test_shlo_with_data_marker_is_not_accepted(world):
     assert c.ik is not None and c.k is None
 
 
+def test_shlo_with_a_malformed_public_value_fails_the_handshake(world):
+    # A SHLO that opens under ik but whose PUBS is not a group byte and a
+    # 32-byte value ends the handshake; no forward-secure key is derived.
+    net, client_ep, server_ep, identity = world(seed=9)
+    c = client_ep.make_client()
+    c.start_connect()
+    client_ep.pump(c.cid)
+    net.run(until_s=0.0025)  # hello and reject exchanged, no SHLO yet
+    assert c.phase == "handshake" and c.ik is not None
+    shlo_msg, _ = identity.build_shlo("10.0.0.2", 0.0, Random(5))
+    shlo_msg.fields[wire.TAG_PUBS] = bytes([GROUP_ID]) + bytes(5)
+    packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
+                         bytes([wire.MARKER_HANDSHAKE])
+                         + encode_frames([StreamFrame(1, 0, shlo_msg.encode())]),
+                         c.ik, "server")
+    c.handle_datagram(packet, SERVER_ADDR)
+    assert client_ep.events_of(HandshakeFailed) == [HandshakeFailed("shlo_invalid")]
+    assert client_ep.events_of(Closed) == [Closed("shlo_invalid")]
+    assert c.phase == "closed" and c.k is None
+    assert c.auth_failures == 0
+
+
+def test_undecodable_handshake_message_is_refused_once(world):
+    # Under ik, frames that decode but do not hold a handshake message are
+    # refused like a packet that does not open; the handshake goes on.
+    net, client_ep, server_ep, identity = world(seed=9)
+    c = client_ep.make_client()
+    c.start_connect()
+    client_ep.pump(c.cid)
+    net.run(until_s=0.0025)
+    packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
+                         bytes([wire.MARKER_HANDSHAKE])
+                         + encode_frames([StreamFrame(1, 0, b"SHL")]), c.ik, "server")
+    c.handle_datagram(packet, SERVER_ADDR)
+    assert c.auth_failures == 1
+    assert c.phase == "handshake" and c.k is None
+    assert not client_ep.events_of(HandshakeFailed)
+    net.run(until_s=3.0)
+    assert c.phase == "established"
+
+
+def test_second_full_chlo_on_a_live_connection_draws_a_rej(world):
+    # A full CHLO with a new nonce on a connection that already accepted
+    # one is never accepted: the server answers with a REJ and keeps its
+    # keys.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    ik, k = server_conn.ik, server_conn.k
+    msg, _ = build_full_chlo(conn.session.scfg, conn.session.stk, net.clock.now_s,
+                             Random(77))
+    packet = seal_packet(PacketHeader(cid=conn.cid, sqn=900, epoch=EPOCH_CLEAR),
+                         bytes([wire.MARKER_HANDSHAKE])
+                         + encode_frames([StreamFrame(1, 0, msg.encode())]),
+                         NULL_KEYS, "client")
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert [a for _, a in server_conn.take_outputs()] == ["rej"]
+    assert server_conn.last_reject_reason == "chlo_on_live_connection"
+    assert server_conn.auth_failures == 0
+    assert server_conn.phase == "established"
+    assert (server_conn.ik, server_conn.k) == (ik, k)
+
+
 def test_persistently_rejecting_server_fails_connect(world):
     # A strike window that rejects every nonce sends REJ after REJ; the
     # client gives up with a handshake failure instead of looping.
@@ -452,6 +514,36 @@ def test_frame_kind_0x04_is_refused_and_the_stream_stays(world):
     assert server_conn.auth_failures == failures + 1
     assert server_conn.phase == "established"
     assert server_conn.streams[3].delivered == 3
+
+
+def stream_frame_with_reserved_byte() -> bytes:
+    raw = bytearray(encode_frames([StreamFrame(3, 0, b"abc")]))
+    raw[13] = 1  # kind(1), stream id(4), offset(8), then the reserved byte
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(bytes([wire.KIND_STREAM]) + bytes(10), id="truncated_stream_head"),
+    pytest.param(encode_frames([StreamFrame(3, 0, b"abc")])[:-1], id="truncated_stream_data"),
+    pytest.param(stream_frame_with_reserved_byte(), id="reserved_byte_set"),
+])
+def test_authenticated_frames_that_do_not_decode_are_refused_once(world, raw):
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    net.run(until_s=net.clock.now_s + 0.5)
+    sqn = conn.next_sqn + 5
+    packet = seal_client_data(conn.k, sqn, raw, cid=conn.cid, epoch=EPOCH_K)
+    failures = server_conn.auth_failures
+    owed = server_conn.ack_needed
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert server_conn.auth_failures == failures + 1
+    assert not server_ep.events_of(StreamData)
+    assert server_conn.streams == {}
+    assert server_conn.ack_needed == owed
+    assert server_conn.phase == "established"
+    # Today the refused packet's sqn is still recorded, so the next ACK
+    # names it as received.
+    assert sqn in server_conn.received_sqns
 
 
 def test_frame_kind_0x05_is_refused_and_owes_no_ack(world):
