@@ -24,15 +24,17 @@ reach while the chunks run, so collecting one world's garbage is not charged to 
 two sides then run the same plan in alternating chunks of 25 publishes (one
 per simulated millisecond), ``--reps`` chunks each, with the order of the
 pair swapped every rep so that drift in host speed falls on both. Each
-chunk's process CPU time is read around it. The script prints the ratio of
-NEW's total CPU to OLD's, with the range of the per-rep ratios, and exits 1
-if the two sides' deliveries or datagram counts differ.
+chunk's process CPU time is read around it. Each side also hashes every
+datagram it sends, set-up included. The script prints the ratio of NEW's
+total CPU to OLD's, with the range of the per-rep ratios, and exits 1 if
+the two sides' deliveries, datagram counts or datagram bytes differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -95,6 +97,13 @@ class World:
         loss = 0.02 if world == "stream" else 0.0
         self.net = net = netsim.SimNetwork(
             netsim.SimConfig(delay_ms=0.2, loss_rate=loss), seed)
+        self.wire = hashlib.sha256()
+        send = net.send
+
+        def hashing_send(payload, *args):
+            self.wire.update(payload)
+            send(payload, *args)
+        net.send = hashing_send
         identity = mods["handshake"].ServerIdentity.create(now=0.0, rng=Random(seed))
         agents.ServerAgent(net, BROKER, identity, rng=Random(seed))
         self.received: list[tuple] = []
@@ -128,10 +137,12 @@ class World:
         net.run(until_s=net.clock.now_s + 0.001 * len(chunk))
         self.cpu.append(time.process_time() - t0)
 
-    def outcome(self) -> tuple[int, int]:
-        """Drain the network; (deliveries, datagrams sent)."""
+    def outcome(self) -> tuple[int, int, str]:
+        """Drain the network; (deliveries, datagrams sent, digest of their
+        bytes)."""
         self.net.run(until_s=self.net.clock.now_s + 3.0)
-        return len(self.received), sum(1 for ev in self.net.trace if ev.event == "send")
+        return (len(self.received), sum(1 for ev in self.net.trace if ev.event == "send"),
+                self.wire.hexdigest())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,8 +170,9 @@ def main(argv: list[str] | None = None) -> int:
 
     results = {label: side.outcome() for label, side in sides.items()}
     for label, side in sides.items():
-        deliveries, datagrams = results[label]
+        deliveries, datagrams, digest = results[label]
         print(f"{label}: deliveries {deliveries}, datagrams {datagrams}, "
+              f"bytes sha256 {digest[:16]}, "
               f"cpu {sum(side.cpu):.3f} s over {len(side.cpu)} chunks of {CHUNK}")
     old, new = sides["old"], sides["new"]
     ratios = [n / o for o, n in zip(old.cpu, new.cpu) if o > 0]
@@ -169,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
               f"(per rep median {statistics.median(ratios):.3f}, "
               f"range {min(ratios):.3f}-{max(ratios):.3f})")
     if results["old"] != results["new"] or old.received != new.received:
-        print("MISMATCH: the two sides' deliveries or datagram counts differ")
+        print("MISMATCH: the two sides' deliveries, datagram counts or datagram "
+              "bytes differ")
         return 1
     print("outputs equal")
     return 0

@@ -35,6 +35,18 @@ def run(ab, capsys, old, new, world):
     return code, out, sides
 
 
+def patched_tree(tmp_path, module, old, new):
+    """A copy of the source tree with ``old`` replaced by ``new`` in
+    ``module``."""
+    pkg = tmp_path / "quicmq"
+    shutil.copytree(os.path.join(SRC, "quicmq"), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (pkg / module).read_text()
+    assert old in source
+    (pkg / module).write_text(source.replace(old, new))
+    return str(tmp_path)
+
+
 @pytest.mark.parametrize("world", ["stream", "fleet"])
 def test_same_tree_on_both_sides_gives_equal_outputs(ab, capsys, world):
     code, out, sides = run(ab, capsys, SRC, SRC, world)
@@ -47,13 +59,18 @@ def test_same_tree_on_both_sides_gives_equal_outputs(ab, capsys, world):
 def test_a_tree_that_sends_other_datagrams_exits_1(ab, capsys, tmp_path):
     # Acking every packet at once changes the datagram count, not the
     # deliveries.
-    pkg = tmp_path / "quicmq"
-    shutil.copytree(os.path.join(SRC, "quicmq"), pkg,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = (pkg / "connection.py").read_text()
-    assert "QUICK_ACKS = 16" in source
-    (pkg / "connection.py").write_text(source.replace("QUICK_ACKS = 16", "QUICK_ACKS = 10**9"))
-    code, out, sides = run(ab, capsys, SRC, str(tmp_path), "stream")
+    tree = patched_tree(tmp_path, "connection.py", "QUICK_ACKS = 16", "QUICK_ACKS = 10**9")
+    code, out, sides = run(ab, capsys, SRC, tree, "stream")
     assert code == 1, out
     assert sides["old"] != sides["new"]
+    assert "MISMATCH" in out
+
+
+def test_a_tree_that_sends_other_bytes_exits_1(ab, capsys, tmp_path):
+    # Another version tag in the first hello changes bytes only: the
+    # deliveries, the datagram counts and every size stay the same.
+    tree = patched_tree(tmp_path, "wire.py", 'VERSION = b"Q001"', 'VERSION = b"Q002"')
+    code, out, sides = run(ab, capsys, SRC, tree, "stream")
+    assert code == 1, out
+    assert sides["old"] == sides["new"]
     assert "MISMATCH" in out
