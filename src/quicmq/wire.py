@@ -134,8 +134,6 @@ KIND_CLOSE = 0x06  # 0x04 and 0x05 are unassigned and refused
 
 @dataclass(slots=True)
 class StreamFrame:
-    """Stream data at ``offset``. A stream has no FIN: it ends with its
-    connection."""
     stream_id: int
     offset: int
     data: bytes
