@@ -264,7 +264,7 @@ def _hol_world(config: SimConfig, seed: int, streams: int, messages: int,
             if src[0] != PUB_IP or "retx" in ann or not ann.startswith("data"):
                 return False
             if isolate_stream is not None:
-                return f"s{isolate_stream}" in ann.split(" ")[1].split(",")
+                return ann.split(" ")[1] == f"s{isolate_stream}"
             return True
         net.add_periodic_drop(match, drop_every_n)
 

@@ -256,15 +256,14 @@ class Stream:
 
     # -- send --------------------------------------------------------------
 
-    def sendable(self, conn_room: int) -> int:
-        room = min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK)
-        return max(0, min(len(self.send_buf), room))
-
     def has_pending(self) -> bool:
         return bool(self.send_buf)
 
-    def take_chunk(self, limit: int) -> tuple[bytes, int]:
-        """Dequeue up to ``limit`` bytes; returns (data, offset)."""
+    def take_chunk(self, conn_room: int) -> tuple[bytes, int]:
+        """Dequeue one chunk: at most MAX_STREAM_CHUNK bytes, within the
+        peer's window on this stream and ``conn_room`` bytes of its window
+        on the connection; returns (data, offset)."""
+        limit = max(0, min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK))
         data = bytes(self.send_buf[:limit])
         del self.send_buf[:limit]
         offset = self.send_offset
@@ -424,28 +423,19 @@ class Connection:
         if self.session is not None:
             try:
                 check_scfg(self.session.scfg, self.server_pk, self.clock())
-                self._start_resume()
+                self._send_full_chlo(self.session.scfg, self.session.stk, first=True)
                 return "0rtt"
             except (HandshakeError, CryptoError):
                 pass  # unusable cache: fall back to a fresh 1-RTT, nothing sent yet
-        self._start_1rtt()
-        return "1rtt"
-
-    def _start_1rtt(self) -> None:
         self._send_hello(self._pad_hello(build_inchoate_chlo(), first=True),
                          "chlo_inchoate", first=True)
-        self._arm_handshake_timer()
+        return "1rtt"
 
-    def _start_resume(self) -> None:
-        cfg = self.session.scfg
-        msg, secrets = build_full_chlo(cfg, self.session.stk, self.clock(), self.rng)
-        self._send_full_chlo(msg, secrets, cfg, first=True)
-        self._arm_handshake_timer()
-
-    def _send_full_chlo(self, msg: HandshakeMessage, secrets: ClientHelloSecrets,
-                        cfg: ServerConfig, first: bool = False) -> None:
-        """Derive ik against ``cfg``, then send the hello. A config whose DH
-        value is unusable raises ``CryptoError`` before anything is sent."""
+    def _send_full_chlo(self, cfg: ServerConfig, stk: bytes, first: bool = False) -> None:
+        """Build a full CHLO against ``cfg``, pad it, derive ik, then send it.
+        A config whose DH value is unusable raises ``CryptoError`` before
+        anything is sent."""
+        msg, secrets = build_full_chlo(cfg, stk, self.clock(), self.rng)
         secrets.chlo_wire = self._pad_hello(msg, first)
         self.ik = derive_ik_client(secrets, cfg, self.cid)
         self._hs_secrets = secrets
@@ -463,17 +453,16 @@ class Connection:
 
     def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
         """Send a hello padded by ``_pad_hello`` with the same ``first``. A
-        client keeps it so that a retransmission repeats it byte for byte."""
+        client keeps it, so that a retry repeats it byte for byte, and arms
+        the retry."""
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
         if self.role == "client":
             self._hs_hello = (frame, first, annotation)
-
-    def _arm_handshake_timer(self) -> None:
-        if self._hs_timer is not None:
-            self._hs_timer.cancel()
-        self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
+            if self._hs_timer is not None:
+                self._hs_timer.cancel()
+            self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
 
     def _handshake_retry(self) -> None:
         if self.phase != HANDSHAKE:
@@ -485,7 +474,7 @@ class Connection:
         frame, version, annotation = self._hs_hello
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation + " retx",
                           version)
-        self._arm_handshake_timer()
+        self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
 
     def _fail_handshake(self, reason: str) -> None:
         self.on_event(HandshakeFailed(reason))
@@ -609,15 +598,13 @@ class Connection:
             return
         # The REJ both answers an inchoate hello and rejects a resumption
         # attempt; either way the next step is a fresh full CHLO.
-        chlo, secrets = build_full_chlo(scfg, stk, self.clock(), self.rng)
         try:
-            self._send_full_chlo(chlo, secrets, scfg)
+            self._send_full_chlo(scfg, stk)
         except CryptoError:
             # Signed, yet its DH value is all zero or of low order.
             self._fail_handshake("scfg_malformed")
             return
         self.session = CachedSession(scfg, stk)
-        self._arm_handshake_timer()
         # The server never opened what went out under the rejected keys: the
         # same frames go out again under the fresh ik.
         for record in list(self.sent_packets.values()):
@@ -658,7 +645,8 @@ class Connection:
             # Client retransmission after a lost server flight: repeat the
             # settlement without re-deriving or re-accepting anything. Once
             # the SHLO is dropped, a late copy draws nothing.
-            self._server_repeat_flight()
+            if self._hs_shlo is not None:
+                self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo retx")
             return
         if self.ik is not None:
             # A different nonce on a live connection is never accepted.
@@ -697,11 +685,6 @@ class Connection:
             ephemeral, client_pub, self._hs_nonc, self.cid, chlo_wire, inner)
         self.phase = ESTABLISHED
         self.on_event(HandshakeDone(resumed=False))
-
-    def _server_repeat_flight(self) -> None:
-        if self._hs_shlo is None:
-            return
-        self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo retx")
 
     # -- data payloads --------------------------------------------------------
 
@@ -966,7 +949,11 @@ class Connection:
     def _send_data_packet(self, frames: list, retx: bool = False) -> None:
         """Send ``frames`` behind the queued control frames, in a packet
         recorded for retransmission. Control frames that would push the
-        packet past the budget go out first in a packet of their own."""
+        packet past the budget go out first in a packet of their own.
+
+        One chunk per packet: every caller passes at most one STREAM frame,
+        with only a CLOSE after it, and a retransmission re-sends one
+        record's frames. So the last frame names the packet."""
         controls = self._drain_control_frames()
         epoch = self._send_epoch()
         if controls and (data_packet_len(self._header(epoch), controls + frames)
@@ -977,13 +964,10 @@ class Connection:
         last = out_frames[-1]
         if isinstance(last, CloseFrame):
             annotation = "close"
-        elif len(out_frames) == 1 and isinstance(last, StreamFrame):
+        elif isinstance(last, StreamFrame):
             annotation = f"data s{last.stream_id}"
         else:
-            stream_ids = sorted({f.stream_id for f in out_frames
-                                 if isinstance(f, StreamFrame)})
-            annotation = ("data " + ",".join(f"s{i}" for i in stream_ids)
-                          if stream_ids else "control")
+            annotation = "control"
         if retx:
             annotation += " retx"
         sqn = self._send_packet(epoch, MARKER_DATA, out_frames, annotation)
@@ -1008,8 +992,7 @@ class Connection:
                 stream = self.streams[stream_id]
                 if not stream.has_pending():
                     continue
-                conn_room = self.peer_conn_limit - self.conn_bytes_sent
-                data, offset = stream.take_chunk(stream.sendable(conn_room))
+                data, offset = stream.take_chunk(self.peer_conn_limit - self.conn_bytes_sent)
                 if not data:
                     continue
                 self.conn_bytes_sent += len(data)
