@@ -78,6 +78,7 @@ MAX_HANDSHAKE_RETRIES = 8
 # exchanged, so a sender starts from these as the peer's limits.
 STREAM_WINDOW = 64 * 1024
 CONNECTION_WINDOW = 256 * 1024
+DRAIN_PERIOD_S = 10.0  # how long a connection drains after its own CLOSE
 
 
 def data_packet_len(header: PacketHeader, frames: list) -> int:
@@ -104,7 +105,6 @@ def check_stream_id(stream_id: int) -> None:
 @dataclass(frozen=True)
 class TransportConfig:
     idle_timeout_s: float = 30.0
-    drain_period_s: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,6 @@ class Connection:
         self.outputs: list[tuple[bytes, str]] = []
         self._control_frames: list = []
         self._close_pending: CloseFrame | None = None
-        self._close_sent = False
 
         # Handshake state. The client drops its secrets and hello once the SHLO
         # settles k; the server drops the SHLO at the first packet under k.
@@ -750,7 +749,7 @@ class Connection:
             stream.peer_limit = max(stream.peer_limit, frame.byte_offset)
 
     def _on_close_frame(self, frame: CloseFrame) -> None:
-        if not self._close_sent:
+        if self.phase != DRAINING:  # draining means our own CLOSE is out
             self._close_pending = CloseFrame(frame.error_code, b"")
             self._flush_close()
         self._become_closed(f"peer_close:{frame.error_code}")
@@ -853,20 +852,21 @@ class Connection:
         now = self.clock()
         deadline = self._last_rx + self.config.idle_timeout_s
         if now + 1e-6 >= deadline:  # clock granularity is one microsecond
-            self._drain("idle_timeout")
+            # Closed silently, as a failed handshake is (RFC 9000 §10.1).
+            self._become_closed("idle_timeout")
         else:
             self._idle_timer = self.scheduler(deadline - now, self._on_idle)
 
-    def _drain(self, reason: str) -> None:
-        """Drain for the drain period, then close with ``reason`` unless the
-        peer's CLOSE ends the connection first."""
+    def _drain(self) -> None:
+        """Drain for DRAIN_PERIOD_S after our own CLOSE, then close with
+        ``local_close`` unless the peer's CLOSE ends the connection first."""
         self.phase = DRAINING
 
         def drain_done() -> None:
             if self.phase == DRAINING:
-                self._become_closed(reason)
+                self._become_closed("local_close")
 
-        self.scheduler(self.config.drain_period_s, drain_done)
+        self.scheduler(DRAIN_PERIOD_S, drain_done)
 
     def _become_closed(self, reason: str) -> None:
         """Every end but ``kill`` comes here: the timers stop, streams and
@@ -1020,7 +1020,7 @@ class Connection:
             return
         if self._close_pending is not None:
             if self._flush_close():
-                self._drain("local_close")
+                self._drain()
             else:
                 self._become_closed("local_close")
             return
@@ -1055,7 +1055,6 @@ class Connection:
         congestion window, with the CLOSE frame on the last; returns False
         when there are no keys to send under."""
         close, self._close_pending = self._close_pending, None
-        self._close_sent = True
         if self._keys_for_epoch(self._send_epoch()) is None:
             return False
         chunks = list(self._stream_chunks()) if self._data_allowed() else []

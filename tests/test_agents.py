@@ -660,7 +660,22 @@ def test_crashed_clients_reclaimed_within_budget():
     assert server.connection_count() == 10
     for c in clients:
         c.kill()
-    net.run(until_s=2.0 + cfg.idle_timeout_s + cfg.drain_period_s + 1.0)
+    net.run(until_s=2.0 + cfg.idle_timeout_s + 1.0)
+    assert server.connection_count() == 0
+
+
+def test_failed_handshake_slot_reclaimed_by_the_idle_timeout():
+    # The broker's slot for a client that gave up on a REJ signed by another
+    # key closes at the idle timeout, with no drain after it.
+    net, identity, server = make_world()
+    other = ServerIdentity.create(now=0.0, rng=Random(7))
+    client = ClientAgent(net, ("10.0.0.9", 50001), BROKER, "dev1",
+                         server_pk=other.sign_pair.pk, rng=Random(9))
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    assert client.failure == "scfg_bad_signature"
+    assert server.connection_count() == 1
+    net.run(until_s=TransportConfig().idle_timeout_s + 1.0)
     assert server.connection_count() == 0
 
 

@@ -165,7 +165,7 @@ def rej_fallback_run(state_dir: str) -> bytes:
 PINNED_DIGESTS = {
     "conn_overhead_wired": "8584854b34f06f91667b2fafc14b0d6782b109ddede4bd543594dd84806736c2",
     "hol_wired": "d4781aee5296eff26a3767287513ae74fa0ac7498ca7857dab7bae941de45464",
-    "half_open_wired": "2dc50ba93d6e06a377469c35c8bd8b422f8b99a20589017cd184f0739314e4ac",
+    "half_open_wired": "78568e10dba9dd8800ee2fe6db04952811e9e5c877af5a88c7a0d312938a1315",
     "migrate_wired": "aaf2340b259c1c28d10e2c571b9e3397fde855217ca0556c8a4618c7831cd3eb",
     "conn_overhead_wireless": "6bdf312e4924ee770ec902d201786d267968589484647bdcadc33350498779c0",
     "hol_wireless": "1cf2986c12cd3321c1e32903c2efb5afbc8d054d0c48ae52c916cfc6dbeb3550",

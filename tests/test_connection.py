@@ -7,6 +7,7 @@ from quicmq import connection, wire
 from quicmq.connection import (
     CachedSession,
     Closed,
+    DRAIN_PERIOD_S,
     Connection,
     HandshakeDone,
     HandshakeFailed,
@@ -1015,23 +1016,24 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
 # ---------------------------------------------------------------------------
 
 
-def test_idle_timeout_drains_then_closes(world):
-    cfg = TransportConfig(idle_timeout_s=30.0, drain_period_s=10.0)
-    net, client_ep, server_ep, conn = run_handshake(world, config=cfg)
+def test_idle_timeout_closes_without_draining(world):
+    # RFC 9000 §10.1: an idle connection is discarded silently, as a failed
+    # handshake is: no drain period, and nothing is sent from then on.
+    net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
     # Kill the client silently; the server only sees silence.
     client_ep.conns.clear()
     net.unregister(CLIENT_ADDR)
-    last_rx = server_conn._last_rx
-    net.run(until_s=last_rx + 29.9)
+    deadline = server_conn._last_rx + server_conn.config.idle_timeout_s
+    net.run(until_s=deadline - 0.1)
     assert server_conn.phase == "established"
-    net.run(until_s=last_rx + 31.0)
-    assert server_conn.phase == "draining"
-    net.run(until_s=last_rx + 60.0)
+    net.run(until_s=deadline + 0.001)
     assert server_conn.phase == "closed"
     assert not server_conn.streams and server_conn.ik is None and server_conn.k is None
-    closed = [ev for _, ev in server_ep.events if isinstance(ev, Closed)]
-    assert closed and closed[0].reason == "idle_timeout"
+    assert [ev.reason for ev in server_ep.events_of(Closed)] == ["idle_timeout"]
+    net.run(until_s=deadline + 60.0)
+    assert not [ev for ev in net.trace if ev.event == "send" and ev.src == SERVER_ADDR
+                and ev.time_us > deadline * 1e6 + 1]
 
 
 def test_unanswered_local_close_ends_as_local_close(world):
@@ -1040,7 +1042,7 @@ def test_unanswered_local_close_ends_as_local_close(world):
     conn.close()
     client_ep.pump(conn.cid)
     assert conn.phase == "draining"
-    net.run(until_s=net.clock.now_s + conn.config.drain_period_s + 1.0)
+    net.run(until_s=net.clock.now_s + DRAIN_PERIOD_S + 1.0)
     assert conn.phase == "closed"
     assert [ev.reason for ev in client_ep.events_of(Closed)] == ["local_close"]
 
@@ -1048,7 +1050,7 @@ def test_unanswered_local_close_ends_as_local_close(world):
 def test_activity_resets_idle_timer(world):
     # run_handshake drains the network to t=3.0, so the idle timeout must
     # exceed that; ticks at 4.5 s intervals keep a 5 s timeout alive.
-    cfg = TransportConfig(idle_timeout_s=5.0, drain_period_s=2.0)
+    cfg = TransportConfig(idle_timeout_s=5.0)
     net, client_ep, server_ep, conn = run_handshake(world, config=cfg)
     server_conn = server_ep.only_conn()
 
