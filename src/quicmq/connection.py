@@ -505,6 +505,11 @@ class Connection:
         header, hlen = decoded
         if header.cid != self.cid:
             return None
+        # Every hello and REJ fills a whole packet (``_send_hello``), so a
+        # shorter cleartext one is forged: answering it would send a spoofed
+        # source many times what it sent (RFC 9000 §8.1, §14.1).
+        if header.epoch == EPOCH_CLEAR and len(data) < HANDSHAKE_PACKET_LEN:
+            return None
         keys = self._keys_for_epoch(header.epoch)
         if keys is None:
             return None

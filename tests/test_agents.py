@@ -14,7 +14,8 @@ from quicmq.agents import (
     _pump,
 )
 from quicmq.connection import CachedSession, TransportConfig
-from quicmq.handshake import HandshakeError, ServerIdentity
+from quicmq.crypto import NULL_KEYS
+from quicmq.handshake import HandshakeError, ServerIdentity, build_inchoate_chlo
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
 from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, TAG_STK, decode_header
@@ -944,6 +945,25 @@ def test_garbage_hellos_leave_no_slot_and_no_timer():
     live = [item for _, _, item in net._queue
             if item[0] == "timer" and not item[1].cancelled]
     assert live == []
+
+
+def test_short_inchoate_hello_from_a_spoofed_address_draws_nothing():
+    # An unpadded hello would draw a 1350-byte REJ to whatever address it
+    # names, about 19 times what was sent (RFC 9000 §8.1, §14.1). The gate
+    # refuses it, and the slot it opened is dropped.
+    net, identity, server = make_world()
+    victim = ("6.6.6.6", 6666)
+    received = []
+    net.register(victim, lambda p, s: received.append(p))
+    header = wire.PacketHeader(cid=77, sqn=1, epoch=wire.EPOCH_CLEAR, version=wire.VERSION)
+    body = bytes([wire.MARKER_HANDSHAKE]) + wire.encode_frames(
+        [wire.StreamFrame(wire.HANDSHAKE_STREAM_ID, 0, build_inchoate_chlo().encode())])
+    hello = wire.seal_packet(header, body, NULL_KEYS, "client")
+    assert len(hello) == 72
+    net.send(hello, victim, BROKER, "spoofed hello")
+    net.run(until_s=1.0)
+    assert received == []
+    assert server.connection_count() == 0
 
 
 @pytest.mark.parametrize("reason", ["scfg_bad_signature", "handshake_timeout"])

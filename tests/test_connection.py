@@ -17,8 +17,8 @@ from quicmq.connection import (
     TransportConfig,
     TransportError,
 )
-from quicmq.crypto import NULL_KEYS, sha256, sign, split_keys
-from quicmq.handshake import GROUP_ID, build_full_chlo, signed_blob
+from quicmq.crypto import GCM_TAG_LEN, NULL_KEYS, sha256, sign, split_keys
+from quicmq.handshake import GROUP_ID, build_full_chlo, build_inchoate_chlo, signed_blob
 from quicmq.wire import (
     EPOCH_CLEAR,
     EPOCH_IK,
@@ -32,10 +32,25 @@ from quicmq.wire import (
     decode_frames,
     decode_header,
     encode_frames,
+    frame_len,
+    header_len,
     open_packet_body,
     seal_packet,
 )
 from conftest import CLIENT_ADDR, SERVER_ADDR
+
+
+def seal_hello(msg, cid, sqn, role):
+    """Forge a cleartext hello: ``msg`` padded, as every genuine hello and
+    REJ is, so that its packet is exactly HANDSHAKE_PACKET_LEN bytes and
+    passes the gate's size rule."""
+    header = PacketHeader(cid=cid, sqn=sqn, epoch=EPOCH_CLEAR)
+    overhead = header_len(header) + 1 + frame_len(StreamFrame(1, 0, b"")) + GCM_TAG_LEN
+    frame = StreamFrame(1, 0, msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode())
+    packet = seal_packet(header, bytes([wire.MARKER_HANDSHAKE]) + encode_frames([frame]),
+                         NULL_KEYS, role)
+    assert len(packet) == HANDSHAKE_PACKET_LEN
+    return packet
 
 
 def seal_client_data(keys, sqn, payload, cid, epoch):
@@ -372,10 +387,7 @@ def test_second_full_chlo_on_a_live_connection_draws_a_rej(world):
     ik, k = server_conn.ik, server_conn.k
     msg, _ = build_full_chlo(conn.session.scfg, conn.session.stk, net.clock.now_s,
                              Random(77))
-    packet = seal_packet(PacketHeader(cid=conn.cid, sqn=900, epoch=EPOCH_CLEAR),
-                         bytes([wire.MARKER_HANDSHAKE])
-                         + encode_frames([StreamFrame(1, 0, msg.encode())]),
-                         NULL_KEYS, "client")
+    packet = seal_hello(msg, conn.cid, 900, "client")
     server_conn.handle_datagram(packet, CLIENT_ADDR)
     assert [a for _, a in server_conn.take_outputs()] == ["rej"]
     assert server_conn.last_reject_reason == "chlo_on_live_connection"
@@ -845,13 +857,9 @@ def test_reflected_rej_dropped_silently(world):
     # Reuse the server's own cid header by rebuilding a clear packet that
     # carries the REJ message back at it.
     from quicmq.handshake import build_rej
-    from quicmq.wire import PacketHeader, StreamFrame, encode_frames, seal_packet
-    from quicmq.crypto import NULL_KEYS
     msg = build_rej(server_ep.identity.scfg, server_ep.identity.k_stk,
                     "10.0.0.2", 0.0, Random(1))
-    frame = StreamFrame(1, 0, msg.encode())
-    packet = seal_packet(PacketHeader(cid=conn.cid, sqn=600, epoch=0),
-                         b"\x00" + encode_frames([frame]), NULL_KEYS, "client")
+    packet = seal_hello(msg, conn.cid, 600, "client")
     net.send(packet, CLIENT_ADDR, SERVER_ADDR, "reflected rej")
     net.run(until_s=net.clock.now_s + 0.1)
     assert len(server_ep.sent) == sent_before
@@ -871,10 +879,7 @@ def test_forged_rej_with_empty_public_value_fails_the_handshake_cleanly(world):
     scfg = b"\xab" * 32 + (0).to_bytes(2, "big") + (10**6).to_bytes(4, "big") + bytes(32)
     rej = wire.HandshakeMessage(wire.MSG_REJ, {wire.TAG_SCFG: scfg, wire.TAG_PROF: b"",
                                                wire.TAG_STK: bytes(36)})
-    frame = StreamFrame(1, 0, rej.encode())
-    packet = seal_packet(PacketHeader(cid=conn.cid, sqn=1, epoch=EPOCH_CLEAR),
-                         bytes([wire.MARKER_HANDSHAKE]) + encode_frames([frame]),
-                         NULL_KEYS, "server")
+    packet = seal_hello(rej, conn.cid, 1, "server")
     net.send(packet, attacker, CLIENT_ADDR, "forged rej")
     net.run(until_s=3.0)
     assert [ev.reason for ev in client_ep.events_of(HandshakeFailed)] == ["scfg_malformed"]
@@ -911,10 +916,7 @@ def test_spoofed_cleartext_packet_does_not_migrate(world):
     server_conn = server_ep.only_conn()
     attacker = ("6.6.6.7", 667)
     net.register(attacker, lambda p, s: None)
-    from quicmq.crypto import NULL_KEYS
-    from quicmq.wire import EPOCH_CLEAR, PacketHeader, seal_packet
-    spoof = seal_packet(PacketHeader(cid=conn.cid, sqn=700, epoch=EPOCH_CLEAR),
-                        b"\x00CHLO", NULL_KEYS, "client")
+    spoof = seal_hello(build_inchoate_chlo(), conn.cid, 700, "client")
     last_rx_before = server_conn._last_rx
     net.run(until_s=net.clock.now_s + 0.05)
     net.send(spoof, attacker, SERVER_ADDR, "spoofed clear")
@@ -945,9 +947,13 @@ def test_cleartext_data_packet_refused(world):
     # not inject stream data or acks into an established connection.
     net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
-    forged = encode_frames([wire.AckFrame(10**6, 1, ()),
-                            StreamFrame(3, 0, b"forged")])
+    # Full size, so that the marker rule refuses it, not the size rule.
+    ack = wire.AckFrame(10**6, 1, ())
+    room = (HANDSHAKE_PACKET_LEN - header_len(PacketHeader(conn.cid, 900, EPOCH_CLEAR)) - 1
+            - frame_len(ack) - frame_len(StreamFrame(3, 0, b"")) - GCM_TAG_LEN)
+    forged = encode_frames([ack, StreamFrame(3, 0, b"forged".ljust(room, b"."))])
     packet = seal_client_data(NULL_KEYS, 900, forged, cid=conn.cid, epoch=EPOCH_CLEAR)
+    assert len(packet) == HANDSHAKE_PACKET_LEN
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
     assert server_conn.auth_failures == failures + 1
