@@ -69,12 +69,14 @@ def _encode_string(s: str) -> bytes:
     return len(raw).to_bytes(2, "big") + raw
 
 
-def _decode_string(data: bytes, pos: int) -> tuple[str, int]:
-    if len(data) - pos < 2:
+def _decode_string(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    """The string at ``pos``, which must end by ``end``; returns it with
+    the position after it."""
+    if end - pos < 2:
         raise MqttError("truncated string length")
     n = int.from_bytes(data[pos:pos + 2], "big")
     pos += 2
-    if len(data) - pos < n:
+    if end - pos < n:
         raise MqttError("truncated string")
     try:
         s = data[pos:pos + n].decode("utf-8")
@@ -188,11 +190,26 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
     remaining, pos = _decode_remaining_length(data, 1)
     if len(data) - pos < remaining:
         raise IncompleteMessage(f"need {remaining} body bytes, have {len(data) - pos}")
-    body = data[pos:pos + remaining]
     end = pos + remaining
+    if kind == PUBLISH:
+        # Read in place, so that the payload is copied once.
+        topic, p = _decode_string(data, pos, end)
+        check_publish_topic(topic)
+        msgid = 0
+        if qos > 0:
+            if end - p < 2:
+                raise MqttError("truncated msgid")
+            msgid = int.from_bytes(data[p:p + 2], "big")
+            if msgid == 0:
+                raise MqttError("qos 1 publish with zero msgid")
+            p += 2
+        # Positional: kind, msgid, dup, retained, qos, topic, payload.
+        return MqttMessage(PUBLISH, msgid, bool(flags & 0x08), bool(flags & 0x01), qos,
+                           topic, data[p:end]), end
+    body = data[pos:end]
 
     if kind == CONNECT:
-        name, p = _decode_string(body, 0)
+        name, p = _decode_string(body, 0, len(body))
         if name != "MQTT":
             raise MqttError(f"bad protocol name {name!r}")
         if len(body) - p < 4:
@@ -201,7 +218,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         connect_flags = body[p + 1]
         keepalive = int.from_bytes(body[p + 2:p + 4], "big")
         p += 4
-        client_id, p = _decode_string(body, p)
+        client_id, p = _decode_string(body, p, len(body))
         persistent = not (connect_flags & 0x02)
         if persistent and not client_id:
             raise MqttError("persistent session requires a client id")
@@ -213,20 +230,6 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         if len(body) != 2:
             raise MqttError("bad CONNACK length")
         return MqttMessage(CONNACK, session_present=bool(body[0] & 1), return_code=body[1]), end
-    if kind == PUBLISH:
-        topic, p = _decode_string(body, 0)
-        check_publish_topic(topic)
-        msgid = 0
-        if qos > 0:
-            if len(body) - p < 2:
-                raise MqttError("truncated msgid")
-            msgid = int.from_bytes(body[p:p + 2], "big")
-            if msgid == 0:
-                raise MqttError("qos 1 publish with zero msgid")
-            p += 2
-        # Positional: kind, msgid, dup, retained, qos, topic, payload.
-        return MqttMessage(PUBLISH, msgid, bool(flags & 0x08), bool(flags & 0x01), qos,
-                           topic, body[p:]), end
     if kind in (PUBACK, UNSUBACK):
         if len(body) != 2:
             raise MqttError("bad ack length")
@@ -240,7 +243,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         topics = []
         p = 2
         while p < len(body):
-            topic, p = _decode_string(body, p)
+            topic, p = _decode_string(body, p, len(body))
             check_filter(topic)
             if p > len(body) - 1:
                 raise MqttError("missing requested qos")
@@ -263,7 +266,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         topics = []
         p = 2
         while p < len(body):
-            topic, p = _decode_string(body, p)
+            topic, p = _decode_string(body, p, len(body))
             check_filter(topic)
             topics.append((topic, 0))
         if not topics:

@@ -193,6 +193,194 @@ def test_random_bytes_never_crash(data):
         pass
 
 
+# -- reference decoder --------------------------------------------------------
+# The decoder as it was before it read a PUBLISH in place, kept as an oracle:
+# every body was sliced once and a PUBLISH payload sliced again from it.
+
+
+def _reference_decode_string(data: bytes, pos: int) -> tuple[str, int]:
+    if len(data) - pos < 2:
+        raise MqttError("truncated string length")
+    n = int.from_bytes(data[pos:pos + 2], "big")
+    pos += 2
+    if len(data) - pos < n:
+        raise MqttError("truncated string")
+    try:
+        s = data[pos:pos + n].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MqttError(f"invalid UTF-8: {e}") from None
+    return s, pos + n
+
+
+def reference_decode(data: bytes) -> tuple[MqttMessage, int]:
+    if not data:
+        raise IncompleteMessage("empty buffer")
+    first = data[0]
+    kind = first >> 4
+    flags = first & 0x0F
+    if kind not in mqtt.KIND_NAMES:
+        raise MqttError(f"unknown message kind {kind}")
+    if kind in (mqtt.SUBSCRIBE, mqtt.UNSUBSCRIBE):
+        if flags != 0x02:
+            raise MqttError("bad fixed-header flags")
+    elif kind != mqtt.PUBLISH and flags != 0:
+        raise MqttError("bad fixed-header flags")
+    qos = (flags >> 1) & 0x03
+    if kind == mqtt.PUBLISH and qos > 1:
+        raise MqttError(f"unsupported qos {qos}")
+    remaining, pos = mqtt._decode_remaining_length(data, 1)
+    if len(data) - pos < remaining:
+        raise IncompleteMessage(f"need {remaining} body bytes, have {len(data) - pos}")
+    body = data[pos:pos + remaining]
+    end = pos + remaining
+
+    if kind == mqtt.CONNECT:
+        name, p = _reference_decode_string(body, 0)
+        if name != "MQTT":
+            raise MqttError(f"bad protocol name {name!r}")
+        if len(body) - p < 4:
+            raise MqttError("truncated CONNECT")
+        version = body[p]
+        connect_flags = body[p + 1]
+        keepalive = int.from_bytes(body[p + 2:p + 4], "big")
+        p += 4
+        client_id, p = _reference_decode_string(body, p)
+        persistent = not (connect_flags & 0x02)
+        if persistent and not client_id:
+            raise MqttError("persistent session requires a client id")
+        return MqttMessage(
+            mqtt.CONNECT, client_id=client_id, persistent=persistent,
+            keepalive=keepalive, version=version,
+        ), end
+    if kind == mqtt.CONNACK:
+        if len(body) != 2:
+            raise MqttError("bad CONNACK length")
+        return MqttMessage(mqtt.CONNACK, session_present=bool(body[0] & 1),
+                           return_code=body[1]), end
+    if kind == mqtt.PUBLISH:
+        topic, p = _reference_decode_string(body, 0)
+        mqtt.check_publish_topic(topic)
+        msgid = 0
+        if qos > 0:
+            if len(body) - p < 2:
+                raise MqttError("truncated msgid")
+            msgid = int.from_bytes(body[p:p + 2], "big")
+            if msgid == 0:
+                raise MqttError("qos 1 publish with zero msgid")
+            p += 2
+        return MqttMessage(mqtt.PUBLISH, msgid, bool(flags & 0x08), bool(flags & 0x01), qos,
+                           topic, body[p:]), end
+    if kind in (mqtt.PUBACK, mqtt.UNSUBACK):
+        if len(body) != 2:
+            raise MqttError("bad ack length")
+        return MqttMessage(kind, msgid=int.from_bytes(body, "big")), end
+    if kind == mqtt.SUBSCRIBE:
+        if len(body) < 2:
+            raise MqttError("truncated SUBSCRIBE")
+        msgid = int.from_bytes(body[:2], "big")
+        if msgid == 0:
+            raise MqttError("subscribe with zero msgid")
+        topics = []
+        p = 2
+        while p < len(body):
+            topic, p = _reference_decode_string(body, p)
+            mqtt.check_filter(topic)
+            if p > len(body) - 1:
+                raise MqttError("missing requested qos")
+            if body[p] > 2:
+                raise MqttError(f"bad requested qos {body[p]}")
+            topics.append((topic, body[p]))
+            p += 1
+        if not topics:
+            raise MqttError("SUBSCRIBE without topics")
+        return MqttMessage(mqtt.SUBSCRIBE, msgid=msgid, topics=tuple(topics)), end
+    if kind == mqtt.SUBACK:
+        if len(body) < 3:
+            raise MqttError("truncated SUBACK")
+        return MqttMessage(mqtt.SUBACK, msgid=int.from_bytes(body[:2], "big"),
+                           granted=tuple(body[2:])), end
+    if kind == mqtt.UNSUBSCRIBE:
+        if len(body) < 2:
+            raise MqttError("truncated UNSUBSCRIBE")
+        msgid = int.from_bytes(body[:2], "big")
+        topics = []
+        p = 2
+        while p < len(body):
+            topic, p = _reference_decode_string(body, p)
+            mqtt.check_filter(topic)
+            topics.append((topic, 0))
+        if not topics:
+            raise MqttError("UNSUBSCRIBE without topics")
+        return MqttMessage(mqtt.UNSUBSCRIBE, msgid=msgid, topics=tuple(topics)), end
+    if kind in (mqtt.PINGREQ, mqtt.PINGRESP, mqtt.DISCONNECT):
+        if body:
+            raise MqttError("unexpected payload")
+        return MqttMessage(kind), end
+    raise MqttError(f"unknown message kind {kind}")
+
+
+def outcome(decoder, data: bytes):
+    """What ``decoder`` makes of ``data``: the message, its type and the
+    bytes consumed, or the exception's type and text."""
+    try:
+        msg, consumed = decoder(data)
+    except MqttError as e:
+        return type(e), str(e)
+    return msg, type(msg.payload), consumed
+
+
+any_topics = st.text(max_size=6)  # wildcards, empty and non-ASCII included
+filters = st.lists(st.tuples(st.one_of(topic_names, any_topics),
+                             st.integers(min_value=0, max_value=2)), max_size=3)
+messages = st.one_of(
+    st.builds(lambda c, p, k: MqttMessage(mqtt.CONNECT, client_id=c, persistent=p,
+                                          keepalive=k),
+              client_ids, st.booleans(), st.integers(min_value=0, max_value=0xFFFF)),
+    st.builds(lambda s, r: MqttMessage(mqtt.CONNACK, session_present=s, return_code=r),
+              st.booleans(), st.integers(min_value=0, max_value=5)),
+    st.builds(lambda t, p, q, d, r, m: MqttMessage(mqtt.PUBLISH, msgid=m * q, dup=d,
+                                                   retained=r, qos=q, topic=t, payload=p),
+              st.one_of(topic_names, any_topics), st.binary(max_size=300),
+              st.integers(min_value=0, max_value=1), st.booleans(), st.booleans(),
+              st.integers(min_value=1, max_value=0xFFFF)),
+    st.builds(lambda k, m: MqttMessage(k, msgid=m), st.sampled_from([mqtt.PUBACK, mqtt.UNSUBACK]),
+              st.integers(min_value=0, max_value=0xFFFF)),
+    st.builds(lambda k, m, t: MqttMessage(k, msgid=m, topics=tuple(t)),
+              st.sampled_from([mqtt.SUBSCRIBE, mqtt.UNSUBSCRIBE]),
+              st.integers(min_value=1, max_value=0xFFFF), filters),
+    st.builds(lambda m, g: MqttMessage(mqtt.SUBACK, msgid=m, granted=tuple(g)),
+              st.integers(min_value=0, max_value=0xFFFF),
+              st.lists(st.sampled_from([0, 1, 2, 0x80]), max_size=4)),
+    st.sampled_from([MqttMessage(k) for k in (mqtt.PINGREQ, mqtt.PINGRESP, mqtt.DISCONNECT)]),
+)
+
+
+@settings(max_examples=300)
+@given(msg=messages, tail=st.binary(max_size=4), flip=st.tuples(st.integers(0, 2**16),
+                                                                st.integers(0, 255)))
+def test_decode_matches_the_reference_decoder(msg, tail, flip):
+    # Every encoding followed by more bytes, each of its truncations, each
+    # framing of a shorter body with the rest behind it, and one copy with a
+    # byte replaced decode the same way as by the reference: the same
+    # message and length, or the same error.
+    data = encode(msg) + tail
+    remaining, pos = mqtt._decode_remaining_length(data, 1)
+    samples = [data[:n] for n in range(len(data) + 1)]
+    samples += [data[:1] + mqtt._encode_remaining_length(n) + data[pos:]
+                for n in range(remaining)]
+    at, value = flip
+    altered = bytearray(data)
+    altered[at % len(data)] = value
+    for sample in samples + [bytes(altered)]:
+        assert outcome(decode, sample) == outcome(reference_decode, sample)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=40))
+def test_decode_matches_the_reference_decoder_on_random_bytes(data):
+    assert outcome(decode, data) == outcome(reference_decode, data)
+
+
 # ---------------------------------------------------------------------------
 # Topic matching
 # ---------------------------------------------------------------------------
