@@ -325,7 +325,8 @@ class ClientAgent:
             self.conn.kill()
 
     def set_address(self, new_addr: Address) -> None:
-        """Follow a local address change (roaming); the connection survives."""
+        """Move to a new local address on the simulator (roaming); the
+        connection survives. The real-UDP runner has no such move."""
         self.network.change_address(self.local_addr, new_addr)
         self.local_addr = new_addr
         if self.conn is not None:

@@ -83,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     def bench_common(p):
         p.add_argument("--profile", default="wired", choices=tuple(PROFILES))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--state-dir", default=None)
         p.add_argument("--trace", dest="trace_path", default=None,
                        help="write a simulator datagram trace")
         p.add_argument("--json", dest="json_path", default=None)
@@ -91,6 +90,7 @@ def _parser() -> argparse.ArgumentParser:
 
     conn_p = bench_sub.add_parser("conn-overhead")
     bench_common(conn_p)
+    conn_p.add_argument("--state-dir", default=None)
     conn_p.add_argument("--mode", choices=("tcp", "quic1rtt", "quic0rtt", "all"),
                       default="all")
     conn_p.add_argument("--iterations", type=int, default=10)

@@ -66,11 +66,6 @@ class UdpNetwork:
     def local_address(self) -> Address:
         return self._sock.getsockname()
 
-    def change_address(self, old: Address, new: Address) -> None:
-        handler = self._handler
-        self.unregister(old)
-        self.register(new, handler)
-
     def send(self, payload: bytes, src: Address, dst: Address, annotation: str = "") -> None:
         if self.trace_path is not None:
             self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),

@@ -393,6 +393,14 @@ def test_cli_bench_hol_isolation(tmp_path):
     assert doc["data"]["clean_stream_identical"] is True
 
 
+@pytest.mark.parametrize("scenario", ["hol", "half-open", "migrate"])
+def test_cli_bench_without_session_files_takes_no_state_dir(scenario):
+    # Only conn-overhead resumes at 0-RTT, so only it has session files.
+    with pytest.raises(SystemExit) as e:
+        main(["bench", scenario, "--state-dir", "x"])
+    assert e.value.code == 2
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["bench", "conn-overhead", "--mode", "warp"])

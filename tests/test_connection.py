@@ -29,6 +29,7 @@ from quicmq.wire import (
     CloseFrame,
     PacketHeader,
     StreamFrame,
+    WindowUpdateFrame,
     decode_frames,
     decode_header,
     encode_frames,
@@ -38,6 +39,7 @@ from quicmq.wire import (
     seal_packet,
 )
 from conftest import CLIENT_ADDR, SERVER_ADDR
+from test_trace_pin import lossy_exchange
 
 
 def seal_hello(msg, cid, sqn, role):
@@ -1091,6 +1093,44 @@ def test_close_sends_queued_data_one_chunk_per_packet(world):
     assert b"".join(ev.data for ev in received) == payload
     assert server_conn.phase == "closed"
     assert conn.phase == "closed"
+
+
+def test_lossy_exchange_sends_one_chunk_per_packet(monkeypatch):
+    # The rule the annotations rest on: every data packet holds at most one
+    # STREAM frame, and its annotation names that frame's stream, through
+    # window updates, NACKs, retransmissions and delayed ACKs.
+    plains = []
+    seal = connection.seal_packet
+
+    def recording_seal(header, plain, keys, role):
+        plains.append(plain)
+        return seal(header, plain, keys, role)
+    monkeypatch.setattr(connection, "seal_packet", recording_seal)
+    packets = []
+    send_packet = Connection._send_packet
+
+    def recording_send(self, *args, **kw):
+        sqn = send_packet(self, *args, **kw)
+        packets.append((plains[-1], self.outputs[-1][1]))
+        return sqn
+    monkeypatch.setattr(Connection, "_send_packet", recording_send)
+    lossy_exchange()
+
+    kinds = set()
+    for plain, annotation in packets:
+        if plain[0] != wire.MARKER_DATA:
+            continue
+        frames = decode_frames(plain[1:])
+        chunks = [f for f in frames if isinstance(f, StreamFrame)]
+        assert len(chunks) <= 1, annotation
+        name = annotation.removesuffix(" retx")
+        if chunks:
+            assert name == f"data s{chunks[0].stream_id}", annotation
+        else:
+            assert name in ("ack", "control"), annotation
+        kinds.add((annotation, any(isinstance(f, WindowUpdateFrame) for f in frames)))
+    assert {"data s3", "data s5", "data s3 retx", "data s5 retx"} <= {a for a, _ in kinds}
+    assert any(update for _, update in kinds)
 
 
 def test_peer_close_reports_the_error_code(world):
