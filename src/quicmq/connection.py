@@ -431,9 +431,8 @@ class Connection:
         return "1rtt"
 
     def _send_full_chlo(self, cfg: ServerConfig, stk: bytes, first: bool = False) -> None:
-        """Build a full CHLO against ``cfg``, pad it, derive ik, then send it.
-        A config whose DH value is unusable raises ``CryptoError`` before
-        anything is sent."""
+        """Build, pad and send a full CHLO against ``cfg``, deriving ik first. A
+        config with an unusable DH value raises ``CryptoError`` before any send."""
         msg, secrets = build_full_chlo(cfg, stk, self.clock(), self.rng)
         secrets.chlo_wire = self._pad_hello(msg, first)
         self.ik = derive_ik_client(secrets, cfg, self.cid)
@@ -452,8 +451,7 @@ class Connection:
 
     def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
         """Send a hello padded by ``_pad_hello`` with the same ``first``. A
-        client keeps it, so that a retry repeats it byte for byte, and arms
-        the retry."""
+        client keeps it for the retry it arms, which repeats it byte for byte."""
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
@@ -505,9 +503,8 @@ class Connection:
         header, hlen = decoded
         if header.cid != self.cid:
             return None
-        # Every hello and REJ fills a whole packet (``_send_hello``), so a
-        # shorter cleartext one is forged: answering it would send a spoofed
-        # source many times what it sent (RFC 9000 §8.1, §14.1).
+        # Every hello and REJ fills a packet, so a shorter cleartext one is
+        # forged, and a REJ to it would amplify (RFC 9000 §8.1, §14.1).
         if header.epoch == EPOCH_CLEAR and len(data) < HANDSHAKE_PACKET_LEN:
             return None
         keys = self._keys_for_epoch(header.epoch)
@@ -955,10 +952,9 @@ class Connection:
         """Send ``frames`` behind the queued control frames, in a packet
         recorded for retransmission. Control frames that would push the
         packet past the budget go out first in a packet of their own.
-
-        One chunk per packet: every caller passes at most one STREAM frame,
-        with only a CLOSE after it, and a retransmission re-sends one
-        record's frames. So the last frame names the packet."""
+        Every caller passes at most one STREAM frame, with only a CLOSE
+        after it, and a retransmission re-sends one record's frames, so the
+        last frame names the packet."""
         controls = self._drain_control_frames()
         epoch = self._send_epoch()
         if controls and (data_packet_len(self._header(epoch), controls + frames)

@@ -70,8 +70,7 @@ def _encode_string(s: str) -> bytes:
 
 
 def _decode_string(data: bytes, pos: int, end: int) -> tuple[str, int]:
-    """The string at ``pos``, which must end by ``end``; returns it with
-    the position after it."""
+    """The string at ``pos``, ending by ``end``, and the position after it."""
     if end - pos < 2:
         raise MqttError("truncated string length")
     n = int.from_bytes(data[pos:pos + 2], "big")
