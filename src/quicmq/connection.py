@@ -350,7 +350,6 @@ class Connection:
 
         self.outputs: list[tuple[bytes, str]] = []
         self._control_frames: list = []
-        self._close_pending: CloseFrame | None = None
 
         # Handshake state. The client drops its secrets and hello once the SHLO
         # settles k; the server drops the SHLO at the first packet under k.
@@ -484,16 +483,20 @@ class Connection:
         """Take one datagram from ``src``. ``decoded`` is its clear header
         and length, given by a caller that already decoded it to find this
         connection; without it the header is decoded here. A datagram the
-        gate or the payload handlers refuse counts once in ``auth_failures``."""
+        gate refuses counts once in ``auth_failures`` and changes nothing
+        else."""
         if self.phase == CLOSED:
             return
         opened = self._open(data, decoded)
-        if opened is None or not self._dispatch(opened, src):
+        if opened is None:
             self.auth_failures += 1
+        else:
+            self._dispatch(*opened, src)
 
     def _open(self, data: bytes, decoded: tuple[PacketHeader, int] | None
-              ) -> tuple[PacketHeader, bytes] | None:
-        """The gate: the header and the opened plaintext, or None when the
+              ) -> tuple[PacketHeader, list, tuple[HandshakeMessage, bytes] | None] | None:
+        """The gate: the header, the frames and, for a handshake packet, its
+        one message with the bytes it was decoded from; None when the
         datagram is refused. Nothing here changes the connection."""
         if decoded is None:
             try:
@@ -511,24 +514,43 @@ class Connection:
         if keys is None:
             return None
         plain = open_packet_body(header, hlen, data, keys, self.role)
-        if plain is None:
+        if not plain:
             return None
-        epoch, marker = header.epoch, plain[0] if plain else None
-        # Cleartext packets are sealed under a public key set, so anyone who
-        # knows the cid can forge one: they carry hellos only. Once the peer
-        # has moved to the forward-secure key, data under the initial key is
-        # refused (RFC 9001 §4.9); a repeated SHLO still opens, so a lost
-        # server flight can be recovered.
-        if ((epoch == EPOCH_CLEAR and marker != MARKER_HANDSHAKE)
-                or (epoch == EPOCH_IK and self._peer_on_k and marker == MARKER_DATA)):
+        epoch, marker = header.epoch, plain[0]
+        if marker == MARKER_DATA:
+            # Cleartext packets are sealed under a public key set, so anyone
+            # who knows the cid can forge one: they carry hellos only. Once
+            # the peer has moved to the forward-secure key, data under the
+            # initial key is refused (RFC 9001 §4.9).
+            if epoch == EPOCH_CLEAR or (epoch == EPOCH_IK and self._peer_on_k):
+                return None
+        elif marker != MARKER_HANDSHAKE:
             return None
-        return header, plain
+        elif epoch == EPOCH_CLEAR:
+            # A handshake packet holds the one message its end can take: a
+            # hello in cleartext, or the SHLO to a client under ik.
+            kind = wire.MSG_CHLO if self.role == "server" else wire.MSG_REJ
+        elif epoch == EPOCH_IK and self.role == "client":
+            # A repeated SHLO still opens, so a lost server flight can be
+            # recovered.
+            kind = wire.MSG_SHLO
+        else:
+            return None
+        try:
+            frames = decode_frames(plain[1:])
+            if marker == MARKER_DATA:
+                return header, frames, None
+            raw = b"".join(f.data for f in frames if isinstance(f, StreamFrame))
+            msg = HandshakeMessage.decode(raw)
+        except WireError:
+            return None
+        return (header, frames, (msg, raw)) if msg.kind == kind else None
 
-    def _dispatch(self, opened: tuple[PacketHeader, bytes], src: Address) -> bool:
-        """Act on a packet the gate let through, given as its header and
-        plaintext: record its sqn, migrate the peer, then decode the frames
-        once and hand them on. Returns False when the payload is refused."""
-        header, plain = opened
+    def _dispatch(self, header: PacketHeader, frames: list,
+                  hello: tuple[HandshakeMessage, bytes] | None, src: Address) -> None:
+        """Act on a packet the gate let through: record its sqn, migrate
+        the peer, then hand on the frames, or ``hello``, the handshake
+        message and its bytes."""
         epoch = header.epoch
         if epoch == EPOCH_K:
             # The client only sends under k once the SHLO has settled it.
@@ -541,51 +563,33 @@ class Connection:
         # below the floor the peer named (RFC 9000 §13.2.3).
         if ((epoch != EPOCH_CLEAR or self.phase == HANDSHAKE)
                 and not self.received_sqns.add(header.sqn)):
-            return True
+            return
         if epoch != EPOCH_CLEAR:
             self._last_rx = self.clock()
             if src != self.peer_addr and self.phase == ESTABLISHED:
                 # Authenticated traffic from a new address migrates the peer.
                 old, self.peer_addr = self.peer_addr, src
                 self.on_event(Migrated(old, src))
-
-        marker = plain[0] if plain else None
-        if marker not in (MARKER_HANDSHAKE, MARKER_DATA):
-            return False
-        try:
-            frames = decode_frames(plain[1:])
-        except WireError:
-            return False
         if self.phase == DRAINING:
             # Only a peer CLOSE still matters while draining.
-            for frame in frames if marker == MARKER_DATA else ():
+            for frame in frames if hello is None else ():
                 if isinstance(frame, CloseFrame):
                     self._on_close_frame(frame)
-        elif marker == MARKER_DATA:
+        elif hello is None:
             self._on_data_frames(header.sqn, frames)
-        elif epoch == EPOCH_CLEAR or (epoch == EPOCH_IK and self.role == "client"):
-            # The one handshake message: a hello, or the SHLO to a client.
-            raw = b"".join(f.data for f in frames if isinstance(f, StreamFrame))
-            try:
-                msg = HandshakeMessage.decode(raw)
-            except WireError:
-                return False
-            if self.role == "server":
-                if msg.kind != wire.MSG_CHLO:
-                    return False  # a stray REJ/SHLO
-                self._server_on_chlo(msg, raw, src)
-            elif epoch == EPOCH_CLEAR:
-                self._client_on_rej(msg)
-            else:
-                self._client_on_shlo(msg, raw)
-        return True
+        elif self.role == "server":
+            self._server_on_chlo(*hello, src)
+        elif epoch == EPOCH_CLEAR:
+            self._client_on_rej(hello[0])
+        else:
+            self._client_on_shlo(*hello)
 
     # -- handshake payloads ------------------------------------------------
 
     def _client_on_rej(self, msg: HandshakeMessage) -> None:
         # A REJ answers a hello: none is held before the first is sent or
         # once the SHLO has settled k.
-        if msg.kind != wire.MSG_REJ or self._hs_hello is None:
+        if self._hs_hello is None:
             return
         self._rej_count += 1
         if self._rej_count > 4:
@@ -612,8 +616,8 @@ class Connection:
             self._retransmit(record)
 
     def _client_on_shlo(self, msg: HandshakeMessage, inner: bytes) -> None:
-        if self.phase != HANDSHAKE or msg.kind != wire.MSG_SHLO:
-            return  # a repeated SHLO after settlement, or not a SHLO
+        if self.phase != HANDSHAKE:
+            return  # a repeated SHLO after settlement
         try:
             server_pub = parse_public(msg.fields.get(wire.TAG_PUBS, b""), "shlo_invalid")
             self.k = derive_k_client(self._hs_secrets, self.session.scfg, self.cid,
@@ -698,7 +702,7 @@ class Connection:
                 self._eliciting_rx += 1
                 break
         for frame in frames:
-            if self._close_pending is not None:
+            if self.phase in (DRAINING, CLOSED):
                 return  # an earlier frame closed the connection
             if isinstance(frame, AckFrame):
                 try:
@@ -711,7 +715,6 @@ class Connection:
                 self._on_window_update(frame)
             elif isinstance(frame, CloseFrame):
                 self._on_close_frame(frame)
-                return
 
     def _on_stream_frame(self, frame: StreamFrame) -> None:
         if frame.stream_id == HANDSHAKE_STREAM_ID:
@@ -752,8 +755,7 @@ class Connection:
 
     def _on_close_frame(self, frame: CloseFrame) -> None:
         if self.phase != DRAINING:  # draining means our own CLOSE is out
-            self._close_pending = CloseFrame(frame.error_code, b"")
-            self._flush_close()
+            self._send_close(CloseFrame(frame.error_code, b""))
         self._become_closed(f"peer_close:{frame.error_code}")
 
     # -- acks and loss -----------------------------------------------------------
@@ -896,11 +898,15 @@ class Connection:
         self.phase = CLOSED
 
     def close(self, error_code: int = 0, reason: bytes = b"") -> None:
-        """Start a clean close. Queued stream data (the usual DISCONNECT)
-        goes out one chunk per packet, and the CLOSE frame rides on the last."""
+        """Send the CLOSE and drain. Queued stream data (the usual
+        DISCONNECT) goes out first, and the CLOSE frame rides on its last
+        packet. With no keys to send under, the connection closes at once."""
         if self.phase in (DRAINING, CLOSED):
             return
-        self._close_pending = CloseFrame(error_code, reason)
+        if self._send_close(CloseFrame(error_code, reason)):
+            self._drain()
+        else:
+            self._become_closed("local_close")
 
     # ------------------------------------------------------------------ app API
 
@@ -1019,12 +1025,6 @@ class Connection:
         """Packetize everything currently sendable."""
         if self.phase == CLOSED:
             return
-        if self._close_pending is not None:
-            if self._flush_close():
-                self._drain()
-            else:
-                self._become_closed("local_close")
-            return
         if self._data_allowed():
             self._flush_data()
         if self.phase != ESTABLISHED or not (self.ack_needed or self._control_frames):
@@ -1051,11 +1051,10 @@ class Connection:
         if self.phase == ESTABLISHED and self.ack_needed:
             self._send_ack_packet()
 
-    def _flush_close(self) -> bool:
+    def _send_close(self, close: CloseFrame) -> bool:
         """Send the remaining stream chunks one per packet, ignoring the
-        congestion window, with the CLOSE frame on the last; returns False
-        when there are no keys to send under."""
-        close, self._close_pending = self._close_pending, None
+        congestion window, with ``close`` on the last; returns False when
+        there are no keys to send under."""
         if self._keys_for_epoch(self._send_epoch()) is None:
             return False
         chunks = list(self._stream_chunks()) if self._data_allowed() else []

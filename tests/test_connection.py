@@ -18,7 +18,13 @@ from quicmq.connection import (
     TransportError,
 )
 from quicmq.crypto import GCM_TAG_LEN, NULL_KEYS, sha256, sign, split_keys
-from quicmq.handshake import GROUP_ID, build_full_chlo, build_inchoate_chlo, signed_blob
+from quicmq.handshake import (
+    GROUP_ID,
+    build_full_chlo,
+    build_inchoate_chlo,
+    build_rej,
+    signed_blob,
+)
 from quicmq.wire import (
     EPOCH_CLEAR,
     EPOCH_IK,
@@ -556,9 +562,7 @@ def test_authenticated_frames_that_do_not_decode_are_refused_once(world, raw):
     assert server_conn.streams == {}
     assert server_conn.ack_needed == owed
     assert server_conn.phase == "established"
-    # Today the refused packet's sqn is still recorded, so the next ACK
-    # names it as received.
-    assert sqn in server_conn.received_sqns
+    assert sqn not in server_conn.received_sqns
 
 
 def test_frame_kind_0x05_is_refused_and_owes_no_ack(world):
@@ -858,7 +862,6 @@ def test_reflected_rej_dropped_silently(world):
     sent_before = len(server_ep.sent)
     # Reuse the server's own cid header by rebuilding a clear packet that
     # carries the REJ message back at it.
-    from quicmq.handshake import build_rej
     msg = build_rej(server_ep.identity.scfg, server_ep.identity.k_stk,
                     "10.0.0.2", 0.0, Random(1))
     packet = seal_hello(msg, conn.cid, 600, "client")
@@ -970,6 +973,15 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
+def server_state(server_conn):
+    """What a refused datagram must leave as it was."""
+    received = server_conn.received_sqns
+    streams = {sid: (s.send_offset, s.delivered, s.received, s.advertised, s.peer_limit)
+               for sid, s in server_conn.streams.items()}
+    return (received.floor, received.gaps(), received.largest, server_conn.ack_needed,
+            server_conn._last_rx, server_conn.peer_addr, server_conn.phase, streams)
+
+
 def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world):
     # Every single-bit flip of the 17-byte header, 32 seeded flips in the
     # body and every truncation of one genuine client packet under k, each
@@ -987,20 +999,12 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
     header, hlen = decode_header(packet)
     assert header.epoch == EPOCH_K and hlen == 17
 
-    def state():
-        received = server_conn.received_sqns
-        streams = {sid: (s.send_offset, s.delivered, s.received, s.advertised,
-                         s.peer_limit)
-                   for sid, s in server_conn.streams.items()}
-        return (received.floor, received.gaps(), received.largest, server_conn._last_rx,
-                server_conn.peer_addr, server_conn.phase, streams)
-
     rng = Random(19)
     altered = [flip_bit(packet, bit) for bit in range(hlen * 8)]
     altered += [flip_bit(packet, rng.randrange(hlen * 8, len(packet) * 8))
                 for _ in range(32)]
     altered += [packet[:n] for n in range(len(packet))]
-    before = state()
+    before = server_state(server_conn)
     for data in altered:
         for src in (CLIENT_ADDR, ("10.0.0.9", 40000)):
             failures, events = server_conn.auth_failures, len(server_ep.events)
@@ -1008,7 +1012,7 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
             assert server_conn.auth_failures == failures + 1
             assert len(server_ep.events) == events
             assert server_conn.outputs == []
-            assert state() == before
+            assert server_state(server_conn) == before
 
     failures = server_conn.auth_failures
     server_conn.handle_datagram(packet, CLIENT_ADDR)
@@ -1017,6 +1021,59 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
     assert server_conn._last_rx == net.clock.now_s
     assert server_conn.streams[3].delivered == len(b"upgenuine")
     assert server_ep.events_of(StreamData)[-1].data == b"genuine"
+
+
+def test_authenticated_packets_whose_payload_is_refused_change_nothing(world):
+    # Each payload opens under k but holds nothing the server can take. It
+    # is refused once, from the client's address or a new one, and leaves
+    # no trace: its sqn is not acked, the idle clock and the peer's address
+    # stay, and no event or packet follows.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    conn.send_stream(3, b"up")
+    client_ep.pump(conn.cid)
+    net.run(until_s=net.clock.now_s + 1.0)  # quiet, and past the last receipt
+    data = bytes([wire.MARKER_DATA])
+    hello = StreamFrame(1, 0, build_inchoate_chlo().encode())
+    payloads = [
+        b"",
+        bytes([0x7F]) + encode_frames([StreamFrame(3, 2, b"x")]),  # unknown marker
+        data + bytes([0x05]),
+        data + bytes([wire.KIND_STREAM]) + bytes(10),
+        data + encode_frames([StreamFrame(3, 2, b"abc")])[:-1],
+        data + stream_frame_with_reserved_byte(),
+        bytes([wire.MARKER_HANDSHAKE]) + encode_frames([hello]),
+    ]
+    sqn = conn.next_sqn + 5
+    before = server_state(server_conn)
+    for payload in payloads:
+        packet = seal_packet(PacketHeader(cid=conn.cid, sqn=sqn, epoch=EPOCH_K), payload,
+                             conn.k, "client")
+        for src in (CLIENT_ADDR, ("10.9.9.9", 40000)):
+            failures, events = server_conn.auth_failures, len(server_ep.events)
+            server_conn.handle_datagram(packet, src)
+            assert server_conn.auth_failures == failures + 1
+            assert len(server_ep.events) == events
+            assert server_conn.outputs == []
+            assert server_state(server_conn) == before
+    assert sqn not in server_conn.received_sqns
+
+
+def test_stray_rej_to_a_server_in_handshake_records_no_sqn(world):
+    net, client_ep, server_ep, identity = world()
+    conn = client_ep.make_client()
+    conn.start_connect()
+    client_ep.pump(conn.cid)
+    net.run(until_s=0.0015)  # the inchoate hello is in, the REJ on its way
+    server_conn = server_ep.only_conn()
+    assert server_conn.phase == "handshake"
+    rej = build_rej(identity.scfg, identity.k_stk, CLIENT_ADDR[0], 0.0, Random(1))
+    before = server_state(server_conn)
+    server_conn.handle_datagram(seal_hello(rej, conn.cid, 600, "client"), CLIENT_ADDR)
+    assert server_conn.auth_failures == 1
+    assert 600 not in server_conn.received_sqns
+    assert server_conn.outputs == []
+    assert server_state(server_conn) == before
 
 
 # ---------------------------------------------------------------------------
