@@ -105,8 +105,9 @@ class SessionStore:
 def _pump(network: SimNetwork, conn: Connection) -> None:
     """Packetize what the connection has queued and put it on the network."""
     conn.flush()
-    for packet, annotation in conn.take_outputs():
-        network.send(packet, conn.local_addr, conn.peer_addr, annotation)
+    if conn.outputs:
+        for packet, annotation in conn.take_outputs():
+            network.send(packet, conn.local_addr, conn.peer_addr, annotation)
 
 
 class _ConnState:

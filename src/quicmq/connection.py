@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import wire
 from .crypto import GCM_TAG_LEN, NULL_KEYS, SYSTEM_RNG, CryptoError, KeySet
@@ -79,6 +80,9 @@ MAX_HANDSHAKE_RETRIES = 8
 STREAM_WINDOW = 64 * 1024
 CONNECTION_WINDOW = 256 * 1024
 DRAIN_PERIOD_S = 10.0  # how long a connection drains after its own CLOSE
+_MARKER_BYTES = {MARKER_DATA: bytes([MARKER_DATA]),
+                 MARKER_HANDSHAKE: bytes([MARKER_HANDSHAKE])}
+_by_stream_id = attrgetter("stream_id")
 
 
 def data_packet_len(header: PacketHeader, frames: list) -> int:
@@ -189,14 +193,19 @@ class ReceivedSqns:
 
     def add(self, sqn: int) -> bool:
         """Record ``sqn``; False if it already counts as received."""
-        if sqn < self.floor:
+        floor = self.floor
+        starts = self._starts
+        if sqn == floor and not starts:  # the next in order, with no gap held
+            self.floor = sqn + 1
+            return True
+        if sqn < floor:
             return False
-        starts, ends = self._starts, self._ends
+        ends = self._ends
         i = bisect_right(starts, sqn)
         if i and sqn <= ends[i - 1]:
             return False
         joins_above = i < len(starts) and starts[i] == sqn + 1
-        if i == 0 and sqn == self.floor:
+        if i == 0 and sqn == floor:
             if joins_above:
                 self.floor = ends[0] + 1
                 del starts[0], ends[0]
@@ -263,11 +272,18 @@ class Stream:
         """Dequeue one chunk: at most MAX_STREAM_CHUNK bytes, within the
         peer's window on this stream and ``conn_room`` bytes of its window
         on the connection; returns (data, offset)."""
-        limit = max(0, min(self.peer_limit - self.send_offset, conn_room, MAX_STREAM_CHUNK))
-        data = bytes(self.send_buf[:limit])
-        del self.send_buf[:limit]
         offset = self.send_offset
-        self.send_offset += len(data)
+        limit = min(self.peer_limit - offset, conn_room, MAX_STREAM_CHUNK)
+        buf = self.send_buf
+        if len(buf) <= limit:
+            data = bytes(buf)
+            buf.clear()
+        elif limit > 0:
+            data = bytes(buf[:limit])
+            del buf[:limit]
+        else:
+            return b"", offset
+        self.send_offset = offset + len(data)
         return data, offset
 
     # -- receive ------------------------------------------------------------
@@ -275,13 +291,20 @@ class Stream:
     def accept(self, frame: StreamFrame) -> list[bytes]:
         """Insert a fragment, returning the newly contiguous chunks. Data
         past the advertised limit is a flow-control error (RFC 9000 §4.1)."""
-        end = frame.offset + len(frame.data)
+        start = frame.offset
+        data = frame.data
+        end = start + len(data)
         if end > self.advertised:
             raise TransportError("flow_control", f"stream {self.stream_id}")
-        self.received = max(self.received, end)
+        if end > self.received:
+            self.received = end
+        if start == self.delivered and not self.fragments:
+            # In order with nothing held: delivered as it is.
+            if not data:
+                return []
+            self.delivered = end
+            return [data]
         if end > self.delivered:
-            start = frame.offset
-            data = frame.data
             if start < self.delivered:
                 data = data[self.delivered - start:]
                 start = self.delivered
@@ -364,29 +387,6 @@ class Connection:
 
     # ------------------------------------------------------------------ utils
 
-    def _alloc_sqn(self) -> int:
-        """Hand out the next sequence number. A number at or below one
-        already spent would reuse a nonce under the same key (RFC 9000
-        §12.3), so it is refused rather than sealed."""
-        sqn = self.next_sqn
-        if sqn <= self._last_sqn:
-            raise TransportError("sqn_reuse", str(sqn))
-        self._last_sqn = sqn
-        self.next_sqn = sqn + 1
-        return sqn
-
-    def _keys_for_epoch(self, epoch: int) -> KeySet | None:
-        if epoch == EPOCH_CLEAR:
-            return NULL_KEYS
-        if epoch == EPOCH_IK:
-            return self.ik
-        if epoch == EPOCH_K:
-            return self.k
-        return None
-
-    def _send_epoch(self) -> int:
-        return EPOCH_K if self.k is not None else EPOCH_IK
-
     def _header(self, epoch: int, sqn: int = 0, version: bool = False) -> PacketHeader:
         return PacketHeader(
             self.cid, sqn, epoch, wire.VERSION if version else None,
@@ -397,15 +397,27 @@ class Connection:
                      version: bool = False) -> int:
         """The one place a packet is built and sealed; returns its sqn.
         Server packets under the initial keys carry the diversification
-        nonce; ``version`` is set for a client's first hello only."""
-        header = self._header(epoch, self._alloc_sqn(), version)
+        nonce; ``version`` is set for a client's first hello only. A sqn at
+        or below one already spent would reuse a nonce under the same key
+        (RFC 9000 §12.3), so it is refused rather than sealed."""
+        sqn = self.next_sqn
+        if sqn <= self._last_sqn:
+            raise TransportError("sqn_reuse", str(sqn))
+        self._last_sqn = sqn
+        self.next_sqn = sqn + 1
+        if epoch == EPOCH_K:
+            header = PacketHeader(self.cid, sqn, EPOCH_K)
+            keys = self.k
+        else:
+            header = self._header(epoch, sqn, version)
+            keys = self.ik if epoch == EPOCH_IK else NULL_KEYS
         if marker == MARKER_DATA:
             # Every data packet leads with current ack information.
             frames = [self._ack_frame(header, frames)] + frames
-        packet = seal_packet(header, bytes([marker]) + encode_frames(frames),
-                             self._keys_for_epoch(epoch), self.role)
+        packet = seal_packet(header, _MARKER_BYTES[marker] + encode_frames(frames),
+                             keys, self.role)
         self.outputs.append((packet, annotation))
-        return header.sqn
+        return sqn
 
     def take_outputs(self) -> list[tuple[bytes, str]]:
         out = self.outputs
@@ -506,17 +518,25 @@ class Connection:
         header, hlen = decoded
         if header.cid != self.cid:
             return None
-        # Every hello and REJ fills a packet, so a shorter cleartext one is
-        # forged, and a REJ to it would amplify (RFC 9000 §8.1, §14.1).
-        if header.epoch == EPOCH_CLEAR and len(data) < HANDSHAKE_PACKET_LEN:
+        epoch = header.epoch
+        if epoch == EPOCH_K:
+            keys = self.k
+        elif epoch == EPOCH_IK:
+            keys = self.ik
+        elif epoch == EPOCH_CLEAR:
+            # Every hello and REJ fills a packet, so a shorter cleartext one
+            # is forged, and a REJ to it would amplify (RFC 9000 §8.1, §14.1).
+            if len(data) < HANDSHAKE_PACKET_LEN:
+                return None
+            keys = NULL_KEYS
+        else:
             return None
-        keys = self._keys_for_epoch(header.epoch)
         if keys is None:
             return None
         plain = open_packet_body(header, hlen, data, keys, self.role)
         if not plain:
             return None
-        epoch, marker = header.epoch, plain[0]
+        marker = plain[0]
         if marker == MARKER_DATA:
             # Cleartext packets are sealed under a public key set, so anyone
             # who knows the cid can forge one: they carry hellos only. Once
@@ -696,31 +716,34 @@ class Connection:
     def _on_data_frames(self, sqn: int, frames: list) -> None:
         # An ack is owed from the moment an ack-eliciting packet opens; any
         # packet its frames cause to be sent carries the ack and clears it.
-        for f in frames:
-            if not isinstance(f, (AckFrame, CloseFrame)):
+        for frame in frames:
+            kind = type(frame)
+            if kind is not AckFrame and kind is not CloseFrame:
                 self.ack_needed += 1
                 self._eliciting_rx += 1
                 break
         for frame in frames:
             if self.phase in (DRAINING, CLOSED):
                 return  # an earlier frame closed the connection
-            if isinstance(frame, AckFrame):
+            kind = type(frame)
+            if kind is StreamFrame:
+                self._on_stream_frame(frame)
+            elif kind is AckFrame:
                 try:
                     self._on_ack_frame(frame, sqn)
                 except TransportError as e:
                     self.close(error_code=1, reason=e.reason.encode())
-            elif isinstance(frame, StreamFrame):
-                self._on_stream_frame(frame)
-            elif isinstance(frame, WindowUpdateFrame):
+            elif kind is WindowUpdateFrame:
                 self._on_window_update(frame)
-            elif isinstance(frame, CloseFrame):
+            elif kind is CloseFrame:
                 self._on_close_frame(frame)
 
     def _on_stream_frame(self, frame: StreamFrame) -> None:
-        if frame.stream_id == HANDSHAKE_STREAM_ID:
+        stream_id = frame.stream_id
+        if stream_id == HANDSHAKE_STREAM_ID:
             return
         try:
-            stream = self._stream(frame.stream_id)
+            stream = self.streams.get(stream_id) or self._stream(stream_id)
             before, received = stream.delivered, stream.received
             chunks = stream.accept(frame)
             self.conn_received += stream.received - received
@@ -730,17 +753,15 @@ class Connection:
             self.close(error_code=1, reason=e.reason.encode())
             return
         for data in chunks:
-            self.on_event(StreamData(frame.stream_id, data))
+            self.on_event(StreamData(stream_id, data))
         delivered_now = stream.delivered - before
-        if delivered_now:
-            self.conn_delivered += delivered_now
-            self._maybe_advertise(stream)
-
-    def _maybe_advertise(self, stream: Stream) -> None:
+        if not delivered_now:
+            return
+        # Open the windows again once half of each is used up.
+        self.conn_delivered += delivered_now
         if stream.advertised - stream.delivered <= STREAM_WINDOW // 2:
             stream.advertised = stream.delivered + STREAM_WINDOW
-            self._control_frames.append(
-                WindowUpdateFrame(stream.stream_id, stream.advertised))
+            self._control_frames.append(WindowUpdateFrame(stream_id, stream.advertised))
         if self.conn_advertised - self.conn_delivered <= CONNECTION_WINDOW // 2:
             self.conn_advertised = self.conn_delivered + CONNECTION_WINDOW
             self._control_frames.append(WindowUpdateFrame(0, self.conn_advertised))
@@ -776,8 +797,10 @@ class Connection:
             if not prev_end < start <= end < largest:
                 raise TransportError("bad_nack_ranges")
             prev_end = end
-        self.received_sqns.raise_floor(frame.least_unacked)
-        now = self.clock()
+        received = self.received_sqns
+        if frame.least_unacked > received.floor:
+            received.raise_floor(frame.least_unacked)
+        now = self._last_rx  # set by _dispatch as this packet arrived
         # sent_packets is in sqn order: records are added as sqns are spent.
         sent = self.sent_packets
         if not ranges:
@@ -843,9 +866,6 @@ class Connection:
             self._retransmit(record)
         if self.sent_packets:
             self._arm_rto_timer()
-
-    def _can_send_packet(self) -> bool:
-        return len(self.sent_packets) < CONGESTION_WINDOW_PACKETS
 
     # -- idle / teardown ---------------------------------------------------------
 
@@ -934,25 +954,24 @@ class Connection:
         within the packet budget; those that do not fit are left out from
         the newest end, and largest_observed drops to just below the first
         gap left out, since a gap not reported reads as received."""
+        self.ack_needed = 0
+        least_unacked = next(iter(self.sent_packets), header.sqn)
         received = self.received_sqns
+        if not received:
+            return AckFrame(received.floor - 1, least_unacked)
         gaps = received.gaps()
         largest = received.largest
-        if gaps:
-            room = HANDSHAKE_PACKET_LEN - data_packet_len(header, frames)
-            fit = min(wire.MAX_NACK_RANGES, max(0, room // wire.NACK_RANGE_LEN))
-            if len(gaps) > fit:
-                largest = gaps[fit][0] - 1
-                gaps = gaps[:fit]
-        self.ack_needed = 0
-        return AckFrame(largest, next(iter(self.sent_packets), header.sqn), tuple(gaps))
+        room = HANDSHAKE_PACKET_LEN - data_packet_len(header, frames)
+        fit = min(wire.MAX_NACK_RANGES, max(0, room // wire.NACK_RANGE_LEN))
+        if len(gaps) > fit:
+            largest = gaps[fit][0] - 1
+            gaps = gaps[:fit]
+        return AckFrame(largest, least_unacked, tuple(gaps))
 
     def _send_ack_packet(self) -> None:
-        self._send_packet(self._send_epoch(), MARKER_DATA, self._drain_control_frames(),
-                          "ack")
-
-    def _drain_control_frames(self) -> list:
         frames, self._control_frames = self._control_frames, []
-        return frames
+        self._send_packet(EPOCH_K if self.k is not None else EPOCH_IK, MARKER_DATA,
+                          frames, "ack")
 
     def _send_data_packet(self, frames: list, retx: bool = False) -> None:
         """Send ``frames`` behind the queued control frames, in a packet
@@ -961,73 +980,80 @@ class Connection:
         Every caller passes at most one STREAM frame, with only a CLOSE
         after it, and a retransmission re-sends one record's frames, so the
         last frame names the packet."""
-        controls = self._drain_control_frames()
-        epoch = self._send_epoch()
-        if controls and (data_packet_len(self._header(epoch), controls + frames)
-                         > HANDSHAKE_PACKET_LEN):
-            self._send_data_packet(controls)
-            controls = []
-        out_frames = controls + frames
-        last = out_frames[-1]
-        if isinstance(last, CloseFrame):
-            annotation = "close"
-        elif isinstance(last, StreamFrame):
+        epoch = EPOCH_K if self.k is not None else EPOCH_IK
+        controls = self._control_frames
+        if controls:
+            self._control_frames = []
+            if (data_packet_len(self._header(epoch), controls + frames)
+                    > HANDSHAKE_PACKET_LEN):
+                self._send_data_packet(controls)
+            else:
+                frames = controls + frames
+        last = frames[-1]
+        kind = type(last)
+        if kind is StreamFrame:
             annotation = f"data s{last.stream_id}"
+        elif kind is CloseFrame:
+            annotation = "close"
         else:
             annotation = "control"
         if retx:
             annotation += " retx"
-        sqn = self._send_packet(epoch, MARKER_DATA, out_frames, annotation)
-        self.sent_packets[sqn] = SentPacket(sqn, self.clock(), tuple(out_frames))
-        self._arm_rto_timer()
+        sqn = self._send_packet(epoch, MARKER_DATA, frames, annotation)
+        self.sent_packets[sqn] = SentPacket(sqn, self.clock(), tuple(frames))
+        if self._rto_timer is None:
+            self._arm_rto_timer()
 
-    def _data_allowed(self) -> bool:
-        if self.phase in (DRAINING, CLOSED):
-            return False
-        # A client's initial data rides under ik before settlement.
-        return (self.ik if self.role == "client" else self.k) is not None
-
-    def _stream_chunks(self) -> Iterator[StreamFrame]:
-        """The stream scheduler: dequeue sendable data round-robin over the
-        streams in id order, one chunk per stream per pass, while the
-        flow-control limits allow. Each chunk is dequeued only when the
-        caller asks for it."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for stream_id in sorted(self.streams):
-                stream = self.streams[stream_id]
-                if not stream.has_pending():
-                    continue
+    def _send_stream_data(self, close: CloseFrame | None = None) -> None:
+        """The stream scheduler: dequeue one chunk per packet, round-robin
+        over the streams in id order, one chunk per stream per pass, while
+        the flow-control limits allow. Without ``close``, the congestion
+        window is checked before each chunk is dequeued and what it holds
+        back stays queued. With ``close``, the window is ignored and
+        ``close`` rides on the last packet, alone if there is no data.
+        Nothing is dequeued before this end may send data: a client's
+        initial data rides under ik, a server's waits for k."""
+        # Buffers only shrink and limits only tighten while this runs, so a
+        # stream that is empty or blocked leaves the rotation for good.
+        ready = []
+        if (self.ik if self.role == "client" else self.k) is not None:
+            for stream in self.streams.values():
+                if stream.send_buf:
+                    ready.append(stream)
+            if len(ready) > 1:
+                ready.sort(key=_by_stream_id)
+        sent = self.sent_packets
+        held = None
+        while ready:
+            still = []
+            for stream in ready:
+                if close is None and len(sent) >= CONGESTION_WINDOW_PACKETS:
+                    return
                 data, offset = stream.take_chunk(self.peer_conn_limit - self.conn_bytes_sent)
                 if not data:
                     continue
                 self.conn_bytes_sent += len(data)
-                yield StreamFrame(stream_id, offset, data)
-                progressed = True
-
-    def _flush_data(self) -> None:
-        """Send one stream chunk per packet while the congestion window
-        allows; anything left stays queued on its stream."""
-        for stream in self.streams.values():
-            if stream.has_pending():
-                break
-        else:
-            return
-        chunks = self._stream_chunks()
-        while self._can_send_packet():
-            frame = next(chunks, None)
-            if frame is None:
-                return
-            self._send_data_packet([frame])
+                frame = StreamFrame(stream.stream_id, offset, data)
+                if close is None:
+                    self._send_data_packet([frame])
+                else:
+                    if held is not None:
+                        self._send_data_packet([held])
+                    held = frame
+                if stream.send_buf:
+                    still.append(stream)
+            ready = still
+        if close is not None:
+            self._send_data_packet([close] if held is None else [held, close])
 
     def flush(self) -> None:
         """Packetize everything currently sendable."""
-        if self.phase == CLOSED:
+        phase = self.phase
+        if phase == CLOSED:
             return
-        if self._data_allowed():
-            self._flush_data()
-        if self.phase != ESTABLISHED or not (self.ack_needed or self._control_frames):
+        if phase != DRAINING:
+            self._send_stream_data()
+        if phase != ESTABLISHED or not (self.ack_needed or self._control_frames):
             return
         if self._control_frames or self._ack_at_once():
             self._send_ack_packet()
@@ -1055,10 +1081,7 @@ class Connection:
         """Send the remaining stream chunks one per packet, ignoring the
         congestion window, with ``close`` on the last; returns False when
         there are no keys to send under."""
-        if self._keys_for_epoch(self._send_epoch()) is None:
+        if self.k is None and self.ik is None:
             return False
-        chunks = list(self._stream_chunks()) if self._data_allowed() else []
-        for frame in chunks[:-1]:
-            self._send_data_packet([frame])
-        self._send_data_packet(chunks[-1:] + [close])
+        self._send_stream_data(close)
         return True

@@ -84,12 +84,18 @@ def sign(sk: bytes, m: bytes) -> bytes:
     return priv.sign(m, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
 
 
+# A public key decoded from its point, kept per key: a client verifies the
+# same server key on every connect. A malformed point raises and is not kept.
+@functools.lru_cache(maxsize=16)
+def _public_key(pk: bytes) -> ec.EllipticCurvePublicKey:
+    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), pk)
+
+
 def ver(pk: bytes, m: bytes, sigma: bytes) -> bool:
     """Verify a signature. Returns False (never raises) on any malformed or
     mismatching input."""
     try:
-        pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), pk)
-        pub.verify(sigma, m, ec.ECDSA(hashes.SHA256()))
+        _public_key(pk).verify(sigma, m, ec.ECDSA(hashes.SHA256()))
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False

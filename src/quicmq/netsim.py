@@ -88,7 +88,10 @@ class Timer:
         self.cancelled = False
 
     def cancel(self):
+        # The callback goes at once: a cancelled timer stays queued until
+        # its deadline, and its closure would keep a closed connection alive.
         self.cancelled = True
+        self.fn = None
 
 
 @dataclass

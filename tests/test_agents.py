@@ -1,6 +1,7 @@
 import gc
 import os
 import tracemalloc
+import weakref
 from random import Random
 
 import pytest
@@ -663,6 +664,25 @@ def test_crashed_clients_reclaimed_within_budget():
         c.kill()
     net.run(until_s=2.0 + cfg.idle_timeout_s + 1.0)
     assert server.connection_count() == 0
+
+
+def test_connection_closed_by_disconnect_is_freed_at_once():
+    # The broker's idle timer for the connection is cancelled at the close
+    # but stays queued until its deadline, 30 s on; it must not keep the
+    # connection, its keys and its streams alive until then.
+    net, identity, server = make_world(delay_ms=1.0)
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=1.0)
+    assert client.connected
+    (state,) = server.conns.values()
+    broker_conn = weakref.ref(state.conn)
+    del state
+    client.disconnect()
+    net.run(until_s=2.0)
+    gc.collect()
+    assert server.connection_count() == 0
+    assert broker_conn() is None
 
 
 def test_failed_handshake_slot_reclaimed_by_the_idle_timeout():

@@ -649,7 +649,8 @@ def _stream_bytes(packet, server_conn):
     """Total stream payload bytes inside one client-sent packet."""
     from quicmq.wire import open_packet_body
     header, hlen = decode_header(packet)
-    keys = server_conn._keys_for_epoch(header.epoch)
+    keys = {EPOCH_CLEAR: NULL_KEYS, EPOCH_IK: server_conn.ik,
+            EPOCH_K: server_conn.k}.get(header.epoch)
     if keys is None:
         return b""
     plain = open_packet_body(header, hlen, packet, keys, "server")

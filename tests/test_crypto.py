@@ -58,6 +58,22 @@ def test_verify_never_raises_on_garbage():
     assert not ver(b"not a key", b"m", sign(pair.sk, b"m"))
 
 
+def test_verify_under_a_cached_key_still_checks_every_call():
+    # The decoded key is kept per key bytes. A malformed point is never
+    # kept, and the signature is checked on every call, before and after a
+    # good verify has put the key in the cache.
+    crypto._public_key.cache_clear()
+    pair = kg(128, Random(5))
+    sigma = sign(pair.sk, b"m")
+    wrong = sign(pair.sk, b"other")
+    off_curve = pair.pk[:-1] + bytes([pair.pk[-1] ^ 1])
+    for _ in range(2):
+        assert not ver(off_curve, b"m", sigma)
+        assert not ver(pair.pk, b"m", wrong)
+        assert ver(pair.pk, b"m", sigma)
+    assert crypto._public_key.cache_info().currsize == 1
+
+
 def test_kg_seeded_is_reproducible():
     a = kg(128, Random(99))
     b = kg(128, Random(99))
