@@ -31,7 +31,8 @@ from .connection import (
 )
 from .crypto import SYSTEM_RNG
 from .handshake import HandshakeError, ServerConfig, ServerIdentity
-from .mqtt import Broker, MqttError, MqttMessage
+from .mqtt import (CONNACK, CONNECT, PUBACK, PUBLISH, SUBACK, SUBSCRIBE, UNSUBSCRIBE, Broker,
+                   MqttError, MqttMessage)
 from .netsim import Address, SimNetwork
 from .wire import EPOCH_CLEAR, WireError, decode_header
 
@@ -106,8 +107,10 @@ def _pump(network: SimNetwork, conn: Connection) -> None:
     """Packetize what the connection has queued and put it on the network."""
     conn.flush()
     if conn.outputs:
+        send = network.send
+        src, dst = conn.local_addr, conn.peer_addr
         for packet, annotation in conn.take_outputs():
-            network.send(packet, conn.local_addr, conn.peer_addr, annotation)
+            send(packet, src, dst, annotation)
 
 
 class _ConnState:
@@ -124,6 +127,7 @@ class _ConnState:
                                scheduler=self.schedule, on_event=on_event, **conn_args)
         self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
         self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
+        self.sub_order: list[tuple[str, int]] = []  # sub_streams' items, sorted
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
 
     def schedule(self, delay_s: float, fn: Callable[[], None]):
@@ -311,10 +315,12 @@ class ClientAgent:
     # -- plumbing ----------------------------------------------------------------
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
-        if self.state is None:
+        state = self.state
+        if state is None:
             return
-        self.conn.handle_datagram(data, src)
-        _pump(self.network, self.conn)
+        conn = state.conn
+        conn.handle_datagram(data, src)
+        _pump(self.network, conn)
 
     def kill(self) -> None:
         """Abrupt process death: no teardown traffic, the address vanishes,
@@ -357,19 +363,20 @@ class ClientAgent:
     def quic_dispatcher(self, msg: MqttMessage, stream_id: int) -> None:
         """Client branch of the dispatcher: react to the session-level
         responses and hand each PUBLISH to ``on_message``."""
-        if msg.kind == mqtt.CONNACK:
+        kind = msg.kind
+        if kind == PUBLISH:
+            if msg.qos == 1:
+                self.state.conn.send_stream(stream_id,
+                                            mqtt.encode(MqttMessage(PUBACK, msgid=msg.msgid)))
+            if self.on_message is not None:
+                self.on_message(self, msg)
+        elif kind == CONNACK:
             self.connected = True
             if self.on_connected is not None:
                 self.on_connected(self)
-        elif msg.kind == mqtt.SUBACK:
+        elif kind == SUBACK:
             if self.on_suback is not None:
                 self.on_suback(self, msg.msgid)
-        elif msg.kind == mqtt.PUBLISH:
-            if msg.qos == 1:
-                self.conn.send_stream(stream_id,
-                                      mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
-            if self.on_message is not None:
-                self.on_message(self, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -461,29 +468,52 @@ class ServerAgent:
                         stream_id: int) -> None:
         """Broker branch of the dispatcher: parsed MQTT messages route by
         topic to every live subscriber."""
-        if msg.kind == mqtt.CONNECT:
+        kind = msg.kind
+        if kind == CONNECT:
             state.primary_stream = stream_id
-        elif msg.kind == mqtt.SUBSCRIBE:
+        elif kind == SUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams[topic] = stream_id
-        elif msg.kind == mqtt.UNSUBSCRIBE:
+            state.sub_order = sorted(state.sub_streams.items())
+        elif kind == UNSUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams.pop(topic, None)
+            state.sub_order = sorted(state.sub_streams.items())
         try:
             deliveries = self.broker.handle(msg, state.conn)
         except MqttError:
             self.mqtt_errors += 1
             return
+        conns = self.conns
+        if len(deliveries) < 2:
+            # No fan-out: the one message, if any, is encoded and pumped at once.
+            for delivery in deliveries:
+                target = conns.get(delivery.conn.cid)
+                if target is not None:
+                    message = delivery.message
+                    target.conn.send_stream(self._stream_for(target, message, stream_id),
+                                            mqtt.encode(message))
+                    if target is not state:
+                        _pump(self.network, target.conn)
+            return
+        # The broker shares one message among the deliveries that would
+        # encode alike (every QoS 0 copy of a publish), so each message
+        # object is encoded once.
+        encoded: dict[int, bytes] = {}
         touched = set()
         for delivery in deliveries:
-            target = self.conns.get(delivery.conn.cid)
+            target = conns.get(delivery.conn.cid)
             if target is None:
                 continue
-            target.conn.send_stream(self._stream_for(target, delivery.message, stream_id),
-                                    mqtt.encode(delivery.message))
-            touched.add(target.conn.cid)
+            message = delivery.message
+            raw = encoded.get(id(message))
+            if raw is None:
+                raw = encoded[id(message)] = mqtt.encode(message)
+            conn = target.conn
+            conn.send_stream(self._stream_for(target, message, stream_id), raw)
+            touched.add(conn.cid)
         for cid in touched:
-            conn_state = self.conns.get(cid)
+            conn_state = conns.get(cid)
             if conn_state is not None and conn_state is not state:
                 _pump(self.network, conn_state.conn)
 
@@ -491,9 +521,10 @@ class ServerAgent:
     def _stream_for(target: _ConnState, msg: MqttMessage, arrival_stream: int) -> int:
         """A PUBLISH goes out on the stream its filter was subscribed from;
         any other delivery answers its asker on the stream it came in on."""
-        if msg.kind == mqtt.PUBLISH:
-            for topic_filter, stream_id in sorted(target.sub_streams.items()):
-                if mqtt.topic_matches(topic_filter, msg.topic):
+        if msg.kind == PUBLISH:
+            topic = msg.topic
+            for topic_filter, stream_id in target.sub_order:
+                if mqtt.topic_matches(topic_filter, topic):
                     return stream_id
             return target.primary_stream
         return arrival_stream

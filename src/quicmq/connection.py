@@ -382,6 +382,7 @@ class Connection:
         self._hs_retries = 0
         self._rej_count = 0  # zero at settlement means the handshake resumed
         self._hs_timer = None
+        self._drain_timer = None
         self._hs_nonc: bytes | None = None
         self._hs_shlo: StreamFrame | None = None
 
@@ -885,12 +886,11 @@ class Connection:
         """Drain for DRAIN_PERIOD_S after our own CLOSE, then close with
         ``local_close`` unless the peer's CLOSE ends the connection first."""
         self.phase = DRAINING
+        self._drain_timer = self.scheduler(DRAIN_PERIOD_S, self._on_drain_done)
 
-        def drain_done() -> None:
-            if self.phase == DRAINING:
-                self._become_closed("local_close")
-
-        self.scheduler(DRAIN_PERIOD_S, drain_done)
+    def _on_drain_done(self) -> None:
+        self._drain_timer = None
+        self._become_closed("local_close")
 
     def _become_closed(self, reason: str) -> None:
         """Every end but ``kill`` comes here: the timers stop, streams and
@@ -905,10 +905,12 @@ class Connection:
         self.on_event(Closed(reason))
 
     def _cancel_timers(self) -> None:
-        for timer in (self._idle_timer, self._rto_timer, self._hs_timer, self._ack_timer):
+        for timer in (self._idle_timer, self._rto_timer, self._hs_timer, self._ack_timer,
+                      self._drain_timer):
             if timer is not None:
                 timer.cancel()
         self._idle_timer = self._rto_timer = self._hs_timer = self._ack_timer = None
+        self._drain_timer = None
 
     def kill(self) -> None:
         """End at once, as a dead process would: no CLOSE goes out, queued

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from dataclasses import dataclass, field, replace
 
 CONNECT = 1
@@ -69,13 +70,13 @@ def _encode_string(s: str) -> bytes:
     return len(raw).to_bytes(2, "big") + raw
 
 
-def _decode_string(data: bytes, pos: int, end: int) -> tuple[str, int]:
-    """The string at ``pos``, ending by ``end``, and the position after it."""
-    if end - pos < 2:
+def _decode_string(data: bytes, pos: int) -> tuple[str, int]:
+    """The string at ``pos`` and the position after it."""
+    if len(data) - pos < 2:
         raise MqttError("truncated string length")
     n = int.from_bytes(data[pos:pos + 2], "big")
     pos += 2
-    if end - pos < n:
+    if len(data) - pos < n:
         raise MqttError("truncated string")
     try:
         s = data[pos:pos + n].decode("utf-8")
@@ -112,8 +113,32 @@ def _decode_remaining_length(data: bytes, pos: int) -> tuple[int, int]:
     raise MqttError("malformed remaining length")
 
 
+# A PUBLISH's first byte, a remaining length below 128 and its topic's length.
+_PUBLISH_HEAD = struct.Struct(">BBH")
+
+
 def encode(msg: MqttMessage) -> bytes:
     kind = msg.kind
+    if kind == PUBLISH:
+        qos = msg.qos
+        if qos not in (0, 1):
+            raise MqttError(f"unsupported qos {qos}")
+        if qos == 1 and msg.msgid == 0:
+            raise MqttError("qos 1 publish requires a nonzero msgid")
+        first = ((PUBLISH << 4) | (0x08 if msg.dup else 0) | (qos << 1)
+                 | (0x01 if msg.retained else 0))
+        topic = msg.topic.encode("utf-8")
+        n = len(topic)
+        if n > 0xFFFF:
+            raise MqttError("string too long")
+        head = topic + msg.msgid.to_bytes(2, "big") if qos > 0 else topic
+        payload = msg.payload
+        remaining = 2 + len(head) + len(payload)
+        # One join: the payload is copied once, not once per concatenation.
+        if remaining < 128:
+            return b"".join((_PUBLISH_HEAD.pack(first, remaining, n), head, payload))
+        return b"".join((bytes((first,)), _encode_remaining_length(remaining),
+                         n.to_bytes(2, "big"), head, payload))
     flags = 0
     body = b""
     if kind == CONNECT:
@@ -128,19 +153,6 @@ def encode(msg: MqttMessage) -> bytes:
         )
     elif kind == CONNACK:
         body = bytes([1 if msg.session_present else 0, msg.return_code])
-    elif kind == PUBLISH:
-        if msg.qos not in (0, 1):
-            raise MqttError(f"unsupported qos {msg.qos}")
-        if msg.qos == 1 and msg.msgid == 0:
-            raise MqttError("qos 1 publish requires a nonzero msgid")
-        flags = (0x08 if msg.dup else 0) | (msg.qos << 1) | (0x01 if msg.retained else 0)
-        head = _encode_string(msg.topic)
-        if msg.qos > 0:
-            head += msg.msgid.to_bytes(2, "big")
-        payload = msg.payload
-        # One join: the payload is copied once, not once per concatenation.
-        return b"".join((bytes([(PUBLISH << 4) | flags]),
-                         _encode_remaining_length(len(head) + len(payload)), head, payload))
     elif kind in (PUBACK, UNSUBACK):
         body = msg.msgid.to_bytes(2, "big")
     elif kind == SUBSCRIBE:
@@ -174,41 +186,57 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         raise IncompleteMessage("empty buffer")
     first = data[0]
     kind = first >> 4
+    if kind == PUBLISH:
+        qos = (first >> 1) & 0x03
+        if qos > 1:
+            # Refused before the body arrives, like the other header checks.
+            raise MqttError(f"unsupported qos {qos}")
+        if len(data) > 1 and data[1] < 0x80:
+            remaining, pos = data[1], 2
+        else:
+            remaining, pos = _decode_remaining_length(data, 1)
+        end = pos + remaining
+        if len(data) < end:
+            raise IncompleteMessage(f"need {remaining} body bytes, have {len(data) - pos}")
+        # The topic string is read in place, so that the payload is copied once.
+        if remaining < 2:
+            raise MqttError("truncated string length")
+        p = pos + 2 + ((data[pos] << 8) | data[pos + 1])
+        if p > end:
+            raise MqttError("truncated string")
+        try:
+            topic = data[pos + 2:p].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MqttError(f"invalid UTF-8: {e}") from None
+        if not topic or "#" in topic or "+" in topic:
+            raise MqttError(f"invalid publish topic {topic!r}")
+        msgid = 0
+        if qos:
+            if end - p < 2:
+                raise MqttError("truncated msgid")
+            msgid = (data[p] << 8) | data[p + 1]
+            if msgid == 0:
+                raise MqttError("qos 1 publish with zero msgid")
+            p += 2
+        # Positional: kind, msgid, dup, retained, qos, topic, payload.
+        return MqttMessage(PUBLISH, msgid, bool(first & 0x08), bool(first & 0x01), qos,
+                           topic, data[p:end]), end
     flags = first & 0x0F
     if kind not in KIND_NAMES:
         raise MqttError(f"unknown message kind {kind}")
     if kind in (SUBSCRIBE, UNSUBSCRIBE):
         if flags != 0x02:
             raise MqttError("bad fixed-header flags")
-    elif kind != PUBLISH and flags != 0:
+    elif flags != 0:
         raise MqttError("bad fixed-header flags")
-    qos = (flags >> 1) & 0x03
-    if kind == PUBLISH and qos > 1:
-        # Refused before the body arrives, like the other header checks.
-        raise MqttError(f"unsupported qos {qos}")
     remaining, pos = _decode_remaining_length(data, 1)
     if len(data) - pos < remaining:
         raise IncompleteMessage(f"need {remaining} body bytes, have {len(data) - pos}")
     end = pos + remaining
-    if kind == PUBLISH:
-        # Read in place, so that the payload is copied once.
-        topic, p = _decode_string(data, pos, end)
-        check_publish_topic(topic)
-        msgid = 0
-        if qos > 0:
-            if end - p < 2:
-                raise MqttError("truncated msgid")
-            msgid = int.from_bytes(data[p:p + 2], "big")
-            if msgid == 0:
-                raise MqttError("qos 1 publish with zero msgid")
-            p += 2
-        # Positional: kind, msgid, dup, retained, qos, topic, payload.
-        return MqttMessage(PUBLISH, msgid, bool(flags & 0x08), bool(flags & 0x01), qos,
-                           topic, data[p:end]), end
     body = data[pos:end]
 
     if kind == CONNECT:
-        name, p = _decode_string(body, 0, len(body))
+        name, p = _decode_string(body, 0)
         if name != "MQTT":
             raise MqttError(f"bad protocol name {name!r}")
         if len(body) - p < 4:
@@ -217,7 +245,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         connect_flags = body[p + 1]
         keepalive = int.from_bytes(body[p + 2:p + 4], "big")
         p += 4
-        client_id, p = _decode_string(body, p, len(body))
+        client_id, p = _decode_string(body, p)
         persistent = not (connect_flags & 0x02)
         if persistent and not client_id:
             raise MqttError("persistent session requires a client id")
@@ -242,7 +270,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         topics = []
         p = 2
         while p < len(body):
-            topic, p = _decode_string(body, p, len(body))
+            topic, p = _decode_string(body, p)
             check_filter(topic)
             if p > len(body) - 1:
                 raise MqttError("missing requested qos")
@@ -265,7 +293,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         topics = []
         p = 2
         while p < len(body):
-            topic, p = _decode_string(body, p, len(body))
+            topic, p = _decode_string(body, p)
             check_filter(topic)
             topics.append((topic, 0))
         if not topics:
@@ -574,15 +602,22 @@ class Broker:
                 self.retained[msg.topic] = replace(msg, dup=False)
             else:
                 self.retained.pop(msg.topic, None)
-        # Client-id order fixes which delivery gets which msgid.
+        # Client-id order fixes which delivery gets which msgid. Every QoS 0
+        # delivery shares one message, so the agent encodes it once.
         matched = self._subscribers(msg.topic)
+        shared = None
         for client_id in sorted(matched):
             session = self.sessions[client_id]
             if session.conn is None:
                 continue
             eff_qos = min(msg.qos, matched[client_id])
             # Positional: kind, msgid, dup, retained, qos, topic, payload.
-            out.append(Delivery(session.conn, MqttMessage(
-                PUBLISH, self.fresh_msgid() if eff_qos else 0, False, False, eff_qos,
-                msg.topic, msg.payload)))
+            if eff_qos:
+                message = MqttMessage(PUBLISH, self.fresh_msgid(), False, False, eff_qos,
+                                      msg.topic, msg.payload)
+            else:
+                if shared is None:
+                    shared = MqttMessage(PUBLISH, 0, False, False, 0, msg.topic, msg.payload)
+                message = shared
+            out.append(Delivery(session.conn, message))
         return out

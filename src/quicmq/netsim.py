@@ -118,6 +118,9 @@ class SimNetwork:
         self._queue: list = []
         self._seq = 0
         self._rules: list[_PeriodicDrop] = []
+        # SimConfig is frozen: the per-datagram figures are read once.
+        self._delay_us = int(config.delay_ms * 1000)
+        self._loss_rate = config.loss_rate
 
     # -- endpoints ----------------------------------------------------------
 
@@ -153,43 +156,40 @@ class SimNetwork:
             raise NetsimError(f"sender {src} not registered")
         now = self.clock.now_us
         size = len(payload)
-        self.trace.append(TraceEvent(now, "send", src, dst, size, annotation))
-        for rule in self._rules:
-            if rule.should_drop(src, dst, size, annotation):
-                self.trace.append(TraceEvent(now, "drop", src, dst, size, annotation))
-                return
-        if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
-            self.trace.append(TraceEvent(now, "drop", src, dst, size, annotation))
+        trace = self.trace
+        trace.append(TraceEvent(now, "send", src, dst, size, annotation))
+        if self._rules:
+            for rule in self._rules:
+                if rule.should_drop(src, dst, size, annotation):
+                    trace.append(TraceEvent(now, "drop", src, dst, size, annotation))
+                    return
+        loss_rate = self._loss_rate
+        if loss_rate and self.rng.random() < loss_rate:
+            trace.append(TraceEvent(now, "drop", src, dst, size, annotation))
             return
-        deliver_at = now + int(self.config.delay_ms * 1000)
-        self._push(deliver_at, ("deliver", payload, src, dst, annotation))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (now + self._delay_us, seq,
+                                     ("deliver", payload, src, dst, annotation)))
 
     def schedule(self, delay_s: float, fn: Callable[[], None]) -> Timer:
         timer = Timer(fn)
         # Round up so a timer never fires before its float deadline.
         delay_us = math.ceil(delay_s * 1_000_000) if delay_s > 0 else 0
-        self._push(self.clock.now_us + delay_us, ("timer", timer))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self.clock.now_us + delay_us, seq, ("timer", timer)))
         return timer
 
     # -- event loop ------------------------------------------------------------
 
-    def _push(self, at_us: int, item) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (at_us, self._seq, item))
-
-    def _discard_cancelled(self) -> None:
-        while self._queue:
-            _, _, item = self._queue[0]
-            if item[0] == "timer" and item[1].cancelled:
-                heapq.heappop(self._queue)
-            else:
-                return
-
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        while self._queue:
-            at_us, _, item = heapq.heappop(self._queue)
-            self.clock.now_us = max(self.clock.now_us, at_us)
+        queue = self._queue
+        clock = self.clock
+        while queue:
+            at_us, _, item = heapq.heappop(queue)
+            now = clock.now_us
+            if at_us > now:
+                clock.now_us = now = at_us
             if item[0] == "timer":
                 timer = item[1]
                 if timer.cancelled:
@@ -199,11 +199,10 @@ class SimNetwork:
             _, payload, src, dst, annotation = item
             handler = self._handlers.get(dst)
             if handler is None:
-                self.trace.append(TraceEvent(self.clock.now_us, "drop", src, dst,
+                self.trace.append(TraceEvent(now, "drop", src, dst,
                                              len(payload), annotation or "stale_addr"))
                 return True
-            self.trace.append(TraceEvent(self.clock.now_us, "deliver", src, dst,
-                                         len(payload), annotation))
+            self.trace.append(TraceEvent(now, "deliver", src, dst, len(payload), annotation))
             handler(payload, src)
             return True
         return False
@@ -211,17 +210,17 @@ class SimNetwork:
     def run(self, until_s: float | None = None) -> None:
         """Drain the event queue, optionally stopping at a simulated time."""
         until_us = None if until_s is None else int(until_s * 1_000_000)
-        while True:
-            self._discard_cancelled()
-            if not self._queue:
+        queue = self._queue
+        while queue:
+            at_us, _, item = queue[0]
+            if item[0] == "timer" and item[1].cancelled:
+                heapq.heappop(queue)  # a cancelled timer leaves without an event
+            elif until_us is not None and at_us > until_us:
                 break
-            at_us = self._queue[0][0]
-            if until_us is not None and at_us > until_us:
-                self.clock.now_us = max(self.clock.now_us, until_us)
-                return
-            self.step()
-        if until_us is not None:
-            self.clock.now_us = max(self.clock.now_us, until_us)
+            else:
+                self.step()
+        if until_us is not None and until_us > self.clock.now_us:
+            self.clock.now_us = until_us
 
     # -- trace helpers -----------------------------------------------------------
 

@@ -591,6 +591,57 @@ def test_unsubscribed_filter_no_longer_picks_the_stream():
     assert [s for kind, s in arrivals if kind == mqtt.PUBLISH] == [7]
 
 
+def fields(msgs) -> list:
+    return [(m.topic, m.payload, m.qos, m.msgid, m.retained) for m in msgs]
+
+
+def test_late_subscriber_gets_each_retained_message_with_its_own_bytes():
+    # The two retained deliveries of one SUBSCRIBE share qos 0 and msgid 0
+    # but differ in topic and payload; each must be encoded for itself.
+    net, identity, server = make_world()
+    pub = make_client(net, identity, 50001, "pub", seed=31)
+    pub.connect_mqtt()
+    net.run(until_s=1.0)
+    pub.publish("r/a", b"first", retain=True)
+    pub.publish("r/b", b"second", retain=True)
+    net.run(until_s=1.5)
+    got = []
+    sub = make_client(net, identity, 50002, "sub", seed=32,
+                      on_message=lambda agent, m: got.append(m))
+    sub.connect_mqtt()
+    net.run(until_s=2.5)
+    sub.subscribe("r/#")
+    net.run(until_s=3.0)
+    assert fields(got) == [("r/a", b"first", 0, 0, True), ("r/b", b"second", 0, 0, True)]
+
+
+def test_one_publish_reaches_each_subscriber_with_its_own_qos_and_msgid():
+    # One QoS 1 publish fans out to subscribers granted QoS 0, 1 and 0: the
+    # two QoS 0 copies carry msgid 0, the QoS 1 copy the broker's msgid.
+    net, identity, server = make_world()
+    got = {}
+    subs = []
+    for i, qos in enumerate((0, 1, 0)):
+        got[f"sub{i}"] = []
+        sub = make_client(net, identity, 50010 + i, f"sub{i}", seed=40 + i,
+                          on_message=lambda agent, m: got[agent.client_id].append(m))
+        sub.connect_mqtt()
+        subs.append((sub, qos))
+    pub = make_client(net, identity, 50001, "pub", seed=31)
+    pub.connect_mqtt()
+    net.run(until_s=1.0)
+    for sub, qos in subs:
+        sub.subscribe("t/x", qos=qos)
+    net.run(until_s=1.5)
+    pub.publish("t/x", b"m", qos=1)
+    net.run(until_s=2.0)
+    assert {name: fields(msgs) for name, msgs in got.items()} == {
+        "sub0": [("t/x", b"m", 0, 0, False)],
+        "sub1": [("t/x", b"m", 1, 1, False)],
+        "sub2": [("t/x", b"m", 0, 0, False)],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Server loop events and resource reclamation
 # ---------------------------------------------------------------------------
@@ -683,6 +734,24 @@ def test_connection_closed_by_disconnect_is_freed_at_once():
     gc.collect()
     assert server.connection_count() == 0
     assert broker_conn() is None
+
+
+def test_client_connection_closed_while_draining_is_freed_at_once():
+    # The client's CLOSE starts its drain and the broker's CLOSE ends it. The
+    # cancelled drain timer stays queued until its deadline, 10 s on; it must
+    # not keep the client's connection alive until then.
+    net, identity, server = make_world(delay_ms=1.0)
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=1.0)
+    assert client.connected
+    client.disconnect()
+    net.run(until_s=2.0)
+    assert client.conn.phase == connection.CLOSED
+    client_conn = weakref.ref(client.conn)
+    client.state = None
+    gc.collect()
+    assert client_conn() is None
 
 
 def test_failed_handshake_slot_reclaimed_by_the_idle_timeout():

@@ -319,6 +319,68 @@ def reference_decode(data: bytes) -> tuple[MqttMessage, int]:
     raise MqttError(f"unknown message kind {kind}")
 
 
+# -- reference encoder --------------------------------------------------------
+# The encoder as it was before it built a PUBLISH's topic string and short
+# remaining length inline, kept as an oracle: every kind went through the
+# string and remaining-length helpers.
+
+
+def _reference_encode_string(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise MqttError("string too long")
+    return len(raw).to_bytes(2, "big") + raw
+
+
+def reference_encode(msg: MqttMessage) -> bytes:
+    kind = msg.kind
+    flags = 0
+    body = b""
+    if kind == mqtt.CONNECT:
+        if msg.persistent and not msg.client_id:
+            raise MqttError("persistent session requires a client id")
+        connect_flags = 0x00 if msg.persistent else 0x02
+        body = (
+            _reference_encode_string("MQTT")
+            + bytes([msg.version, connect_flags])
+            + msg.keepalive.to_bytes(2, "big")
+            + _reference_encode_string(msg.client_id)
+        )
+    elif kind == mqtt.CONNACK:
+        body = bytes([1 if msg.session_present else 0, msg.return_code])
+    elif kind == mqtt.PUBLISH:
+        if msg.qos not in (0, 1):
+            raise MqttError(f"unsupported qos {msg.qos}")
+        if msg.qos == 1 and msg.msgid == 0:
+            raise MqttError("qos 1 publish requires a nonzero msgid")
+        flags = (0x08 if msg.dup else 0) | (msg.qos << 1) | (0x01 if msg.retained else 0)
+        body = _reference_encode_string(msg.topic)
+        if msg.qos > 0:
+            body += msg.msgid.to_bytes(2, "big")
+        body += msg.payload
+    elif kind in (mqtt.PUBACK, mqtt.UNSUBACK):
+        body = msg.msgid.to_bytes(2, "big")
+    elif kind == mqtt.SUBSCRIBE:
+        if msg.msgid == 0:
+            raise MqttError("subscribe requires a nonzero msgid")
+        flags = 0x02
+        body = msg.msgid.to_bytes(2, "big")
+        for topic, qos in msg.topics:
+            body += _reference_encode_string(topic) + bytes([qos])
+    elif kind == mqtt.SUBACK:
+        body = msg.msgid.to_bytes(2, "big") + bytes(msg.granted)
+    elif kind == mqtt.UNSUBSCRIBE:
+        flags = 0x02
+        body = msg.msgid.to_bytes(2, "big")
+        for topic, _ in msg.topics:
+            body += _reference_encode_string(topic)
+    elif kind in (mqtt.PINGREQ, mqtt.PINGRESP, mqtt.DISCONNECT):
+        body = b""
+    else:
+        raise MqttError(f"unknown message kind {kind}")
+    return bytes([(kind << 4) | flags]) + mqtt._encode_remaining_length(len(body)) + body
+
+
 def outcome(decoder, data: bytes):
     """What ``decoder`` makes of ``data``: the message, its type and the
     bytes consumed, or the exception's type and text."""
@@ -379,6 +441,26 @@ def test_decode_matches_the_reference_decoder(msg, tail, flip):
 @given(st.binary(max_size=40))
 def test_decode_matches_the_reference_decoder_on_random_bytes(data):
     assert outcome(decode, data) == outcome(reference_decode, data)
+
+
+def encode_outcome(encoder, msg: MqttMessage):
+    """The bytes ``encoder`` makes of ``msg``, or the error's type and text."""
+    try:
+        return encoder(msg)
+    except (MqttError, OverflowError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300)
+@given(msg=messages, qos=st.integers(min_value=0, max_value=2),
+       msgid=st.integers(min_value=0, max_value=0xFFFF))
+def test_encode_matches_the_reference_encoder(msg, qos, msgid):
+    # Payloads of 0-300 B put a PUBLISH's remaining length on both sides of
+    # 127/128, and the topics include non-ASCII text. The copy with another
+    # qos and msgid reaches the refusals (qos 2, qos 1 with msgid 0).
+    assert encode(msg) == reference_encode(msg)
+    other = replace(msg, qos=qos, msgid=msgid)
+    assert encode_outcome(encode, other) == encode_outcome(reference_encode, other)
 
 
 # ---------------------------------------------------------------------------
