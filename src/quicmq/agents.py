@@ -31,8 +31,7 @@ from .connection import (
 )
 from .crypto import SYSTEM_RNG
 from .handshake import HandshakeError, ServerConfig, ServerIdentity
-from .mqtt import (CONNACK, CONNECT, PUBACK, PUBLISH, SUBACK, SUBSCRIBE, UNSUBSCRIBE, Broker,
-                   MqttError, MqttMessage)
+from .mqtt import CONNECT, PUBLISH, SUBSCRIBE, UNSUBSCRIBE, Broker, MqttError, MqttMessage
 from .netsim import Address, SimNetwork
 from .wire import EPOCH_CLEAR, WireError, decode_header
 
@@ -107,10 +106,8 @@ def _pump(network: SimNetwork, conn: Connection) -> None:
     """Packetize what the connection has queued and put it on the network."""
     conn.flush()
     if conn.outputs:
-        send = network.send
-        src, dst = conn.local_addr, conn.peer_addr
         for packet, annotation in conn.take_outputs():
-            send(packet, src, dst, annotation)
+            network.send(packet, conn.local_addr, conn.peer_addr, annotation)
 
 
 class _ConnState:
@@ -126,8 +123,8 @@ class _ConnState:
         self.conn = Connection(config=TransportConfig(), clock=lambda: network.clock.now_s,
                                scheduler=self.schedule, on_event=on_event, **conn_args)
         self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
-        self.sub_streams: dict[str, int] = {}  # filter -> stream it was subscribed from
-        self.sub_order: list[tuple[str, int]] = []  # sub_streams' items, sorted
+        # filter -> stream it was subscribed from, kept in filter order
+        self.sub_streams: dict[str, int] = {}
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
 
     def schedule(self, delay_s: float, fn: Callable[[], None]):
@@ -315,12 +312,10 @@ class ClientAgent:
     # -- plumbing ----------------------------------------------------------------
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
-        state = self.state
-        if state is None:
+        if self.state is None:
             return
-        conn = state.conn
-        conn.handle_datagram(data, src)
-        _pump(self.network, conn)
+        self.conn.handle_datagram(data, src)
+        _pump(self.network, self.conn)
 
     def kill(self) -> None:
         """Abrupt process death: no teardown traffic, the address vanishes,
@@ -363,20 +358,19 @@ class ClientAgent:
     def quic_dispatcher(self, msg: MqttMessage, stream_id: int) -> None:
         """Client branch of the dispatcher: react to the session-level
         responses and hand each PUBLISH to ``on_message``."""
-        kind = msg.kind
-        if kind == PUBLISH:
-            if msg.qos == 1:
-                self.state.conn.send_stream(stream_id,
-                                            mqtt.encode(MqttMessage(PUBACK, msgid=msg.msgid)))
-            if self.on_message is not None:
-                self.on_message(self, msg)
-        elif kind == CONNACK:
+        if msg.kind == mqtt.CONNACK:
             self.connected = True
             if self.on_connected is not None:
                 self.on_connected(self)
-        elif kind == SUBACK:
+        elif msg.kind == mqtt.SUBACK:
             if self.on_suback is not None:
                 self.on_suback(self, msg.msgid)
+        elif msg.kind == mqtt.PUBLISH:
+            if msg.qos == 1:
+                self.conn.send_stream(stream_id,
+                                      mqtt.encode(MqttMessage(mqtt.PUBACK, msgid=msg.msgid)))
+            if self.on_message is not None:
+                self.on_message(self, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -474,28 +468,17 @@ class ServerAgent:
         elif kind == SUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams[topic] = stream_id
-            state.sub_order = sorted(state.sub_streams.items())
+            # Sorted here, so a delivery walks the filters without sorting.
+            state.sub_streams = dict(sorted(state.sub_streams.items()))
         elif kind == UNSUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams.pop(topic, None)
-            state.sub_order = sorted(state.sub_streams.items())
         try:
             deliveries = self.broker.handle(msg, state.conn)
         except MqttError:
             self.mqtt_errors += 1
             return
         conns = self.conns
-        if len(deliveries) < 2:
-            # No fan-out: the one message, if any, is encoded and pumped at once.
-            for delivery in deliveries:
-                target = conns.get(delivery.conn.cid)
-                if target is not None:
-                    message = delivery.message
-                    target.conn.send_stream(self._stream_for(target, message, stream_id),
-                                            mqtt.encode(message))
-                    if target is not state:
-                        _pump(self.network, target.conn)
-            return
         # The broker shares one message among the deliveries that would
         # encode alike (every QoS 0 copy of a publish), so each message
         # object is encoded once.
@@ -523,7 +506,7 @@ class ServerAgent:
         any other delivery answers its asker on the stream it came in on."""
         if msg.kind == PUBLISH:
             topic = msg.topic
-            for topic_filter, stream_id in target.sub_order:
+            for topic_filter, stream_id in target.sub_streams.items():
                 if mqtt.topic_matches(topic_filter, topic):
                     return stream_id
             return target.primary_stream

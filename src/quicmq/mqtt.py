@@ -208,8 +208,7 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             topic = data[pos + 2:p].decode("utf-8")
         except UnicodeDecodeError as e:
             raise MqttError(f"invalid UTF-8: {e}") from None
-        if not topic or "#" in topic or "+" in topic:
-            raise MqttError(f"invalid publish topic {topic!r}")
+        check_publish_topic(topic)
         msgid = 0
         if qos:
             if end - p < 2:
@@ -378,7 +377,10 @@ class _FilterNode:
 
 @dataclass(slots=True)
 class Delivery:
-    """A message the broker wants sent to a connected client."""
+    """A message the broker wants sent to a connected client.
+
+    The QoS 0 deliveries of one publish share one message object, so a
+    caller must not mutate a delivery's message."""
     conn: object
     message: MqttMessage
 
@@ -522,6 +524,9 @@ class Broker:
     # -- message handling ---------------------------------------------------
 
     def handle(self, msg: MqttMessage, conn: object) -> list[Delivery]:
+        """The deliveries ``msg`` from ``conn`` calls for. The QoS 0
+        deliveries of one publish share a message object, which callers
+        must not mutate."""
         kind = msg.kind
         if kind == CONNECT:
             return self._handle_connect(msg, conn)
