@@ -25,7 +25,6 @@ from .connection import (
     HandshakeFailed,
     Migrated,
     StreamData,
-    TransportConfig,
     TransportError,
     check_stream_id,
 )
@@ -120,8 +119,8 @@ class _ConnState:
     def __init__(self, network: SimNetwork, on_event: Callable[[object], None],
                  **conn_args):
         self.network = network
-        self.conn = Connection(config=TransportConfig(), clock=lambda: network.clock.now_s,
-                               scheduler=self.schedule, on_event=on_event, **conn_args)
+        self.conn = Connection(clock=lambda: network.clock.now_s, scheduler=self.schedule,
+                               on_event=on_event, **conn_args)
         self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
         # filter -> stream it was subscribed from, kept in filter order
         self.sub_streams: dict[str, int] = {}
@@ -462,6 +461,13 @@ class ServerAgent:
                         stream_id: int) -> None:
         """Broker branch of the dispatcher: parsed MQTT messages route by
         topic to every live subscriber."""
+        try:
+            deliveries = self.broker.handle(msg, state.conn)
+        except MqttError:
+            self.mqtt_errors += 1
+            return
+        # Only a message the broker took steers routing, and before the
+        # fan-out: a SUBSCRIBE's retained deliveries use its new filters.
         kind = msg.kind
         if kind == CONNECT:
             state.primary_stream = stream_id
@@ -473,11 +479,6 @@ class ServerAgent:
         elif kind == UNSUBSCRIBE:
             for topic, _ in msg.topics:
                 state.sub_streams.pop(topic, None)
-        try:
-            deliveries = self.broker.handle(msg, state.conn)
-        except MqttError:
-            self.mqtt_errors += 1
-            return
         conns = self.conns
         # The broker shares one message among the deliveries that would
         # encode alike (every QoS 0 copy of a publish), so each message

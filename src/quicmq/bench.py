@@ -18,7 +18,7 @@ from random import Random
 
 from . import baseline
 from .agents import ClientAgent, ServerAgent
-from .connection import DRAIN_PERIOD_S, ESTABLISHED, TransportConfig
+from .connection import DRAIN_PERIOD_S, ESTABLISHED, IDLE_TIMEOUT_S
 from .handshake import ServerIdentity
 from .netsim import PROFILES, Address, SimConfig, SimNetwork
 
@@ -430,8 +430,7 @@ def bench_half_open(profile: str = "wired", publishers: int = 10,
         scenario="half_open",
         config={**world.link, "publishers": publishers, "conns": conns,
                 "restart_at_s": restart_at, "horizon_s": horizon, "seed": seed,
-                # every agent's connection runs on the default config
-                "idle_timeout_s": TransportConfig().idle_timeout_s,
+                "idle_timeout_s": IDLE_TIMEOUT_S,
                 "drain_period_s": DRAIN_PERIOD_S},
         data={
             "quic_state_series": series,

@@ -20,7 +20,7 @@ from .bench import (
     bench_migrate,
     bench_stream_isolation,
 )
-from .connection import TransportConfig
+from .connection import IDLE_TIMEOUT_S
 from .handshake import ServerIdentity
 from .mqtt import Broker
 from .netsim import PROFILES
@@ -151,7 +151,7 @@ def cmd_broker(args) -> int:
 
 # The MQTT keep-alive of the real-UDP clients: a PINGREQ every third of the
 # transport's idle timeout keeps a quiet connection from idling out.
-CLIENT_KEEPALIVE_S = int(TransportConfig().idle_timeout_s // 3)
+CLIENT_KEEPALIVE_S = int(IDLE_TIMEOUT_S // 3)
 
 
 def _load_key(path: str) -> bytes:
@@ -216,14 +216,18 @@ def cmd_sub(args) -> int:
         if args.count and state["got"] >= args.count:
             agent.disconnect()
 
-    agent = ClientAgent(net, ("0.0.0.0", 0), args.broker, args.client_id,
-                        server_pk=server_pk, state_dir=args.state_dir,
-                        persistent=args.persist,
-                        keepalive=CLIENT_KEEPALIVE_S,
-                        on_connected=lambda a: a.subscribe(args.topic,
-                                                           qos=1 if args.persist else 0),
-                        on_message=on_message,
-                        on_closed=lambda a, r: state.__setitem__("closed", True))
+    try:
+        agent = ClientAgent(net, ("0.0.0.0", 0), args.broker, args.client_id,
+                            server_pk=server_pk, state_dir=args.state_dir,
+                            persistent=args.persist,
+                            keepalive=CLIENT_KEEPALIVE_S,
+                            on_connected=lambda a: a.subscribe(
+                                args.topic, qos=1 if args.persist else 0),
+                            on_message=on_message,
+                            on_closed=lambda a, r: state.__setitem__("closed", True))
+    except OSError as e:
+        print(f"bind failed: {e}", file=sys.stderr)
+        return 1
     agent.local_addr = net.local_address()
     agent.connect_mqtt()
     net.run(until_s=args.run_for, stop=lambda: state["closed"])

@@ -80,6 +80,7 @@ MAX_HANDSHAKE_RETRIES = 8
 STREAM_WINDOW = 64 * 1024
 CONNECTION_WINDOW = 256 * 1024
 DRAIN_PERIOD_S = 10.0  # how long a connection drains after its own CLOSE
+IDLE_TIMEOUT_S = 30.0  # silence from the peer for this long closes the connection
 _MARKER_BYTES = {MARKER_DATA: bytes([MARKER_DATA]),
                  MARKER_HANDSHAKE: bytes([MARKER_HANDSHAKE])}
 _by_stream_id = attrgetter("stream_id")
@@ -104,11 +105,6 @@ def check_stream_id(stream_id: int) -> None:
     and frames carry the id in 32 bits."""
     if not HANDSHAKE_STREAM_ID < stream_id <= 0xFFFFFFFF:
         raise TransportError("bad_stream_id", str(stream_id))
-
-
-@dataclass(frozen=True)
-class TransportConfig:
-    idle_timeout_s: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,6 @@ class SentPacket:
     sent_at: float
     frames: tuple  # retransmittable frames only
     nack_count: int = 0
-
-    def has_close(self) -> bool:
-        return any(isinstance(f, CloseFrame) for f in self.frames)
 
 
 class ReceivedSqns:
@@ -323,7 +316,7 @@ class Connection:
     """One end of a connection. ``role`` is "client" or "server"."""
 
     def __init__(self, role: str, cid: int, local_addr: Address, peer_addr: Address,
-                 config: TransportConfig, clock: Callable[[], float],
+                 clock: Callable[[], float],
                  scheduler: Callable[[float, Callable[[], None]], object],
                  on_event: Callable[[object], None],
                  rng: Random = SYSTEM_RNG,
@@ -334,7 +327,6 @@ class Connection:
         self.cid = cid
         self.local_addr = local_addr
         self.peer_addr = peer_addr
-        self.config = config
         self.clock = clock
         self.scheduler = scheduler
         self.on_event = on_event
@@ -368,7 +360,7 @@ class Connection:
         self.sent_packets: dict[int, SentPacket] = {}
         self.srtt: float | None = None
         self._rto_timer = None
-        self._idle_timer = scheduler(config.idle_timeout_s, self._on_idle)
+        self._idle_timer = scheduler(IDLE_TIMEOUT_S, self._on_idle)
         self._last_rx = clock()
 
         self.outputs: list[tuple[bytes, str]] = []
@@ -434,36 +426,41 @@ class Connection:
         if self.session is not None:
             try:
                 check_scfg(self.session.scfg, self.server_pk, self.clock())
-                self._send_full_chlo(self.session.scfg, self.session.stk, first=True)
+                self._send_full_chlo(self.session.scfg, self.session.stk)
                 return "0rtt"
             except (HandshakeError, CryptoError):
                 pass  # unusable cache: fall back to a fresh 1-RTT, nothing sent yet
-        self._send_hello(self._pad_hello(build_inchoate_chlo(), first=True),
-                         "chlo_inchoate", first=True)
+        self._send_hello(self._pad_hello(build_inchoate_chlo()), "chlo_inchoate")
         return "1rtt"
 
-    def _send_full_chlo(self, cfg: ServerConfig, stk: bytes, first: bool = False) -> None:
+    def _send_full_chlo(self, cfg: ServerConfig, stk: bytes) -> None:
         """Build, pad and send a full CHLO against ``cfg``, deriving ik first. A
         config with an unusable DH value raises ``CryptoError`` before any send."""
         msg, secrets = build_full_chlo(cfg, stk, self.clock(), self.rng)
-        secrets.chlo_wire = self._pad_hello(msg, first)
+        secrets.chlo_wire = self._pad_hello(msg)
         self.ik = derive_ik_client(secrets, cfg, self.cid)
         self._hs_secrets = secrets
-        self._send_hello(secrets.chlo_wire, "chlo_full", first)
+        self._send_hello(secrets.chlo_wire, "chlo_full")
         # Initial data already queued by the application follows under ik in
         # the same flush, right behind the hello.
 
-    def _pad_hello(self, msg: HandshakeMessage, first: bool = False) -> bytes:
+    def _first_hello(self) -> bool:
+        """Whether the next hello is a client's first, the one packet whose
+        header carries the version: a client holds no hello before it."""
+        return self.role == "client" and self._hs_hello is None
+
+    def _pad_hello(self, msg: HandshakeMessage) -> bytes:
         """Pad a CHLO/REJ to the fixed handshake size of the cleartext packet
         that carries it on the handshake stream. The padded CHLO is part of
         the key transcript."""
-        overhead = (header_len(self._header(EPOCH_CLEAR, version=first)) + 1
+        overhead = (header_len(self._header(EPOCH_CLEAR, version=self._first_hello())) + 1
                     + frame_len(StreamFrame(HANDSHAKE_STREAM_ID, 0, b"")) + GCM_TAG_LEN)
         return msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
 
-    def _send_hello(self, padded: bytes, annotation: str, first: bool = False) -> None:
-        """Send a hello padded by ``_pad_hello`` with the same ``first``. A
-        client keeps it for the retry it arms, which repeats it byte for byte."""
+    def _send_hello(self, padded: bytes, annotation: str) -> None:
+        """Send a hello padded by ``_pad_hello``. A client keeps it for the
+        retry it arms, which repeats it byte for byte."""
+        first = self._first_hello()
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded)
         self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
@@ -679,7 +676,8 @@ class Connection:
             self._reject_chlo(src, now, "chlo_on_live_connection")
             return
         try:
-            ik, nonc = identity.validate_full_chlo(msg, chlo_wire, src[0], self.cid, now)
+            ik, nonc, client_pub = identity.validate_full_chlo(msg, chlo_wire, src[0],
+                                                               self.cid, now)
         except HandshakeError as e:
             # The REJ spent a sqn the client will acknowledge, so this
             # connection answers the client's next hello too.
@@ -687,7 +685,6 @@ class Connection:
             return
         self.ik = ik
         self._hs_nonc = nonc
-        client_pub = parse_public(msg.fields[wire.TAG_PUBC], "pubc_invalid")
         # Continue after any initial data that arrived in the same flight.
         self.scheduler(0, lambda: self._server_continue(chlo_wire, client_pub))
 
@@ -776,8 +773,10 @@ class Connection:
             stream.peer_limit = max(stream.peer_limit, frame.byte_offset)
 
     def _on_close_frame(self, frame: CloseFrame) -> None:
-        if self.phase != DRAINING:  # draining means our own CLOSE is out
-            self._send_close(CloseFrame(frame.error_code, b""))
+        # A CLOSE opened under ik or k, so there are keys to answer under;
+        # draining means our own CLOSE is out.
+        if self.phase != DRAINING:
+            self._send_stream_data(CloseFrame(frame.error_code, b""))
         self._become_closed(f"peer_close:{frame.error_code}")
 
     # -- acks and loss -----------------------------------------------------------
@@ -862,8 +861,8 @@ class Connection:
         for record in list(self.sent_packets.values()):
             if now - record.sent_at < rto:
                 continue
-            if self.phase == DRAINING and not record.has_close():
-                continue
+            if self.phase == DRAINING and type(record.frames[-1]) is not CloseFrame:
+                continue  # only the CLOSE, always a packet's last frame, goes again
             self._retransmit(record)
         if self.sent_packets:
             self._arm_rto_timer()
@@ -875,22 +874,12 @@ class Connection:
         if self.phase == DRAINING:
             return
         now = self.clock()
-        deadline = self._last_rx + self.config.idle_timeout_s
+        deadline = self._last_rx + IDLE_TIMEOUT_S
         if now + 1e-6 >= deadline:  # clock granularity is one microsecond
             # Closed silently, as a failed handshake is (RFC 9000 §10.1).
             self._become_closed("idle_timeout")
         else:
             self._idle_timer = self.scheduler(deadline - now, self._on_idle)
-
-    def _drain(self) -> None:
-        """Drain for DRAIN_PERIOD_S after our own CLOSE, then close with
-        ``local_close`` unless the peer's CLOSE ends the connection first."""
-        self.phase = DRAINING
-        self._drain_timer = self.scheduler(DRAIN_PERIOD_S, self._on_drain_done)
-
-    def _on_drain_done(self) -> None:
-        self._drain_timer = None
-        self._become_closed("local_close")
 
     def _become_closed(self, reason: str) -> None:
         """Every end but ``kill`` comes here: the timers stop, streams and
@@ -921,14 +910,20 @@ class Connection:
 
     def close(self, error_code: int = 0, reason: bytes = b"") -> None:
         """Send the CLOSE and drain. Queued stream data (the usual
-        DISCONNECT) goes out first, and the CLOSE frame rides on its last
-        packet. With no keys to send under, the connection closes at once."""
+        DISCONNECT) goes out first, one chunk per packet whatever the
+        congestion window, and the CLOSE frame rides on its last packet.
+        The connection then drains for DRAIN_PERIOD_S and closes with
+        ``local_close``, unless the peer's CLOSE ends it first. With no keys
+        to send under, it closes at once."""
         if self.phase in (DRAINING, CLOSED):
             return
-        if self._send_close(CloseFrame(error_code, reason)):
-            self._drain()
-        else:
+        if self.k is None and self.ik is None:
             self._become_closed("local_close")
+            return
+        self._send_stream_data(CloseFrame(error_code, reason))
+        self.phase = DRAINING
+        self._drain_timer = self.scheduler(
+            DRAIN_PERIOD_S, lambda: self._become_closed("local_close"))
 
     # ------------------------------------------------------------------ app API
 
@@ -1078,12 +1073,3 @@ class Connection:
         self._ack_timer = None
         if self.phase == ESTABLISHED and self.ack_needed:
             self._send_ack_packet()
-
-    def _send_close(self, close: CloseFrame) -> bool:
-        """Send the remaining stream chunks one per packet, ignoring the
-        congestion window, with ``close`` on the last; returns False when
-        there are no keys to send under."""
-        if self.k is None and self.ik is None:
-            return False
-        self._send_stream_data(close)
-        return True

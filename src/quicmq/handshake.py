@@ -32,6 +32,9 @@ from .wire import HandshakeMessage
 STK_LEN = 12 + 8 + 16  # iv || ct(ip4 + time4) || tag
 NONC_LEN = 24  # 4-byte client timestamp || 160-bit random
 GROUP_ID = X25519Group.group_id  # the byte in front of every DH public value
+SCFG_LIFETIME_S = 86400.0  # a server config expires this long after it is minted
+STK_VALIDITY_S = 86400.0  # a source-address token is accepted this long after minting
+STRIKE_WINDOW_S = 300.0  # how far a client timestamp may stray from server time
 
 
 class HandshakeError(Exception):
@@ -73,7 +76,6 @@ class ServerConfig:
     the server side."""
 
     scid: bytes
-    group_id: int
     public: bytes
     expy: int
     div_nonce: bytes
@@ -81,7 +83,7 @@ class ServerConfig:
     dh: crypto.DhKeyPair | None = field(default=None, compare=False, repr=False)
 
     def pub_bytes(self) -> bytes:
-        return bytes([self.group_id]) + self.public
+        return bytes([GROUP_ID]) + self.public
 
     def serialize_pub(self) -> bytes:
         """Public part, as carried in REJ messages and mixed into the key
@@ -109,23 +111,22 @@ class ServerConfig:
         expy = int.from_bytes(data[pos:pos + 4], "big")
         pos += 4
         div_nonce = data[pos:pos + 32]
-        return cls(scid, GROUP_ID, public, expy, div_nonce, prof)
+        return cls(scid, public, expy, div_nonce, prof)
 
 
 def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
     return LABEL_SCFG_SIGNATURE + b"\x00" + scid + pub_bytes + expy.to_bytes(4, "big")
 
 
-def get_scfg(sign_sk: bytes, now: float, rng: Random = SYSTEM_RNG,
-             rotation_s: float = 86400.0) -> ServerConfig:
-    """Mint a fresh server configuration valid for one rotation period."""
+def get_scfg(sign_sk: bytes, now: float, rng: Random = SYSTEM_RNG) -> ServerConfig:
+    """Mint a fresh server configuration valid for SCFG_LIFETIME_S."""
     pair = dh_keypair(GROUP_ID, rng)
-    expy = int(now + rotation_s)
+    expy = int(now + SCFG_LIFETIME_S)
     pub_bytes = bytes([GROUP_ID]) + pair.public
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
     prof = sign(sign_sk, signed_blob(scid, pub_bytes, expy))
     div = rng.randbytes(32)
-    return ServerConfig(scid, GROUP_ID, pair.public, expy, div, prof, dh=pair)
+    return ServerConfig(scid, pair.public, expy, div, prof, dh=pair)
 
 
 def check_scfg(cfg: ServerConfig, server_pk: bytes, now: float) -> None:
@@ -175,8 +176,7 @@ class StrikeRegister:
     alone, so it is forgotten: after each accept the register holds at most
     the nonces accepted in the two windows before it."""
 
-    def __init__(self, window_s: float = 300.0):
-        self.window_s = window_s
+    def __init__(self):
         self.seen: set[bytes] = set()
         self._order: deque[tuple[int, bytes]] = deque()  # (timestamp, nonce), as accepted
 
@@ -189,17 +189,17 @@ class StrikeRegister:
         if nonc in self.seen:
             raise HandshakeError("nonc_replayed")
         ts = int.from_bytes(nonc[:4], "big")
-        if abs(now - ts) > self.window_s:
+        if abs(now - ts) > STRIKE_WINDOW_S:
             raise HandshakeError("nonc_out_of_window")
 
     def record(self, nonc: bytes, now: float) -> None:
         """Remember an accepted nonce and forget, oldest accepted first, those
-        whose timestamp is over ``window_s`` behind ``now``. An accepted
-        timestamp is within ``window_s`` of its acceptance, so one still in
-        the window holds back the rest for at most two windows."""
+        whose timestamp is over STRIKE_WINDOW_S behind ``now``. An accepted
+        timestamp is within STRIKE_WINDOW_S of its acceptance, so one still
+        in the window holds back the rest for at most two windows."""
         self.seen.add(nonc)
         self._order.append((int.from_bytes(nonc[:4], "big"), nonc))
-        while self._order and self._order[0][0] < now - self.window_s:
+        while self._order and self._order[0][0] < now - STRIKE_WINDOW_S:
             self.seen.discard(self._order.popleft()[1])
 
 
@@ -310,7 +310,6 @@ class ServerIdentity:
     k_stk: bytes
     scfg: ServerConfig
     strike: StrikeRegister
-    stk_validity_s: float = 86400.0
     retired: dict[bytes, ServerConfig] = field(default_factory=dict)
 
     @classmethod
@@ -327,14 +326,15 @@ class ServerIdentity:
     # -- full CHLO validation -------------------------------------------------
 
     def validate_full_chlo(self, msg: HandshakeMessage, chlo_wire: bytes,
-                           source_ip: str, cid: int, now: float) -> tuple[KeySet, bytes]:
+                           source_ip: str, cid: int, now: float
+                           ) -> tuple[KeySet, bytes, bytes]:
         """Run the server-side guards in order and derive the initial keys.
 
-        Returns (ik, nonc); raises HandshakeError with one of the reasons
-        stk_invalid, stk_ip_mismatch, stk_stale, nonc_replayed,
-        nonc_out_of_window, scid_unknown, scid_expired, group_mismatch,
-        pubc_invalid. On success the nonce is recorded in the strike
-        register.
+        Returns (ik, nonc, the client's DH public value); raises
+        HandshakeError with one of the reasons stk_invalid, stk_ip_mismatch,
+        stk_stale, nonc_replayed, nonc_out_of_window, scid_unknown,
+        scid_expired, group_mismatch, pubc_invalid. On success the nonce is
+        recorded in the strike register.
         """
         try:
             stk = msg.fields[wire.TAG_STK]
@@ -350,7 +350,7 @@ class ServerIdentity:
         stk_ip, stk_ts = opened
         if stk_ip != source_ip:
             raise HandshakeError("stk_ip_mismatch")
-        if not (-self.strike.window_s <= now - stk_ts <= self.stk_validity_s):
+        if not (-STRIKE_WINDOW_S <= now - stk_ts <= STK_VALIDITY_S):
             raise HandshakeError("stk_stale")
 
         # The nonce is recorded only once every guard, the DH included, passed.
@@ -372,7 +372,7 @@ class ServerIdentity:
             raise HandshakeError("pubc_invalid") from None
 
         self.strike.record(nonc, now)
-        return ik, nonc
+        return ik, nonc, client_pub
 
     # -- SHLO -------------------------------------------------------------------
 

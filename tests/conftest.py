@@ -7,7 +7,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from quicmq import connection
-from quicmq.connection import Connection, TransportConfig
+from quicmq.connection import Connection
 from quicmq.handshake import ServerIdentity
 from quicmq.netsim import SimConfig, SimNetwork
 from quicmq.wire import EPOCH_CLEAR, WireError, decode_header
@@ -21,13 +21,12 @@ class ConnEndpoint:
     onto the network, and records everything."""
 
     def __init__(self, net, addr, role, identity=None, server_pk=None,
-                 config=None, rng_seed=1, session=None):
+                 rng_seed=1, session=None):
         self.net = net
         self.addr = addr
         self.role = role
         self.identity = identity
         self.server_pk = server_pk
-        self.config = config or TransportConfig()
         self.rng = Random(rng_seed)
         self.session = session
         self.conns: dict[int, Connection] = {}
@@ -38,7 +37,7 @@ class ConnEndpoint:
     def make_client(self, peer=SERVER_ADDR, cid=None) -> Connection:
         cid = cid if cid is not None else self.rng.getrandbits(64)
         conn = Connection(
-            "client", cid, self.addr, peer, self.config,
+            "client", cid, self.addr, peer,
             clock=lambda: self.net.clock.now_s,
             scheduler=self._scheduler(cid), on_event=self._sink(cid),
             rng=self.rng, server_pk=self.server_pk, session=self.session,
@@ -69,7 +68,7 @@ class ConnEndpoint:
             if self.role != "server" or header.epoch != EPOCH_CLEAR:
                 return
             conn = Connection(
-                "server", header.cid, self.addr, src, self.config,
+                "server", header.cid, self.addr, src,
                 clock=lambda: self.net.clock.now_s,
                 scheduler=self._scheduler(header.cid),
                 on_event=self._sink(header.cid),
@@ -99,15 +98,12 @@ class ConnEndpoint:
 @pytest.fixture
 def world():
     """(net, client endpoint, server endpoint, identity) with a wired link."""
-    def build(delay_ms=1.0, seed=7, config=None, session=None, identity=None,
-              client_seed=12):
+    def build(delay_ms=1.0, seed=7, session=None, identity=None, client_seed=12):
         net = SimNetwork(SimConfig(delay_ms=delay_ms), seed=seed)
         identity = identity or ServerIdentity.create(now=0.0, rng=Random(42))
-        server = ConnEndpoint(net, SERVER_ADDR, "server", identity=identity,
-                              config=config, rng_seed=11)
+        server = ConnEndpoint(net, SERVER_ADDR, "server", identity=identity, rng_seed=11)
         client = ConnEndpoint(net, CLIENT_ADDR, "client",
                               server_pk=identity.sign_pair.pk,
-                              config=config,
                               rng_seed=client_seed, session=session)
         return net, client, server, identity
     return build

@@ -184,9 +184,9 @@ def test_crypto_property_suite(tmp_path):
         with pytest.raises(HandshakeError):
             identity.strike.check(nonc, 1000.0)
         # IV reuse is refused locally.
-        from quicmq.connection import Connection, TransportConfig, TransportError
+        from quicmq.connection import Connection, TransportError
         conn = Connection("client", 5, ("1.1.1.1", 1), ("2.2.2.2", 2),
-                          TransportConfig(), lambda: 0.0, lambda d, f: None,
+                          lambda: 0.0, lambda d, f: None,
                           lambda e: None, rng=Random(4))
         conn.ik = crypto.split_keys(rng.randbytes(40))
         conn.send_stream(3, b"x")

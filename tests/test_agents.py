@@ -14,9 +14,14 @@ from quicmq.agents import (
     SessionStore,
     _pump,
 )
-from quicmq.connection import CachedSession, TransportConfig
+from quicmq.connection import IDLE_TIMEOUT_S, CachedSession
 from quicmq.crypto import NULL_KEYS
-from quicmq.handshake import HandshakeError, ServerIdentity, build_inchoate_chlo
+from quicmq.handshake import (
+    STRIKE_WINDOW_S,
+    HandshakeError,
+    ServerIdentity,
+    build_inchoate_chlo,
+)
 from quicmq.mqtt import Broker, MqttMessage
 from quicmq.netsim import SimConfig, SimNetwork
 from quicmq.wire import EPOCH_IK, EPOCH_K, TAG_PUBC, TAG_STK, decode_header
@@ -339,7 +344,7 @@ def test_strike_register_holds_only_recent_nonces(full_chlos):
     # the nonces of the last two 300 s windows, and still refuses a replay
     # of one inside the window.
     net, identity, server = make_world()
-    window = identity.strike.window_s
+    window = STRIKE_WINDOW_S
     sizes = {}
     starts = [100.0 * i for i in range(1, 21)]
     for port, at in enumerate(starts, start=50001):
@@ -543,7 +548,7 @@ def test_qos1_publish_without_puback_is_sent_once(end):
     assert [(m.topic, m.payload, m.dup) for m in publishes] == [("q1", b"once", False)]
 
 
-def test_subscriber_that_never_pubacks_gets_each_message_once():
+def test_subscriber_that_never_pubacks_gets_each_message_once(monkeypatch):
     net, identity, server = make_world()
     got = []
     sub = make_client(net, identity, 50001, "sub", seed=21,
@@ -553,9 +558,12 @@ def test_subscriber_that_never_pubacks_gets_each_message_once():
     sub.connect_mqtt()
     pub.connect_mqtt()
     net.run(until_s=2.0)
-    send = sub.conn.send_stream
-    sub.conn.send_stream = lambda stream_id, raw: (
-        None if raw[0] >> 4 == mqtt.PUBACK else send(stream_id, raw))
+    send = connection.Connection.send_stream
+
+    def dropping_pubacks(conn, stream_id, raw):
+        if conn is not sub.conn or raw[0] >> 4 != mqtt.PUBACK:
+            send(conn, stream_id, raw)
+    monkeypatch.setattr(connection.Connection, "send_stream", dropping_pubacks)
     for i in range(100):
         pub.publish("q1", i.to_bytes(2, "big"), qos=1)
         net.run(until_s=net.clock.now_s + 0.05)
@@ -588,6 +596,39 @@ def test_unsubscribed_filter_no_longer_picks_the_stream():
     pub.publish("a/b", b"m")
     net.run(until_s=6.0)
     assert (mqtt.UNSUBACK, 5) in arrivals
+    assert [s for kind, s in arrivals if kind == mqtt.PUBLISH] == [7]
+
+
+def test_refused_subscribe_does_not_pick_the_stream():
+    # The subscriber's CONNECT is lost, so its SUBSCRIBE on stream 5 reaches
+    # the broker first and is refused; the filter it named must not steer
+    # routing once the retransmitted CONNECT is in.
+    net, identity, server = make_world()
+    arrivals = []
+    sub = make_client(net, identity, 50001, "sub", seed=21)
+    dispatch = sub.quic_dispatcher
+    sub.quic_dispatcher = lambda m, stream_id: (arrivals.append((m.kind, stream_id)),
+                                                dispatch(m, stream_id))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    dropped = []
+
+    def first_connect(src, dst, size, annotation):
+        if src == sub.local_addr and annotation == "data s3" and not dropped:
+            dropped.append(annotation)
+            return True
+        return False
+    net.add_periodic_drop(first_connect, 1)
+    sub.connect_mqtt()
+    sub.subscribe("a/#", stream_id=5)
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    assert dropped and server.mqtt_errors == 1
+    assert sub.connected
+    sub.subscribe("a/b", stream_id=7)
+    net.run(until_s=3.0)
+    pub.publish("a/b", b"m")
+    net.run(until_s=4.0)
+    assert (mqtt.SUBACK, 7) in arrivals
     assert [s for kind, s in arrivals if kind == mqtt.PUBLISH] == [7]
 
 
@@ -702,7 +743,6 @@ def test_established_idle_pair_stays_under_its_memory_bound():
 
 
 def test_crashed_clients_reclaimed_within_budget():
-    cfg = TransportConfig()
     net, identity, server = make_world()
     clients = []
     for i in range(10):
@@ -713,7 +753,7 @@ def test_crashed_clients_reclaimed_within_budget():
     assert server.connection_count() == 10
     for c in clients:
         c.kill()
-    net.run(until_s=2.0 + cfg.idle_timeout_s + 1.0)
+    net.run(until_s=2.0 + IDLE_TIMEOUT_S + 1.0)
     assert server.connection_count() == 0
 
 
@@ -765,7 +805,7 @@ def test_failed_handshake_slot_reclaimed_by_the_idle_timeout():
     net.run(until_s=2.0)
     assert client.failure == "scfg_bad_signature"
     assert server.connection_count() == 1
-    net.run(until_s=TransportConfig().idle_timeout_s + 1.0)
+    net.run(until_s=IDLE_TIMEOUT_S + 1.0)
     assert server.connection_count() == 0
 
 
@@ -890,7 +930,7 @@ def test_keepalive_pings_when_enabled():
     client = make_client(net, identity, 50001, "dev1", keepalive=1)
     seen = record_dispatch(client)
     client.connect_mqtt()
-    net.run(until_s=TransportConfig().idle_timeout_s + 5.0)
+    net.run(until_s=IDLE_TIMEOUT_S + 5.0)
     assert client.connected
     assert any(m.kind == mqtt.PINGRESP for m in seen)
     assert server.connection_count() == 1

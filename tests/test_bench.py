@@ -21,7 +21,7 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
-from quicmq.connection import TransportConfig
+from quicmq.connection import IDLE_TIMEOUT_S
 from quicmq.handshake import ServerIdentity, StrikeRegister, make_nonc
 from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
@@ -475,7 +475,21 @@ def test_cli_clients_keep_their_connection_alive(tmp_path, monkeypatch, argv):
     with pytest.raises(Built):
         main(argv + ["--broker", "127.0.0.1:9", "--key-file", str(key_file)])
     keepalive, = [kw["keepalive"] for kw in seen]
-    assert 0 < keepalive < TransportConfig().idle_timeout_s
+    assert 0 < keepalive < IDLE_TIMEOUT_S
+
+
+@pytest.mark.parametrize("command", ["sub", "pub"])
+def test_cli_clients_report_a_bind_failure(tmp_path, monkeypatch, capsys, command):
+    key_file = tmp_path / "broker.pk"
+    key_file.write_text(ServerIdentity.create(now=0.0).sign_pair.pk.hex() + "\n")
+
+    def unbindable_agent(*args, **kw):
+        raise OSError("address in use")
+    monkeypatch.setattr(cli, "ClientAgent", unbindable_agent)
+    code = main([command, "--topic", "t", "--broker", "127.0.0.1:9",
+                 "--key-file", str(key_file)])
+    assert code == 1
+    assert "bind failed: address in use" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from quicmq import connection, wire
+from quicmq import connection, handshake, wire
 from quicmq.connection import (
     CachedSession,
     Closed,
@@ -14,7 +14,6 @@ from quicmq.connection import (
     Migrated,
     Stream,
     StreamData,
-    TransportConfig,
     TransportError,
 )
 from quicmq.crypto import GCM_TAG_LEN, NULL_KEYS, sha256, sign, split_keys
@@ -404,11 +403,12 @@ def test_second_full_chlo_on_a_live_connection_draws_a_rej(world):
     assert (server_conn.ik, server_conn.k) == (ik, k)
 
 
-def test_persistently_rejecting_server_fails_connect(world):
+def test_persistently_rejecting_server_fails_connect(world, monkeypatch):
     # A strike window that rejects every nonce sends REJ after REJ; the
     # client gives up with a handshake failure instead of looping.
     net, client_ep, server_ep, identity = world()
-    identity.strike.window_s = -1.0  # every timestamp is out of window
+    # Every timestamp is out of a negative window.
+    monkeypatch.setattr(handshake, "STRIKE_WINDOW_S", -1.0)
     conn = client_ep.make_client()
     conn.start_connect()
     client_ep.pump(conn.cid)
@@ -442,7 +442,7 @@ def test_client_with_no_broker_gives_up_after_its_hello_retries(world):
 
 
 def test_connection_refuses_sqn_reuse():
-    conn = Connection("client", 1, CLIENT_ADDR, SERVER_ADDR, TransportConfig(),
+    conn = Connection("client", 1, CLIENT_ADDR, SERVER_ADDR,
                       lambda: 0.0, lambda d, f: None, lambda e: None,
                       rng=Random(7))
     conn.ik = split_keys(Random(7).randbytes(40))
@@ -1090,7 +1090,7 @@ def test_idle_timeout_closes_without_draining(world):
     # Kill the client silently; the server only sees silence.
     client_ep.conns.clear()
     net.unregister(CLIENT_ADDR)
-    deadline = server_conn._last_rx + server_conn.config.idle_timeout_s
+    deadline = server_conn._last_rx + connection.IDLE_TIMEOUT_S
     net.run(until_s=deadline - 0.1)
     assert server_conn.phase == "established"
     net.run(until_s=deadline + 0.001)
@@ -1113,11 +1113,11 @@ def test_unanswered_local_close_ends_as_local_close(world):
     assert [ev.reason for ev in client_ep.events_of(Closed)] == ["local_close"]
 
 
-def test_activity_resets_idle_timer(world):
+def test_activity_resets_idle_timer(world, monkeypatch):
     # run_handshake drains the network to t=3.0, so the idle timeout must
     # exceed that; ticks at 4.5 s intervals keep a 5 s timeout alive.
-    cfg = TransportConfig(idle_timeout_s=5.0)
-    net, client_ep, server_ep, conn = run_handshake(world, config=cfg)
+    monkeypatch.setattr(connection, "IDLE_TIMEOUT_S", 5.0)
+    net, client_ep, server_ep, conn = run_handshake(world)
     server_conn = server_ep.only_conn()
 
     def tick(n):

@@ -6,6 +6,8 @@ from quicmq import wire
 from quicmq.crypto import sha256, ver
 from quicmq.handshake import (
     NONC_LEN,
+    SCFG_LIFETIME_S,
+    STK_VALIDITY_S,
     HandshakeError,
     ServerConfig,
     ServerIdentity,
@@ -67,16 +69,15 @@ def test_check_scfg_accepts_fresh(identity):
 
 
 def test_check_scfg_rejects_expired(identity):
-    rotation = 86400.0
-    cfg = get_scfg(identity.sign_pair.sk, NOW, rng=Random(1), rotation_s=rotation)
+    cfg = get_scfg(identity.sign_pair.sk, NOW, rng=Random(1))
     with pytest.raises(HandshakeError) as e:
-        check_scfg(cfg, identity.sign_pair.pk, NOW + rotation + 1)
+        check_scfg(cfg, identity.sign_pair.pk, NOW + SCFG_LIFETIME_S + 1)
     assert e.value.reason == "scfg_expired"
 
 
 def test_check_scfg_rejects_tampered_signature(identity):
     cfg = identity.scfg
-    bad = ServerConfig(cfg.scid, cfg.group_id, cfg.public, cfg.expy,
+    bad = ServerConfig(cfg.scid, cfg.public, cfg.expy,
                        cfg.div_nonce, cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
     with pytest.raises(HandshakeError) as e:
         check_scfg(bad, identity.sign_pair.pk, NOW)
@@ -85,7 +86,7 @@ def test_check_scfg_rejects_tampered_signature(identity):
 
 def test_check_scfg_rejects_wrong_scid(identity):
     cfg = identity.scfg
-    bad = ServerConfig(b"\x00" * 32, cfg.group_id, cfg.public, cfg.expy,
+    bad = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy,
                        cfg.div_nonce, cfg.prof)
     with pytest.raises(HandshakeError) as e:
         check_scfg(bad, identity.sign_pair.pk, NOW)
@@ -151,7 +152,7 @@ def test_encode_ipv4_rejects_bad_input():
 
 
 def test_strike_accepts_once_then_rejects():
-    strike = StrikeRegister(window_s=300)
+    strike = StrikeRegister()
     nonc = make_nonc(NOW, Random(1))
     strike.check(nonc, NOW)
     strike.record(nonc, NOW)
@@ -161,7 +162,7 @@ def test_strike_accepts_once_then_rejects():
 
 
 def test_strike_forgets_a_nonce_once_out_of_the_window():
-    strike = StrikeRegister(window_s=300)
+    strike = StrikeRegister()
     old = make_nonc(NOW, Random(1))
     strike.record(old, NOW)
     strike.record(make_nonc(NOW + 300, Random(2)), NOW + 300)
@@ -177,7 +178,7 @@ def test_strike_forgets_a_nonce_once_out_of_the_window():
 
 
 def test_strike_rejects_out_of_window():
-    strike = StrikeRegister(window_s=300)
+    strike = StrikeRegister()
     nonc = make_nonc(NOW - 301, Random(1))
     with pytest.raises(HandshakeError) as e:
         strike.check(nonc, NOW)
@@ -219,8 +220,9 @@ def _accepted_chlo(identity, source_ip="10.0.0.2", now=NOW, rng_seed=2,
         mutate(chlo)
     chlo_wire = chlo.padded(1200).encode()
     secrets.chlo_wire = chlo_wire
-    ik, nonc = identity.validate_full_chlo(chlo.padded(1200), chlo_wire,
-                                           source_ip, cid=77, now=now)
+    ik, nonc, client_pub = identity.validate_full_chlo(chlo.padded(1200), chlo_wire,
+                                                       source_ip, cid=77, now=now)
+    assert client_pub == secrets.dh.public
     return ik, nonc, secrets, scfg
 
 
@@ -258,7 +260,7 @@ def test_stk_invalid(identity):
 def test_stk_stale(identity):
     rej = build_rej(identity.scfg, identity.k_stk, "10.0.0.2", NOW, Random(1))
     scfg, stk = parse_rej(rej)
-    later = NOW + identity.stk_validity_s + 10
+    later = NOW + STK_VALIDITY_S + 10
     chlo, _ = build_full_chlo(scfg, stk, later, Random(2))
     padded = chlo.padded(1200)
     with pytest.raises(HandshakeError) as e:
