@@ -8,7 +8,6 @@ Usage: python scripts/run_benches.py [outdir] [--seed N] [--quick]
 import argparse
 import os
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -41,10 +40,8 @@ def main() -> int:
         print(f"wrote {name}.json")
 
     for profile in PROFILES:
-        with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as state:
-            res = bench_conn_overhead(profile, mode=None, iterations=iterations,
-                                      seed=args.seed, state_dir=state,
-                                      experiments=experiments)
+        res = bench_conn_overhead(profile, mode=None, iterations=iterations,
+                                  seed=args.seed, experiments=experiments)
         save(res, f"conn_overhead_{profile}")
         print(f"  {profile} reductions: {res.data['reductions_pct']}")
         for rate in (10, 20, 50):

@@ -135,7 +135,8 @@ class _ConnState:
     def read(self, event: StreamData) -> Iterator[MqttMessage | None]:
         """Decode and consume each complete MQTT message at the head of the
         event's stream buffer; a partial message stays buffered. Malformed
-        bytes are dropped with the rest of the buffer and yield None, and the
+        bytes, and a partial message already past ``MAX_MESSAGE_SIZE``, are
+        dropped with the rest of the buffer and yield None, and the
         connection stays up. With nothing buffered, the event's bytes are
         decoded as they are."""
         data = event.data
@@ -146,6 +147,9 @@ class _ConnState:
             try:
                 msg, consumed = mqtt.decode(data)
             except mqtt.IncompleteMessage:
+                if len(data) > MAX_MESSAGE_SIZE:  # more than any agent sends
+                    yield None
+                    return
                 self.rx_buffers[event.stream_id] = data
                 return
             except MqttError:

@@ -67,73 +67,55 @@ class BaselineError(Exception):
 TCP_RTO_S = 0.2  # retransmission timeout of the ladder replay
 
 
-@dataclass
-class TcpLadderRunner:
-    """Replay one client's ladder through the simulator so its packet counts
-    are trace-derived, applying the documented per-loss cost model."""
-
-    net: SimNetwork
-    client_addr: Address
-    broker_addr: Address
-    ladder: list
-    _step: int = 0
-
-    def start(self) -> None:
-        self._advance()
-
-    def _endpoints(self, direction: str) -> tuple[Address, Address]:
-        if direction == "c":
-            return self.client_addr, self.broker_addr
-        return self.broker_addr, self.client_addr
-
-    def _advance(self) -> None:
-        if self._step >= len(self.ladder):
-            return
-        direction, label, size = self.ladder[self._step]
-        self._step += 1
-        self._send_step(direction, label, size)
-
-    def _send_step(self, direction: str, label: str, size: int) -> None:
-        src, dst = self._endpoints(direction)
-        delivered = self._send(size, src, dst, f"tcp {label}")
-        if delivered:
-            delay = self.net.config.delay_ms / 1000.0
-            self.net.schedule(delay, self._advance)
-        else:
-            self.net.schedule(TCP_RTO_S, lambda: self._recover(direction, label, size))
-
-    def _recover(self, direction: str, label: str, size: int) -> None:
-        """Timeout recovery for one lost datagram. Both ends of the stalled
-        exchange retransmit (the classic crossed-timer duplicate), the peer
-        emits its probe/duplicate ack, and the recovered segment gets its
-        own cumulative ack: four datagrams per loss event."""
-        src, dst = self._endpoints(direction)
-        self._send(66, dst, src, f"tcp dup_ack {label}")
-        if self._step > 1:
-            pdir, plabel, psize = self.ladder[self._step - 2]
-            psrc, pdst = self._endpoints(pdir)
-            self._send(psize, psrc, pdst, f"tcp {plabel} spurious_retx")
-        delivered = self._send(size, src, dst, f"tcp {label} retx")
-        if not delivered:
-            self.net.schedule(TCP_RTO_S, lambda: self._recover(direction, label, size))
-            return
-        delay = self.net.config.delay_ms / 1000.0
-        self._send(66, dst, src, f"tcp ack_of_retx {label}")
-        self.net.schedule(delay, self._advance)
-
-    def _send(self, size: int, src: Address, dst: Address, annotation: str) -> bool:
-        self.net.send(b"\x00" * size, src, dst, annotation)
-        return self.net.trace[-1].event != "drop"
-
-
 def run_tcp_ladders(net: SimNetwork, broker_addr: Address,
                     endpoints: list[tuple[Address, str]]) -> None:
-    """Replay the ladders for several client endpoints; the broker address
-    is registered as a sink. Runs the network to completion."""
+    """Replay each client endpoint's ladder through the simulator, so its
+    packet counts are trace-derived, applying the documented per-loss cost
+    model. The broker address is registered as a sink. Runs the network to
+    completion."""
+    delay = net.config.delay_ms / 1000.0
+
+    def send(size: int, src: Address, dst: Address, annotation: str) -> bool:
+        net.send(b"\x00" * size, src, dst, annotation)
+        return net.trace[-1].event != "drop"
+
+    def replay(client: Address, ladder: list) -> None:
+        def ends(i: int) -> tuple[Address, Address]:
+            return (client, broker_addr) if ladder[i][0] == "c" else (broker_addr, client)
+
+        def step(i: int) -> None:
+            if i == len(ladder):
+                return
+            _, label, size = ladder[i]
+            if send(size, *ends(i), f"tcp {label}"):
+                net.schedule(delay, lambda: step(i + 1))
+            else:
+                net.schedule(TCP_RTO_S, lambda: recover(i))
+
+        def recover(i: int) -> None:
+            """Timeout recovery for one lost datagram. Both ends of the
+            stalled exchange retransmit (the classic crossed-timer
+            duplicate), the peer emits its probe/duplicate ack, and the
+            recovered segment gets its own cumulative ack: four datagrams
+            per loss event."""
+            _, label, size = ladder[i]
+            src, dst = ends(i)
+            send(66, dst, src, f"tcp dup_ack {label}")
+            if i > 0:
+                _, plabel, psize = ladder[i - 1]
+                send(psize, *ends(i - 1), f"tcp {plabel} spurious_retx")
+            if not send(size, src, dst, f"tcp {label} retx"):
+                net.schedule(TCP_RTO_S, lambda: recover(i))
+                return
+            send(66, dst, src, f"tcp ack_of_retx {label}")
+            net.schedule(delay, lambda: step(i + 1))
+
+        step(0)
+
     net.register(broker_addr, lambda payload, src: None)
-    for addr, role in endpoints:
-        net.register(addr, lambda payload, src: None)
-        TcpLadderRunner(net, addr, broker_addr, LADDERS[role]).start()
+    for client, role in endpoints:
+        net.register(client, lambda payload, src: None)
+        replay(client, LADDERS[role])
     net.run()
 
 

@@ -2,10 +2,12 @@
 simulator: connection-establishment overhead, head-of-line blocking,
 half-open-connection reclamation, and connection migration.
 
-Every scenario embeds its full configuration and seed in the result, and a
-rerun with the same arguments produces byte-identical JSON. Packet counts
-are always derived from simulator traces; the TCP side replays its scripted
-ladders through the same simulator.
+Every scenario is a function of its profile, parameters and seed: it takes
+no file paths, leaves nothing on disk, and returns its full configuration,
+its data and its world's trace in the result. A rerun with the same
+arguments produces byte-identical JSON. Packet counts are always derived
+from simulator traces; the TCP side replays its scripted ladders through the
+same simulator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import statistics
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from random import Random
 
@@ -20,7 +23,7 @@ from . import baseline
 from .agents import ClientAgent, ServerAgent
 from .connection import DRAIN_PERIOD_S, ESTABLISHED, IDLE_TIMEOUT_S
 from .handshake import ServerIdentity
-from .netsim import PROFILES, Address, SimConfig, SimNetwork
+from .netsim import PROFILES, Address, SimConfig, SimNetwork, TraceEvent
 
 BROKER_ADDR: Address = ("10.0.0.1", 4433)
 PUB_IP = "10.0.0.2"
@@ -36,9 +39,13 @@ class BenchError(Exception):
 
 @dataclass
 class BenchResult:
+    """What a scenario measured. ``trace`` is the datagram trace of the world
+    the result reports; it is not part of the JSON."""
+
     scenario: str
     config: dict
     data: dict = field(default_factory=dict)
+    trace: list[TraceEvent] = field(default_factory=list, repr=False, compare=False)
 
     def to_json(self) -> str:
         doc = {"scenario": self.scenario, "config": self.config, "data": self.data}
@@ -150,55 +157,51 @@ def _tcp_conn_iteration(config: SimConfig, seed: int) -> _World:
 
 def bench_conn_overhead(profile: str = "wired", mode: str | None = None,
                         iterations: int = 10, seed: int = 0,
-                        state_dir: str | None = None,
-                        experiments: int = 1,
-                        trace_path: str | None = None) -> BenchResult:
+                        experiments: int = 1) -> BenchResult:
     """Median per-role datagram counts for one connection-establishment
     cycle. ``mode`` selects tcp, quic1rtt, or quic0rtt; None runs all three
     and reports the percentage reductions against the TCP baseline.
 
     Each experiment runs ``iterations`` connect cycles and contributes its
     median; the reported value is the median across experiments (the CLI
-    defaults to 10 experiments of 10 iterations)."""
+    defaults to 10 experiments of 10 iterations). The 0-RTT session files
+    live in a temporary directory that is gone when the function returns;
+    the trace is the last iteration's."""
     config = _profile(profile)
     modes = [mode] if mode else list(MODES)
     if any(m not in MODES for m in modes):
         raise BenchError(f"unknown mode {mode!r}")
-    if state_dir is None and "quic0rtt" in modes:
-        raise BenchError("quic0rtt requires a state_dir for session files")
     counts: dict[str, dict[str, int]] = {}
     last_event_s = 0.0
-    for m in modes:
-        experiment_medians: dict[str, list[int]] = {role: [] for role in ROLES}
-        identity = _identity_for(seed)
-        mode_state = None
-        if m == "quic0rtt":
-            mode_state = f"{state_dir}/{m}"
-            # Warm the session files over a lossless link so the measured
-            # iterations all resume.
-            _quic_conn_iteration(_lossless(config), seed * 1000 + 999, identity,
-                                 mode_state)
-        for e in range(experiments):
-            per_role: dict[str, list[int]] = {role: [] for role in ROLES}
-            for i in range(iterations):
-                iter_seed = (seed * 100 + e) * 1000 + i
-                if m == "tcp":
-                    world = _tcp_conn_iteration(config, iter_seed)
-                else:
-                    world = _quic_conn_iteration(config, iter_seed, identity,
-                                                 mode_state)
-                    last_event_s = max(last_event_s, max(
-                        (ev.time_us for ev in world.net.trace), default=0) / 1e6)
-                result = world.role_counts()
+    with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as state_dir:
+        for m in modes:
+            experiment_medians: dict[str, list[int]] = {role: [] for role in ROLES}
+            identity = _identity_for(seed)
+            mode_state = state_dir if m == "quic0rtt" else None
+            if mode_state is not None:
+                # Warm the session files over a lossless link so the measured
+                # iterations all resume.
+                _quic_conn_iteration(_lossless(config), seed * 1000 + 999, identity,
+                                     mode_state)
+            for e in range(experiments):
+                per_role: dict[str, list[int]] = {role: [] for role in ROLES}
+                for i in range(iterations):
+                    iter_seed = (seed * 100 + e) * 1000 + i
+                    if m == "tcp":
+                        world = _tcp_conn_iteration(config, iter_seed)
+                    else:
+                        world = _quic_conn_iteration(config, iter_seed, identity,
+                                                     mode_state)
+                        last_event_s = max(last_event_s, max(
+                            (ev.time_us for ev in world.net.trace), default=0) / 1e6)
+                    result = world.role_counts()
+                    for role in ROLES:
+                        per_role[role].append(result[role])
                 for role in ROLES:
-                    per_role[role].append(result[role])
-            for role in ROLES:
-                experiment_medians[role].append(
-                    int(statistics.median(per_role[role])))
-        counts[m] = {role: int(statistics.median(experiment_medians[role]))
-                     for role in ROLES}
-    if trace_path is not None:
-        world.net.write_trace(trace_path)
+                    experiment_medians[role].append(
+                        int(statistics.median(per_role[role])))
+            counts[m] = {role: int(statistics.median(experiment_medians[role]))
+                         for role in ROLES}
     data: dict = {"packet_counts": counts, "last_event_s": round(last_event_s, 6)}
     if "tcp" in counts:
         reductions = {}
@@ -215,8 +218,7 @@ def bench_conn_overhead(profile: str = "wired", mode: str | None = None,
         scenario="conn_overhead",
         config={**world.link, "mode": mode or "all", "iterations": iterations,
                 "experiments": experiments, "seed": seed},
-        data=data,
-    )
+        data=data, trace=world.net.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +301,7 @@ def _hol_schedule(config: SimConfig, drop_rate: int) -> tuple[int, float, float]
 
 
 def bench_hol(profile: str = "wired", drop_rate: int = 10,
-              streams: int = 2, messages: int = 200, seed: int = 0,
-              trace_path: str | None = None) -> BenchResult:
+              streams: int = 2, messages: int = 200, seed: int = 0) -> BenchResult:
     """Per-message delivery latency with deterministic per-flow drops: the
     QUIC stack over the simulator versus the ordered-delivery TCP model."""
     config = _profile(profile)
@@ -313,8 +314,6 @@ def bench_hol(profile: str = "wired", drop_rate: int = 10,
 
     quic, world = _hol_world(config, seed, streams, messages, interval_s,
                              drop_every_n, isolate_stream=None)
-    if trace_path is not None:
-        world.net.write_trace(trace_path)
     quic_all = [v for lat in quic.values() for v in lat]
     quic_mean_us = statistics.mean(quic_all)
 
@@ -346,14 +345,14 @@ def bench_hol(profile: str = "wired", drop_rate: int = 10,
         config={**world.link, "drop_rate": drop_rate, "streams": streams,
                 "messages": messages, "seed": seed, "interval_s": interval_s,
                 "tcp_rto_s": tcp_rto_s},
-        data=data,
-    )
+        data=data, trace=world.net.trace)
 
 
 def bench_stream_isolation(profile: str = "wired", drop_rate: int = 10,
                            messages: int = 100, seed: int = 0) -> BenchResult:
     """Two streams, drops confined to the first: the untouched stream's
-    per-message latencies must equal a lossless run exactly."""
+    per-message latencies must equal a lossless run exactly. The trace is
+    the run with the drops."""
     config = _profile(profile)
     drop_every_n, _, interval_s = _hol_schedule(config, drop_rate)
     lossless, _ = _hol_world(config, seed, 2, messages, interval_s, 0, None)
@@ -370,7 +369,7 @@ def bench_stream_isolation(profile: str = "wired", drop_rate: int = 10,
             "clean_stream_latencies_us": isolated[1],
             "lossless_latencies_us": lossless[1],
         },
-    )
+        trace=world.net.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +378,7 @@ def bench_stream_isolation(profile: str = "wired", drop_rate: int = 10,
 
 def bench_half_open(profile: str = "wired", publishers: int = 10,
                     conns: int = 100, restart_at: float = 30.0,
-                    horizon: float = 120.0, seed: int = 0,
-                    trace_path: str | None = None) -> BenchResult:
+                    horizon: float = 120.0, seed: int = 0) -> BenchResult:
     """Broker connection-state count over time when every publisher dies
     without teardown, versus the TCP half-open baseline."""
     config = _profile(profile)
@@ -421,8 +419,6 @@ def bench_half_open(profile: str = "wired", publishers: int = 10,
         if t > restart_at and count == 0:
             reclaim_time = t
             break
-    if trace_path is not None:
-        net.write_trace(trace_path)
     tcp_series = baseline.half_open_series(conns, restart_at, horizon)
     tcp_keepalive = baseline.half_open_series(conns, restart_at, horizon,
                                               keepalive_s=20.0)
@@ -441,7 +437,7 @@ def bench_half_open(profile: str = "wired", publishers: int = 10,
             "reclaim_after_restart_s": None if reclaim_time is None
             else round(reclaim_time - restart_at, 3),
         },
-    )
+        trace=net.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +446,7 @@ def bench_half_open(profile: str = "wired", publishers: int = 10,
 
 def bench_migrate(profile: str = "wired", changes: int = 3,
                   interval: float = 300.0, duration: float = 960.0,
-                  publish_interval: float = 1.0, seed: int = 0,
-                  trace_path: str | None = None) -> BenchResult:
+                  publish_interval: float = 1.0, seed: int = 0) -> BenchResult:
     """Steady publishing across periodic client address changes: the
     connection must survive every change without re-handshaking while the
     TCP baseline re-establishes from scratch each time."""
@@ -491,8 +486,6 @@ def bench_migrate(profile: str = "wired", changes: int = 3,
 
     net.run(until_s=duration + 5.0)
 
-    if trace_path is not None:
-        net.write_trace(trace_path)
     handshake_after = sum(
         1 for ev in net.trace
         if ev.event == "send" and ev.time_us > handshake_cutoff_s * 1e6
@@ -519,4 +512,4 @@ def bench_migrate(profile: str = "wired", changes: int = 3,
             "tcp_zero_windows": tcp.zero_windows,
             "tcp_max_gap_s": round(tcp.max_gap_s, 6),
         },
-    )
+        trace=net.trace)

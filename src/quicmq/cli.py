@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 
 from .agents import ClientAgent, ServerAgent
 from .bench import (
@@ -23,7 +22,7 @@ from .bench import (
 from .connection import IDLE_TIMEOUT_S
 from .handshake import ServerIdentity
 from .mqtt import Broker
-from .netsim import PROFILES
+from .netsim import PROFILES, write_trace_file
 from .udprun import UdpNetwork
 
 
@@ -84,13 +83,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", default="wired", choices=tuple(PROFILES))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trace", dest="trace_path", default=None,
-                       help="write a simulator datagram trace")
+                       help="write the datagram trace of the world the result reports")
         p.add_argument("--json", dest="json_path", default=None)
         p.add_argument("--csv", dest="csv_path", default=None)
 
     conn_p = bench_sub.add_parser("conn-overhead")
     bench_common(conn_p)
-    conn_p.add_argument("--state-dir", default=None)
     conn_p.add_argument("--mode", choices=("tcp", "quic1rtt", "quic0rtt", "all"),
                       default="all")
     conn_p.add_argument("--iterations", type=int, default=10)
@@ -145,6 +143,9 @@ def cmd_broker(args) -> int:
         net.run(until_s=args.run_for)
     except KeyboardInterrupt:
         pass
+    # Tell every client the broker is gone, so none is left half-open
+    # until its idle timeout.
+    agent.shutdown()
     net.write_trace()
     return 0
 
@@ -245,32 +246,28 @@ def cmd_bench(args) -> int:
     try:
         if args.scenario == "conn-overhead":
             mode = None if args.mode == "all" else args.mode
-            with tempfile.TemporaryDirectory(prefix="quicmq-bench-") as tmp:
-                result = bench_conn_overhead(args.profile, mode, args.iterations,
-                                             args.seed, args.state_dir or tmp,
-                                             experiments=args.experiments,
-                                             trace_path=args.trace_path)
+            result = bench_conn_overhead(args.profile, mode, args.iterations,
+                                         args.seed, experiments=args.experiments)
         elif args.scenario == "hol":
             if args.isolation:
                 result = bench_stream_isolation(args.profile, args.drop_rate,
                                                 args.messages, args.seed)
             else:
                 result = bench_hol(args.profile, args.drop_rate, args.streams,
-                                   args.messages, args.seed,
-                                   trace_path=args.trace_path)
+                                   args.messages, args.seed)
         elif args.scenario == "half-open":
             result = bench_half_open(args.profile, args.publishers, args.conns,
-                                     args.restart_at, args.horizon, args.seed,
-                                     trace_path=args.trace_path)
+                                     args.restart_at, args.horizon, args.seed)
         elif args.scenario == "migrate":
             result = bench_migrate(args.profile, args.changes, args.interval,
-                                   args.duration, args.publish_interval,
-                                   args.seed, trace_path=args.trace_path)
+                                   args.duration, args.publish_interval, args.seed)
         else:
             return 2
     except BenchError as e:
         print(f"scenario failed: {e}", file=sys.stderr)
         return 1
+    if args.trace_path:
+        write_trace_file(result.trace, args.trace_path)
     if args.json_path:
         result.write_json(args.json_path)
     if args.csv_path:

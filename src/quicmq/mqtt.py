@@ -572,6 +572,8 @@ class Broker:
                 self._unindex_session(old)
             for filter_, qos in session.subscriptions.items():
                 self._index(msg.client_id, filter_, qos)
+        if old is not None and self._by_conn.get(old.conn) == msg.client_id:
+            del self._by_conn[old.conn]  # taken over (MQTT 3.1.1 §3.1.4-2)
         session.conn = conn
         self.sessions[msg.client_id] = session
         self._by_conn[conn] = msg.client_id

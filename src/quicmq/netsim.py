@@ -224,9 +224,6 @@ class SimNetwork:
 
     # -- trace helpers -----------------------------------------------------------
 
-    def write_trace(self, path: str) -> None:
-        write_trace_file(self.trace, path)
-
     def trace_lines(self) -> list[str]:
         return [ev.line() for ev in self.trace]
 

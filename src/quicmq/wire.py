@@ -41,11 +41,9 @@ NACK_RANGE_LEN = 16  # start(8) || end(8)
 
 HANDSHAKE_STREAM_ID = 1
 
-# On-wire datagram budget for handshake packets: 1392 bytes total including
-# the 42 bytes of simulated Ethernet/IP/UDP overhead, 1350 for the packet.
+# Every cleartext handshake packet (the hellos and the REJ) is padded to
+# exactly this many bytes.
 HANDSHAKE_PACKET_LEN = 1350
-LINK_OVERHEAD = 42
-HANDSHAKE_DATAGRAM_LEN = HANDSHAKE_PACKET_LEN + LINK_OVERHEAD
 
 
 class WireError(Exception):

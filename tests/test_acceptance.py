@@ -42,18 +42,16 @@ WIRED_EXPECTED = {
 
 
 @pytest.fixture(scope="module")
-def overhead_results(tmp_path_factory):
+def overhead_results():
     results = {}
     walls = {}
     for profile in ("wired", "wireless", "long_distance"):
-        state = tmp_path_factory.mktemp(f"conn-{profile}")
         # The lossy profiles take the median across three experiments of ten
         # iterations; the deterministic wired profile needs only one.
         experiments = 1 if profile == "wired" else 3
         t0 = time.perf_counter()
         results[profile] = bench_conn_overhead(profile, mode=None, iterations=10,
-                                               seed=0, state_dir=str(state),
-                                               experiments=experiments)
+                                               seed=0, experiments=experiments)
         walls[profile] = time.perf_counter() - t0
     return results, walls
 
@@ -264,7 +262,7 @@ def test_benchmark_determinism(tmp_path):
     with criterion("benchmark determinism (byte-identical JSON on rerun)"):
         def pairs():
             yield lambda d: bench_conn_overhead(
-                "wired", mode=None, iterations=3, seed=9, state_dir=d)
+                "wired", mode=None, iterations=3, seed=9)
             yield lambda d: bench_hol("wired", drop_rate=20, streams=2,
                                       messages=80, seed=9)
             yield lambda d: bench_half_open("wired", publishers=2, conns=10,

@@ -473,6 +473,37 @@ def test_invalid_mqtt_payload_keeps_connection():
     assert client.connected
 
 
+def test_partial_message_held_no_longer_than_the_message_bound():
+    # A PUBLISH head declaring 50 MB, then 300 KB of body: the transport
+    # counts the bytes as delivered and reopens its windows, so only the
+    # agent's own bound stops it holding them all for one stream.
+    net, identity, server = make_world()
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("ok"),
+                      on_message=lambda a, m: got.append(m.payload))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    head = bytes([0x30, 0x80, 0xE1, 0xEB, 0x17]) + b"\x00\x01t"  # 50,000,000
+    with pytest.raises(mqtt.IncompleteMessage):
+        mqtt.decode(head)
+    pub.conn.send_stream(3, head + b"b" * 300_000)
+    _pump(net, pub.conn)
+    held = 0
+    while net.clock.now_s < 6.0 and net.step():
+        for state in server.conns.values():
+            held = max(held, sum(map(len, state.rx_buffers.values())))
+    assert held <= agents.MAX_MESSAGE_SIZE + 1200
+    assert server.mqtt_errors >= 1
+    assert server.connection_count() == 2
+    assert pub.conn.phase == connection.ESTABLISHED
+    pub.publish("ok", b"still routed", stream_id=5)
+    net.run(until_s=net.clock.now_s + 2.0)
+    assert got == [b"still routed"]
+
+
 def test_publish_split_after_its_first_byte_is_delivered():
     # An incomplete fixed header waits for the rest instead of being dropped.
     net, identity, server = make_world()

@@ -27,9 +27,8 @@ from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
 from quicmq.udprun import UdpNetwork
 
 
-def test_conn_overhead_wired_counts_are_exact(tmp_path):
-    res = bench_conn_overhead("wired", mode=None, iterations=2, seed=0,
-                              state_dir=str(tmp_path))
+def test_conn_overhead_wired_counts_are_exact():
+    res = bench_conn_overhead("wired", mode=None, iterations=2, seed=0)
     counts = res.data["packet_counts"]
     assert counts["tcp"] == {"publisher": 15, "subscriber": 19, "broker": 34}
     assert counts["quic1rtt"] == {"publisher": 10, "subscriber": 12, "broker": 22}
@@ -42,21 +41,14 @@ def test_conn_overhead_single_mode(tmp_path):
     assert res.data["packet_counts"]["quic1rtt"]["broker"] == 22
 
 
-def test_conn_overhead_0rtt_requires_state_dir():
-    with pytest.raises(BenchError):
-        bench_conn_overhead("wired", mode="quic0rtt", iterations=1)
-
-
 def test_conn_overhead_unknown_profile():
     with pytest.raises(BenchError):
         bench_conn_overhead("marsnet", mode="tcp")
 
 
-def test_bench_json_is_deterministic(tmp_path):
-    a = bench_conn_overhead("wireless", mode=None, iterations=3, seed=4,
-                            state_dir=str(tmp_path / "a"))
-    b = bench_conn_overhead("wireless", mode=None, iterations=3, seed=4,
-                            state_dir=str(tmp_path / "b"))
+def test_bench_json_is_deterministic():
+    a = bench_conn_overhead("wireless", mode=None, iterations=3, seed=4)
+    b = bench_conn_overhead("wireless", mode=None, iterations=3, seed=4)
     assert a.to_json() == b.to_json()
 
 
@@ -206,7 +198,7 @@ def test_bench_output_matches_pinned_digests(tmp_path, monkeypatch):
     # The first four are the test_benchmark_determinism configurations.
     runs = {
         "conn_overhead_wired": lambda: bench_conn_overhead(
-            "wired", mode=None, iterations=3, seed=9, state_dir=str(tmp_path / "a")),
+            "wired", mode=None, iterations=3, seed=9),
         "hol_wired": lambda: bench_hol("wired", drop_rate=20, streams=2,
                                        messages=80, seed=9),
         "half_open_wired": lambda: bench_half_open(
@@ -214,7 +206,7 @@ def test_bench_output_matches_pinned_digests(tmp_path, monkeypatch):
         "migrate_wired": lambda: bench_migrate("wired", changes=2, interval=20.0,
                                                duration=60.0, seed=9),
         "conn_overhead_wireless": lambda: bench_conn_overhead(
-            "wireless", mode=None, iterations=5, seed=4, state_dir=str(tmp_path / "b")),
+            "wireless", mode=None, iterations=5, seed=4),
         "hol_wireless": lambda: bench_hol("wireless", drop_rate=10, streams=4,
                                           messages=400, seed=3),
         "stream_isolation_wired": lambda: bench_stream_isolation(
@@ -222,7 +214,7 @@ def test_bench_output_matches_pinned_digests(tmp_path, monkeypatch):
         "migrate_wireless": lambda: bench_migrate("wireless", changes=2, interval=20.0,
                                                   duration=60.0, seed=9),
         "conn_overhead_long_distance": lambda: bench_conn_overhead(
-            "long_distance", mode=None, iterations=3, seed=9, state_dir=str(tmp_path / "c")),
+            "long_distance", mode=None, iterations=3, seed=9),
     }
     datagrams = hashlib.sha256()
     send = SimNetwork.send
@@ -356,8 +348,7 @@ def test_result_csv_series(tmp_path):
 def test_cli_bench_conn_overhead(tmp_path, capsys):
     json_path = tmp_path / "out.json"
     rc = main(["bench", "conn-overhead", "--profile", "wired", "--iterations",
-               "1", "--state-dir", str(tmp_path / "state"),
-               "--json", str(json_path)])
+               "1", "--json", str(json_path)])
     assert rc == 0
     doc = json.loads(json_path.read_text())
     assert doc["data"]["packet_counts"]["tcp"]["broker"] == 34
@@ -393,9 +384,26 @@ def test_cli_bench_hol_isolation(tmp_path):
     assert doc["data"]["clean_stream_identical"] is True
 
 
-@pytest.mark.parametrize("scenario", ["hol", "half-open", "migrate"])
+@pytest.mark.parametrize("argv", [
+    ["conn-overhead", "--iterations", "1", "--experiments", "1"],
+    ["hol", "--messages", "30"],
+    ["hol", "--isolation", "--messages", "30"],
+    ["half-open", "--publishers", "2", "--conns", "4", "--restart-at", "2",
+     "--horizon", "5"],
+    ["migrate", "--changes", "1", "--interval", "2", "--duration", "4"],
+], ids=["conn-overhead", "hol", "hol-isolation", "half-open", "migrate"])
+def test_cli_bench_writes_the_trace_of_every_scenario(argv, tmp_path, capsys):
+    path = tmp_path / "bench.trace"
+    assert main(["bench", *argv, "--trace", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines and all(len(line.split("\t")) == 5 for line in lines)
+    assert json.loads(capsys.readouterr().out)["scenario"]
+
+
+@pytest.mark.parametrize("scenario", ["conn-overhead", "hol", "half-open", "migrate"])
 def test_cli_bench_without_session_files_takes_no_state_dir(scenario):
-    # Only conn-overhead resumes at 0-RTT, so only it has session files.
+    # conn-overhead keeps its 0-RTT session files in a temporary directory
+    # of its own, so no scenario takes a directory.
     with pytest.raises(SystemExit) as e:
         main(["bench", scenario, "--state-dir", "x"])
     assert e.value.code == 2
@@ -490,6 +498,20 @@ def test_cli_clients_report_a_bind_failure(tmp_path, monkeypatch, capsys, comman
                  "--key-file", str(key_file)])
     assert code == 1
     assert "bind failed: address in use" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_cli_broker_tells_its_clients_when_it_stops(monkeypatch, capsys):
+    shut = []
+
+    class RecordingServerAgent(ServerAgent):
+        def shutdown(self):
+            shut.append(self.addr)
+            super().shutdown()
+
+    monkeypatch.setattr(cli, "ServerAgent", RecordingServerAgent)
+    assert main(["broker", "--listen", "127.0.0.1:0", "--run-for", "0"]) == 0
+    assert shut == [("127.0.0.1", 0)]
 
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")

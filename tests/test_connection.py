@@ -28,9 +28,7 @@ from quicmq.wire import (
     EPOCH_CLEAR,
     EPOCH_IK,
     EPOCH_K,
-    HANDSHAKE_DATAGRAM_LEN,
     HANDSHAKE_PACKET_LEN,
-    LINK_OVERHEAD,
     CloseFrame,
     PacketHeader,
     StreamFrame,
@@ -162,7 +160,6 @@ def test_handshake_packets_have_fixed_length(world):
         kind = annotation.split(" ")[0]
         if kind in ("chlo_inchoate", "chlo_full", "rej"):
             assert len(packet) == HANDSHAKE_PACKET_LEN
-            assert len(packet) + LINK_OVERHEAD == HANDSHAKE_DATAGRAM_LEN
 
 
 def test_distinct_connections_distinct_cids(world):

@@ -657,6 +657,28 @@ def test_broker_disconnect_frees_state():
     assert len(b._by_conn) == 0
 
 
+@pytest.mark.parametrize("persistent", [False, True])
+def test_broker_session_taken_over_no_longer_answers_to_the_old_connection(persistent):
+    # MQTT 3.1.1 §3.1.4-2: a CONNECT with a client id already connected
+    # takes the session over; the old connection no longer speaks for it.
+    b = Broker()
+    connect(b, "p", "pub")
+    connect(b, "A", "dev", persistent=persistent)
+    connect(b, "B", "dev", persistent=persistent)
+    with pytest.raises(MqttError, match="before CONNECT"):
+        b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=1, topics=(("x", 0),)), "A")
+    assert b.sessions["dev"].subscriptions == {}
+    assert b.handle(MqttMessage(mqtt.PUBLISH, topic="x", payload=b"m"), "p") == []
+    with pytest.raises(MqttError, match="before CONNECT"):
+        b.handle(MqttMessage(mqtt.DISCONNECT), "A")
+    b.drop_connection("A")
+    assert b.sessions["dev"].conn == "B"
+    b.handle(MqttMessage(mqtt.SUBSCRIBE, msgid=2, topics=(("x", 0),)), "B")
+    out = b.handle(MqttMessage(mqtt.PUBLISH, topic="x", payload=b"m"), "p")
+    assert [d.conn for d in out] == ["B"]
+    assert b._by_conn == {"p": "pub", "B": "dev"}
+
+
 def test_broker_qos_downgrade_and_msgid():
     b = Broker()
     connect(b, "s", "sub")

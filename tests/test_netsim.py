@@ -1,6 +1,6 @@
 import pytest
 
-from quicmq.netsim import PROFILES, NetsimError, SimConfig, SimNetwork
+from quicmq.netsim import PROFILES, NetsimError, SimConfig, SimNetwork, write_trace_file
 
 
 def make_net(config=None, seed=0):
@@ -223,7 +223,7 @@ def test_trace_export_format(tmp_path):
     net.send(b"abc", a, b, annotation="data s3")
     net.run()
     path = tmp_path / "trace.tsv"
-    net.write_trace(str(path))
+    write_trace_file(net.trace, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "0\tsend\t10.0.0.1:1000>10.0.0.2:2000\t3\tdata s3"
     assert lines[1].startswith("1000\tdeliver\t")
