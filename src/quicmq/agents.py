@@ -122,6 +122,7 @@ class _ConnState:
         self.conn = Connection(clock=lambda: network.clock.now_s, scheduler=self.schedule,
                                on_event=on_event, **conn_args)
         self.rx_buffers: dict[int, bytes] = {}  # stream -> bytes of a partial message
+        self.out_of_frame: set[int] = set()  # streams whose bytes are no longer read
         # filter -> stream it was subscribed from, kept in filter order
         self.sub_streams: dict[str, int] = {}
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
@@ -136,9 +137,12 @@ class _ConnState:
         """Decode and consume each complete MQTT message at the head of the
         event's stream buffer; a partial message stays buffered. Malformed
         bytes, and a partial message already past ``MAX_MESSAGE_SIZE``, are
-        dropped with the rest of the buffer and yield None, and the
-        connection stays up. With nothing buffered, the event's bytes are
-        decoded as they are."""
+        dropped with the rest of the buffer and yield None once: the stream
+        is then out of frame, and every later byte on it is dropped unread.
+        The connection stays up. With nothing buffered, the event's bytes
+        are decoded as they are."""
+        if event.stream_id in self.out_of_frame:
+            return
         data = event.data
         held = self.rx_buffers.pop(event.stream_id, None)
         if held:
@@ -148,11 +152,13 @@ class _ConnState:
                 msg, consumed = mqtt.decode(data)
             except mqtt.IncompleteMessage:
                 if len(data) > MAX_MESSAGE_SIZE:  # more than any agent sends
+                    self.out_of_frame.add(event.stream_id)
                     yield None
                     return
                 self.rx_buffers[event.stream_id] = data
                 return
             except MqttError:
+                self.out_of_frame.add(event.stream_id)
                 yield None
                 return
             data = data[consumed:]

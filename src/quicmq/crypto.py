@@ -44,7 +44,7 @@ SYSTEM_RNG = SystemRandom()
 
 
 class CryptoError(Exception):
-    """Raised for unusable crypto inputs (bad lengths, unknown groups)."""
+    """Raised for unusable crypto inputs (bad lengths, degenerate DH values)."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,9 @@ class SignatureKeyPair:
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
-def kg(lam: int = 128, rng: Random = SYSTEM_RNG) -> SignatureKeyPair:
-    """Generate a signing key pair at the requested security level.
-
-    Only the 128-bit level (P-256) is supported. A seeded ``rng`` makes the
-    result reproducible.
-    """
-    if lam != 128:
-        raise CryptoError(f"unsupported security parameter: {lam}")
+def kg(rng: Random = SYSTEM_RNG) -> SignatureKeyPair:
+    """Generate a P-256 signing key pair. A seeded ``rng`` makes the result
+    reproducible."""
     priv = ec.derive_private_key(rng.randrange(1, _P256_ORDER), ec.SECP256R1())
     pk = priv.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
     sk = priv.private_numbers().private_value.to_bytes(32, "big")
@@ -149,10 +144,7 @@ class DhKeyPair:
 
 
 class X25519Group:
-    """The DH group. Public values are the raw 32-byte u-coordinate; on the
-    wire they follow the group byte ``group_id``."""
-
-    group_id = 1
+    """The DH group. Public values are the raw 32-byte u-coordinate."""
 
     def keypair(self, rng: Random = SYSTEM_RNG) -> DhKeyPair:
         raw = rng.randbytes(32)
@@ -177,9 +169,7 @@ class X25519Group:
 _X25519 = X25519Group()
 
 
-def dh_keypair(group_id: int = X25519Group.group_id, rng: Random = SYSTEM_RNG) -> DhKeyPair:
-    if group_id != X25519Group.group_id:
-        raise CryptoError(f"unknown DH group {group_id}")
+def dh_keypair(rng: Random = SYSTEM_RNG) -> DhKeyPair:
     return _X25519.keypair(rng)
 
 
@@ -242,25 +232,10 @@ def split_keys(material: bytes) -> KeySet:
     )
 
 
-def get_iv(keys: KeySet, role: str, direction: str, sqn: int) -> bytes:
-    """Build the 12-byte nonce for a packet: 4-byte role-selected IV prefix
-    followed by the 8-byte big-endian sequence number.
-
-    A sender uses the destination-role prefix (client sends with iv_s,
-    server with iv_c); a receiver uses its own-role prefix, which is the
-    same value the sender chose.
-    """
-    if role == "client":
-        own, peer = keys.iv_c, keys.iv_s
-    elif role == "server":
-        own, peer = keys.iv_s, keys.iv_c
-    else:
-        raise CryptoError(f"bad role {role!r}")
-    if direction == "send":
-        return peer + sqn.to_bytes(8, "big")
-    if direction == "receive":
-        return own + sqn.to_bytes(8, "big")
-    raise CryptoError(f"bad direction {direction!r}")
+def get_iv(prefix: bytes, sqn: int) -> bytes:
+    """Build the 12-byte nonce for a packet: the 4-byte IV prefix of the
+    packet's direction followed by the 8-byte big-endian sequence number."""
+    return prefix + sqn.to_bytes(8, "big")
 
 
 def sha256(data: bytes) -> bytes:

@@ -18,7 +18,6 @@ from .crypto import (
     SYSTEM_RNG,
     CryptoError,
     KeySet,
-    X25519Group,
     dh_keypair,
     dh_shared,
     extract_expand,
@@ -31,7 +30,7 @@ from .wire import HandshakeMessage
 
 STK_LEN = 12 + 8 + 16  # iv || ct(ip4 + time4) || tag
 NONC_LEN = 24  # 4-byte client timestamp || 160-bit random
-GROUP_ID = X25519Group.group_id  # the byte in front of every DH public value
+GROUP_ID = 1  # X25519: the byte in front of every DH public value on the wire
 SCFG_LIFETIME_S = 86400.0  # a server config expires this long after it is minted
 STK_VALIDITY_S = 86400.0  # a source-address token is accepted this long after minting
 STRIKE_WINDOW_S = 300.0  # how far a client timestamp may stray from server time
@@ -120,7 +119,7 @@ def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
 
 def get_scfg(sign_sk: bytes, now: float, rng: Random = SYSTEM_RNG) -> ServerConfig:
     """Mint a fresh server configuration valid for SCFG_LIFETIME_S."""
-    pair = dh_keypair(GROUP_ID, rng)
+    pair = dh_keypair(rng)
     expy = int(now + SCFG_LIFETIME_S)
     pub_bytes = bytes([GROUP_ID]) + pair.public
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
@@ -230,7 +229,7 @@ def build_full_chlo(cfg: ServerConfig, stk: bytes, now: float,
     nonce and ephemeral DH value. The padded wire bytes recorded in the
     secrets feed the key expansion on both sides."""
     nonc = make_nonc(now, rng)
-    pair = dh_keypair(GROUP_ID, rng)
+    pair = dh_keypair(rng)
     msg = HandshakeMessage(wire.MSG_CHLO, {
         wire.TAG_STK: stk,
         wire.TAG_SCID: cfg.scid,
@@ -314,7 +313,7 @@ class ServerIdentity:
 
     @classmethod
     def create(cls, now: float, rng: Random = SYSTEM_RNG) -> "ServerIdentity":
-        pair = crypto.kg(128, rng)
+        pair = crypto.kg(rng)
         k_stk = rng.randbytes(16)
         scfg = get_scfg(pair.sk, now, rng)
         return cls(pair, k_stk, scfg, StrikeRegister())
@@ -380,7 +379,7 @@ class ServerIdentity:
                    rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
         """Fresh ephemeral DH values plus a refreshed token for the client's
         next resumption."""
-        pair = dh_keypair(GROUP_ID, rng)
+        pair = dh_keypair(rng)
         msg = HandshakeMessage(wire.MSG_SHLO, {
             wire.TAG_PUBS: bytes([GROUP_ID]) + pair.public,
             wire.TAG_STK: mint_stk(self.k_stk, client_ip, now, rng),

@@ -165,6 +165,8 @@ def encode(msg: MqttMessage) -> bytes:
     elif kind == SUBACK:
         body = msg.msgid.to_bytes(2, "big") + bytes(msg.granted)
     elif kind == UNSUBSCRIBE:
+        if msg.msgid == 0:
+            raise MqttError("unsubscribe requires a nonzero msgid")
         flags = 0x02
         body = msg.msgid.to_bytes(2, "big")
         for topic, _ in msg.topics:
@@ -289,6 +291,8 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
         if len(body) < 2:
             raise MqttError("truncated UNSUBSCRIBE")
         msgid = int.from_bytes(body[:2], "big")
+        if msgid == 0:
+            raise MqttError("unsubscribe with zero msgid")
         topics = []
         p = 2
         while p < len(body):

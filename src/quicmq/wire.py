@@ -270,23 +270,31 @@ def decode_frames(data: bytes) -> list[Frame]:
 # ---------------------------------------------------------------------------
 
 def seal_packet(header: PacketHeader, plaintext: bytes, keys: KeySet, role: str) -> bytes:
-    """Seal ``plaintext`` (marker byte plus frames) into a full packet."""
+    """Seal ``plaintext`` (marker byte plus frames) into a full packet, under
+    the half of ``keys`` addressed to the peer: a client seals with
+    (k_s, iv_s), a server with (k_c, iv_c)."""
     hdr = encode_header(header)
-    nonce = get_iv(keys, role, "send", header.sqn)
-    key = keys.k_s if role == "client" else keys.k_c
-    return hdr + aead_seal(key, nonce, hdr, plaintext)
+    if role == "client":
+        key, prefix = keys.k_s, keys.iv_s
+    else:
+        key, prefix = keys.k_c, keys.iv_c
+    return hdr + aead_seal(key, get_iv(prefix, header.sqn), hdr, plaintext)
 
 
 def open_packet_body(header: PacketHeader, header_len: int, packet: bytes,
                      keys: KeySet, role: str) -> bytes | None:
-    """Open the sealed body of an already-decoded packet; None on failure."""
+    """Open the sealed body of an already-decoded packet under the half of
+    ``keys`` addressed to ``role``, the one its peer sealed with; None on
+    failure."""
     hdr = packet[:header_len]
     body = packet[header_len:]
     if len(body) < GCM_TAG_LEN:
         return None
-    nonce = get_iv(keys, role, "receive", header.sqn)
-    key = keys.k_c if role == "client" else keys.k_s
-    return aead_open(key, nonce, hdr, body)
+    if role == "client":
+        key, prefix = keys.k_c, keys.iv_c
+    else:
+        key, prefix = keys.k_s, keys.iv_s
+    return aead_open(key, get_iv(prefix, header.sqn), hdr, body)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,14 @@ def test_crypto_property_suite(tmp_path):
             corrupt[rng.randrange(len(corrupt))] ^= 1 << rng.randrange(8)
             assert crypto.aead_open(key, nonce, header, bytes(corrupt)) is None
         # Signature scheme correctness, 100 cases.
-        pair = crypto.kg(128, rng=Random(1))
+        pair = crypto.kg(rng=Random(1))
         for _ in range(100):
             m = rng.randbytes(rng.randrange(0, 128))
             assert crypto.ver(pair.pk, m, crypto.sign(pair.sk, m))
         # DH symmetry, 100 cases.
         for _ in range(100):
-            a = crypto.dh_keypair(1, rng)
-            b = crypto.dh_keypair(1, rng)
+            a = crypto.dh_keypair(rng)
+            b = crypto.dh_keypair(rng)
             assert crypto.dh_shared(a, b.public) == crypto.dh_shared(b, a.public)
         # Expansion prefix property and the frozen independent-oracle vector.
         assert crypto.extract_expand(b"\x00" * 32, b"\x00" * 20, 0, b"", 40, 1) == \

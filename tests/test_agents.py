@@ -504,6 +504,37 @@ def test_partial_message_held_no_longer_than_the_message_bound():
     assert got == [b"still routed"]
 
 
+@pytest.mark.parametrize("bad", [
+    b"\x00\xff\xff",  # not a valid MQTT header
+    bytes([0x30, 0x80, 0xE1, 0xEB, 0x17]) + b"\x00\x01t" + b"b" * 300_000,  # 50 MB head
+], ids=["malformed", "oversized"])
+def test_stream_out_of_frame_is_read_no_more(bad):
+    # Once a stream's bytes break MQTT framing, nothing later on that stream
+    # can be told from the middle of a message: it counts one error and is
+    # not read again, while the connection and its other streams carry on.
+    net, identity, server = make_world()
+    got = []
+    sub = make_client(net, identity, 50001, "sub", seed=21,
+                      on_connected=lambda a: a.subscribe("t/x"),
+                      on_message=lambda a, m: got.append(m.payload))
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    sub.connect_mqtt()
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
+    pub.conn.send_stream(5, bad)
+    _pump(net, pub.conn)
+    net.run(until_s=6.0)
+    pub.publish("t/x", b"same stream", stream_id=5)
+    net.run(until_s=8.0)
+    assert server.mqtt_errors == 1
+    assert got == []
+    pub.publish("t/x", b"other stream", stream_id=7)
+    net.run(until_s=10.0)
+    assert got == [b"other stream"]
+    assert server.connection_count() == 2
+    assert pub.conn.phase == connection.ESTABLISHED
+
+
 def test_publish_split_after_its_first_byte_is_delivered():
     # An incomplete fixed header waits for the rest instead of being dropped.
     net, identity, server = make_world()

@@ -311,7 +311,7 @@ def test_tampered_config_signature_aborts_handshake(world):
     # verification and the handshake aborts instead of proceeding.
     from quicmq.crypto import kg
     net, client_ep, server_ep, identity = world()
-    client_ep.server_pk = kg(128, Random(123)).pk
+    client_ep.server_pk = kg(Random(123)).pk
     conn = client_ep.make_client()
     conn.start_connect()
     client_ep.pump(conn.cid)

@@ -345,6 +345,6 @@ def test_ik_transcript_binds_chlo_and_scfg(identity):
 def test_signature_label_is_shared_constant(identity):
     # One canonical label on both the signing and verification path: a config
     # signed by get_scfg always verifies through check_scfg.
-    pair = kg(128, Random(8))
+    pair = kg(Random(8))
     cfg = get_scfg(pair.sk, NOW, rng=Random(9))
     check_scfg(cfg, pair.pk, NOW)

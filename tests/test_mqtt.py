@@ -134,6 +134,21 @@ def test_qos1_requires_msgid():
         encode(MqttMessage(mqtt.PUBLISH, topic="t", qos=1, msgid=0))
 
 
+@pytest.mark.parametrize("kind", [mqtt.SUBSCRIBE, mqtt.UNSUBSCRIBE],
+                         ids=["subscribe", "unsubscribe"])
+def test_zero_packet_id_refused(kind):
+    # MQTT 3.1.1 §2.3.1: SUBSCRIBE and UNSUBSCRIBE carry a nonzero packet id,
+    # both when encoded and when decoded.
+    msg = MqttMessage(kind, msgid=0, topics=(("a/b", 0),))
+    with pytest.raises(MqttError):
+        encode(msg)
+    raw = bytearray(encode(MqttMessage(kind, msgid=1, topics=(("a/b", 0),))))
+    raw[3] = 0  # the packet id's low byte, after the 1-byte remaining length
+    with pytest.raises(MqttError) as e:
+        decode(bytes(raw))
+    assert not isinstance(e.value, IncompleteMessage)
+
+
 def test_bad_utf8_topic():
     body = b"\x00\x02\xff\xfe" + b"payload"
     raw = bytes([mqtt.PUBLISH << 4]) + bytes([len(body)]) + body
@@ -303,6 +318,8 @@ def reference_decode(data: bytes) -> tuple[MqttMessage, int]:
         if len(body) < 2:
             raise MqttError("truncated UNSUBSCRIBE")
         msgid = int.from_bytes(body[:2], "big")
+        if msgid == 0:
+            raise MqttError("unsubscribe with zero msgid")
         topics = []
         p = 2
         while p < len(body):
@@ -370,6 +387,8 @@ def reference_encode(msg: MqttMessage) -> bytes:
     elif kind == mqtt.SUBACK:
         body = msg.msgid.to_bytes(2, "big") + bytes(msg.granted)
     elif kind == mqtt.UNSUBSCRIBE:
+        if msg.msgid == 0:
+            raise MqttError("unsubscribe requires a nonzero msgid")
         flags = 0x02
         body = msg.msgid.to_bytes(2, "big")
         for topic, _ in msg.topics:

@@ -2,7 +2,8 @@ import struct
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quicmq import wire
@@ -155,6 +156,28 @@ def test_null_keys_roundtrip():
     pkt = seal_packet(h, b"\x00hello", NULL_KEYS, "client")
     decoded, hlen = decode_header(pkt)
     assert open_packet_body(decoded, hlen, pkt, NULL_KEYS, "server") == b"\x00hello"
+
+
+# The half of a key set each role seals with, written out as a table: a
+# packet is sealed under the key and IV prefix of the end it is addressed to.
+SEAL_HALF = {"client": ("k_s", "iv_s"), "server": ("k_c", "iv_c")}
+PEER = {"client": "server", "server": "client"}
+
+
+@settings(max_examples=200)
+@given(st.binary(min_size=40, max_size=40), st.sampled_from(["client", "server"]),
+       headers, st.binary(max_size=64))
+def test_seal_and_open_pick_the_key_half_by_role(material, role, h, pt):
+    keys = split_keys(material)
+    assume((keys.k_c, keys.iv_c) != (keys.k_s, keys.iv_s))
+    key_name, iv_name = SEAL_HALF[role]
+    hdr = encode_header(h)
+    nonce = getattr(keys, iv_name) + h.sqn.to_bytes(8, "big")
+    pkt = seal_packet(h, pt, keys, role)
+    assert pkt == hdr + AESGCM(getattr(keys, key_name)).encrypt(nonce, pt, hdr)
+    decoded, hlen = decode_header(pkt)
+    assert open_packet_body(decoded, hlen, pkt, keys, PEER[role]) == pt
+    assert open_packet_body(decoded, hlen, pkt, keys, role) is None
 
 
 def test_handshake_message_roundtrip():
