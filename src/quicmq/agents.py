@@ -420,11 +420,10 @@ class ServerAgent:
 
     def on_datagram(self, data: bytes, src: Address) -> None:
         try:
-            decoded = decode_header(data)
+            header = decode_header(data)
         except WireError:
             self.rx_errors += 1
             return
-        header = decoded[0]
         state = self.conns.get(header.cid)
         fresh = state is None
         if fresh:
@@ -435,7 +434,7 @@ class ServerAgent:
         # The connection advances the handshake or decrypts and dispatches;
         # our event hook handles the rest.
         conn = state.conn
-        conn.handle_datagram(data, src, decoded)
+        conn.handle_datagram(data, src, header)
         if fresh and conn.auth_failures:
             # Garbage that never started a handshake: drop the slot and its timers.
             del self.conns[conn.cid]

@@ -44,6 +44,7 @@ from .wire import (
     EPOCH_K,
     HANDSHAKE_PACKET_LEN,
     HANDSHAKE_STREAM_ID,
+    HEADER_LEN,
     HandshakeMessage,
     MARKER_DATA,
     MARKER_HANDSHAKE,
@@ -55,7 +56,6 @@ from .wire import (
     decode_header,
     encode_frames,
     frame_len,
-    header_len,
     open_packet_body,
     seal_packet,
 )
@@ -79,6 +79,11 @@ MAX_HANDSHAKE_RETRIES = 8
 # exchanged, so a sender starts from these as the peer's limits.
 STREAM_WINDOW = 64 * 1024
 CONNECTION_WINDOW = 256 * 1024
+# A peer opens streams and gaps in the sqns it sends at will, so both are
+# capped: a STREAM frame that would open one more stream closes the
+# connection, and a packet that would open one more range is dropped unacked.
+MAX_STREAMS = 256
+MAX_RANGES = 1024
 DRAIN_PERIOD_S = 10.0  # how long a connection drains after its own CLOSE
 IDLE_TIMEOUT_S = 30.0  # silence from the peer for this long closes the connection
 _MARKER_BYTES = {MARKER_DATA: bytes([MARKER_DATA]),
@@ -86,10 +91,9 @@ _MARKER_BYTES = {MARKER_DATA: bytes([MARKER_DATA]),
 _by_stream_id = attrgetter("stream_id")
 
 
-def data_packet_len(header: PacketHeader, frames: list) -> int:
-    """The size of a data packet under ``header`` carrying ``frames`` behind
-    a gap-free ACK."""
-    return (header_len(header) + 1 + wire.ACK_FRAME_LEN + sum(map(frame_len, frames))
+def data_packet_len(frames: list) -> int:
+    """The size of a data packet carrying ``frames`` behind a gap-free ACK."""
+    return (HEADER_LEN + 1 + wire.ACK_FRAME_LEN + sum(map(frame_len, frames))
             + GCM_TAG_LEN)
 
 
@@ -163,8 +167,8 @@ class ReceivedSqns:
     ``floor``, plus sorted, disjoint, non-adjacent inclusive ranges above it.
     The peer raises the floor by naming its least unacked number, so what is
     held is the gaps the peer still waits on, not the connection's age.
-    ``len()`` counts the ranges held; ``in`` asks whether a number counts as
-    received."""
+    At most MAX_RANGES ranges are held. ``len()`` counts the ranges held;
+    ``in`` asks whether a number counts as received."""
 
     def __init__(self):
         self.floor = 1  # sqns start at 1
@@ -185,7 +189,10 @@ class ReceivedSqns:
         return self._ends[-1] if self._ends else self.floor - 1
 
     def add(self, sqn: int) -> bool:
-        """Record ``sqn``; False if it already counts as received."""
+        """Record ``sqn``; False if it already counts as received, or if it
+        would open a range past MAX_RANGES. The packet is then dropped
+        unacked, as if lost, and its sender sends the frames again: leaving
+        out a new number cannot read as acked, as dropping an old gap would."""
         floor = self.floor
         starts = self._starts
         if sqn == floor and not starts:  # the next in order, with no gap held
@@ -212,6 +219,8 @@ class ReceivedSqns:
                 ends[i - 1] = sqn
         elif joins_above:
             starts[i] = sqn
+        elif len(starts) >= MAX_RANGES:
+            return False
         else:
             starts.insert(i, sqn)
             ends.insert(i, sqn)
@@ -369,8 +378,8 @@ class Connection:
         # Handshake state. The client drops its secrets and hello once the SHLO
         # settles k; the server drops the SHLO at the first packet under k.
         self._hs_secrets: ClientHelloSecrets | None = None
-        # the client's last hello: (frame, version flag, annotation)
-        self._hs_hello: tuple[StreamFrame, bool, str] | None = None
+        # the client's last hello: (frame, annotation)
+        self._hs_hello: tuple[StreamFrame, str] | None = None
         self._hs_retries = 0
         self._rej_count = 0  # zero at settlement means the handshake resumed
         self._hs_timer = None
@@ -380,35 +389,24 @@ class Connection:
 
     # ------------------------------------------------------------------ utils
 
-    def _header(self, epoch: int, sqn: int = 0, version: bool = False) -> PacketHeader:
-        return PacketHeader(
-            self.cid, sqn, epoch, wire.VERSION if version else None,
-            self.identity.scfg.div_nonce
-            if epoch == EPOCH_IK and self.role == "server" else None)
-
-    def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str,
-                     version: bool = False) -> int:
-        """The one place a packet is built and sealed; returns its sqn.
-        Server packets under the initial keys carry the diversification
-        nonce; ``version`` is set for a client's first hello only. A sqn at
-        or below one already spent would reuse a nonce under the same key
-        (RFC 9000 §12.3), so it is refused rather than sealed."""
+    def _send_packet(self, epoch: int, marker: int, frames: list, annotation: str) -> int:
+        """The one place a packet is built and sealed; returns its sqn. A
+        sqn at or below one already spent would reuse a nonce under the same
+        key (RFC 9000 §12.3), so it is refused rather than sealed."""
         sqn = self.next_sqn
         if sqn <= self._last_sqn:
             raise TransportError("sqn_reuse", str(sqn))
         self._last_sqn = sqn
         self.next_sqn = sqn + 1
         if epoch == EPOCH_K:
-            header = PacketHeader(self.cid, sqn, EPOCH_K)
             keys = self.k
         else:
-            header = self._header(epoch, sqn, version)
             keys = self.ik if epoch == EPOCH_IK else NULL_KEYS
         if marker == MARKER_DATA:
             # Every data packet leads with current ack information.
-            frames = [self._ack_frame(header, frames)] + frames
-        packet = seal_packet(header, _MARKER_BYTES[marker] + encode_frames(frames),
-                             keys, self.role)
+            frames = [self._ack_frame(sqn, frames)] + frames
+        packet = seal_packet(PacketHeader(self.cid, sqn, epoch),
+                             _MARKER_BYTES[marker] + encode_frames(frames), keys, self.role)
         self.outputs.append((packet, annotation))
         return sqn
 
@@ -444,28 +442,22 @@ class Connection:
         # Initial data already queued by the application follows under ik in
         # the same flush, right behind the hello.
 
-    def _first_hello(self) -> bool:
-        """Whether the next hello is a client's first, the one packet whose
-        header carries the version: a client holds no hello before it."""
-        return self.role == "client" and self._hs_hello is None
-
     def _pad_hello(self, msg: HandshakeMessage) -> bytes:
         """Pad a CHLO/REJ to the fixed handshake size of the cleartext packet
         that carries it on the handshake stream. The padded CHLO is part of
         the key transcript."""
-        overhead = (header_len(self._header(EPOCH_CLEAR, version=self._first_hello())) + 1
-                    + frame_len(StreamFrame(HANDSHAKE_STREAM_ID, 0, b"")) + GCM_TAG_LEN)
+        overhead = (HEADER_LEN + 1 + frame_len(StreamFrame(HANDSHAKE_STREAM_ID, 0, b""))
+                    + GCM_TAG_LEN)
         return msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode()
 
     def _send_hello(self, padded: bytes, annotation: str) -> None:
         """Send a hello padded by ``_pad_hello``. A client keeps it for the
         retry it arms, which repeats it byte for byte."""
-        first = self._first_hello()
         frame = StreamFrame(HANDSHAKE_STREAM_ID, 0, padded)
-        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation, first)
+        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation)
         assert len(self.outputs[-1][0]) == HANDSHAKE_PACKET_LEN
         if self.role == "client":
-            self._hs_hello = (frame, first, annotation)
+            self._hs_hello = (frame, annotation)
             if self._hs_timer is not None:
                 self._hs_timer.cancel()
             self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
@@ -477,9 +469,8 @@ class Connection:
         if self._hs_retries > MAX_HANDSHAKE_RETRIES:
             self._fail_handshake("handshake_timeout")
             return
-        frame, version, annotation = self._hs_hello
-        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation + " retx",
-                          version)
+        frame, annotation = self._hs_hello
+        self._send_packet(EPOCH_CLEAR, MARKER_HANDSHAKE, [frame], annotation + " retx")
         self._hs_timer = self.scheduler(HANDSHAKE_RETRY_S, self._handshake_retry)
 
     def _fail_handshake(self, reason: str) -> None:
@@ -489,31 +480,29 @@ class Connection:
     # ------------------------------------------------------------- datagrams
 
     def handle_datagram(self, data: bytes, src: Address,
-                        decoded: tuple[PacketHeader, int] | None = None) -> None:
-        """Take one datagram from ``src``. ``decoded`` is its clear header
-        and length, given by a caller that already decoded it to find this
-        connection; without it the header is decoded here. A datagram the
-        gate refuses counts once in ``auth_failures`` and changes nothing
-        else."""
+                        header: PacketHeader | None = None) -> None:
+        """Take one datagram from ``src``. ``header`` is its clear header,
+        given by a caller that already decoded it to find this connection;
+        without it the header is decoded here. A datagram the gate refuses
+        counts once in ``auth_failures`` and changes nothing else."""
         if self.phase == CLOSED:
             return
-        opened = self._open(data, decoded)
+        opened = self._open(data, header)
         if opened is None:
             self.auth_failures += 1
         else:
             self._dispatch(*opened, src)
 
-    def _open(self, data: bytes, decoded: tuple[PacketHeader, int] | None
+    def _open(self, data: bytes, header: PacketHeader | None
               ) -> tuple[PacketHeader, list, tuple[HandshakeMessage, bytes] | None] | None:
         """The gate: the header, the frames and, for a handshake packet, its
         one message with the bytes it was decoded from; None when the
         datagram is refused. Nothing here changes the connection."""
-        if decoded is None:
+        if header is None:
             try:
-                decoded = decode_header(data)
+                header = decode_header(data)
             except WireError:
                 return None
-        header, hlen = decoded
         if header.cid != self.cid:
             return None
         epoch = header.epoch
@@ -531,7 +520,7 @@ class Connection:
             return None
         if keys is None:
             return None
-        plain = open_packet_body(header, hlen, data, keys, self.role)
+        plain = open_packet_body(header, data, keys, self.role)
         if not plain:
             return None
         marker = plain[0]
@@ -741,7 +730,11 @@ class Connection:
         if stream_id == HANDSHAKE_STREAM_ID:
             return
         try:
-            stream = self.streams.get(stream_id) or self._stream(stream_id)
+            stream = self.streams.get(stream_id)
+            if stream is None:
+                if len(self.streams) >= MAX_STREAMS:
+                    raise TransportError("stream_limit", str(stream_id))
+                stream = self._stream(stream_id)
             before, received = stream.delivered, stream.received
             chunks = stream.accept(frame)
             self.conn_received += stream.received - received
@@ -944,21 +937,21 @@ class Connection:
 
     # ------------------------------------------------------------------- flush
 
-    def _ack_frame(self, header: PacketHeader, frames: list) -> AckFrame:
-        """The ACK that leads the packet ``header`` ahead of ``frames``. It
+    def _ack_frame(self, sqn: int, frames: list) -> AckFrame:
+        """The ACK that leads the packet ``sqn`` ahead of ``frames``. It
         names this end's floor: the oldest packet still outstanding, or this
         packet's own sqn. Its gaps get the room the other frames leave
         within the packet budget; those that do not fit are left out from
         the newest end, and largest_observed drops to just below the first
         gap left out, since a gap not reported reads as received."""
         self.ack_needed = 0
-        least_unacked = next(iter(self.sent_packets), header.sqn)
+        least_unacked = next(iter(self.sent_packets), sqn)
         received = self.received_sqns
         if not received:
             return AckFrame(received.floor - 1, least_unacked)
         gaps = received.gaps()
         largest = received.largest
-        room = HANDSHAKE_PACKET_LEN - data_packet_len(header, frames)
+        room = HANDSHAKE_PACKET_LEN - data_packet_len(frames)
         fit = min(wire.MAX_NACK_RANGES, max(0, room // wire.NACK_RANGE_LEN))
         if len(gaps) > fit:
             largest = gaps[fit][0] - 1
@@ -981,8 +974,7 @@ class Connection:
         controls = self._control_frames
         if controls:
             self._control_frames = []
-            if (data_packet_len(self._header(epoch), controls + frames)
-                    > HANDSHAKE_PACKET_LEN):
+            if data_packet_len(controls + frames) > HANDSHAKE_PACKET_LEN:
                 self._send_data_packet(controls)
             else:
                 frames = controls + frames

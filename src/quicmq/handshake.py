@@ -302,14 +302,15 @@ def derive_k_client(secrets: ClientHelloSecrets, cfg: ServerConfig, cid: int,
 @dataclass
 class ServerIdentity:
     """Long-lived broker-side handshake state, shared by every connection:
-    the signing key, the token key, the current (and rotated-out) configs,
-    and the strike register."""
+    the signing key, the token key, the current config, the scids of the
+    rotated-out ones, and the strike register. A rotated-out config is kept
+    by its scid alone, so its DH private key goes with it."""
 
     sign_pair: crypto.SignatureKeyPair
     k_stk: bytes
     scfg: ServerConfig
     strike: StrikeRegister
-    retired: dict[bytes, ServerConfig] = field(default_factory=dict)
+    retired: set[bytes] = field(default_factory=set)
 
     @classmethod
     def create(cls, now: float, rng: Random = SYSTEM_RNG) -> "ServerIdentity":
@@ -319,7 +320,7 @@ class ServerIdentity:
         return cls(pair, k_stk, scfg, StrikeRegister())
 
     def rotate_scfg(self, now: float, rng: Random = SYSTEM_RNG) -> None:
-        self.retired[self.scfg.scid] = self.scfg
+        self.retired.add(self.scfg.scid)
         self.scfg = get_scfg(self.sign_pair.sk, now, rng)
 
     # -- full CHLO validation -------------------------------------------------

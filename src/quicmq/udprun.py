@@ -4,8 +4,8 @@ Exposes the same duck-typed surface the agents use on the simulator
 (register/send/schedule/clock), backed by one UDP socket and a clock that
 reads Unix time. Good enough to run a broker, publisher, and subscriber by
 hand on loopback; the benchmarks always use the simulator. Given a trace
-path, a runner keeps the simulator's trace: a ``TraceEvent`` per datagram sent
-and per datagram delivered (with this endpoint's socket address as ``dst``),
+path, a runner keeps the simulator's trace: a ``TraceEvent`` per datagram sent,
+dropped and delivered (with this endpoint's socket address as ``dst``),
 written in the same lines. Without one it keeps nothing.
 """
 
@@ -67,11 +67,20 @@ class UdpNetwork:
         return self._sock.getsockname()
 
     def send(self, payload: bytes, src: Address, dst: Address, annotation: str = "") -> None:
+        """Send one datagram. One the host refuses to send (to port 0 or a
+        broadcast address, say, both of which a peer can name as its source)
+        is dropped, as a lost one is, and traced as a drop."""
         if self.trace_path is not None:
             self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),
                                          annotation))
-        if self._sock is not None:
+        if self._sock is None:
+            return
+        try:
             self._sock.sendto(payload, dst)
+        except OSError:
+            if self.trace_path is not None:
+                self.trace.append(TraceEvent(self.clock.now_us, "drop", src, dst,
+                                             len(payload), annotation))
 
     def schedule(self, delay_s: float, fn: Callable[[], None]) -> Timer:
         timer = Timer(fn)

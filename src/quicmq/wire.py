@@ -1,17 +1,18 @@
 """Wire formats: packet headers, frames, and the tag-length-value handshake
 messages.
 
-Clear header layout (all integers big-endian):
+Clear header layout (all integers big-endian), the same for every packet:
 
-    flags(1) || cid(8) || [version(4) iff flags bit0] ||
-    [div_nonce(32) iff flags bit1] || sqn(8)
+    flags(1) || cid(8) || sqn(8)
 
 Flags bits 2-3 carry the key epoch (0 = cleartext handshake, 1 = initial
-keys, 2 = forward-secure keys). The body of every packet is an AEAD
-ciphertext of ``marker(1) || frames`` followed by the 16-byte tag; the full
-encoded header is the associated data, so any header bit-flip breaks the
-seal. Cleartext handshake packets are sealed under the all-zero key set,
-which buys nothing but format uniformity and integrity under a known key.
+keys, 2 = forward-secure keys). Bits 0-1 are never set, and a header with
+either set is refused; bits 4-7 carry nothing. The hello names its version
+in its VER tag, so the header carries none. The body of every packet is an
+AEAD ciphertext of ``marker(1) || frames`` followed by the 16-byte tag; the
+header is the associated data, so any header bit-flip breaks the seal.
+Cleartext handshake packets are sealed under the all-zero key set, which
+buys nothing but format uniformity and integrity under a known key.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ EPOCH_K = 2
 # key exchange payloads.
 MARKER_DATA = 0x01
 MARKER_HANDSHAKE = 0x00
-
-FLAG_VERSION = 0x01
-FLAG_DIV_NONCE = 0x02
 
 MAX_NACK_RANGES = 256
 ACK_FRAME_LEN = 19  # kind(1) || largest_observed(8) || least_unacked(8) || count(2)
@@ -55,69 +53,24 @@ class PacketHeader:
     cid: int
     sqn: int
     epoch: int = EPOCH_CLEAR
-    version: bytes | None = None
-    div_nonce: bytes | None = None
 
 
-# The clear header's four layouts, indexed by flags & (FLAG_VERSION |
-# FLAG_DIV_NONCE): every packet after the hellos takes the first.
-_HEADERS = (
-    struct.Struct(">BQQ"),
-    struct.Struct(">BQ4sQ"),
-    struct.Struct(">BQ32sQ"),
-    struct.Struct(">BQ4s32sQ"),
-)
-_SHORT_HEADER = _HEADERS[0]
+_HEADER = struct.Struct(">BQQ")  # flags, cid, sqn
+HEADER_LEN = _HEADER.size  # 17
 
 
 def encode_header(h: PacketHeader) -> bytes:
-    flags = (h.epoch & 0x03) << 2
-    version, div_nonce = h.version, h.div_nonce
-    if version is None and div_nonce is None:
-        return _SHORT_HEADER.pack(flags, h.cid, h.sqn)
-    fields = [h.cid]
-    if version is not None:
-        if len(version) != 4:
-            raise WireError("version field must be 4 bytes")
-        flags |= FLAG_VERSION
-        fields.append(version)
-    if div_nonce is not None:
-        if len(div_nonce) != 32:
-            raise WireError("div_nonce must be 32 bytes")
-        flags |= FLAG_DIV_NONCE
-        fields.append(div_nonce)
-    return _HEADERS[flags & 0x03].pack(flags, *fields, h.sqn)
+    return _HEADER.pack((h.epoch & 0x03) << 2, h.cid, h.sqn)
 
 
-def decode_header(data: bytes) -> tuple[PacketHeader, int]:
-    """Decode the clear header, returning it with its encoded length."""
-    n = len(data)
-    if n < 9:
+def decode_header(data: bytes) -> PacketHeader:
+    """Decode the clear header, the first HEADER_LEN bytes of ``data``."""
+    if len(data) < HEADER_LEN:
         raise WireError("truncated header")
-    flags = data[0]
-    layout = flags & 0x03
-    if not layout:
-        if n < 17:
-            raise WireError("truncated sqn")
-        _, cid, sqn = _SHORT_HEADER.unpack_from(data)
-        return PacketHeader(cid, sqn, (flags >> 2) & 0x03), 17
-    size = _HEADERS[layout].size
-    if n < size:
-        if flags & FLAG_VERSION and n < 13:
-            raise WireError("truncated version")
-        if flags & FLAG_DIV_NONCE and n < size - 8:
-            raise WireError("truncated div_nonce")
-        raise WireError("truncated sqn")
-    fields = _HEADERS[layout].unpack_from(data)
-    version = fields[2] if flags & FLAG_VERSION else None
-    div_nonce = fields[-2] if flags & FLAG_DIV_NONCE else None
-    return PacketHeader(fields[1], fields[-1], (flags >> 2) & 0x03, version, div_nonce), size
-
-
-def header_len(h: PacketHeader) -> int:
-    """The encoded size of ``h``, without encoding it."""
-    return (17 + (4 if h.version is not None else 0)
-            + (32 if h.div_nonce is not None else 0))
+    flags, cid, sqn = _HEADER.unpack_from(data)
+    if flags & 0x03:
+        raise WireError("reserved header flag set")
+    return PacketHeader(cid, sqn, (flags >> 2) & 0x03)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +234,13 @@ def seal_packet(header: PacketHeader, plaintext: bytes, keys: KeySet, role: str)
     return hdr + aead_seal(key, get_iv(prefix, header.sqn), hdr, plaintext)
 
 
-def open_packet_body(header: PacketHeader, header_len: int, packet: bytes,
-                     keys: KeySet, role: str) -> bytes | None:
+def open_packet_body(header: PacketHeader, packet: bytes, keys: KeySet,
+                     role: str) -> bytes | None:
     """Open the sealed body of an already-decoded packet under the half of
     ``keys`` addressed to ``role``, the one its peer sealed with; None on
     failure."""
-    hdr = packet[:header_len]
-    body = packet[header_len:]
+    hdr = packet[:HEADER_LEN]
+    body = packet[HEADER_LEN:]
     if len(body) < GCM_TAG_LEN:
         return None
     if role == "client":

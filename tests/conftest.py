@@ -60,7 +60,7 @@ class ConnEndpoint:
 
     def on_datagram(self, data, src):
         try:
-            header, _ = decode_header(data)
+            header = decode_header(data)
         except WireError:
             return
         conn = self.conns.get(header.cid)

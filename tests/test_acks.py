@@ -14,9 +14,11 @@ from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.connection import (
     CONNECTION_WINDOW,
     MAX_ACK_DELAY_S,
+    MAX_RANGES,
     MAX_STREAM_CHUNK,
     QUICK_ACKS,
     ReceivedSqns,
+    StreamData,
 )
 from quicmq.handshake import ServerIdentity
 from quicmq.mqtt import Broker
@@ -118,8 +120,7 @@ def forge_ack(conn, ack: AckFrame, sqn=None) -> tuple[bytes, int]:
 
 
 def frames_to_client(conn, packet: bytes) -> list:
-    header, hlen = decode_header(packet)
-    plain = open_packet_body(header, hlen, packet, conn.k, "client")
+    plain = open_packet_body(decode_header(packet), packet, conn.k, "client")
     return decode_frames(plain[1:])
 
 
@@ -220,6 +221,31 @@ def test_gaps_past_the_packet_budget_keep_the_oldest(world):
     assert len(packet) <= HANDSHAKE_PACKET_LEN
     assert 4 < len(ack.nack_ranges) < 300
     assert ack.nack_ranges == tuple(gaps[:len(ack.nack_ranges)])
+
+
+def test_a_sqn_past_max_ranges_is_dropped_unacked(world):
+    # Every other sqn past the cap: the packet that would open range
+    # MAX_RANGES + 1 is dropped as if lost, not refused at the gate, and
+    # the connection still takes a later packet in order.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    base = conn.next_sqn + 10
+    for k in range(MAX_RANGES + 20):
+        packet = seal_client_data(conn.k, base + 2 * k,
+                                  encode_frames([WindowUpdateFrame(0, 0)]),
+                                  cid=conn.cid, epoch=EPOCH_K)
+        server_conn.handle_datagram(packet, CLIENT_ADDR)
+    received = server_conn.received_sqns
+    assert len(received) == MAX_RANGES
+    last = base + 2 * (MAX_RANGES - 1)
+    assert last in received and last + 2 not in received
+    assert server_conn.auth_failures == 0
+    assert server_conn.phase == "established"
+    packet = seal_client_data(conn.k, last + 1, encode_frames([StreamFrame(3, 0, b"later")]),
+                              cid=conn.cid, epoch=EPOCH_K)
+    server_conn.handle_datagram(packet, CLIENT_ADDR)
+    assert len(received) == MAX_RANGES and last + 1 in received
+    assert [ev.data for ev in server_ep.events_of(StreamData)] == [b"later"]
 
 
 def test_least_unacked_lets_the_receiver_drop_old_gaps(world):

@@ -306,7 +306,7 @@ def test_broker_renews_its_server_config_when_it_expires():
     assert paths == {"early": "1rtt", "late": "1rtt"}
     assert early.failure is None and late.failure is None
     assert late.connected
-    assert identity.scfg.expy > 86410 and identity.retired == {first.scid: first}
+    assert identity.scfg.expy > 86410 and identity.retired == {first.scid}
 
 
 @pytest.mark.parametrize("bad_value", [bytes(5), bytes(32), b"\x01" + bytes(31)],
@@ -899,7 +899,7 @@ def test_epoch_correctness_across_a_run():
     for i, (payload, annotation) in enumerate(net.datagrams):
         if not annotation.startswith(("data", "ack", "close")):
             continue
-        header, _ = decode_header(payload)
+        header = decode_header(payload)
         (epochs_before if i < shlo_at else epochs_after).append(header.epoch)
     assert epochs_before and set(epochs_before) == {EPOCH_IK}
     assert epochs_after and set(epochs_after) == {EPOCH_K}
@@ -1146,11 +1146,11 @@ def test_short_inchoate_hello_from_a_spoofed_address_draws_nothing():
     victim = ("6.6.6.6", 6666)
     received = []
     net.register(victim, lambda p, s: received.append(p))
-    header = wire.PacketHeader(cid=77, sqn=1, epoch=wire.EPOCH_CLEAR, version=wire.VERSION)
+    header = wire.PacketHeader(cid=77, sqn=1, epoch=wire.EPOCH_CLEAR)
     body = bytes([wire.MARKER_HANDSHAKE]) + wire.encode_frames(
         [wire.StreamFrame(wire.HANDSHAKE_STREAM_ID, 0, build_inchoate_chlo().encode())])
     hello = wire.seal_packet(header, body, NULL_KEYS, "client")
-    assert len(hello) == 72
+    assert len(hello) == 68
     net.send(hello, victim, BROKER, "spoofed hello")
     net.run(until_s=1.0)
     assert received == []

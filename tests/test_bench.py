@@ -21,9 +21,9 @@ from quicmq.bench import (
     bench_stream_isolation,
 )
 from quicmq.cli import main
-from quicmq.connection import IDLE_TIMEOUT_S
+from quicmq.connection import IDLE_TIMEOUT_S, Connection
 from quicmq.handshake import ServerIdentity, StrikeRegister, make_nonc
-from quicmq.netsim import PROFILES, SimConfig, SimNetwork, TraceEvent
+from quicmq.netsim import PROFILES, SimConfig, SimNetwork, Timer, TraceEvent
 from quicmq.udprun import UdpNetwork
 
 
@@ -168,29 +168,29 @@ PINNED_DIGESTS = {
     # The trace moves with ACK timing; "fanout_received", the deliveries
     # alone, must not: broker routing order decides them.
     "fanout_many_subscribers":
-        "b6e2aaa1223c46a40fa66bebaa28b23a0226640b324f483c16a866653969f2a8",
+        "ad8c452aebc19e8b40059d7c7aee5a3695852d351738ec633ab5170fdc015e00",
     "fanout_received": "104038966138270088989bb52413df64aea4ff5182ca2e74e69c708abdc289b8",
-    "rej_fallback": "565a201a14a7d88166df2635d6482629936842cff764361bacc4177911b0eb75",
+    "rej_fallback": "567b849dfc1586dd322c86a613c9a43f137f233b85201758a16eafbce3c3d4bf",
     "conn_overhead_wired.datagrams":
-        "5de849a6641611cd82627452db79372805f8a589600e2b3cfb4c3b0f59f1bdd9",
-    "hol_wired.datagrams": "929f6ce19ed8376341051cc3a79d9e3519cab0df1d52cd914674218603f99122",
+        "b2baed7ef06ce183dfdf2f81d690e018c9c4f1fbf85b6f2e8f6e107fa9c22ca1",
+    "hol_wired.datagrams": "3f057075984fecfccf8452c5fd00c0ee4d2e7bf8d9c7de871639b1311d0b604c",
     "half_open_wired.datagrams":
-        "c43c3144c201475504dd6d31e2ecb99a0a21c26eccff0f2eb6aeb58c351be6b5",
+        "4bde27fa35e6257f44dfad372b3e2d0ec7b986606d1d8d369e4b3fcee5802470",
     # migrate runs lossless, so its two profiles send the same bytes, at
     # different times.
-    "migrate_wired.datagrams": "8dd9f048081aa84232c111d760cd69a957fdabdaed59604393f84c4e946a24e2",
+    "migrate_wired.datagrams": "c98c3174765efd8578d3933d43ef8b5a838ffa3d80970606ac89a2c0ef23134a",
     "conn_overhead_wireless.datagrams":
-        "77aa254d62b3c8c0d9391d0187f96950cb868487ee263bbac8994e59563c0c8f",
-    "hol_wireless.datagrams": "1e8e62e7e198882da7650da67e4b31cc07eea4c65035595f4501fee1d700814b",
+        "36d448cd598386ea339beb42a416e26ea0baebc863f28434270a8c4108839306",
+    "hol_wireless.datagrams": "2bce7dd97608c352c2eee5cd33d30b4ddbf595e88976b1690743358c5e77d839",
     "stream_isolation_wired.datagrams":
-        "7beea4dd6f8d257758915f14d78515a22c347e2b1f4fbd2218a2210d8671e19d",
+        "058034f1ae0e11b5cabb15943c96de0a03d81e3302c10f7b2a5913e2fd2d1736",
     "migrate_wireless.datagrams":
-        "8dd9f048081aa84232c111d760cd69a957fdabdaed59604393f84c4e946a24e2",
+        "c98c3174765efd8578d3933d43ef8b5a838ffa3d80970606ac89a2c0ef23134a",
     "conn_overhead_long_distance.datagrams":
-        "817cc6247dc1d284ed845cf1c354ed42173693e10de1af8588d721db3aa7520a",
+        "a4a8128910af0d6e523928422d90cda498a148b948c113a832078a34c8f77232",
     "fanout_many_subscribers.datagrams":
-        "ac55de32ccb348ae16899f77b7fa1905692fb4e110d76496a0bad7c0b77f671a",
-    "rej_fallback.datagrams": "d6852e34bc5b7974f828a0f58e799975b404a4fb39c139798e75e4a885953c56",
+        "ecf84cb9c5caf9483dc7212347084d535a242373baf724e86dabc187c439e9a7",
+    "rej_fallback.datagrams": "0e514e89547edb2b5c183e0f2857ecd21a07d22a9d17cdedc8b96d9c0f07dd61",
 }
 
 
@@ -607,6 +607,28 @@ def test_udp_runner_writes_the_simulator_trace_format(tmp_path):
     net.write_trace()
     assert (tmp_path / "udp.trace").read_text().splitlines() == [
         ev.line() for ev in net.trace]
+
+
+@pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")
+def test_udp_runner_drops_a_datagram_the_host_refuses_to_send(tmp_path):
+    # A padded hello from port 0 draws a REJ to port 0, which sendto
+    # refuses. The broker drops it, as a lost datagram, and traces the drop.
+    net = UdpNetwork(trace_path=str(tmp_path / "udp.trace"))
+    identity = ServerIdentity.create(now=net.clock.now_s, rng=Random(1))
+    server = ServerAgent(net, ("127.0.0.1", 0), identity, rng=Random(2))
+    spoofed = ("127.0.0.1", 0)
+    client = Connection("client", 77, spoofed, server.addr, clock=lambda: net.clock.now_s,
+                        scheduler=lambda delay, fn: Timer(fn), on_event=lambda ev: None,
+                        server_pk=identity.sign_pair.pk)
+    client.start_connect()
+    [(hello, _)] = client.take_outputs()
+    try:
+        server.on_datagram(hello, spoofed)
+    finally:
+        net.unregister(server.addr)
+    assert [(ev.event, ev.dst, ev.annotation) for ev in net.trace] == [
+        ("send", spoofed, "rej"), ("drop", spoofed, "rej")]
+    assert server.connection_count() == 1
 
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")

@@ -8,6 +8,7 @@ from quicmq.connection import (
     CachedSession,
     Closed,
     DRAIN_PERIOD_S,
+    MAX_STREAMS,
     Connection,
     HandshakeDone,
     HandshakeFailed,
@@ -29,6 +30,7 @@ from quicmq.wire import (
     EPOCH_IK,
     EPOCH_K,
     HANDSHAKE_PACKET_LEN,
+    HEADER_LEN,
     CloseFrame,
     PacketHeader,
     StreamFrame,
@@ -36,8 +38,8 @@ from quicmq.wire import (
     decode_frames,
     decode_header,
     encode_frames,
+    encode_header,
     frame_len,
-    header_len,
     open_packet_body,
     seal_packet,
 )
@@ -50,7 +52,7 @@ def seal_hello(msg, cid, sqn, role):
     REJ is, so that its packet is exactly HANDSHAKE_PACKET_LEN bytes and
     passes the gate's size rule."""
     header = PacketHeader(cid=cid, sqn=sqn, epoch=EPOCH_CLEAR)
-    overhead = header_len(header) + 1 + frame_len(StreamFrame(1, 0, b"")) + GCM_TAG_LEN
+    overhead = HEADER_LEN + 1 + frame_len(StreamFrame(1, 0, b"")) + GCM_TAG_LEN
     frame = StreamFrame(1, 0, msg.padded(HANDSHAKE_PACKET_LEN - overhead).encode())
     packet = seal_packet(header, bytes([wire.MARKER_HANDSHAKE]) + encode_frames([frame]),
                          NULL_KEYS, role)
@@ -92,27 +94,12 @@ def test_1rtt_completes_with_identical_keys(world):
 
 def test_1rtt_sqn_ladder(world):
     net, client_ep, server_ep, conn = run_handshake(world)
-    headers = [decode_header(p)[0] for p, _ in client_ep.sent]
+    headers = [decode_header(p) for p, _ in client_ep.sent]
     annotations = [a for _, a in client_ep.sent]
     assert annotations[0] == "chlo_inchoate"
     assert headers[0].sqn == 1
-    assert headers[0].version == wire.VERSION
     assert annotations[1] == "chlo_full"
     assert headers[1].sqn == 2
-    assert headers[1].version is None
-
-
-def test_div_nonce_on_server_ik_packets_only(world):
-    # Server-originated post-REJ packets under the initial keys carry the
-    # 32-byte diversification nonce; forward-secure packets do not.
-    net, client_ep, server_ep, conn = run_handshake(world)
-    identity = server_ep.identity
-    for packet, annotation in server_ep.sent:
-        header, _ = decode_header(packet)
-        if header.epoch == wire.EPOCH_IK:
-            assert header.div_nonce == identity.scfg.div_nonce, annotation
-        elif header.epoch == wire.EPOCH_K:
-            assert header.div_nonce is None, annotation
 
 
 @pytest.mark.parametrize("resume", [False, True])
@@ -133,18 +120,15 @@ def test_packet_header_rule_under_hello_and_shlo_loss(world, resume):
     retx = set()
     for role, sent in (("client", client_ep.sent), ("server", server_ep.sent)):
         for packet, annotation in sent:
-            header, hlen = decode_header(packet)
-            if header.version is not None:
-                assert (role == "client" and header.epoch == EPOCH_CLEAR
-                        and annotation.startswith("chlo")), annotation
-            assert (header.div_nonce is not None) == (
-                role == "server" and header.epoch == EPOCH_IK), annotation
+            header = decode_header(packet)
+            # One layout for every packet, whatever its end and epoch.
+            assert encode_header(header) == packet[:HEADER_LEN], annotation
             kind = annotation.removesuffix(" retx")
             if kind not in ("chlo_inchoate", "chlo_full", "shlo"):
                 continue
             keys = NULL_KEYS if header.epoch == EPOCH_CLEAR else server_conn.ik
             receiver = "server" if role == "client" else "client"
-            body = open_packet_body(header, hlen, packet, keys, receiver)
+            body = open_packet_body(header, packet, keys, receiver)
             frames = decode_frames(body[1:])
             if kind == annotation:
                 originals[kind] = frames
@@ -182,7 +166,7 @@ def test_sender_sqns_strictly_increase(world):
     client_ep.pump(conn.cid)
     net.run(until_s=4.0)
     for sent in (client_ep.sent, server_ep.sent):
-        sqns = [decode_header(p)[0].sqn for p, _ in sent]
+        sqns = [decode_header(p).sqn for p, _ in sent]
         assert sqns == sorted(sqns)
         assert len(set(sqns)) == len(sqns)
 
@@ -193,7 +177,7 @@ def test_nonce_inputs_never_repeat_per_direction(world):
     net, client_ep, server_ep, conn = run_handshake(world)
     seen = set()
     for packet, _ in client_ep.sent:
-        header, _ = decode_header(packet)
+        header = decode_header(packet)
         key = (header.epoch, header.sqn)
         assert key not in seen
         seen.add(key)
@@ -604,8 +588,7 @@ def close_reasons(sent, keys) -> list[bytes]:
     under ``keys``."""
     reasons = []
     for packet, _ in sent:
-        header, hlen = decode_header(packet)
-        plain = open_packet_body(header, hlen, packet, keys, "client")
+        plain = open_packet_body(decode_header(packet), packet, keys, "client")
         reasons += [f.reason for f in decode_frames(plain[1:]) if isinstance(f, CloseFrame)]
     return reasons
 
@@ -645,12 +628,12 @@ def test_stream_reassembly_no_double_delivery():
 def _stream_bytes(packet, server_conn):
     """Total stream payload bytes inside one client-sent packet."""
     from quicmq.wire import open_packet_body
-    header, hlen = decode_header(packet)
+    header = decode_header(packet)
     keys = {EPOCH_CLEAR: NULL_KEYS, EPOCH_IK: server_conn.ik,
             EPOCH_K: server_conn.k}.get(header.epoch)
     if keys is None:
         return b""
-    plain = open_packet_body(header, hlen, packet, keys, "server")
+    plain = open_packet_body(header, packet, keys, "server")
     if plain is None or not plain or plain[0] != 0x01:
         return b""
     return b"".join(f.data for f in wire.decode_frames(plain[1:])
@@ -736,6 +719,24 @@ def test_streams_past_the_connection_window_close_the_connection(world, windows)
     assert server_conn.conn_received == 400
 
 
+def test_a_stream_past_max_streams_closes_the_connection(world):
+    # One byte on each of MAX_STREAMS streams is taken; a frame that would
+    # open one more closes the connection, whatever its window.
+    net, client_ep, server_ep, conn = run_handshake(world)
+    server_conn = server_ep.only_conn()
+    sqn = conn.next_sqn
+    for k in range(MAX_STREAMS + 1):
+        assert server_conn.phase == "established"
+        raw = encode_frames([StreamFrame(2 + k, 0, b"x")])
+        server_conn.handle_datagram(
+            seal_client_data(conn.k, sqn + k, raw, cid=conn.cid, epoch=EPOCH_K), CLIENT_ADDR)
+    assert server_conn.phase == "draining"
+    assert len(server_conn.streams) == MAX_STREAMS
+    assert len(server_ep.events_of(StreamData)) == MAX_STREAMS
+    server_conn.flush()
+    assert close_reasons(server_conn.take_outputs(), conn.k) == [b"stream_limit"]
+
+
 def test_congestion_window_blocks_then_releases_without_loss(world, windows):
     # Enough queued data for 50 packets against a 32-packet window: the
     # flush stops at the window, nothing is dropped, and acks release the
@@ -786,7 +787,7 @@ def test_nacked_data_retransmitted_under_fresh_sqn(world):
     client_ep.sent.clear()
     conn.send_stream(3, b"\x30\x08\x00\x01tpayload")
     client_ep.pump(conn.cid)
-    lost_sqn = decode_header(client_ep.sent[-1][0])[0].sqn
+    lost_sqn = decode_header(client_ep.sent[-1][0]).sqn
     # Follow-up packets provoke NACK feedback.
     for i in range(4):
         conn.send_stream(3, b"\x30\x08\x00\x01tpayload")
@@ -795,7 +796,7 @@ def test_nacked_data_retransmitted_under_fresh_sqn(world):
     net.run(until_s=net.clock.now_s + 1.0)
     retx = [(p, a) for p, a in client_ep.sent if "retx" in a]
     assert retx, "expected a retransmission"
-    retx_sqn = decode_header(retx[0][0])[0].sqn
+    retx_sqn = decode_header(retx[0][0]).sqn
     assert retx_sqn != lost_sqn and retx_sqn > lost_sqn
     # Every payload delivered exactly once despite the loss.
     server_conn = server_ep.only_conn()
@@ -952,7 +953,7 @@ def test_cleartext_data_packet_refused(world):
     server_conn = server_ep.only_conn()
     # Full size, so that the marker rule refuses it, not the size rule.
     ack = wire.AckFrame(10**6, 1, ())
-    room = (HANDSHAKE_PACKET_LEN - header_len(PacketHeader(conn.cid, 900, EPOCH_CLEAR)) - 1
+    room = (HANDSHAKE_PACKET_LEN - HEADER_LEN - 1
             - frame_len(ack) - frame_len(StreamFrame(3, 0, b"")) - GCM_TAG_LEN)
     forged = encode_frames([ack, StreamFrame(3, 0, b"forged".ljust(room, b"."))])
     packet = seal_client_data(NULL_KEYS, 900, forged, cid=conn.cid, epoch=EPOCH_CLEAR)
@@ -994,12 +995,12 @@ def test_altered_copies_of_a_genuine_packet_are_refused_and_change_nothing(world
     conn.send_stream(3, b"genuine")
     conn.flush()
     [packet] = [p for p, annotation in conn.take_outputs() if annotation == "data s3"]
-    header, hlen = decode_header(packet)
-    assert header.epoch == EPOCH_K and hlen == 17
+    header = decode_header(packet)
+    assert header.epoch == EPOCH_K
 
     rng = Random(19)
-    altered = [flip_bit(packet, bit) for bit in range(hlen * 8)]
-    altered += [flip_bit(packet, rng.randrange(hlen * 8, len(packet) * 8))
+    altered = [flip_bit(packet, bit) for bit in range(HEADER_LEN * 8)]
+    altered += [flip_bit(packet, rng.randrange(HEADER_LEN * 8, len(packet) * 8))
                 for _ in range(32)]
     altered += [packet[:n] for n in range(len(packet))]
     before = server_state(server_conn)

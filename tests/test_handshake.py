@@ -1,3 +1,5 @@
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -290,6 +292,24 @@ def test_scid_expired_after_rotation(identity):
     scfg, stk = parse_rej(rej)
     chlo, _ = build_full_chlo(scfg, stk, NOW, Random(2))
     identity.rotate_scfg(NOW + 5, Random(50))
+    padded = chlo.padded(1200)
+    with pytest.raises(HandshakeError) as e:
+        identity.validate_full_chlo(padded, padded.encode(), "10.0.0.2", 77, NOW + 6)
+    assert e.value.reason == "scid_expired"
+
+
+def test_a_rotated_out_config_keeps_only_its_scid(identity):
+    # Only the old scid is read once it is rotated out, so the config's DH
+    # private key is freed, and a CHLO naming that scid is still told it
+    # expired.
+    rej = build_rej(identity.scfg, identity.k_stk, "10.0.0.2", NOW, Random(1))
+    scfg, stk = parse_rej(rej)
+    chlo, _ = build_full_chlo(scfg, stk, NOW, Random(2))
+    old_dh = weakref.ref(identity.scfg.dh)
+    identity.rotate_scfg(NOW + 5, Random(50))
+    gc.collect()
+    assert old_dh() is None
+    assert identity.retired == {scfg.scid}
     padded = chlo.padded(1200)
     with pytest.raises(HandshakeError) as e:
         identity.validate_full_chlo(padded, padded.encode(), "10.0.0.2", 77, NOW + 6)

@@ -29,8 +29,6 @@ headers = st.builds(
     cid=st.integers(min_value=0, max_value=2**64 - 1),
     sqn=st.integers(min_value=0, max_value=2**64 - 1),
     epoch=st.sampled_from([wire.EPOCH_CLEAR, wire.EPOCH_IK, wire.EPOCH_K]),
-    version=st.one_of(st.none(), st.just(wire.VERSION)),
-    div_nonce=st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
 )
 
 stream_frames = st.builds(
@@ -71,9 +69,8 @@ frames = st.one_of(
 @given(headers)
 def test_header_roundtrip(h):
     data = encode_header(h)
-    decoded, length = decode_header(data)
-    assert decoded == h
-    assert length == len(data)
+    assert decode_header(data + b"body") == h
+    assert len(data) == wire.HEADER_LEN
 
 
 @settings(max_examples=200)
@@ -85,15 +82,25 @@ def test_frames_roundtrip(fs):
 @settings(max_examples=200)
 @given(headers, frames)
 def test_sizes_match_encoding(h, f):
-    assert wire.header_len(h) == len(encode_header(h))
+    assert len(encode_header(h)) == wire.HEADER_LEN
     assert wire.frame_len(f) == len(encode_frames([f]))
 
 
 def test_header_truncated():
-    h = PacketHeader(cid=5, sqn=9, version=wire.VERSION)
+    h = PacketHeader(cid=5, sqn=9)
     data = encode_header(h)
     with pytest.raises(WireError):
-        decode_header(data[:10])
+        decode_header(data[:-1])
+
+
+@pytest.mark.parametrize("bit", [0x01, 0x02])
+def test_header_with_flag_bit_0_or_1_is_refused(bit):
+    # No sender sets flag bits 0-1, and a receiver refuses a header with
+    # either set.
+    data = bytearray(encode_header(PacketHeader(cid=5, sqn=9, epoch=wire.EPOCH_K)))
+    data[0] |= bit
+    with pytest.raises(WireError, match="reserved header flag set"):
+        decode_header(bytes(data))
 
 
 def test_ack_frame_nack_range_cap():
@@ -127,9 +134,9 @@ def test_seal_open_roundtrip():
     keys = split_keys(Random(8).randbytes(40))
     h = PacketHeader(cid=77, sqn=3, epoch=wire.EPOCH_IK)
     pkt = seal_packet(h, b"\x01payload", keys, "client")
-    decoded, hlen = decode_header(pkt)
+    decoded = decode_header(pkt)
     assert decoded == h
-    out = open_packet_body(decoded, hlen, pkt, keys, "server")
+    out = open_packet_body(decoded, pkt, keys, "server")
     assert out == b"\x01payload"
 
 
@@ -138,8 +145,8 @@ def test_header_is_authenticated():
     h = PacketHeader(cid=77, sqn=3, epoch=wire.EPOCH_IK)
     pkt = bytearray(seal_packet(h, b"\x01x", keys, "client"))
     pkt[1] ^= 0x01  # flip a cid bit
-    decoded, hlen = decode_header(bytes(pkt))
-    assert open_packet_body(decoded, hlen, bytes(pkt), keys, "server") is None
+    decoded = decode_header(bytes(pkt))
+    assert open_packet_body(decoded, bytes(pkt), keys, "server") is None
 
 
 def test_wrong_keys_fail_to_open():
@@ -147,15 +154,13 @@ def test_wrong_keys_fail_to_open():
     k = split_keys(Random(11).randbytes(40))
     h = PacketHeader(cid=1, sqn=1, epoch=wire.EPOCH_IK)
     pkt = seal_packet(h, b"\x01m", ik, "client")
-    decoded, hlen = decode_header(pkt)
-    assert open_packet_body(decoded, hlen, pkt, k, "server") is None
+    assert open_packet_body(decode_header(pkt), pkt, k, "server") is None
 
 
 def test_null_keys_roundtrip():
-    h = PacketHeader(cid=2, sqn=1, epoch=wire.EPOCH_CLEAR, version=wire.VERSION)
+    h = PacketHeader(cid=2, sqn=1, epoch=wire.EPOCH_CLEAR)
     pkt = seal_packet(h, b"\x00hello", NULL_KEYS, "client")
-    decoded, hlen = decode_header(pkt)
-    assert open_packet_body(decoded, hlen, pkt, NULL_KEYS, "server") == b"\x00hello"
+    assert open_packet_body(decode_header(pkt), pkt, NULL_KEYS, "server") == b"\x00hello"
 
 
 # The half of a key set each role seals with, written out as a table: a
@@ -175,9 +180,9 @@ def test_seal_and_open_pick_the_key_half_by_role(material, role, h, pt):
     nonce = getattr(keys, iv_name) + h.sqn.to_bytes(8, "big")
     pkt = seal_packet(h, pt, keys, role)
     assert pkt == hdr + AESGCM(getattr(keys, key_name)).encrypt(nonce, pt, hdr)
-    decoded, hlen = decode_header(pkt)
-    assert open_packet_body(decoded, hlen, pkt, keys, PEER[role]) == pt
-    assert open_packet_body(decoded, hlen, pkt, keys, role) is None
+    decoded = decode_header(pkt)
+    assert open_packet_body(decoded, pkt, keys, PEER[role]) == pt
+    assert open_packet_body(decoded, pkt, keys, role) is None
 
 
 def test_handshake_message_roundtrip():
@@ -213,60 +218,28 @@ def test_handshake_message_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the header and frame codecs as they were before they
-# were rewritten on precompiled struct layouts, kept verbatim. For every
-# input the codecs in ``wire`` must give the same bytes or records, or raise
-# the same exception type with the same message. Integers are drawn within
-# their fields' widths, the only values the connection produces.
+# Reference oracles: the frame codecs as they were before they were
+# rewritten on precompiled struct layouts, kept verbatim, and the header
+# codec written out byte by byte for its one layout. For every input the
+# codecs in ``wire`` must give the same bytes or records, or raise the same
+# exception type with the same message. Integers are drawn within their
+# fields' widths, the only values the connection produces.
 # ---------------------------------------------------------------------------
 
 def ref_encode_header(h: PacketHeader) -> bytes:
-    flags = (h.epoch & 0x03) << 2
-    out = bytearray()
-    if h.version is not None:
-        if len(h.version) != 4:
-            raise WireError("version field must be 4 bytes")
-        flags |= wire.FLAG_VERSION
-    if h.div_nonce is not None:
-        if len(h.div_nonce) != 32:
-            raise WireError("div_nonce must be 32 bytes")
-        flags |= wire.FLAG_DIV_NONCE
-    out.append(flags)
-    out += h.cid.to_bytes(8, "big")
-    if h.version is not None:
-        out += h.version
-    if h.div_nonce is not None:
-        out += h.div_nonce
-    out += h.sqn.to_bytes(8, "big")
-    return bytes(out)
+    return bytes([(h.epoch & 0x03) << 2]) + h.cid.to_bytes(8, "big") + h.sqn.to_bytes(8, "big")
 
 
-def ref_decode_header(data: bytes) -> tuple[PacketHeader, int]:
-    """Decode the clear header, returning it with its encoded length."""
-    if len(data) < 9:
+def ref_decode_header(data: bytes) -> PacketHeader:
+    """Decode the clear header, the first 17 bytes of ``data``."""
+    if len(data) < 17:
         raise WireError("truncated header")
     flags = data[0]
-    pos = 1
-    cid = int.from_bytes(data[pos:pos + 8], "big")
-    pos += 8
-    version = None
-    div_nonce = None
-    if flags & wire.FLAG_VERSION:
-        if len(data) < pos + 4:
-            raise WireError("truncated version")
-        version = data[pos:pos + 4]
-        pos += 4
-    if flags & wire.FLAG_DIV_NONCE:
-        if len(data) < pos + 32:
-            raise WireError("truncated div_nonce")
-        div_nonce = data[pos:pos + 32]
-        pos += 32
-    if len(data) < pos + 8:
-        raise WireError("truncated sqn")
-    sqn = int.from_bytes(data[pos:pos + 8], "big")
-    pos += 8
-    epoch = (flags >> 2) & 0x03
-    return PacketHeader(cid, sqn, epoch, version, div_nonce), pos
+    if flags & 0x03:
+        raise WireError("reserved header flag set")
+    cid = int.from_bytes(data[1:9], "big")
+    sqn = int.from_bytes(data[9:17], "big")
+    return PacketHeader(cid, sqn, (flags >> 2) & 0x03)
 
 
 def ref_encode_frame(f) -> bytes:
@@ -353,15 +326,11 @@ def outcome(fn, *args):
         return ("raise", type(e), str(e))
 
 
-# Every optional-field combination, including fields of the wrong length.
 oracle_headers = st.builds(
     PacketHeader,
     cid=st.integers(min_value=0, max_value=2**64 - 1),
     sqn=st.integers(min_value=0, max_value=2**64 - 1),
     epoch=st.integers(min_value=0, max_value=3),
-    version=st.one_of(st.none(), st.just(wire.VERSION), st.binary(max_size=6)),
-    div_nonce=st.one_of(st.none(), st.binary(min_size=32, max_size=32),
-                        st.binary(max_size=40)),
 )
 
 
@@ -372,13 +341,12 @@ def test_encode_header_matches_reference(h):
 
 
 @settings(max_examples=300)
-@given(oracle_headers.filter(lambda h: h.version in (None, wire.VERSION)
-                             and (h.div_nonce is None or len(h.div_nonce) == 32)),
-       st.integers(min_value=0, max_value=15))
-def test_decode_header_matches_reference_on_every_truncation(h, high_bits):
-    # Flag bits 4-7 carry nothing; set on input, they must be ignored alike.
+@given(oracle_headers, st.integers(min_value=0, max_value=255))
+def test_decode_header_matches_reference_on_every_truncation(h, extra_bits):
+    # Flag bits 4-7 carry nothing and bits 0-1 are refused; set on input,
+    # both must be treated alike.
     data = bytearray(ref_encode_header(h))
-    data[0] |= high_bits << 4
+    data[0] |= extra_bits & 0xF3
     data = bytes(data) + b"\xaa\xbb"  # trailing body bytes
     for cut in range(len(data) + 1):
         assert outcome(decode_header, data[:cut]) == outcome(ref_decode_header, data[:cut])
