@@ -36,6 +36,9 @@ from .wire import EPOCH_CLEAR, WireError, decode_header
 
 PRIMARY_STREAM = 3  # first application stream; stream 1 carries the handshake
 MAX_MESSAGE_SIZE = 16 * 1024
+# Messages a broker holds for a connection until its CONNECT is in; with
+# MAX_MESSAGE_SIZE each, that is at most one CONNECTION_WINDOW.
+MAX_EARLY_MESSAGES = 16
 
 
 class AgentError(Exception):
@@ -126,6 +129,9 @@ class _ConnState:
         # filter -> stream it was subscribed from, kept in filter order
         self.sub_streams: dict[str, int] = {}
         self.primary_stream = PRIMARY_STREAM  # the CONNECT stream
+        # (message, stream) pairs that overtook the CONNECT; a broker's
+        # connection holds a list until its CONNECT is in, a client none.
+        self.early: list[tuple[MqttMessage, int]] | None = None
 
     def schedule(self, delay_s: float, fn: Callable[[], None]):
         def wrapped():
@@ -447,6 +453,7 @@ class ServerAgent:
             self.network, lambda event: self._on_conn_event(state, event),
             role="server", cid=cid, local_addr=self.addr, peer_addr=src,
             rng=self.rng, identity=self.identity)
+        state.early = []
         self.conns[cid] = state
         self.conns_opened += 1
         return state
@@ -469,7 +476,22 @@ class ServerAgent:
     def quic_dispatcher(self, state: _ConnState, msg: MqttMessage,
                         stream_id: int) -> None:
         """Broker branch of the dispatcher: parsed MQTT messages route by
-        topic to every live subscriber."""
+        topic to every live subscriber. Over separate streams a message can
+        overtake its connection's CONNECT (MQTT 3.1.1 §3.1.4), so until a
+        CONNECT is in, up to MAX_EARLY_MESSAGES others are held; they follow
+        it in arrival order. One past the bound goes to the broker, which
+        refuses it."""
+        early = state.early
+        if early is not None:
+            if msg.kind == CONNECT:
+                state.early = None
+                self.quic_dispatcher(state, msg, stream_id)
+                for held in early:
+                    self.quic_dispatcher(state, *held)
+                return
+            if len(early) < MAX_EARLY_MESSAGES:
+                early.append((msg, stream_id))
+                return
         try:
             deliveries = self.broker.handle(msg, state.conn)
         except MqttError:

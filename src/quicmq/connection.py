@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import wire
 from .crypto import GCM_TAG_LEN, NULL_KEYS, SYSTEM_RNG, CryptoError, KeySet
@@ -160,6 +160,64 @@ class SentPacket:
     sent_at: float
     frames: tuple  # retransmittable frames only
     nack_count: int = 0
+
+
+class Recovery:
+    """The sender's side of loss recovery (RFC 9002 Appendix A): the
+    outstanding packets in sqn order, srtt, NACK counting and the RTO. It
+    sends nothing and arms no timer: its methods take ``now`` and return the
+    records to re-send, which the caller takes out of ``sent`` one by one."""
+
+    __slots__ = ("sent", "srtt")
+
+    def __init__(self):
+        self.sent: dict[int, SentPacket] = {}
+        self.srtt: float | None = None
+
+    def rto(self) -> float:
+        srtt = self.srtt
+        return RTO_FLOOR_S if srtt is None else max(RTO_FLOOR_S, 2.0 * srtt)
+
+    def on_ack(self, largest: int, ranges: tuple, now: float) -> Iterator[SentPacket]:
+        """Apply an ACK: every outstanding record up to ``largest`` is acked
+        and sampled unless a NACK range names it. A named record is yielded
+        when its count reaches NACK_THRESHOLD, at that point in the walk, so
+        that its re-send sees srtt and ``sent`` as they stand then. The walk
+        is over the outstanding records, never over the extent of the ranges."""
+        sent = self.sent
+        if not ranges:
+            # Every record up to largest is acked, oldest first.
+            srtt = self.srtt
+            while sent:
+                sqn = next(iter(sent))
+                if sqn > largest:
+                    break
+                rtt = now - sent.pop(sqn).sent_at
+                srtt = rtt if srtt is None else 0.875 * srtt + 0.125 * rtt
+            self.srtt = srtt
+            return
+        # A re-send adds a record, so the walk is over those due.
+        due = []
+        for item in sent.items():
+            if item[0] > largest:
+                break
+            due.append(item)
+        starts = [start for start, _ in ranges]
+        for sqn, record in due:
+            i = bisect_right(starts, sqn)
+            if i and sqn <= ranges[i - 1][1]:
+                record.nack_count += 1
+                if record.nack_count >= NACK_THRESHOLD:
+                    yield record
+            else:
+                rtt = now - record.sent_at
+                self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
+                del sent[sqn]
+
+    def expired(self, now: float) -> list[SentPacket]:
+        """The records outstanding for at least one RTO, oldest first."""
+        rto = self.rto()
+        return [record for record in self.sent.values() if now - record.sent_at >= rto]
 
 
 class ReceivedSqns:
@@ -366,8 +424,7 @@ class Connection:
         self.conn_received = 0  # the sum of the streams' highest offsets received
         self.conn_advertised = CONNECTION_WINDOW
 
-        self.sent_packets: dict[int, SentPacket] = {}
-        self.srtt: float | None = None
+        self.recovery = Recovery()
         self._rto_timer = None
         self._idle_timer = scheduler(IDLE_TIMEOUT_S, self._on_idle)
         self._last_rx = clock()
@@ -619,7 +676,7 @@ class Connection:
         self.session = CachedSession(scfg, stk)
         # The server never opened what went out under the rejected keys: the
         # same frames go out again under the fresh ik.
-        for record in list(self.sent_packets.values()):
+        for record in list(self.recovery.sent.values()):
             self._retransmit(record)
 
     def _client_on_shlo(self, msg: HandshakeMessage, inner: bytes) -> None:
@@ -775,10 +832,8 @@ class Connection:
     # -- acks and loss -----------------------------------------------------------
 
     def _on_ack_frame(self, frame: AckFrame, carrier_sqn: int) -> None:
-        """Apply an ACK that arrived in packet ``carrier_sqn``. Every
-        outstanding packet up to ``largest_observed`` is acked unless a NACK
-        range names it. The walk is over the outstanding records, never over
-        the extent of the ranges."""
+        """Check an ACK that arrived in packet ``carrier_sqn``, then apply it
+        and re-send each record it shows lost."""
         largest = frame.largest_observed
         ranges = frame.nack_ranges
         if largest >= self.next_sqn:
@@ -793,71 +848,36 @@ class Connection:
         received = self.received_sqns
         if frame.least_unacked > received.floor:
             received.raise_floor(frame.least_unacked)
-        now = self._last_rx  # set by _dispatch as this packet arrived
-        # sent_packets is in sqn order: records are added as sqns are spent.
-        sent = self.sent_packets
-        if not ranges:
-            # Every record up to largest is acked, oldest first.
-            srtt = self.srtt
-            while sent:
-                sqn = next(iter(sent))
-                if sqn > largest:
-                    break
-                rtt = now - sent.pop(sqn).sent_at
-                srtt = rtt if srtt is None else 0.875 * srtt + 0.125 * rtt
-            self.srtt = srtt
-            return
-        # A retransmission adds a record, so the walk is over those due.
-        due = []
-        for item in sent.items():
-            if item[0] > largest:
-                break
-            due.append(item)
-        starts = [start for start, _ in ranges]
-        for sqn, record in due:
-            i = bisect_right(starts, sqn)
-            if i and sqn <= ranges[i - 1][1]:
-                record.nack_count += 1
-                if record.nack_count >= NACK_THRESHOLD:
-                    self._retransmit(record)
-            else:
-                rtt = now - record.sent_at
-                self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
-                del sent[sqn]
+        recovery = self.recovery
+        if recovery.sent:  # _last_rx was set by _dispatch as this packet arrived
+            for record in recovery.on_ack(largest, ranges, self._last_rx):
+                self._retransmit(record)
 
     def _retransmit(self, record: SentPacket) -> None:
         """Move a lost packet's frames into a fresh packet under a fresh
         sequence number; the original sqn is never reused."""
-        self.sent_packets.pop(record.sqn, None)
+        self.recovery.sent.pop(record.sqn, None)
         self._send_data_packet(list(record.frames), retx=True)
-
-    def _rto(self) -> float:
-        if self.srtt is None:
-            return RTO_FLOOR_S
-        return max(RTO_FLOOR_S, 2.0 * self.srtt)
 
     def _arm_rto_timer(self) -> None:
         if self._rto_timer is not None:
             return
-        self._rto_timer = self.scheduler(self._rto(), self._on_rto)
+        self._rto_timer = self.scheduler(self.recovery.rto(), self._on_rto)
 
     def _on_rto(self) -> None:
         self._rto_timer = None
+        recovery = self.recovery
         if self.role == "client" and self.k is None:
             # The hello retry timer owns recovery until settlement; initial
             # data that was lost goes out again under k once established.
-            if self.sent_packets:
+            if recovery.sent:
                 self._arm_rto_timer()
             return
-        now = self.clock()
-        rto = self._rto()
-        for record in list(self.sent_packets.values()):
-            if now - record.sent_at < rto:
-                continue
+        for record in recovery.expired(self.clock()):
             if self.phase == DRAINING and type(record.frames[-1]) is not CloseFrame:
                 continue  # only the CLOSE, always a packet's last frame, goes again
             self._retransmit(record)
-        if self.sent_packets:
+        if recovery.sent:
             self._arm_rto_timer()
 
     # -- idle / teardown ---------------------------------------------------------
@@ -945,7 +965,7 @@ class Connection:
         the newest end, and largest_observed drops to just below the first
         gap left out, since a gap not reported reads as received."""
         self.ack_needed = 0
-        least_unacked = next(iter(self.sent_packets), sqn)
+        least_unacked = next(iter(self.recovery.sent), sqn)
         received = self.received_sqns
         if not received:
             return AckFrame(received.floor - 1, least_unacked)
@@ -989,7 +1009,7 @@ class Connection:
         if retx:
             annotation += " retx"
         sqn = self._send_packet(epoch, MARKER_DATA, frames, annotation)
-        self.sent_packets[sqn] = SentPacket(sqn, self.clock(), tuple(frames))
+        self.recovery.sent[sqn] = SentPacket(sqn, self.clock(), tuple(frames))
         if self._rto_timer is None:
             self._arm_rto_timer()
 
@@ -1011,7 +1031,7 @@ class Connection:
                     ready.append(stream)
             if len(ready) > 1:
                 ready.sort(key=_by_stream_id)
-        sent = self.sent_packets
+        sent = self.recovery.sent
         held = None
         while ready:
             still = []

@@ -224,9 +224,6 @@ class SimNetwork:
 
     # -- trace helpers -----------------------------------------------------------
 
-    def trace_lines(self) -> list[str]:
-        return [ev.line() for ev in self.trace]
-
     def count_for_role(self, ip: str) -> int:
         """Datagrams a role saw on the wire: sent by it plus delivered to it."""
         sent = sum(1 for ev in self.trace if ev.event == "send" and ev.src[0] == ip)

@@ -174,7 +174,7 @@ def test_huge_nack_range_costs_a_walk_of_sent_packets_only(world):
     server_conn.send_stream(2, b"outstanding")
     server_conn.flush()
     server_conn.take_outputs()  # lost: the record stays outstanding
-    (record,) = server_conn.sent_packets.values()
+    (record,) = server_conn.recovery.sent.values()
     server_conn.next_sqn = 2**63 + 2
     packet, _ = forge_ack(conn, AckFrame(2**63 + 1, 1, ((1, 2**63),)))
     tracemalloc.start()
@@ -184,7 +184,7 @@ def test_huge_nack_range_costs_a_walk_of_sent_packets_only(world):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert elapsed < 0.5 and peak < 1_000_000
-    assert record.nack_count == 1 and server_conn.sent_packets == {record.sqn: record}
+    assert record.nack_count == 1 and server_conn.recovery.sent == {record.sqn: record}
     assert server_conn.phase == "established"
 
 
@@ -296,7 +296,7 @@ def test_queued_control_frames_never_push_a_full_chunk_past_the_budget(world, up
         assert [a for _, a in outputs] == ["close" if close else "data s2"]
         assert sent == [controls + last]
     # Every frame is recorded for retransmission, in the packet it left in.
-    assert [list(r.frames) for r in server_conn.sent_packets.values()] == sent
+    assert [list(r.frames) for r in server_conn.recovery.sent.values()] == sent
 
 
 # ---------------------------------------------------------------------------

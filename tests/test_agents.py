@@ -661,31 +661,69 @@ def test_unsubscribed_filter_no_longer_picks_the_stream():
     assert [s for kind, s in arrivals if kind == mqtt.PUBLISH] == [7]
 
 
-def test_refused_subscribe_does_not_pick_the_stream():
-    # The subscriber's CONNECT is lost, so its SUBSCRIBE on stream 5 reaches
-    # the broker first and is refused; the filter it named must not steer
-    # routing once the retransmitted CONNECT is in.
-    net, identity, server = make_world()
-    arrivals = []
-    sub = make_client(net, identity, 50001, "sub", seed=21)
-    dispatch = sub.quic_dispatcher
-    sub.quic_dispatcher = lambda m, stream_id: (arrivals.append((m.kind, stream_id)),
-                                                dispatch(m, stream_id))
-    pub = make_client(net, identity, 50002, "pub", seed=22)
+def lose_first_connect(net, client) -> list:
+    """Drop the packet that first carries the client's CONNECT (stream 3);
+    the list it returns fills once that happens."""
     dropped = []
 
     def first_connect(src, dst, size, annotation):
-        if src == sub.local_addr and annotation == "data s3" and not dropped:
+        if src == client.local_addr and annotation == "data s3" and not dropped:
             dropped.append(annotation)
             return True
         return False
     net.add_periodic_drop(first_connect, 1)
+    return dropped
+
+
+def record_arrivals(client) -> list:
+    """(kind, stream) of every MQTT message the client's dispatcher is
+    handed, in order."""
+    arrivals = []
+    dispatch = client.quic_dispatcher
+    client.quic_dispatcher = lambda m, stream_id: (arrivals.append((m.kind, stream_id)),
+                                                   dispatch(m, stream_id))
+    return arrivals
+
+
+def test_subscribe_that_overtakes_its_connect_is_held_until_the_connect():
+    # The subscriber's CONNECT is lost, so its SUBSCRIBE on stream 5 reaches
+    # the broker first. It is held, taken right after the retransmitted
+    # CONNECT, answered on stream 5, and its filter steers routing.
+    net, identity, server = make_world()
+    sub = make_client(net, identity, 50001, "sub", seed=21)
+    arrivals = record_arrivals(sub)
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    dropped = lose_first_connect(net, sub)
     sub.connect_mqtt()
     sub.subscribe("a/#", stream_id=5)
     pub.connect_mqtt()
     net.run(until_s=2.0)
+    assert dropped and sub.connected and server.mqtt_errors == 0
+    assert arrivals == [(mqtt.CONNACK, 3), (mqtt.SUBACK, 5)]
+    pub.publish("a/x", b"m")
+    net.run(until_s=3.0)
+    assert arrivals[2:] == [(mqtt.PUBLISH, 5)]
+    assert all(state.early is None for state in server.conns.values())
+
+
+def test_refused_subscribe_does_not_pick_the_stream():
+    # The subscriber's CONNECT is lost, and 16 PUBLISHes on stream 4 fill
+    # the broker's hold before its SUBSCRIBE on stream 5 arrives, so that
+    # SUBSCRIBE is refused. The filter it named must not steer routing once
+    # the retransmitted CONNECT is in.
+    net, identity, server = make_world()
+    sub = make_client(net, identity, 50001, "sub", seed=21)
+    arrivals = record_arrivals(sub)
+    pub = make_client(net, identity, 50002, "pub", seed=22)
+    dropped = lose_first_connect(net, sub)
+    sub.connect_mqtt()
+    for n in range(agents.MAX_EARLY_MESSAGES):
+        sub.publish("z", bytes([n]), stream_id=4)
+    sub.subscribe("a/#", stream_id=5)
+    pub.connect_mqtt()
+    net.run(until_s=2.0)
     assert dropped and server.mqtt_errors == 1
-    assert sub.connected
+    assert sub.connected and (mqtt.SUBACK, 5) not in arrivals
     sub.subscribe("a/b", stream_id=7)
     net.run(until_s=3.0)
     pub.publish("a/b", b"m")

@@ -103,7 +103,7 @@ def fanout_run() -> tuple[bytes, bytes]:
     net.schedule(1.0, keeper.disconnect)
     net.schedule(1.5, lambda: client("10.0.2.2", "keeper", persistent=True))
     net.run(until_s=8.0)
-    return "\n".join(net.trace_lines()).encode(), repr(received).encode()
+    return "\n".join([ev.line() for ev in net.trace]).encode(), repr(received).encode()
 
 
 def rej_fallback_run(state_dir: str) -> bytes:
@@ -140,7 +140,7 @@ def rej_fallback_run(state_dir: str) -> bytes:
     pub.publish("rej/a", bytes(range(256)) * 12, qos=1)
     net.schedule(0.5, pub.disconnect)
     net.run(until_s=3.0)
-    return ("\n".join(net.trace_lines()).encode()
+    return ("\n".join([ev.line() for ev in net.trace]).encode()
             + repr((path, pub.connected, received)).encode())
 
 

@@ -81,7 +81,7 @@ def test_determinism_identical_traces():
         for i in range(50):
             net.send(bytes([i]), a, b)
         net.run()
-        return net.trace_lines()
+        return [ev.line() for ev in net.trace]
 
     assert run_once() == run_once()
 

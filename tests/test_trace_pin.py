@@ -61,7 +61,7 @@ def lossy_exchange() -> bytes:
         net.schedule(0.001 * (i + 1), lambda t=topic, p=payload, s=stream_id:
                      pub.publish(t, p, stream_id=s))
     net.run(until_s=net.clock.now_s + 3.0)
-    return ("\n".join(net.trace_lines()).encode() + repr(received).encode()
+    return ("\n".join([ev.line() for ev in net.trace]).encode() + repr(received).encode()
             + wire_bytes.digest())
 
 
