@@ -79,18 +79,21 @@ def sign(sk: bytes, m: bytes) -> bytes:
     return priv.sign(m, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
 
 
-# A public key decoded from its point, kept per key: a client verifies the
-# same server key on every connect. A malformed point raises and is not kept.
+# Verified triples, kept once each: a client checks the same server config on
+# every connect, and verification is a pure function of the triple. A failed
+# check raises, and lru_cache keeps no exception, so only triples the key
+# really signed are held, and every failing input is checked on every call.
 @functools.lru_cache(maxsize=16)
-def _public_key(pk: bytes) -> ec.EllipticCurvePublicKey:
-    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), pk)
+def _verify(pk: bytes, m: bytes, sigma: bytes) -> None:
+    key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), pk)
+    key.verify(sigma, m, ec.ECDSA(hashes.SHA256()))
 
 
 def ver(pk: bytes, m: bytes, sigma: bytes) -> bool:
     """Verify a signature. Returns False (never raises) on any malformed or
     mismatching input."""
     try:
-        _public_key(pk).verify(sigma, m, ec.ECDSA(hashes.SHA256()))
+        _verify(pk, m, sigma)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False

@@ -58,10 +58,11 @@ def test_verify_never_raises_on_garbage():
 
 
 def test_verify_under_a_cached_key_still_checks_every_call():
-    # The decoded key is kept per key bytes. A malformed point is never
-    # kept, and the signature is checked on every call, before and after a
-    # good verify has put the key in the cache.
-    crypto._public_key.cache_clear()
+    # Only verified triples are kept. A malformed point or a wrong signature
+    # raises and is never kept, so every call that does not repeat a
+    # verified triple is checked, before and after a good verify has put
+    # the key's triple in the cache.
+    crypto._verify.cache_clear()
     pair = kg(Random(5))
     sigma = sign(pair.sk, b"m")
     wrong = sign(pair.sk, b"other")
@@ -70,7 +71,22 @@ def test_verify_under_a_cached_key_still_checks_every_call():
         assert not ver(off_curve, b"m", sigma)
         assert not ver(pair.pk, b"m", wrong)
         assert ver(pair.pk, b"m", sigma)
-    assert crypto._public_key.cache_info().currsize == 1
+    assert crypto._verify.cache_info().currsize == 1
+
+
+def test_failed_verifies_are_never_kept():
+    # A flood of forged signatures under the genuine key can neither fill
+    # the cache nor evict the verified triple.
+    crypto._verify.cache_clear()
+    pair = kg(Random(6))
+    sigma = sign(pair.sk, b"m")
+    assert ver(pair.pk, b"m", sigma)
+    for i in range(100):
+        assert not ver(pair.pk, b"m", sign(pair.sk, b"forged %d" % i))
+    info = crypto._verify.cache_info()
+    assert info.currsize == 1 and info.misses == 101
+    assert ver(pair.pk, b"m", sigma)
+    assert crypto._verify.cache_info().hits == info.hits + 1
 
 
 def test_kg_seeded_is_reproducible():

@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from quicmq import wire
+from quicmq import crypto, wire
+from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.crypto import sha256, ver
 from quicmq.handshake import (
     NONC_LEN,
@@ -31,6 +32,7 @@ from quicmq.handshake import (
     signed_blob,
 )
 from quicmq.crypto import kg
+from quicmq.netsim import SimConfig, SimNetwork
 
 NOW = 1_000_000.0
 
@@ -93,6 +95,52 @@ def test_check_scfg_rejects_wrong_scid(identity):
     with pytest.raises(HandshakeError) as e:
         check_scfg(bad, identity.sign_pair.pk, NOW)
     assert e.value.reason == "scfg_bad_scid"
+
+
+def test_repeat_check_of_one_config_is_a_cache_hit(identity):
+    check_scfg(identity.scfg, identity.sign_pair.pk, NOW)
+    before = crypto._verify.cache_info()
+    check_scfg(identity.scfg, identity.sign_pair.pk, NOW)
+    after = crypto._verify.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+
+
+def test_cached_config_is_still_checked_for_signature_expiry_and_scid(identity):
+    # Only the signature result is reused: a changed signature is verified
+    # afresh, and the scid and the expiry are checked on every call.
+    cfg = identity.scfg
+    check_scfg(cfg, identity.sign_pair.pk, NOW)
+    flipped = ServerConfig(cfg.scid, cfg.public, cfg.expy,
+                           cfg.div_nonce, cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
+    other_scid = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy, cfg.div_nonce, cfg.prof)
+    for bad, now, reason in ((flipped, NOW, "scfg_bad_signature"),
+                             (cfg, cfg.expy, "scfg_expired"),
+                             (other_scid, NOW, "scfg_bad_scid")):
+        with pytest.raises(HandshakeError) as e:
+            check_scfg(bad, identity.sign_pair.pk, now)
+        assert e.value.reason == reason
+    check_scfg(cfg, identity.sign_pair.pk, NOW)
+
+
+def test_second_1rtt_client_to_one_broker_reuses_the_verified_config():
+    net = SimNetwork(SimConfig(delay_ms=1.0), seed=7)
+    identity = ServerIdentity.create(now=0.0, rng=Random(42))
+    broker = ("10.0.0.1", 4433)
+    ServerAgent(net, broker, identity, rng=Random(11))
+
+    def connect(port):
+        client = ClientAgent(net, ("10.0.0.2", port), broker, f"dev-{port}",
+                             identity.sign_pair.pk, rng=Random(port))
+        assert client.connect_mqtt() == "1rtt"
+        net.run(until_s=net.clock.now_s + 1.0)
+        assert client.connected
+        client.disconnect()
+
+    connect(50000)
+    before = crypto._verify.cache_info()
+    connect(50001)
+    after = crypto._verify.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
 
 
 def test_scfg_pub_serialization_roundtrip(identity):
