@@ -30,6 +30,14 @@ reps of NEW's chunk CPU to OLD's, with the range of those ratios, and exits
 1 if the two sides' deliveries, datagram counts or datagram bytes differ.
 The median is the headline because a few slow chunks decide the ratio of
 the totals, which reads a gain of several percent on identical trees.
+
+The freeze and the per-rep median both hide collector work: a pass lands
+in a few chunks, which the median passes over. So the script also prints,
+for each side, the collector passes by generation that ran during that
+side's chunks and the CPU seconds they took, read through ``gc.callbacks``.
+Read them, as the ratio, against an A/A from the same batch: the two sides
+of one tree do not read the same. A change that moves them past that is
+measured with perfbench pairs, not with the ratio.
 """
 
 from __future__ import annotations
@@ -90,6 +98,25 @@ def plan(world: str, publishes: int) -> list[tuple]:
     return out
 
 
+class GcMeter:
+    """A ``gc.callbacks`` entry that charges each collector pass, by
+    generation, and its CPU seconds to ``side`` while one is set."""
+
+    def __init__(self):
+        self.side: World | None = None
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        side = self.side
+        if side is None:
+            return
+        if phase == "start":
+            self._t0 = time.process_time()
+        else:
+            side.gc_passes[info["generation"]] += 1
+            side.gc_s += time.process_time() - self._t0
+
+
 class World:
     """One side: a broker and its clients on a simulated network."""
 
@@ -129,6 +156,8 @@ class World:
                 client.subscribe(f"grp/{i // GROUP_SIZE}/#")
         net.run(until_s=net.clock.now_s + 2.0)
         self.cpu: list[float] = []
+        self.gc_passes = [0, 0, 0]  # collector passes during the chunks, by generation
+        self.gc_s = 0.0
 
     def run_chunk(self, chunk: list[tuple]) -> None:
         net = self.net
@@ -163,11 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     publishes = plan(args.world, CHUNK * args.reps)
     gc.collect()
     gc.freeze()
-    for rep in range(args.reps):
-        chunk = publishes[rep * CHUNK:(rep + 1) * CHUNK]
-        order = ("old", "new") if rep % 2 == 0 else ("new", "old")
-        for label in order:
-            sides[label].run_chunk(chunk)
+    meter = GcMeter()
+    gc.callbacks.append(meter)
+    try:
+        for rep in range(args.reps):
+            chunk = publishes[rep * CHUNK:(rep + 1) * CHUNK]
+            order = ("old", "new") if rep % 2 == 0 else ("new", "old")
+            for label in order:
+                meter.side = sides[label]
+                sides[label].run_chunk(chunk)
+            meter.side = None
+    finally:
+        gc.callbacks.remove(meter)
     gc.unfreeze()
 
     results = {label: side.outcome() for label, side in sides.items()}
@@ -176,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label}: deliveries {deliveries}, datagrams {datagrams}, "
               f"bytes sha256 {digest[:16]}, "
               f"cpu {sum(side.cpu):.3f} s over {len(side.cpu)} chunks of {CHUNK}")
+    for label, side in sides.items():
+        gen0, gen1, gen2 = side.gc_passes
+        print(f"{label}: gc passes {sum(side.gc_passes)} (gen0 {gen0}, gen1 {gen1}, "
+              f"gen2 {gen2}), {side.gc_s:.3f} s during its chunks")
     old, new = sides["old"], sides["new"]
     ratios = [n / o for o, n in zip(old.cpu, new.cpu) if o > 0]
     if ratios:

@@ -119,6 +119,9 @@ class _ConnState:
     A QoS 1 PUBLISH is sent once: the stream is reliable and in order, so a
     re-send on the same connection could only arrive after the original."""
 
+    __slots__ = ("network", "conn", "rx_buffers", "out_of_frame", "sub_streams",
+                 "primary_stream", "early")
+
     def __init__(self, network: SimNetwork, on_event: Callable[[object], None],
                  **conn_args):
         self.network = network

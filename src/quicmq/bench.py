@@ -23,7 +23,7 @@ from . import baseline
 from .agents import ClientAgent, ServerAgent
 from .connection import DRAIN_PERIOD_S, ESTABLISHED, IDLE_TIMEOUT_S
 from .handshake import ServerIdentity
-from .netsim import PROFILES, Address, SimConfig, SimNetwork, TraceEvent
+from .netsim import PROFILES, Address, SimConfig, SimNetwork, Trace
 
 BROKER_ADDR: Address = ("10.0.0.1", 4433)
 PUB_IP = "10.0.0.2"
@@ -45,7 +45,7 @@ class BenchResult:
     scenario: str
     config: dict
     data: dict = field(default_factory=dict)
-    trace: list[TraceEvent] = field(default_factory=list, repr=False, compare=False)
+    trace: Trace = field(default_factory=Trace, repr=False, compare=False)
 
     def to_json(self) -> str:
         doc = {"scenario": self.scenario, "config": self.config, "data": self.data}

@@ -12,6 +12,7 @@ queue responses before the flush.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -95,6 +96,14 @@ def data_packet_len(frames: list) -> int:
     """The size of a data packet carrying ``frames`` behind a gap-free ACK."""
     return (HEADER_LEN + 1 + wire.ACK_FRAME_LEN + sum(map(frame_len, frames))
             + GCM_TAG_LEN)
+
+
+@functools.lru_cache(maxsize=256)
+def data_label(stream_id: int, retx: bool) -> str:
+    """The trace annotation of a data packet whose last frame is a STREAM
+    frame. The trace keeps every annotation for its whole life, so each
+    label is one shared string rather than a copy per packet."""
+    return f"data s{stream_id} retx" if retx else f"data s{stream_id}"
 
 
 class TransportError(Exception):
@@ -227,6 +236,8 @@ class ReceivedSqns:
     held is the gaps the peer still waits on, not the connection's age.
     At most MAX_RANGES ranges are held. ``len()`` counts the ranges held;
     ``in`` asks whether a number counts as received."""
+
+    __slots__ = ("floor", "_starts", "_ends")
 
     def __init__(self):
         self.floor = 1  # sqns start at 1
@@ -381,6 +392,19 @@ class Stream:
 
 class Connection:
     """One end of a connection. ``role`` is "client" or "server"."""
+
+    # Slotted: past the 30 keys CPython 3.11 shares between a class's
+    # instance dicts, each instance would carry its own 1.6 KB dict. A new
+    # attribute needs a slot here; tests take weak references to connections.
+    __slots__ = (
+        "role", "cid", "local_addr", "peer_addr", "clock", "scheduler", "on_event", "rng",
+        "server_pk", "identity", "session", "phase", "ik", "k", "next_sqn", "_last_sqn",
+        "received_sqns", "ack_needed", "_eliciting_rx", "_ack_timer", "auth_failures",
+        "last_reject_reason", "_peer_on_k", "streams", "conn_bytes_sent", "peer_conn_limit",
+        "conn_delivered", "conn_received", "conn_advertised", "recovery", "_rto_timer",
+        "_idle_timer", "_last_rx", "outputs", "_control_frames", "_hs_secrets", "_hs_hello",
+        "_hs_retries", "_rej_count", "_hs_timer", "_drain_timer", "_hs_nonc", "_hs_shlo",
+        "__weakref__")
 
     def __init__(self, role: str, cid: int, local_addr: Address, peer_addr: Address,
                  clock: Callable[[], float],
@@ -1001,13 +1025,11 @@ class Connection:
         last = frames[-1]
         kind = type(last)
         if kind is StreamFrame:
-            annotation = f"data s{last.stream_id}"
+            annotation = data_label(last.stream_id, retx)
         elif kind is CloseFrame:
-            annotation = "close"
+            annotation = "close retx" if retx else "close"
         else:
-            annotation = "control"
-        if retx:
-            annotation += " retx"
+            annotation = "control retx" if retx else "control"
         sqn = self._send_packet(epoch, MARKER_DATA, frames, annotation)
         self.recovery.sent[sqn] = SentPacket(sqn, self.clock(), tuple(frames))
         if self._rto_timer is None:

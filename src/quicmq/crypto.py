@@ -200,7 +200,7 @@ def extract_expand(ipm: bytes, nonc: bytes, cid: int, m: bytes, l: int,
     return HKDF(hashes.SHA256(), l, nonc, info).derive(ipm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeySet:
     """Directional keys for one epoch: two 128-bit keys plus two 4-byte IV
     prefixes. Packets addressed *to* the client use (k_c, iv_c); packets

@@ -4,7 +4,7 @@ Exposes the same duck-typed surface the agents use on the simulator
 (register/send/schedule/clock), backed by one UDP socket and a clock that
 reads Unix time. Good enough to run a broker, publisher, and subscriber by
 hand on loopback; the benchmarks always use the simulator. Given a trace
-path, a runner keeps the simulator's trace: a ``TraceEvent`` per datagram sent,
+path, a runner keeps the simulator's trace: an event per datagram sent,
 dropped and delivered (with this endpoint's socket address as ``dst``),
 written in the same lines. Without one it keeps nothing.
 """
@@ -17,7 +17,7 @@ import socket
 import time
 from typing import Callable
 
-from .netsim import Address, Timer, TraceEvent, write_trace_file
+from .netsim import Address, Timer, Trace, write_trace_file
 
 
 class _WallClock:
@@ -48,7 +48,7 @@ class UdpNetwork:
         self._handler: Callable[[bytes, Address], None] | None = None
         self._timers: list = []
         self._seq = 0
-        self.trace: list[TraceEvent] = []
+        self.trace = Trace()
 
     def register(self, address: Address, handler: Callable[[bytes, Address], None]) -> None:
         if self._sock is not None:
@@ -71,16 +71,15 @@ class UdpNetwork:
         broadcast address, say, both of which a peer can name as its source)
         is dropped, as a lost one is, and traced as a drop."""
         if self.trace_path is not None:
-            self.trace.append(TraceEvent(self.clock.now_us, "send", src, dst, len(payload),
-                                         annotation))
+            self.trace.record(self.clock.now_us, "send", src, dst, len(payload), annotation)
         if self._sock is None:
             return
         try:
             self._sock.sendto(payload, dst)
         except OSError:
             if self.trace_path is not None:
-                self.trace.append(TraceEvent(self.clock.now_us, "drop", src, dst,
-                                             len(payload), annotation))
+                self.trace.record(self.clock.now_us, "drop", src, dst, len(payload),
+                                  annotation)
 
     def schedule(self, delay_s: float, fn: Callable[[], None]) -> Timer:
         timer = Timer(fn)
@@ -138,7 +137,7 @@ class UdpNetwork:
                     except OSError:
                         return
                     if self.trace_path is not None:
-                        self.trace.append(TraceEvent(self.clock.now_us, "deliver",
-                                                     src, local, len(payload)))
+                        self.trace.record(self.clock.now_us, "deliver", src, local,
+                                          len(payload))
                     if self._handler is not None:
                         self._handler(payload, src)

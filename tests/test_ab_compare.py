@@ -1,11 +1,13 @@
 """Smoke tests of scripts/ab_compare.py on tiny worlds. They check only
 what the script reports about the two sides' outputs, never a timing."""
 
+import gc
 import importlib.util
 import os
 import re
 import shutil
 import sys
+import types
 
 import pytest
 
@@ -53,7 +55,30 @@ def test_same_tree_on_both_sides_gives_equal_outputs(ab, capsys, world):
     assert code == 0, out
     assert sides["old"] == sides["new"]
     assert "cpu ratio new/old:" in out
+    gc_lines = re.findall(r"^(old|new): gc passes (\d+) \(gen0 (\d+), gen1 (\d+), "
+                          r"gen2 (\d+)\), \d+\.\d{3} s during its chunks$", out, re.MULTILINE)
+    assert [line[0] for line in gc_lines] == ["old", "new"]
+    for _, total, *by_generation in gc_lines:
+        assert int(total) == sum(map(int, by_generation))
     assert out.strip().endswith("outputs equal")
+
+
+def test_gc_meter_charges_each_pass_to_the_side_running(ab):
+    side = types.SimpleNamespace(gc_passes=[0, 0, 0], gc_s=0.0)
+    meter = ab.GcMeter()
+    gc.disable()  # only the passes asked for below
+    gc.callbacks.append(meter)
+    try:
+        meter.side = side
+        gc.collect(0)
+        gc.collect()
+        meter.side = None
+        gc.collect()
+    finally:
+        gc.callbacks.remove(meter)
+        gc.enable()
+    assert side.gc_passes == [1, 0, 1]
+    assert side.gc_s >= 0.0
 
 
 def test_a_tree_that_sends_other_datagrams_exits_1(ab, capsys, tmp_path):

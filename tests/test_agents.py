@@ -821,8 +821,9 @@ def test_broker_shutdown_closes_every_connection():
 
 def test_established_idle_pair_stays_under_its_memory_bound():
     # Once settled, neither end keeps its hellos, its ephemeral secrets or
-    # the SHLO: about 15.0 KB per client-broker pair, against 20.1 KB when
-    # both ends kept them for the connection's whole life.
+    # the SHLO, and the per-connection records are slotted: about 12.1 KB
+    # per client-broker pair, against 15.0 KB with a dict per connection
+    # and 20.1 KB when both ends kept their handshake material.
     net, identity, server = make_world()
     tracemalloc.start()
     try:
@@ -839,7 +840,23 @@ def test_established_idle_pair_stays_under_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert all(client.connected for client in clients)
-    assert per_pair < 17_000
+    assert per_pair < 14_100
+
+
+def test_established_connection_records_keep_no_instance_dict():
+    # Connection assigns more attributes than CPython shares between
+    # instance dicts, so an attribute without a slot would bring back a
+    # 1.6 KB dict per connection end.
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=1.0)
+    assert client.connected
+    (broker_state,) = server.conns.values()
+    for state in (client.state, broker_state):
+        conn = state.conn
+        for record in (state, conn, conn.received_sqns, conn.ik, conn.k):
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_crashed_clients_reclaimed_within_budget():

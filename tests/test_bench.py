@@ -645,7 +645,7 @@ def test_udp_runner_keeps_no_trace_without_a_path():
     finally:
         net.unregister(addr)
     assert got == [b"hello"] * 3
-    assert net.trace == []
+    assert len(net.trace) == 0
 
 
 def test_real_udp_runners_started_apart_read_the_same_time(monkeypatch):

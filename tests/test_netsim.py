@@ -1,6 +1,16 @@
+import gc
+
 import pytest
 
-from quicmq.netsim import PROFILES, NetsimError, SimConfig, SimNetwork, write_trace_file
+from quicmq.netsim import (
+    PROFILES,
+    NetsimError,
+    SimConfig,
+    SimNetwork,
+    Trace,
+    TraceEvent,
+    write_trace_file,
+)
 
 
 def make_net(config=None, seed=0):
@@ -227,6 +237,69 @@ def test_trace_export_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "0\tsend\t10.0.0.1:1000>10.0.0.2:2000\t3\tdata s3"
     assert lines[1].startswith("1000\tdeliver\t")
+
+
+def test_trace_reads_back_the_events_a_list_would_hold(monkeypatch, tmp_path):
+    # Every event of a seeded lossy exchange is also kept as a TraceEvent in
+    # a plain list; the column store must read back the same events and
+    # write the same lines.
+    plain = []
+    record = Trace.record
+
+    def recording(self, *fields):
+        plain.append(TraceEvent(*fields))
+        record(self, *fields)
+    monkeypatch.setattr(Trace, "record", recording)
+    net, inbox, register = make_net(SimConfig(delay_ms=1.0, loss_rate=0.3), seed=5)
+    a, b, c = ("10.0.0.1", 1), ("10.0.0.2", 2), ("10.0.0.3", 3)
+    register(a)
+    register(b)
+    register(c)
+    net.add_periodic_drop(lambda src, dst, size, ann: ann == "red", 3)
+    for i in range(60):
+        net.send(bytes(i), a, b, annotation="red" if i % 2 else f"data s{i % 5}")
+        net.send(bytes([i]), b, c)
+    net.change_address(c, ("10.0.0.4", 3))  # what is in flight to c goes stale
+    net.run()
+    trace = net.trace
+    assert {ev.event for ev in plain} == {"send", "deliver", "drop"}
+    assert any(ev.annotation == "stale_addr" for ev in plain)
+    assert len(trace) == len(plain) > 100
+    assert trace[0] == plain[0]
+    assert trace[-1] == plain[-1]
+    assert trace[-len(plain)] == plain[0]
+    with pytest.raises(IndexError):
+        trace[len(plain)]
+    view = trace[40:90]
+    assert len(view) == 50
+    assert list(view) == plain[40:90]
+    assert view[-1] == plain[89]
+    assert list(view[5:-5]) == plain[45:85]
+    assert list(trace) == plain
+    path = tmp_path / "trace.tsv"
+    write_trace_file(trace, str(path))
+    assert path.read_text().splitlines() == [ev.line() for ev in plain]
+    write_trace_file(view, str(path))
+    assert path.read_text().splitlines() == [ev.line() for ev in plain[40:90]]
+    trace.clear()
+    assert len(trace) == 0 and list(view) == plain[40:90]
+
+
+def test_recording_events_adds_no_tracked_objects():
+    # Each event goes into the columns, not into an object of its own for
+    # the collector to walk.
+    net = make_net()[0]
+    a, b = ("10.0.0.1", 1), ("10.0.0.2", 2)
+    net.register(a, lambda payload, src: None)
+    net.register(b, lambda payload, src: None)
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(10_000):
+        net.send(b"x", a, b, annotation="data s3")
+    net.run()
+    gc.collect()
+    assert len(net.trace) == 20_000
+    assert len(gc.get_objects()) - before < 100
 
 
 def test_profiles_exist():
