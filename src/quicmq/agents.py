@@ -444,11 +444,15 @@ class ServerAgent:
         # our event hook handles the rest.
         conn = state.conn
         conn.handle_datagram(data, src, header)
-        if fresh and conn.auth_failures:
-            # Garbage that never started a handshake: drop the slot and its timers.
-            del self.conns[conn.cid]
-            conn.kill()
-            return
+        if fresh:
+            if conn.auth_failures:
+                # Garbage that never started a handshake: drop the slot and its
+                # timers, and count an error, not a connection.
+                del self.conns[conn.cid]
+                conn.kill()
+                self.rx_errors += 1
+                return
+            self.conns_opened += 1
         _pump(self.network, conn)
 
     def _new_conn(self, cid: int, src: Address) -> _ConnState:
@@ -458,7 +462,6 @@ class ServerAgent:
             rng=self.rng, identity=self.identity)
         state.early = []
         self.conns[cid] = state
-        self.conns_opened += 1
         return state
 
     # -- connection events -------------------------------------------------------------

@@ -192,8 +192,8 @@ def bench_conn_overhead(profile: str = "wired", mode: str | None = None,
                     else:
                         world = _quic_conn_iteration(config, iter_seed, identity,
                                                      mode_state)
-                        last_event_s = max(last_event_s, max(
-                            (ev.time_us for ev in world.net.trace), default=0) / 1e6)
+                        # The trace is in time order: its last event is the latest.
+                        last_event_s = max(last_event_s, world.net.trace[-1].time_us / 1e6)
                     result = world.role_counts()
                     for role in ROLES:
                         per_role[role].append(result[role])

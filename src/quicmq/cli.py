@@ -28,7 +28,7 @@ from .udprun import UdpNetwork
 
 def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
 
@@ -155,9 +155,14 @@ def cmd_broker(args) -> int:
 CLIENT_KEEPALIVE_S = int(IDLE_TIMEOUT_S // 3)
 
 
-def _load_key(path: str) -> bytes:
-    with open(path, encoding="utf-8") as f:
-        return bytes.fromhex(f.read().strip())
+def _load_key(path: str) -> bytes | None:
+    """The broker public key, hex, in ``path``; None, reported, if unreadable or not hex."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return bytes.fromhex(f.read().strip())
+    except (OSError, ValueError) as e:
+        print(f"bad key file {path}: {e}", file=sys.stderr)
+        return None
 
 
 def _handshake_failed(agent: ClientAgent) -> bool:
@@ -167,8 +172,10 @@ def _handshake_failed(agent: ClientAgent) -> bool:
 
 
 def cmd_pub(args) -> int:
-    net = UdpNetwork(trace_path=args.trace)
     server_pk = _load_key(args.key_file)
+    if server_pk is None:
+        return 1
+    net = UdpNetwork(trace_path=args.trace)
     done = {"sent": 0, "closed": False}
 
     def on_connected(agent):
@@ -207,8 +214,10 @@ def cmd_pub(args) -> int:
 
 
 def cmd_sub(args) -> int:
-    net = UdpNetwork(trace_path=args.trace)
     server_pk = _load_key(args.key_file)
+    if server_pk is None:
+        return 1
+    net = UdpNetwork(trace_path=args.trace)
     state = {"got": 0, "closed": False}
 
     def on_message(agent, msg):

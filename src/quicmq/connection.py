@@ -124,9 +124,8 @@ def check_stream_id(stream_id: int) -> None:
 class CachedSession:
     """Client-side resumption material for 0-RTT: a signed scfg and its
     token. It is loaded from a session file, and a REJ replaces it with the
-    REJ's own pair. The SHLO's token is never kept: the config expires
-    before the REJ's token goes stale, so a refreshed token would never be
-    used."""
+    REJ's own pair; the SHLO carries no token. The config expires before the
+    REJ's token goes stale, so a refreshed token would never be used."""
     scfg: ServerConfig
     stk: bytes
 
@@ -769,8 +768,7 @@ class Connection:
         if self.phase != HANDSHAKE:
             return  # closed by what arrived in the same flight
         self._send_ack_packet()
-        shlo, ephemeral = self.identity.build_shlo(self.peer_addr[0], self.clock(),
-                                                   self.rng)
+        shlo, ephemeral = self.identity.build_shlo(self.rng)
         inner = shlo.encode()
         self._hs_shlo = StreamFrame(HANDSHAKE_STREAM_ID, 0, inner)
         self._send_packet(EPOCH_IK, MARKER_HANDSHAKE, [self._hs_shlo], "shlo")

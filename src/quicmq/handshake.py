@@ -77,7 +77,6 @@ class ServerConfig:
     scid: bytes
     public: bytes
     expy: int
-    div_nonce: bytes
     prof: bytes
     dh: crypto.DhKeyPair | None = field(default=None, compare=False, repr=False)
 
@@ -88,29 +87,18 @@ class ServerConfig:
         """Public part, as carried in REJ messages and mixed into the key
         expansion transcript."""
         pub = self.pub_bytes()
-        return (
-            self.scid
-            + len(pub).to_bytes(2, "big")
-            + pub
-            + self.expy.to_bytes(4, "big")
-            + self.div_nonce
-        )
+        return self.scid + len(pub).to_bytes(2, "big") + pub + self.expy.to_bytes(4, "big")
 
     @classmethod
     def parse_pub(cls, data: bytes, prof: bytes) -> "ServerConfig":
         if len(data) < 32 + 2:
             raise HandshakeError("scfg_malformed", "short")
-        scid = data[:32]
         publen = int.from_bytes(data[32:34], "big")
-        pos = 34
-        if len(data) < pos + publen + 4 + 32:
+        if len(data) < 34 + publen + 4:
             raise HandshakeError("scfg_malformed", "truncated")
-        public = parse_public(data[pos:pos + publen], "scfg_malformed")
-        pos += publen
-        expy = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
-        div_nonce = data[pos:pos + 32]
-        return cls(scid, public, expy, div_nonce, prof)
+        public = parse_public(data[34:34 + publen], "scfg_malformed")
+        expy = int.from_bytes(data[34 + publen:38 + publen], "big")
+        return cls(data[:32], public, expy, prof)
 
 
 def signed_blob(scid: bytes, pub_bytes: bytes, expy: int) -> bytes:
@@ -124,8 +112,7 @@ def get_scfg(sign_sk: bytes, now: float, rng: Random = SYSTEM_RNG) -> ServerConf
     pub_bytes = bytes([GROUP_ID]) + pair.public
     scid = sha256(pub_bytes + expy.to_bytes(4, "big"))
     prof = sign(sign_sk, signed_blob(scid, pub_bytes, expy))
-    div = rng.randbytes(32)
-    return ServerConfig(scid, pair.public, expy, div, prof, dh=pair)
+    return ServerConfig(scid, pair.public, expy, prof, dh=pair)
 
 
 def check_scfg(cfg: ServerConfig, server_pk: bytes, now: float) -> None:
@@ -376,15 +363,11 @@ class ServerIdentity:
 
     # -- SHLO -------------------------------------------------------------------
 
-    def build_shlo(self, client_ip: str, now: float,
-                   rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
-        """Fresh ephemeral DH values plus a refreshed token for the client's
-        next resumption."""
+    def build_shlo(self, rng: Random = SYSTEM_RNG) -> tuple[HandshakeMessage, crypto.DhKeyPair]:
+        """The server's fresh ephemeral DH value, the SHLO's only field. It
+        carries no token: the client resumes with the REJ's."""
         pair = dh_keypair(rng)
-        msg = HandshakeMessage(wire.MSG_SHLO, {
-            wire.TAG_PUBS: bytes([GROUP_ID]) + pair.public,
-            wire.TAG_STK: mint_stk(self.k_stk, client_ip, now, rng),
-        })
+        msg = HandshakeMessage(wire.MSG_SHLO, {wire.TAG_PUBS: bytes([GROUP_ID]) + pair.public})
         return msg, pair
 
     def derive_k_server(self, ephemeral: crypto.DhKeyPair, client_pub: bytes,

@@ -60,7 +60,6 @@ class MqttMessage:
     return_code: int = 0  # CONNACK
     topics: tuple[tuple[str, int], ...] = ()  # SUBSCRIBE: (filter, qos)
     granted: tuple[int, ...] = ()  # SUBACK
-    version: int = PROTOCOL_LEVEL
 
 
 def _encode_string(s: str) -> bytes:
@@ -147,7 +146,7 @@ def encode(msg: MqttMessage) -> bytes:
         connect_flags = 0x00 if msg.persistent else 0x02  # clean session bit
         body = (
             _encode_string("MQTT")
-            + bytes([msg.version, connect_flags])
+            + bytes([PROTOCOL_LEVEL, connect_flags])
             + msg.keepalive.to_bytes(2, "big")
             + _encode_string(msg.client_id)
         )
@@ -242,18 +241,19 @@ def decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError(f"bad protocol name {name!r}")
         if len(body) - p < 4:
             raise MqttError("truncated CONNECT")
-        version = body[p]
+        if body[p] != PROTOCOL_LEVEL:
+            raise MqttError(f"unsupported protocol level {body[p]}")
         connect_flags = body[p + 1]
+        if connect_flags & 0x01:
+            raise MqttError("reserved CONNECT flag set")
         keepalive = int.from_bytes(body[p + 2:p + 4], "big")
         p += 4
         client_id, p = _decode_string(body, p)
         persistent = not (connect_flags & 0x02)
         if persistent and not client_id:
             raise MqttError("persistent session requires a client id")
-        return MqttMessage(
-            CONNECT, client_id=client_id, persistent=persistent,
-            keepalive=keepalive, version=version,
-        ), end
+        return MqttMessage(CONNECT, client_id=client_id, persistent=persistent,
+                           keepalive=keepalive), end
     if kind == CONNACK:
         if len(body) != 2:
             raise MqttError("bad CONNACK length")

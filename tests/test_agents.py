@@ -447,6 +447,28 @@ def test_client_rx_queue_is_fifo():
     assert payloads == [bytes([i]) for i in range(5)]
 
 
+def test_connect_naming_another_protocol_level_gets_no_connack(monkeypatch):
+    # MQTT 3.1.1 §3.1.2.2: the broker refuses a CONNECT for level 5 rather
+    # than serve it as 3.1.1.
+    encode = mqtt.encode
+
+    def level_5(msg):
+        raw = encode(msg)
+        if msg.kind == mqtt.CONNECT:
+            assert raw[8] == mqtt.PROTOCOL_LEVEL  # after the header and "MQTT"
+            raw = raw[:8] + bytes([5]) + raw[9:]
+        return raw
+    monkeypatch.setattr(mqtt, "encode", level_5)
+    net, identity, server = make_world()
+    client = make_client(net, identity, 50001, "dev1")
+    seen = record_dispatch(client)
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    assert client.conn.phase == connection.ESTABLISHED
+    assert seen == [] and not client.connected
+    assert server.mqtt_errors == 1
+
+
 def test_suback_surfaced_to_application():
     net, identity, server = make_world()
     events = []
@@ -1210,6 +1232,21 @@ def test_short_inchoate_hello_from_a_spoofed_address_draws_nothing():
     net.run(until_s=1.0)
     assert received == []
     assert server.connection_count() == 0
+
+
+def test_a_refused_first_datagram_counts_as_an_error_not_a_connection():
+    net, identity, server = make_world()
+    attacker = ("6.6.6.6", 6666)
+    net.register(attacker, lambda p, s: None)
+    header = wire.encode_header(wire.PacketHeader(cid=77, sqn=1, epoch=wire.EPOCH_CLEAR))
+    net.send(header + bytes(40), attacker, BROKER, "fuzz")
+    net.run(until_s=1.0)
+    assert (server.conns_opened, server.rx_errors) == (0, 1)
+    client = make_client(net, identity, 50001, "dev1")
+    client.connect_mqtt()
+    net.run(until_s=2.0)
+    assert client.connected
+    assert (server.conns_opened, server.rx_errors) == (1, 1)
 
 
 @pytest.mark.parametrize("reason", ["scfg_bad_signature", "handshake_timeout"])

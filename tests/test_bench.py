@@ -168,29 +168,29 @@ PINNED_DIGESTS = {
     # The trace moves with ACK timing; "fanout_received", the deliveries
     # alone, must not: broker routing order decides them.
     "fanout_many_subscribers":
-        "ad8c452aebc19e8b40059d7c7aee5a3695852d351738ec633ab5170fdc015e00",
+        "05132f8005beec785ff396fd7842cf129fb4921019ab579ca62dac59bba3ff73",
     "fanout_received": "104038966138270088989bb52413df64aea4ff5182ca2e74e69c708abdc289b8",
-    "rej_fallback": "567b849dfc1586dd322c86a613c9a43f137f233b85201758a16eafbce3c3d4bf",
+    "rej_fallback": "40b8d3520a2d2ef18c651e8ef9f0d5a62cf86a3a23e3cb520fc154c00699ab2c",
     "conn_overhead_wired.datagrams":
-        "b2baed7ef06ce183dfdf2f81d690e018c9c4f1fbf85b6f2e8f6e107fa9c22ca1",
-    "hol_wired.datagrams": "3f057075984fecfccf8452c5fd00c0ee4d2e7bf8d9c7de871639b1311d0b604c",
+        "7a6a63ad13c75401c70246e1be1e958d3df64d0302079ad6ee2b3155451afdcb",
+    "hol_wired.datagrams": "1d95d33c5f0a4b9159d3993455ecc99ad226b53cecfffddeb6724f4df98df2fb",
     "half_open_wired.datagrams":
-        "4bde27fa35e6257f44dfad372b3e2d0ec7b986606d1d8d369e4b3fcee5802470",
+        "275cb80af249b72ccd7aaf375aa6ab20f6c7b587c58fb8e78be13ce579f3d330",
     # migrate runs lossless, so its two profiles send the same bytes, at
     # different times.
-    "migrate_wired.datagrams": "c98c3174765efd8578d3933d43ef8b5a838ffa3d80970606ac89a2c0ef23134a",
+    "migrate_wired.datagrams": "dcf8e75840a1784682a99e3af4c1ed83d636c8e27a432d78cc00bfba21067f4b",
     "conn_overhead_wireless.datagrams":
-        "36d448cd598386ea339beb42a416e26ea0baebc863f28434270a8c4108839306",
-    "hol_wireless.datagrams": "2bce7dd97608c352c2eee5cd33d30b4ddbf595e88976b1690743358c5e77d839",
+        "4165c4dbc6b8795bfd6cd7b0774899e2b657c7bfdee6156a717e26ce0d799325",
+    "hol_wireless.datagrams": "5fee0d8d2ccb8efe4897e76a3d0cfde6f64997e0d42028e8f35f224595dd77ac",
     "stream_isolation_wired.datagrams":
-        "058034f1ae0e11b5cabb15943c96de0a03d81e3302c10f7b2a5913e2fd2d1736",
+        "747a05b30c8dd57ccea223fef30a477b0d426089e9ab0323e41722d91a9e6947",
     "migrate_wireless.datagrams":
-        "c98c3174765efd8578d3933d43ef8b5a838ffa3d80970606ac89a2c0ef23134a",
+        "dcf8e75840a1784682a99e3af4c1ed83d636c8e27a432d78cc00bfba21067f4b",
     "conn_overhead_long_distance.datagrams":
-        "a4a8128910af0d6e523928422d90cda498a148b948c113a832078a34c8f77232",
+        "8d0139f8b9850435377a199c64d9f506fa9c44c5f584e7d15d3ce60adb36796b",
     "fanout_many_subscribers.datagrams":
-        "ecf84cb9c5caf9483dc7212347084d535a242373baf724e86dabc187c439e9a7",
-    "rej_fallback.datagrams": "0e514e89547edb2b5c183e0f2857ecd21a07d22a9d17cdedc8b96d9c0f07dd61",
+        "6aed0a39a727f581736b06c392450c69ce3d1a19c2e31e9b2b6ff956b792a1b2",
+    "rej_fallback.datagrams": "711473dc9ec4d5b70fa53bb92dbcb8ae0fbf9263c80fe57e01e986708245eebf",
 }
 
 
@@ -498,6 +498,34 @@ def test_cli_clients_report_a_bind_failure(tmp_path, monkeypatch, capsys, comman
                  "--key-file", str(key_file)])
     assert code == 1
     assert "bind failed: address in use" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sub", "pub"])
+@pytest.mark.parametrize("content", ["not hex\n", None], ids=["non-hex", "missing"])
+def test_cli_clients_report_a_bad_key_file(tmp_path, monkeypatch, capsys, command, content):
+    key_file = tmp_path / "broker.pk"
+    if content is not None:
+        key_file.write_text(content)
+
+    def agent(*args, **kw):
+        raise AssertionError("no agent is built without a key")
+    monkeypatch.setattr(cli, "ClientAgent", agent)
+    code = main([command, "--topic", "t", "--broker", "127.0.0.1:9",
+                 "--key-file", str(key_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad key file {key_file}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["broker", "--listen", "127.0.0.1:70000"],
+    ["pub", "--topic", "t", "--key-file", "k", "--broker", "127.0.0.1:65536"],
+])
+def test_cli_refuses_a_port_past_65535_as_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "expected HOST:PORT" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not _udp_available(), reason="UDP loopback unavailable")

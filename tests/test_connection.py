@@ -315,7 +315,7 @@ def test_shlo_with_data_marker_is_not_accepted(world):
     fresh_net.run(until_s=0.0025)  # hello and reject exchanged, no SHLO yet
     assert c.phase == "handshake" and c.ik is not None and c.k is None
     server_conn = fresh_server_ep.only_conn()
-    shlo_msg, _ = identity.build_shlo("10.0.0.2", 0.0, Random(5))
+    shlo_msg, _ = identity.build_shlo(Random(5))
     from quicmq.wire import PacketHeader, StreamFrame, encode_frames, seal_packet
     frame = StreamFrame(1, 0, shlo_msg.encode())
     packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
@@ -334,7 +334,7 @@ def test_shlo_with_a_malformed_public_value_fails_the_handshake(world):
     client_ep.pump(c.cid)
     net.run(until_s=0.0025)  # hello and reject exchanged, no SHLO yet
     assert c.phase == "handshake" and c.ik is not None
-    shlo_msg, _ = identity.build_shlo("10.0.0.2", 0.0, Random(5))
+    shlo_msg, _ = identity.build_shlo(Random(5))
     shlo_msg.fields[wire.TAG_PUBS] = bytes([GROUP_ID]) + bytes(5)
     packet = seal_packet(PacketHeader(cid=c.cid, sqn=700, epoch=EPOCH_IK),
                          bytes([wire.MARKER_HANDSHAKE])

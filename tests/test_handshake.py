@@ -8,6 +8,7 @@ from quicmq import crypto, wire
 from quicmq.agents import ClientAgent, ServerAgent
 from quicmq.crypto import sha256, ver
 from quicmq.handshake import (
+    GROUP_ID,
     NONC_LEN,
     SCFG_LIFETIME_S,
     STK_VALIDITY_S,
@@ -82,7 +83,7 @@ def test_check_scfg_rejects_expired(identity):
 def test_check_scfg_rejects_tampered_signature(identity):
     cfg = identity.scfg
     bad = ServerConfig(cfg.scid, cfg.public, cfg.expy,
-                       cfg.div_nonce, cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
+                       cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
     with pytest.raises(HandshakeError) as e:
         check_scfg(bad, identity.sign_pair.pk, NOW)
     assert e.value.reason == "scfg_bad_signature"
@@ -90,8 +91,7 @@ def test_check_scfg_rejects_tampered_signature(identity):
 
 def test_check_scfg_rejects_wrong_scid(identity):
     cfg = identity.scfg
-    bad = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy,
-                       cfg.div_nonce, cfg.prof)
+    bad = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy, cfg.prof)
     with pytest.raises(HandshakeError) as e:
         check_scfg(bad, identity.sign_pair.pk, NOW)
     assert e.value.reason == "scfg_bad_scid"
@@ -111,8 +111,8 @@ def test_cached_config_is_still_checked_for_signature_expiry_and_scid(identity):
     cfg = identity.scfg
     check_scfg(cfg, identity.sign_pair.pk, NOW)
     flipped = ServerConfig(cfg.scid, cfg.public, cfg.expy,
-                           cfg.div_nonce, cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
-    other_scid = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy, cfg.div_nonce, cfg.prof)
+                           cfg.prof[:-1] + bytes([cfg.prof[-1] ^ 1]))
+    other_scid = ServerConfig(b"\x00" * 32, cfg.public, cfg.expy, cfg.prof)
     for bad, now, reason in ((flipped, NOW, "scfg_bad_signature"),
                              (cfg, cfg.expy, "scfg_expired"),
                              (other_scid, NOW, "scfg_bad_scid")):
@@ -149,8 +149,24 @@ def test_scfg_pub_serialization_roundtrip(identity):
     assert parsed.scid == cfg.scid
     assert parsed.public == cfg.public
     assert parsed.expy == cfg.expy
-    assert parsed.div_nonce == cfg.div_nonce
     assert parsed.dh is None
+
+
+def test_every_bit_of_the_public_scfg_is_checked(identity):
+    # Every byte a REJ or a session file carries for the config is signed or
+    # hashed into the scid, so no single-bit change parses and checks.
+    data = identity.scfg.serialize_pub()
+    passed = []
+    for bit in range(len(data) * 8):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            cfg = ServerConfig.parse_pub(bytes(flipped), identity.scfg.prof)
+            check_scfg(cfg, identity.sign_pair.pk, NOW)
+        except HandshakeError:
+            continue
+        passed.append(bit)
+    assert passed == []
 
 
 def test_scfg_repr_hides_the_config_secret(identity):
@@ -388,7 +404,7 @@ def test_full_chlos_reuse_the_config_key(identity, key_builds):
 
 def test_forward_secure_keys_agree_and_differ_from_ik(identity):
     ik_server, nonc, secrets, scfg = _accepted_chlo(identity)
-    shlo, ephemeral = identity.build_shlo("10.0.0.2", NOW, Random(7))
+    shlo, ephemeral = identity.build_shlo(Random(7))
     inner = shlo.encode()
     client_pub = secrets.dh.public
     k_server = identity.derive_k_server(ephemeral, client_pub, nonc, 77,
@@ -399,10 +415,11 @@ def test_forward_secure_keys_agree_and_differ_from_ik(identity):
     assert k_client != ik_server
 
 
-def test_shlo_carries_fresh_token(identity):
-    shlo, _ = identity.build_shlo("10.0.0.2", NOW, Random(7))
-    stk = shlo.fields[wire.TAG_STK]
-    assert open_stk(identity.k_stk, stk) == ("10.0.0.2", int(NOW))
+def test_shlo_holds_only_the_servers_ephemeral_value(identity):
+    # The client reads PUBS alone; a token here would never be used.
+    shlo, ephemeral = identity.build_shlo(Random(7))
+    assert shlo.kind == wire.MSG_SHLO
+    assert shlo.fields == {wire.TAG_PUBS: bytes([GROUP_ID]) + ephemeral.public}
 
 
 def test_ik_transcript_binds_chlo_and_scfg(identity):

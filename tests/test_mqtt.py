@@ -123,6 +123,19 @@ def test_connect_empty_client_id_with_persistence_rejected():
         decode(raw)
 
 
+@pytest.mark.parametrize("level, connect_flags", [(3, 0x02), (5, 0x02), (4, 0x03)],
+                         ids=["level-3", "level-5", "reserved-bit"])
+def test_connect_with_another_level_or_the_reserved_flag_is_refused(level, connect_flags):
+    # MQTT 3.1.1 §3.1.2.2 and §3.1.2.3.
+    body = b"\x00\x04MQTT" + bytes([level, connect_flags]) + b"\x00\x00" + b"\x00\x01c"
+    raw = bytes([mqtt.CONNECT << 4, len(body)]) + body
+    with pytest.raises(MqttError) as e:
+        decode(raw)
+    assert not isinstance(e.value, IncompleteMessage)
+    ok = raw[:8] + bytes([mqtt.PROTOCOL_LEVEL, 0x02]) + raw[10:]
+    assert decode(ok)[0] == MqttMessage(mqtt.CONNECT, client_id="c")
+
+
 def test_truncated_buffer_is_incomplete_not_crash():
     raw = encode(MqttMessage(mqtt.PUBLISH, topic="t", payload=b"0123456789"))
     with pytest.raises(IncompleteMessage):
@@ -255,8 +268,11 @@ def reference_decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError(f"bad protocol name {name!r}")
         if len(body) - p < 4:
             raise MqttError("truncated CONNECT")
-        version = body[p]
+        if body[p] != mqtt.PROTOCOL_LEVEL:
+            raise MqttError(f"unsupported protocol level {body[p]}")
         connect_flags = body[p + 1]
+        if connect_flags & 0x01:
+            raise MqttError("reserved CONNECT flag set")
         keepalive = int.from_bytes(body[p + 2:p + 4], "big")
         p += 4
         client_id, p = _reference_decode_string(body, p)
@@ -265,7 +281,7 @@ def reference_decode(data: bytes) -> tuple[MqttMessage, int]:
             raise MqttError("persistent session requires a client id")
         return MqttMessage(
             mqtt.CONNECT, client_id=client_id, persistent=persistent,
-            keepalive=keepalive, version=version,
+            keepalive=keepalive,
         ), end
     if kind == mqtt.CONNACK:
         if len(body) != 2:
@@ -359,7 +375,7 @@ def reference_encode(msg: MqttMessage) -> bytes:
         connect_flags = 0x00 if msg.persistent else 0x02
         body = (
             _reference_encode_string("MQTT")
-            + bytes([msg.version, connect_flags])
+            + bytes([mqtt.PROTOCOL_LEVEL, connect_flags])
             + msg.keepalive.to_bytes(2, "big")
             + _reference_encode_string(msg.client_id)
         )

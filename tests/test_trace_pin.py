@@ -21,7 +21,7 @@ BROKER = ("10.0.0.1", 4433)
 
 # sha256 of lossy_exchange()'s trace lines, the received (topic, payload)
 # pairs and the sha256 of every datagram's bytes, in the order sent.
-PINNED_DIGEST = "af663c8f095666aa65b2c21110d2ac65aa295a53bbfe909c237c8bf804c2f974"
+PINNED_DIGEST = "0ddf82197ac3eeb67aec395c22c0e952017ce3299c397b1bebc50ce905a31977"
 
 
 def lossy_exchange() -> bytes:
